@@ -1,7 +1,9 @@
 """Verification checklist: every headline identity the toolkit must reproduce.
 
-Each criterion is a callable raising AssertionError on failure; run_all
-executes the full list and collects one pass/fail line per criterion.  All
+Each criterion is a callable raising CheckFailed on failure; run_all
+executes the full list and collects one pass/fail line per criterion, and any
+other exception a criterion raises fails it too.  The checks are explicit
+raises, not ``assert`` statements, so they still run under ``python -O``.  All
 comparisons are exact (tolerance zero) because every target value is rational.
 """
 
@@ -39,6 +41,10 @@ from .walls import WallCase, admissibility_window, first_wall, quintic_wall_tabl
 F = Fraction
 
 _SEED = 20260810
+
+
+class CheckFailed(AssertionError):
+    """A verification criterion found a value that differs from its target."""
 
 
 @dataclass(frozen=True)
@@ -100,106 +106,114 @@ def _sample_points(t_max: Fraction, n: int = 20) -> list[Fraction]:
 
 def criterion_1() -> str:
     """Quintic wall table."""
-    rows = quintic_wall_table()
-    walls = [r.wall for r in rows]
+    walls = [r.wall for r in quintic_wall_table()]
     expect = [F(3, 7), F(8, 15), F(6, 11), F(63, 115), F(54, 95)]
-    assert walls == expect, f"table {walls} != {expect}"
+    if walls != expect:
+        raise CheckFailed(f"table {walls} != {expect}")
     # the table op routes through solve_wall on engine-derived cases; double-check one
-    case = fixtures.wall_case("a12")
-    assert solve_wall(case).wall == F(8, 15)
+    if solve_wall(fixtures.wall_case("a12")).wall != F(8, 15):
+        raise CheckFailed("a12 wall through solve_wall is not 8/15")
     return "walls = " + ", ".join(str(w) for w in walls)
 
 
 def criterion_2() -> str:
     """First-wall closed form across degrees."""
-    for d in range(4, 21, 2):
+    for d in range(4, 21):
         wall, _, _ = first_wall(d)
-        assert wall == F(3, 2 * d), f"d={d}: {wall}"
-    for d in range(5, 20, 2):
-        wall, _, _ = first_wall(d)
-        assert wall == F(3, 2 * d - 3), f"d={d}: {wall}"
+        if wall != (F(3, 2 * d) if d % 2 == 0 else F(3, 2 * d - 3)):
+            raise CheckFailed(f"d={d}: {wall}")
     return "3/(2d) for even d in 4..20, 3/(2d-3) for odd d in 5..19"
 
 
 def criterion_3() -> str:
     """Volume profiles against the printed formulas; toric engine independent."""
-    for name in ("a12", "a11red", "a11irr", "a10", "x26"):
-        vf = fixtures.VOLUME_FIXTURES[name]
-        got = volume_two_ray(vf.model, vf.L).profile
-        ref = _REFERENCE_PROFILES[name]
-        assert got == ref, f"{name}: piece structure differs"
-        for t in _sample_points(ref.breakpoints[-1]):
-            assert got(t) == ref(t)
-    for name in ("p114-w31", "p114-w51", "p1425-w11", "p1425-w13", "p1425-w15"):
-        vf = fixtures.VOLUME_FIXTURES[name]
-        got = volume_toric(vf.moment).profile
-        ref = _REFERENCE_PROFILES[name]
-        assert got == ref, f"{name}: toric piece structure differs"
-        for t in _sample_points(ref.breakpoints[-1]):
-            assert got(t) == ref(t)
+    engines = (
+        ("two-ray", lambda vf: volume_two_ray(vf.model, vf.L), ("a12", "a11red", "a11irr", "a10", "x26")),
+        ("toric", lambda vf: volume_toric(vf.moment),
+         ("p114-w31", "p114-w51", "p1425-w11", "p1425-w13", "p1425-w15")),
+    )
+    for engine, run, names in engines:
+        for name in names:
+            got = run(fixtures.VOLUME_FIXTURES[name]).profile
+            ref = _REFERENCE_PROFILES[name]
+            if got != ref or any(got(t) != ref(t) for t in _sample_points(ref.breakpoints[-1])):
+                raise CheckFailed(f"{name}: {engine} profile differs from the printed formula")
     return "5 two-ray + 5 toric profiles, 20 exact samples each"
 
 
 def criterion_4() -> str:
     """S-invariants of the quintic cases and the degree-26 hypersurface."""
     got = [fixtures.VOLUME_FIXTURES[n].s0() for n in ("a12", "a11red", "a11irr", "a10")]
-    assert got == [F(17, 5), F(5, 3), F(49, 30), F(47, 15)], got
+    if got != [F(17, 5), F(5, 3), F(49, 30), F(47, 15)]:
+        raise CheckFailed(str(got))
     vf = fixtures.VOLUME_FIXTURES["x26"]
     s0 = vf.s0()
-    assert s0 == F(9, 25) and vf.anti_k == (F(15), F(25))
+    if s0 != F(9, 25) or vf.anti_k != (F(15), F(25)):
+        raise CheckFailed(f"x26: S0 = {s0}, anti_k = {vf.anti_k}")
     for c in (F(0), F(1, 5), F(8, 15)):
-        assert (vf.anti_k[0] - vf.anti_k[1] * c) * s0 == F(9, 25) * (15 - 25 * c)
+        if (vf.anti_k[0] - vf.anti_k[1] * c) * s0 != F(9, 25) * (15 - 25 * c):
+            raise CheckFailed(f"x26: S({c}) differs")
     return "S0 = 17/5, 5/3, 49/30, 47/15; S(c) = (9/25)(15 - 25c)"
 
 
 def criterion_5() -> str:
     """Centroid tests on all appendix cone fixtures."""
     walls = {"a12": F(8, 15), "a11red": F(6, 11), "a11irr": F(63, 115), "a10": F(54, 95)}
-    count = 0
     for name, cf in sorted(fixtures.CENTROID_FIXTURES.items()):
         verdict = solve_centroid_condition(cf.case)
-        assert verdict.verdict == "unique-c", name
+        if verdict.verdict != "unique-c":
+            raise CheckFailed(f"{name}: {verdict.verdict}")
         a, c, b = verdict.solution
-        assert a > 0 and b > 0, name
+        if not (a > 0 and b > 0):
+            raise CheckFailed(f"{name}: a = {a}, b = {b}")
         twin = fixtures.CENTROID_WALL_TWINS[name]
-        assert c == walls[twin], f"{name}: c = {c}"
-        assert c == solve_wall(fixtures.wall_case(twin)).wall, f"{name}: valuative twin disagrees"
-        assert cf.to_printed(verdict.u0) == cf.expected["u0_printed"], name
-        assert cf.to_printed(verdict.u2) == cf.expected["u2_printed"], name
-        count += 1
-    assert count == 8
+        if c != walls[twin]:
+            raise CheckFailed(f"{name}: c = {c}")
+        if c != solve_wall(fixtures.wall_case(twin)).wall:
+            raise CheckFailed(f"{name}: valuative twin disagrees")
+        printed = (cf.to_printed(verdict.u0), cf.to_printed(verdict.u2))
+        if printed != (cf.expected["u0_printed"], cf.expected["u2_printed"]):
+            raise CheckFailed(f"{name}: printed u0, u2 = {printed}")
+    if len(fixtures.CENTROID_FIXTURES) != 8:
+        raise CheckFailed(f"{len(fixtures.CENTROID_FIXTURES)} cone fixtures, expected 8")
     return "8 cone fixtures: unique-c, a > 0, b > 0, printed vectors reproduced"
 
 
 def criterion_6() -> str:
     """Stability-threshold bounds and the admissibility window."""
-    assert fixtures.delta_upper_bound("x26-delta") == F(1, 9)
-    assert fixtures.delta_upper_bound("p1425-delta") == F(1, 10)
+    bounds = (fixtures.delta_upper_bound("x26-delta"), fixtures.delta_upper_bound("p1425-delta"))
+    if bounds != (F(1, 9), F(1, 10)):
+        raise CheckFailed(f"delta bounds {bounds}")
     for d in (4, 5, 7, 10, 13):
         win = admissibility_window("X26", d)
-        assert (win.lo, win.hi, win.lo_closed, win.hi_closed) == (F(8, 3 * d), F(3, d), True, False)
-        win = admissibility_window("P1425", d)
-        assert win.lo == F(27, 10 * d)
+        if (win.lo, win.hi, win.lo_closed, win.hi_closed) != (F(8, 3 * d), F(3, d), True, False):
+            raise CheckFailed(f"X26 window for d={d}")
+        if admissibility_window("P1425", d).lo != F(27, 10 * d):
+            raise CheckFailed(f"P1425 window for d={d}")
         win = admissibility_window("P2", d)
-        assert (win.lo, win.hi) == (F(0), F(3, d))
+        if (win.lo, win.hi) != (F(0), F(3, d)):
+            raise CheckFailed(f"P2 window for d={d}")
     return "delta bounds 1/9 and 1/10; X26 window [8/(3d), 3/d)"
 
 
 def criterion_7() -> str:
     """Gorenstein index bounds and the degree-7 exclusion."""
     for c in (F(54, 95) + F(1, 1000), F(5, 9), F(3, 5) - F(1, 1000)):
-        assert index_bound(5, c) == 5, c
+        if index_bound(5, c) != 5:
+            raise CheckFailed(f"d = 5: index bound at c = {c}")
     for c in (F(3, 8) + F(1, 100), F(2, 5), F(1, 2) - F(1, 100)):
-        assert index_bound(4, c) == 2, c
+        if index_bound(4, c) != 2:
+            raise CheckFailed(f"d = 4: index bound at c = {c}")
     for c in (F(1, 2), F(3, 5), F(3, 4) - F(1, 100)):
-        assert index_bound(4, c) >= 2, c
+        if index_bound(4, c) < 2:
+            raise CheckFailed(f"d = 4: index bound at c = {c}")
     # degree 7: index 5 needs 3/(3 - 7c) >= 5, i.e. c >= 12/35 ...
-    assert index_bound(7, F(12, 35)) >= 5
-    assert index_bound(7, F(12, 35) - F(1, 1000)) < 5
+    if not index_bound(7, F(12, 35)) >= 5 > index_bound(7, F(12, 35) - F(1, 1000)):
+        raise CheckFailed("d = 7: index 5 does not start at c = 12/35")
     # ... but the lct ceiling from the degree-70 germ forces c < 1/4 < 12/35
     ceiling = lct_newton(fixtures.LCT_FIXTURES["p1425-d70"].support)
-    assert ceiling == F(1, 4)
-    assert ceiling < F(12, 35)
+    if ceiling != F(1, 4) or ceiling >= F(12, 35):
+        raise CheckFailed(f"p1425-d70: lct = {ceiling} does not exclude d = 7")
     return "index 5 on (54/95, 3/5); index 2 after the quartic wall; d = 7 excluded (1/4 < 12/35)"
 
 
@@ -215,19 +229,19 @@ def criterion_8() -> str:
     }
     for name, val in expect.items():
         got = lct_newton(fixtures.LCT_FIXTURES[name].support)
-        assert got == val, f"{name}: {got}"
-    assert lct_quasihomog(fixtures.LCT_FIXTURES["d6-germ"].quasihomog) == F(3, 5)
+        if got != val:
+            raise CheckFailed(f"{name}: {got}")
+    if lct_quasihomog(fixtures.LCT_FIXTURES["d6-germ"].quasihomog) != F(3, 5):
+        raise CheckFailed("d6-germ: lct is not 3/5")
     return "lct = 3/5, 15/26, 1, 1/2, 1/4, 1/3 as listed"
 
 
 def criterion_9() -> str:
     """CM degree as a polynomial identity plus its positivity window."""
     for d in range(3, 10):
-        got = cm_degree_poly(2, d)
-        expect = [F(0), F(27), F(-18 * d), F(3 * d * d)]
-        assert got == expect, f"d={d}: {got}"
-        win = cm_positivity_window(2, d)
-        assert (win.lo, win.hi) == (F(0), F(3, d))
+        got, win = cm_degree_poly(2, d), cm_positivity_window(2, d)
+        if got != [F(0), F(27), F(-18 * d), F(3 * d * d)] or (win.lo, win.hi) != (F(0), F(3, d)):
+            raise CheckFailed(f"d={d}: {got}, window ({win.lo}, {win.hi})")
     return "cm_degree(2, d, c) = 27c - 18dc^2 + 3d^2c^3 = 3c(3 - cd)^2; window (0, 3/d)"
 
 
@@ -235,14 +249,18 @@ def criterion_10() -> str:
     """GIT verdicts with replayable certificates."""
     fx = fixtures.BINARY_FIXTURES["quartic-binary-unstable"]
     verdict = binary_system_stability(fx.system)
-    assert verdict.verdict == "unstable"
+    if verdict.verdict != "unstable":
+        raise CheckFailed(verdict.verdict)
     replayed = replay_certificate(fx.system, verdict.certificate)
-    assert replayed and all(w > 0 for w in replayed), replayed
+    if not (replayed and all(w > 0 for w in replayed)):
+        raise CheckFailed(str(replayed))
     fx = fixtures.BINARY_FIXTURES["quartic-binary-ss"]
     verdict = binary_system_stability(fx.system)
-    assert verdict.verdict == "strictly-semistable" and verdict.polystable is True
+    if verdict.verdict != "strictly-semistable" or verdict.polystable is not True:
+        raise CheckFailed(verdict.verdict)
     q5 = fixtures.PLANE_GIT_FIXTURES["q5-double-conic-line"]
-    assert hm_weight_plane(q5.curve, q5.one_ps) == 0
+    if hm_weight_plane(q5.curve, q5.one_ps) != 0:
+        raise CheckFailed("mu(Q5) is not 0")
     return "x^5 y^3 unstable (certificate replays positive); x^4 y^4 strictly semistable; mu(Q5) = 0"
 
 
@@ -278,7 +296,8 @@ def criterion_11() -> str:
             case.name + "-scaled", case.A0 * lam, case.ordD * lam, case.S0 * lam,
             case.alpha, case.beta, case.valid_range,
         )
-        assert solve_wall(scaled).wall == solve_wall(case).wall
+        if solve_wall(scaled).wall != solve_wall(case).wall:
+            raise CheckFailed(f"{case.name}: wall moves under rescaling by {lam}")
 
     # (b) engine agreement on random triangle fixtures with random directions
     done = 0
@@ -302,10 +321,12 @@ def criterion_11() -> str:
         t1 = toric.breakpoints[1]
         model = TwoRayModel(h2, e, F(0), (t1 * e, h2))
         two = volume_two_ray(model, (F(1), F(0))).profile
-        assert two == toric, f"twin mismatch for {verts} {w}"
+        if two != toric:
+            raise CheckFailed(f"twin mismatch for {verts} {w}")
         for _ in range(20):
             t = toric.breakpoints[-1] * F(rng.randint(0, 100), 100)
-            assert two(t) == toric(t)
+            if two(t) != toric(t):
+                raise CheckFailed(f"twin values differ at t = {t} for {verts} {w}")
         done += 1
 
     # (c) unimodular equivariance of the centroid test: 100 trials
@@ -314,7 +335,8 @@ def criterion_11() -> str:
         cf = fixtures.CENTROID_FIXTURES[rng.choice(names)]
         base = solve_centroid_condition(cf.case)
         g = _random_unimodular(rng)
-        assert det3(g) in (1, -1)
+        if det3(g) not in (1, -1):
+            raise CheckFailed("random lattice move is not unimodular")
         ginv_t = mat3_transpose(mat3_inverse(g))
         moved = CentroidCase(
             name=cf.case.name + "-moved",
@@ -324,8 +346,8 @@ def criterion_11() -> str:
             u1=mat3_vec(ginv_t, cf.case.u1),
         )
         res = solve_centroid_condition(moved)
-        assert res.verdict == "unique-c"
-        assert res.solution == base.solution
+        if (res.verdict, res.solution) != ("unique-c", base.solution):
+            raise CheckFailed(f"{moved.name}: {res.verdict} {res.solution} != unique-c {base.solution}")
     return "200 wall rescalings, 60 random engine-agreement fixtures, 100 lattice moves: all exact"
 
 
@@ -349,7 +371,9 @@ def run_all() -> list[CriterionResult]:
     for cid, title, fn in CRITERIA:
         try:
             detail = fn()
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+            results.append(CriterionResult(cid, title, False, reason))
+        else:
             results.append(CriterionResult(cid, title, True, detail))
-        except AssertionError as exc:
-            results.append(CriterionResult(cid, title, False, str(exc) or "assertion failed"))
     return results

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Any
 
 from . import acceptance, fixtures
-from .exact import fmt
 from .git import (
     BinaryFormSystem,
     GitError,
@@ -46,7 +45,7 @@ from .walls import (
     quintic_wall_table,
     solve_wall,
 )
-from .exact import DegenerateInputError, SingularSystemError, StructuralError
+from .exact import DegenerateInputError, SingularSystemError, StructuralError, fmt, polygon as make_polygon
 
 F = Fraction
 
@@ -239,8 +238,6 @@ def _two_ray_from_payload(payload: dict) -> tuple[TwoRayModel, tuple, tuple | No
 
 
 def _toric_from_payload(payload: dict) -> tuple[MomentPolygon, tuple | None]:
-    from .exact import polygon as make_polygon
-
     verts = [_rat_vec(v, f"polygon[{i}]", 2) for i, v in enumerate(_as_list(_need(payload, "polygon"), "polygon"))]
     w = _rat_vec(_need(payload, "w"), "w", 2)
     anti = payload.get("anti_k")

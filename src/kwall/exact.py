@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 Vec2 = tuple[Fraction, Fraction]
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
@@ -36,6 +34,8 @@ class SingularSystemError(ValueError):
 
 def rat(x, denom=None) -> Fraction:
     """Coerce ints, 'p/q' strings, or pairs to an exact rational."""
+    if type(x) is Fraction and denom is None:
+        return x
     if denom is not None:
         return Fraction(x, denom)
     if isinstance(x, float):
@@ -63,10 +63,6 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
-
-def vec2(x, y) -> Vec2:
-    return (rat(x), rat(y))
-
 
 def vec3(x, y, z) -> Vec3:
     return (rat(x), rat(y), rat(z))
@@ -230,10 +226,6 @@ class PiecewiseQuadratic:
         self.breakpoints = tuple(bps)
         self.pieces = tuple(pieces)
 
-    @property
-    def support_end(self) -> Fraction:
-        return self.breakpoints[-1]
-
     def __call__(self, t) -> Fraction:
         t = rat(t)
         if t < self.breakpoints[0]:
@@ -316,19 +308,26 @@ def _canonical_vertices(points: Sequence[Vec2]) -> list[Vec2]:
 
 
 def polygon(points: Sequence[Vec2]) -> Polygon2:
-    """Build a Polygon2 from a vertex cycle, accepting degenerate data."""
+    """Build a Polygon2 from a vertex cycle, accepting degenerate data.
+
+    A cycle that spans the plane must be simple: a 180-degree turn, or edges
+    that wind around more than once (a pentagram), raise StructuralError.
+    """
     pts = _canonical_vertices(points)
     if not pts:
         return Polygon2((), "empty")
     if len(pts) == 1:
         return Polygon2(tuple(pts), "point")
-    # drop collinear middle vertices of the cycle
+    # drop collinear middle vertices of the cycle, noting any that turn back
+    spike = False
     changed = True
     while changed and len(pts) > 2:
         changed = False
         for i in range(len(pts)):
             a, b, c = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-            if v2_cross(v2_sub(b, a), v2_sub(c, b)) == 0:
+            u, v = v2_sub(b, a), v2_sub(c, b)
+            if v2_cross(u, v) == 0:
+                spike = spike or v2_dot(u, v) < 0
                 del pts[i]
                 changed = True
                 break
@@ -337,13 +336,18 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
         return Polygon2(tuple(pts), "point")
     if len(pts) == 2:
         return Polygon2(tuple(pts), "segment")
+    if spike:
+        raise StructuralError("vertex cycle is not simple: it turns back on itself")
     area2 = sum(v2_cross(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
     if area2 < 0:
         pts.reverse()
-    for i in range(len(pts)):
-        a, b, c = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-        if v2_cross(v2_sub(b, a), v2_sub(c, b)) <= 0:
-            raise StructuralError("vertex list is not strictly convex")
+    edges = [v2_sub(b, a) for a, b in zip(pts, pts[1:] + pts[:1])]
+    if any(v2_cross(d, e) <= 0 for d, e in zip(edges[-1:] + edges[:-1], edges)):
+        raise StructuralError("vertex list is not strictly convex")
+    # all turns are left turns under 180 degrees: edge directions change half-plane twice per turn around
+    upper = [d[1] > 0 or (d[1] == 0 and d[0] > 0) for d in edges]
+    if sum(x != y for x, y in zip(upper, upper[1:] + upper[:1])) != 2:
+        raise StructuralError("vertex cycle is not simple: its edges wind around more than once")
     return Polygon2(tuple(pts), "polygon")
 
 

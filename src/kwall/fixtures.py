@@ -27,7 +27,7 @@ from .valuations import (
     log_discrepancy,
     ord_on_germ,
 )
-from .volumes import MomentPolygon, TwoRayModel, VolumeProfile, s_invariant, volume_toric, volume_two_ray
+from .volumes import ModelError, MomentPolygon, TwoRayModel, VolumeProfile, s_invariant, volume_toric, volume_two_ray
 from .walls import Interval, WallCase
 
 F = Fraction
@@ -51,7 +51,8 @@ class VolumeFixture:
         """Primary engine: two-ray when present, else toric."""
         if self.model is not None:
             return volume_two_ray(self.model, self.L)
-        assert self.moment is not None
+        if self.moment is None:
+            raise ModelError(f"volume fixture {self.name!r} has neither a two-ray model nor a moment polygon")
         return volume_toric(self.moment)
 
     def toric_profile(self) -> Optional[VolumeProfile]:

@@ -4,7 +4,8 @@ Input is a simplicial cone tau in a rank-3 lattice together with the Reeb
 vector xi0 (interior to tau), the distinguished covector eta0*, and the
 boundary-divisor vector u1.  The test computes the anticanonical vector u0
 (pairing 1 against each generator), the exact area centroid u2 of the
-cross-section tau^v ∩ {<., xi0> = 1}, and solves
+cross-section tau^v ∩ {<., xi0> = 1} (a triangle, so u2 is the average of the
+three dual rays scaled onto the hyperplane), and solves
 
     u2 = a (u0 - c u1) + b eta0*
 
@@ -20,14 +21,10 @@ from typing import Optional
 
 from .exact import (
     DegenerateInputError,
-    Polygon2,
     SingularSystemError,
     Vec3,
-    area_centroid,
-    clip,
     det3,
     mat3,
-    polygon,
     solve_linear3,
     v3_add,
     v3_cross,
@@ -90,30 +87,13 @@ def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:
         raise ConeError("degenerate cone: generators do not span") from exc
 
 
-def _plane_basis(xi0: Vec3) -> tuple[Vec3, Vec3, Vec3]:
-    """Rational point and basis for the affine plane {<u, xi0> = 1}."""
-    norm2 = v3_dot(xi0, xi0)
-    base = v3_scale(Fraction(1) / norm2, xi0)
-    # two independent vectors orthogonal to xi0
-    candidates = [vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)]
-    e1 = None
-    for cand in candidates:
-        proj = v3_sub(cand, v3_scale(v3_dot(cand, xi0) / norm2, xi0))
-        if proj != vec3(0, 0, 0):
-            e1 = proj
-            break
-    assert e1 is not None
-    e2 = v3_cross(xi0, e1)
-    return base, e1, e2
-
-
-def reeb_cross_section_centroid(case: CentroidCase) -> tuple[Polygon2, Vec3]:
+def reeb_cross_section_centroid(case: CentroidCase) -> tuple[tuple[Vec3, Vec3, Vec3], Vec3]:
     """Cross-section of the dual cone by the Reeb hyperplane and its exact centroid.
 
-    The dual cone tau^v = {u : <u, n_i> >= 0} meets {<u, xi0> = 1} in a
-    bounded polygon because xi0 is interior to tau.  The plane is
-    parametrized rationally, the polygon is cut out there, and the area
-    centroid is lifted back to the ambient rational vector space.
+    The dual cone tau^v = {u : <u, n_i> >= 0} of a simplicial cone is spanned
+    by three rays, and because xi0 is interior to tau each pairs positively
+    with it.  Scaled to <r, xi0> = 1 they are the vertices of the cross-section
+    triangle, whose area centroid is their average.
     """
     n1, n2, n3 = case.generators
     rays = []
@@ -128,32 +108,15 @@ def reeb_cross_section_centroid(case: CentroidCase) -> tuple[Polygon2, Vec3]:
         if pairing <= 0:
             raise ConeError("Reeb vector on the cone boundary: cross-section unbounded")
         rays.append(v3_scale(Fraction(1) / pairing, r))
-
-    base, e1, e2 = _plane_basis(case.xi0)
-    g11, g12, g22 = v3_dot(e1, e1), v3_dot(e1, e2), v3_dot(e2, e2)
-
-    def to_plane(u: Vec3) -> tuple[Fraction, Fraction]:
-        w = v3_sub(u, base)
-        rhs = (v3_dot(w, e1), v3_dot(w, e2))
-        det = g11 * g22 - g12 * g12
-        s = (rhs[0] * g22 - rhs[1] * g12) / det
-        t = (g11 * rhs[1] - g12 * rhs[0]) / det
-        return (s, t)
-
-    poly = polygon([to_plane(v) for v in rays])
     # verify against the halfplane description of the dual cone
-    for n in case.generators:
-        normal = (v3_dot(e1, n), v3_dot(e2, n))
-        offset = -v3_dot(base, n)
-        if clip(poly, normal, offset) != poly:
-            raise ConeError("cross-section vertices violate the dual-cone halfplanes")
-    if poly.is_degenerate:
+    if any(v3_dot(r, n) < 0 for r in rays for n in case.generators):
+        raise ConeError("cross-section vertices violate the dual-cone halfplanes")
+    if det3(rays) == 0:
         raise DegenerateInputError("cross-section degenerated to lower dimension")
-    _, (cs, ct) = area_centroid(poly)
-    u2 = v3_add(base, v3_add(v3_scale(cs, e1), v3_scale(ct, e2)))
+    u2 = v3_scale(Fraction(1, 3), v3_add(rays[0], v3_add(rays[1], rays[2])))
     if v3_dot(u2, case.xi0) != 1:
         raise ConeError("centroid failed to land on the Reeb hyperplane")
-    return poly, u2
+    return (rays[0], rays[1], rays[2]), u2
 
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
@@ -189,5 +152,6 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     lhs = v3_add(
         v3_scale(p, v3_sub(u0, v3_scale(c, case.u1))), v3_scale(b, case.eta0star)
     )
-    assert lhs == u2
+    if lhs != u2:
+        raise ConeError("the solved decomposition does not reproduce the centroid")
     return CentroidVerdict(case, u0, u2, sol, "unique-c")

@@ -2,8 +2,10 @@
 
 The intersection-theoretic engine works on a two-ray model of the Mori cone
 (nef part, then the Zariski positive part orthogonal to the unique negative
-curve).  The toric engine truncates a moment polygon.  Both return the same
-exact piecewise-quadratic profile on every shared fixture, which is the main
+curve).  The toric engine measures the width of the moment polygon's slice at
+each vertex level of the valuation; the width is linear in between, so the
+profile is a closed-form quadratic per piece.  Both return the same exact
+piecewise-quadratic profile on every shared fixture, which is the main
 cross-check of the toolkit.
 """
 
@@ -18,11 +20,10 @@ from .exact import (
     Polygon2,
     Poly,
     Vec2,
-    area_centroid,
-    clip,
     integrate,
     rat,
     rational_sqrt,
+    v2_cross,
     v2_dot,
 )
 
@@ -191,43 +192,51 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     return VolumeProfile(profile, t_nef, t_max)
 
 
-def _clipped_double_area(mp: MomentPolygon, level: Fraction) -> Fraction:
-    region = clip(mp.polygon, mp.valuation_direction, level)
-    if region.is_degenerate:
-        return Fraction(0)
-    area, _ = area_centroid(region)
-    return 2 * area
-
-
 def volume_toric(mp: MomentPolygon) -> VolumeProfile:
-    """Profile of vol(L - t v_w) = 2 area(P ∩ {<u, w> >= m0 + t}) for a toric valuation."""
+    """Profile of vol(L - t v_w) = 2 area(P ∩ {<u, w> >= m0 + t}) for a toric valuation.
+
+    In the coordinates h = <u, w>, s = w x u the area is ∫ g(h) dh with slice
+    width g = (s_upper - s_lower) / |w|^2, which is linear between vertex
+    levels: one exact slice per level fixes a closed-form quadratic per piece.
+    """
     w = mp.valuation_direction
-    levels = sorted({v2_dot(v, w) for v in mp.polygon.vertices})
-    m0 = levels[0]
-    breaks = [lv - m0 for lv in levels]
-    if len(breaks) < 2:
+    hs = [v2_dot(v, w) for v in mp.polygon.vertices]
+    ss = [v2_cross(w, v) for v in mp.polygon.vertices]
+    n = len(hs)
+    levels = sorted(set(hs))
+    if len(levels) < 2:
         raise InvalidValuationError("valuation direction is constant on the polygon")
+
+    def chain(i: int, step: int) -> list[Fraction]:
+        # s at every level along the boundary chain that climbs from bottom vertex i
+        out = []
+        for h in levels:
+            while hs[i] < h:
+                i = (i + step) % n
+            j = (i - step) % n
+            out.append(ss[i] if hs[i] == h else ss[j] + (ss[i] - ss[j]) * (h - hs[j]) / (hs[i] - hs[j]))
+        return out
+
+    # the CCW cycle climbs along the lower chain (smaller s) and descends along the upper one
+    m0 = levels[0]
+    lower = chain(next(i for i in range(n) if hs[i] == m0 and hs[(i + 1) % n] != m0), 1)
+    upper = chain(next(i for i in range(n) if hs[i] == m0 and hs[i - 1] != m0), -1)
+    ww = v2_dot(w, w)
+    g = [(su - sl) / ww for su, sl in zip(upper, lower)]
+    breaks = [h - m0 for h in levels]
+    # width g1 - m (t1 - t) on [t0, t1], rest = area past t1: vol = 2 (rest + g1 (t1 - t)) - m (t1 - t)^2
     pieces: list[Poly] = []
-    for t0, t1 in zip(breaks, breaks[1:]):
-        tm = (t0 + t1) / 2
-        samples = [(t, _clipped_double_area(mp, m0 + t)) for t in (t0, tm, t1)]
-        pieces.append(_lagrange_quadratic(samples))
-    profile = PiecewiseQuadratic(breaks, pieces)
+    rest = Fraction(0)
+    for k in range(len(breaks) - 2, -1, -1):
+        t0, t1 = breaks[k], breaks[k + 1]
+        m = (g[k + 1] - g[k]) / (t1 - t0)
+        pieces.append(Poly([2 * (rest + g[k + 1] * t1) - m * t1 * t1, 2 * (m * t1 - g[k + 1]), -m]))
+        rest += (g[k] + g[k + 1]) * (t1 - t0) / 2
+    profile = PiecewiseQuadratic(breaks, pieces[::-1])
     _check_profile(profile)
     # nef threshold of the toric profile: end of the first piece where the cut is a corner;
     # reported as the first breakpoint past 0
     return VolumeProfile(profile, breaks[1], breaks[-1])
-
-
-def _lagrange_quadratic(samples: list[tuple[Fraction, Fraction]]) -> Poly:
-    out = Poly([])
-    for i, (ti, vi) in enumerate(samples):
-        term = Poly([vi])
-        for j, (tj, _) in enumerate(samples):
-            if j != i:
-                term = term * Poly([-tj / (ti - tj), 1 / (ti - tj)])
-        out = out + term
-    return out
 
 
 def s_invariant(profile: VolumeProfile, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:

@@ -1,0 +1,104 @@
+"""Independent reference constructions, kept as test oracles.
+
+The library computes the Reeb cross-section centroid as the average of three
+scaled dual rays and the toric volume profile from one slice width per vertex
+level.  The constructions here are the longer, independent routes to the same
+numbers: the cross-section cut out in a rational basis of the Reeb plane and
+re-checked by clipping, and the profile sampled by clipping the moment polygon
+three times per piece and fitting the quadratic through the samples.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from kwall.exact import (
+    PiecewiseQuadratic,
+    Poly,
+    Polygon2,
+    Vec3,
+    area_centroid,
+    clip,
+    polygon,
+    v2_dot,
+    v3_add,
+    v3_cross,
+    v3_dot,
+    v3_scale,
+    v3_sub,
+    vec3,
+)
+from kwall.toric_kps import CentroidCase, ConeError
+from kwall.volumes import MomentPolygon, VolumeProfile
+
+
+def plane_basis(xi0: Vec3) -> tuple[Vec3, Vec3, Vec3]:
+    """Rational point and basis for the affine plane {<u, xi0> = 1}."""
+    norm2 = v3_dot(xi0, xi0)
+    base = v3_scale(Fraction(1) / norm2, xi0)
+    # the first coordinate vector with a nonzero part orthogonal to xi0
+    e1 = next(
+        proj
+        for proj in (v3_sub(c, v3_scale(v3_dot(c, xi0) / norm2, xi0))
+                     for c in (vec3(1, 0, 0), vec3(0, 1, 0), vec3(0, 0, 1)))
+        if proj != vec3(0, 0, 0)
+    )
+    return base, e1, v3_cross(xi0, e1)
+
+
+def cross_section(case: CentroidCase) -> tuple[Polygon2, Vec3]:
+    """The Reeb cross-section as a polygon in plane coordinates, and its area
+    centroid lifted back to the ambient space."""
+    n1, n2, n3 = case.generators
+    rays = []
+    for a, b, other in ((n2, n3, n1), (n1, n3, n2), (n1, n2, n3)):
+        r = v3_cross(a, b)
+        if v3_dot(r, other) < 0:
+            r = v3_scale(-1, r)
+        rays.append(v3_scale(Fraction(1) / v3_dot(r, case.xi0), r))
+
+    base, e1, e2 = plane_basis(case.xi0)
+    g11, g12, g22 = v3_dot(e1, e1), v3_dot(e1, e2), v3_dot(e2, e2)
+    det = g11 * g22 - g12 * g12
+
+    def to_plane(u: Vec3) -> tuple[Fraction, Fraction]:
+        w = v3_sub(u, base)
+        r1, r2 = v3_dot(w, e1), v3_dot(w, e2)
+        return ((r1 * g22 - r2 * g12) / det, (g11 * r2 - g12 * r1) / det)
+
+    poly = polygon([to_plane(v) for v in rays])
+    for n in case.generators:
+        if clip(poly, (v3_dot(e1, n), v3_dot(e2, n)), -v3_dot(base, n)) != poly:
+            raise ConeError("cross-section vertices violate the dual-cone halfplanes")
+    _, (cs, ct) = area_centroid(poly)
+    return poly, v3_add(base, v3_add(v3_scale(cs, e1), v3_scale(ct, e2)))
+
+
+def _clipped_double_area(mp: MomentPolygon, level: Fraction) -> Fraction:
+    region = clip(mp.polygon, mp.valuation_direction, level)
+    return Fraction(0) if region.is_degenerate else 2 * area_centroid(region)[0]
+
+
+def _lagrange_quadratic(samples: list[tuple[Fraction, Fraction]]) -> Poly:
+    out = Poly([])
+    for i, (ti, vi) in enumerate(samples):
+        term = Poly([vi])
+        for j, (tj, _) in enumerate(samples):
+            if j != i:
+                term = term * Poly([-tj / (ti - tj), 1 / (ti - tj)])
+        out = out + term
+    return out
+
+
+def toric_profile(mp: MomentPolygon) -> VolumeProfile:
+    """vol(L - t v_w) sampled by clipping at both ends and the middle of each
+    piece between vertex levels, with the quadratic through the samples."""
+    w = mp.valuation_direction
+    levels = sorted({v2_dot(v, w) for v in mp.polygon.vertices})
+    m0 = levels[0]
+    breaks = [lv - m0 for lv in levels]
+    pieces = [
+        _lagrange_quadratic([(t, _clipped_double_area(mp, m0 + t)) for t in (t0, (t0 + t1) / 2, t1)])
+        for t0, t1 in zip(breaks, breaks[1:])
+    ]
+    return VolumeProfile(PiecewiseQuadratic(breaks, pieces), breaks[1], breaks[-1])

@@ -3,8 +3,16 @@ pass/fail line.  Every comparison is exact; there are no tolerances to tune."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import kwall
+from kwall import acceptance
 from kwall.acceptance import CRITERIA
 
 
@@ -12,7 +20,42 @@ from kwall.acceptance import CRITERIA
 def test_criterion(cid, title, check):
     try:
         detail = check()
-    except AssertionError as exc:
-        print(f"FAIL  criterion {cid:>2}  {title}: {exc}")
+    except Exception as exc:
+        print(f"FAIL  criterion {cid:>2}  {title}: {type(exc).__name__}: {exc}")
         raise
     print(f"PASS  criterion {cid:>2}  {title}: {detail}")
+
+
+def test_run_all_reports_any_exception_as_a_named_failure(monkeypatch):
+    def broken():
+        raise ZeroDivisionError("division by zero")
+
+    criteria = list(CRITERIA)
+    criteria[1] = (2, "first-wall formula", broken)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    results = acceptance.run_all()
+    assert [r.passed for r in results].count(False) == 1
+    assert results[1].detail == "ZeroDivisionError: division by zero"
+
+
+_CORRUPT_A12 = textwrap.dedent("""
+    import dataclasses, sys
+    from fractions import Fraction as F
+    from kwall import cli, fixtures
+    from kwall.volumes import TwoRayModel
+
+    fx = fixtures.VOLUME_FIXTURES["a12"]
+    bad = TwoRayModel(F(1), F(1, 26), F(0), (F(5), F(27)))
+    fixtures.VOLUME_FIXTURES["a12"] = dataclasses.replace(fx, model=bad)
+    sys.exit(cli.main(["verify-all"]))
+""")
+
+
+def test_gate_fails_under_python_O_on_a_corrupted_fixture():
+    # with assert statements stripped, a wrong two-ray model must still fail the gate
+    src = str(Path(kwall.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_A12], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL  criterion  3  volume profiles (both engines): CheckFailed: a12" in proc.stdout

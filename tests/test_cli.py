@@ -222,6 +222,26 @@ def test_wrong_kind_for_command(tmp_path, capsys):
     assert code == 1 and "kind" in captured.err
 
 
+@pytest.mark.parametrize(
+    "verts,reason",
+    [
+        # parabola points in star order: every turn is a left turn, but the
+        # edges wind around twice
+        ([[0, 0], [2, 4], [4, 16], [1, 1], [3, 9]], "wind around more than once"),
+        # the cycle runs out to (4, 0) and straight back to (2, 0)
+        ([[0, 0], [4, 0], [2, 0], [4, 4], [0, 4]], "turns back on itself"),
+    ],
+    ids=["pentagram", "spike-cycle"],
+)
+def test_non_simple_moment_polygon_rejected(tmp_path, capsys, verts, reason):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"kind": "toric", "payload": {"polygon": verts, "w": [1, 2]}}), encoding="utf-8")
+    code = cli.main(["volume", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error:") and reason in captured.err
+
+
 def test_annotations_never_consulted(monkeypatch):
     # wiping a fixture's expected values does not change computed output
     base = run_cli("--json", "wall", "--fixture", "a12")[1]

@@ -150,6 +150,28 @@ def test_integrate_against_midpoint_refinement():
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 
 
+def test_polygon_rejects_pentagram_in_either_orientation():
+    star = [(0, 0), (2, 4), (4, 16), (1, 1), (3, 9)]
+    for cycle in (star, star[::-1]):
+        with pytest.raises(StructuralError, match="wind around"):
+            polygon(cycle)
+
+
+def test_polygon_rejects_spike():
+    with pytest.raises(StructuralError, match="turns back"):
+        polygon([(0, 0), (4, 0), (2, 0), (4, 4), (0, 4)])
+
+
+def test_collinear_cycle_is_still_a_segment():
+    # a cycle on one line turns back at its ends; that is a segment, not an error
+    assert polygon([(0, 0), (1, 1), (3, 3), (2, 2)]).kind == "segment"
+
+
+def test_polygon_keeps_straight_vertices_out():
+    sq = polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
+    assert sq.kind == "polygon" and len(sq.vertices) == 4
+
+
 def test_clip_unit_square_half():
     half = clip(UNIT_SQUARE, (1, 0), F(1, 2))
     area, _ = area_centroid(half)

@@ -3,10 +3,23 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwall import fixtures
-from kwall.exact import area_centroid, v2_add, v2_scale, v2_sub
+from kwall.exact import (
+    area_centroid,
+    mat3,
+    mat3_inverse,
+    mat3_mul,
+    mat3_transpose,
+    mat3_vec,
+    v2_add,
+    v2_scale,
+    v2_sub,
+)
 from kwall.toric_kps import (
     CentroidCase,
     ConeError,
@@ -129,9 +142,51 @@ def _subdivision_centroid(poly, depth: int = 4):
 def test_centroid_against_subdivision_oracle():
     for name in ("centroid-a12-case1", "centroid-a10-case1", "centroid-a11irr-case2"):
         cf = fixtures.CENTROID_FIXTURES[name]
-        poly, _ = reeb_cross_section_centroid(cf.case)
+        poly, _ = oracles.cross_section(cf.case)
         _, closed_form = area_centroid(poly)
         assert _subdivision_centroid(poly) == closed_form, name
+
+
+def _unimodular(shears, perm, signs):
+    m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for (i, j), k in shears:
+        shear = [[int(r == c) for c in range(3)] for r in range(3)]
+        shear[i][j] = k
+        m = mat3_mul(m, mat3(shear))
+    return mat3_mul(m, mat3([[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]))
+
+
+_OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(fixtures.CENTROID_FIXTURES)),
+    shears=st.lists(st.tuples(st.sampled_from(_OFF_DIAGONAL), st.integers(-3, 3)), max_size=6),
+    perm=st.permutations([0, 1, 2]),
+    signs=st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3),
+)
+def test_ray_average_centroid_matches_plane_basis_oracle(name, shears, perm, signs):
+    # shears=[], perm=identity, signs=+1 is the fixture itself
+    case = fixtures.CENTROID_FIXTURES[name].case
+    g = _unimodular(shears, perm, signs)
+    ginv_t = mat3_transpose(mat3_inverse(g))
+    moved = CentroidCase(
+        name=case.name + "-moved",
+        generators=tuple(mat3_vec(g, n) for n in case.generators),
+        xi0=mat3_vec(g, case.xi0),
+        eta0star=mat3_vec(ginv_t, case.eta0star),
+        u1=mat3_vec(ginv_t, case.u1),
+    )
+    rays, u2 = reeb_cross_section_centroid(moved)
+    poly, oracle_u2 = oracles.cross_section(moved)
+    assert u2 == oracle_u2
+    assert poly.kind == "polygon" and len(poly.vertices) == len(rays) == 3
+
+
+def test_ray_average_centroid_matches_oracle_on_every_fixture():
+    for name, cf in fixtures.CENTROID_FIXTURES.items():
+        assert reeb_cross_section_centroid(cf.case)[1] == oracles.cross_section(cf.case)[1], name
 
 
 def test_sign_soundness_negating_u1():

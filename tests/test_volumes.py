@@ -3,7 +3,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kwall import fixtures
 from kwall.exact import PiecewiseQuadratic, poly, polygon
@@ -194,3 +197,49 @@ def test_c2_zero_branch():
     assert model.pair((T * e, -h2), (T * e, -h2)) == 0
     two = volume_two_ray(model, (F(1), F(0)))
     assert two.profile == tor.profile
+
+
+@st.composite
+def convex_polygons(draw, n):
+    """n rational points on a parabola arc under a random affine map."""
+    ks = sorted(draw(st.lists(st.integers(-70, 70), min_size=n, max_size=n, unique=True)))
+    den = draw(st.integers(1, 3))
+    small = st.integers(-4, 4)
+    a, b, c, d = (draw(small) for _ in range(4))
+    if a * d - b * c == 0:
+        a, b, c, d = 1, 0, 0, 1
+    ox, oy = draw(st.fractions(-5, 5, max_denominator=3)), draw(st.fractions(-5, 5, max_denominator=3))
+    pts = [(F(k, den), F(k * k, den * den)) for k in ks]
+    return polygon([(a * x + b * y + ox, c * x + d * y + oy) for x, y in pts])
+
+
+@st.composite
+def toric_valuations(draw, n):
+    """A random convex n-gon and a nonzero rational direction.  About half the
+    directions are normal to a chord, so that two vertices share a level."""
+    poly_ = draw(convex_polygons(n))
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.sampled_from(range(len(poly_.vertices))), min_size=2, max_size=2, unique=True))
+        (x0, y0), (x1, y1) = poly_.vertices[i], poly_.vertices[j]
+        scale = draw(st.fractions(-5, 5, max_denominator=5).filter(lambda q: q != 0))
+        return poly_, (scale * (y0 - y1), scale * (x1 - x0))
+    rational = st.fractions(-7, 7, max_denominator=5)
+    return poly_, draw(st.tuples(rational, rational).filter(lambda w: w != (0, 0)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 16, 33, 64])
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(data=st.data())
+def test_slice_width_profile_matches_clip_oracle(n, data):
+    mp = MomentPolygon(*data.draw(toric_valuations(n)))
+    got, ref = volume_toric(mp), oracles.toric_profile(mp)
+    assert got.profile == ref.profile
+    assert (got.nef_threshold, got.pseff_threshold) == (ref.nef_threshold, ref.pseff_threshold)
+
+
+def test_slice_width_profile_on_a_flat_sided_polygon():
+    # edges on both the bottom and the top level: the slices there are whole edges
+    square = polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
+    for w in ((F(1), F(0)), (F(0), F(-1)), (F(-1), F(0)), (F(2), F(1))):
+        mp = MomentPolygon(square, w)
+        assert volume_toric(mp).profile == oracles.toric_profile(mp).profile, w

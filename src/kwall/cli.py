@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -34,7 +35,7 @@ from .valuations import (
     lct_newton,
     lct_quasihomog,
 )
-from .volumes import InvalidValuationError, ModelError, MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
+from .volumes import InvalidValuationError, ModelError, MomentPolygon, TwoRayModel, s_invariant
 from .walls import (
     Interval,
     QuinticStratumPoint,
@@ -72,6 +73,10 @@ _ERRORS = (
 # scenario ingestion: rationals are 'p/q' strings or integers, never floats
 # ---------------------------------------------------------------------------
 
+# an integer or 'p/q': decimal and exponent strings such as '0.5' or '1e-3' are rejected
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _as_rat(value: Any, where: str) -> Fraction:
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError(f"field '{where}': rationals must be 'p/q' strings or integers, got {value!r}")
@@ -79,9 +84,11 @@ def _as_rat(value: Any, where: str) -> Fraction:
         return F(value)
     if isinstance(value, str):
         try:
-            return F(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"field '{where}': malformed rational {value!r}") from exc
+            if _RATIONAL.fullmatch(value):
+                return F(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+        raise SchemaError(f"field '{where}': malformed rational {value!r}; expected 'p/q' or an integer")
     raise SchemaError(f"field '{where}': expected a rational, got {type(value).__name__}")
 
 
@@ -127,12 +134,8 @@ def load_scenario(doc: Any) -> tuple[str, dict, str]:
 
 
 # ---------------------------------------------------------------------------
-# reports
+# report builders: one per scenario kind, each taking the kind's engine input
 # ---------------------------------------------------------------------------
-
-def _interval_str(iv: Interval) -> str:
-    return str(iv)
-
 
 def _wall_report(case: WallCase) -> dict:
     report = solve_wall(case)
@@ -142,16 +145,15 @@ def _wall_report(case: WallCase) -> dict:
         "case": case.name,
         "A(c)": a_str,
         "S(c)": s_str,
-        "range": _interval_str(case.valid_range),
+        "range": str(case.valid_range),
     }
     if report.degenerate:
         out["wall"] = "degenerate (A and S identical; no information)"
         return out
     out["wall"] = fmt(report.wall) if report.wall is not None else "none in range"
     if report.wall is not None:
-        side = "above" if report.unstable_above else "below"
         out["verdict"] = (
-            f"K-unstable for c {'>' if side == 'above' else '<'} {fmt(report.wall)}; "
+            f"K-unstable for c {'>' if report.unstable_above else '<'} {fmt(report.wall)}; "
             f"necessary condition for K-semistability passes on the other side"
         )
     else:
@@ -172,24 +174,30 @@ def _profile_rows(profile) -> list[str]:
     return rows
 
 
-def _volume_report(name: str, profile, s0: Fraction | None, engine: str) -> dict:
+def _volume_report(vf: fixtures.VolumeFixture) -> dict:
+    """Profile by the primary engine, S0 from that profile, and the toric
+    cross-check when both engines apply."""
+    profile = vf.profile()
     out = {
-        "fixture": name,
-        "engine": engine,
+        "fixture": vf.name,
+        "engine": "two-ray" if vf.model is not None else "toric",
         "vol(L)": fmt(profile.vol0),
         "nef threshold": fmt(profile.nef_threshold),
         "pseudoeffective threshold": fmt(profile.pseff_threshold),
         "pieces": _profile_rows(profile),
     }
-    if s0 is not None:
-        out["S0"] = fmt(s0)
+    if vf.anti_k is not None:
+        out["S0"] = fmt(s_invariant(profile, vf.anti_k))
+    if vf.model is not None and vf.moment is not None:
+        same = vf.toric_profile().profile == profile.profile
+        out["toric cross-check"] = "identical profile" if same else "DISAGREES"
     return out
 
 
-def _centroid_report(name: str, case: CentroidCase, display=None) -> dict:
+def _centroid_report(case: CentroidCase, display=None) -> dict:
     verdict = solve_centroid_condition(case)
     out = {
-        "case": name,
+        "case": case.name,
         "u0": "(" + ", ".join(fmt(x) for x in verdict.u0) + ")",
         "u2": "(" + ", ".join(fmt(x) for x in verdict.u2) + ")",
         "verdict": verdict.verdict,
@@ -221,45 +229,62 @@ def _binary_report(name: str, system: BinaryFormSystem) -> dict:
     return out
 
 
+def _plane_report(curve: PlaneCurveSupport, lam: OnePS) -> dict:
+    mu = hm_weight_plane(curve, lam)
+    return {
+        "curve degree": str(curve.degree),
+        "1-PS": "(" + ", ".join(str(w) for w in lam.weights) + ")",
+        "mu": fmt(mu),
+        "verdict": "destabilized (mu < 0 certifies instability)" if mu < 0 else
+                   ("torus direction has weight zero" if mu == 0 else "not destabilized by this 1-PS"),
+    }
+
+
+def _lct_report(germ: GermSupport | QuasiHomogGerm) -> dict:
+    if isinstance(germ, QuasiHomogGerm):
+        desc = f"quasi-homogeneous weights ({germ.w1}, {germ.w2}) degree {germ.degree}"
+        return {"germ": desc, "lct": fmt(lct_quasihomog(germ))}
+    return {"germ": " ".join(f"({i},{j})" for i, j in sorted(germ.monomials)), "lct": fmt(lct_newton(germ))}
+
+
+def _stratum_report(coords: tuple[Fraction, ...]) -> dict:
+    verdict = classify_quintic_stratum(QuinticStratumPoint(coords))
+    return {
+        "coords": "[" + ", ".join(fmt(c) for c in coords) + "]",
+        "stratum": verdict.stratum,
+        "wall": fmt(verdict.wall) if verdict.wall is not None else "none",
+        "note": verdict.note,
+    }
+
+
 # ---------------------------------------------------------------------------
-# scenario runners
+# scenario runner: a payload resolves to its kind's engine input
 # ---------------------------------------------------------------------------
 
-def _two_ray_from_payload(payload: dict) -> tuple[TwoRayModel, tuple, tuple | None]:
-    h2 = _as_rat(_need(payload, "h2"), "h2")
-    e2 = _as_rat(_need(payload, "e2"), "e2")
-    cross = _as_rat(payload.get("cross", 0), "cross")
-    neg = payload.get("neg_curve")
-    neg_curve = None if neg is None else tuple(_rat_vec(neg, "neg_curve", 2))
-    L = _rat_vec(_need(payload, "L"), "L", 2)
+def _volume_input(payload: dict, model: TwoRayModel | None, L, moment: MomentPolygon | None) -> fixtures.VolumeFixture:
     anti = payload.get("anti_k")
     anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
-    return TwoRayModel(h2, e2, cross, neg_curve), L, anti_k
-
-
-def _toric_from_payload(payload: dict) -> tuple[MomentPolygon, tuple | None]:
-    verts = [_rat_vec(v, f"polygon[{i}]", 2) for i, v in enumerate(_as_list(_need(payload, "polygon"), "polygon"))]
-    w = _rat_vec(_need(payload, "w"), "w", 2)
-    anti = payload.get("anti_k")
-    anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
-    return MomentPolygon(make_polygon(verts), w), anti_k
+    return fixtures.VolumeFixture(name=payload.get("name", "scenario"), model=model, L=L, moment=moment,
+                                  anti_k=anti_k, provenance="")
 
 
 def run_scenario(kind: str, payload: dict) -> dict:
     if kind == "two-ray":
-        model, L, anti_k = _two_ray_from_payload(payload)
-        profile = volume_two_ray(model, L)
-        s0 = s_invariant(profile, anti_k) if anti_k else None
-        return _volume_report(payload.get("name", "scenario"), profile, s0, "two-ray")
+        h2 = _as_rat(_need(payload, "h2"), "h2")
+        e2 = _as_rat(_need(payload, "e2"), "e2")
+        cross = _as_rat(payload.get("cross", 0), "cross")
+        neg = payload.get("neg_curve")
+        neg_curve = None if neg is None else tuple(_rat_vec(neg, "neg_curve", 2))
+        L = _rat_vec(_need(payload, "L"), "L", 2)
+        return _volume_report(_volume_input(payload, TwoRayModel(h2, e2, cross, neg_curve), L, None))
     if kind == "toric":
-        moment, anti_k = _toric_from_payload(payload)
-        profile = volume_toric(moment)
-        s0 = s_invariant(profile, anti_k) if anti_k else None
-        return _volume_report(payload.get("name", "scenario"), profile, s0, "toric")
+        verts = [_rat_vec(v, f"polygon[{i}]", 2) for i, v in enumerate(_as_list(_need(payload, "polygon"), "polygon"))]
+        w = _rat_vec(_need(payload, "w"), "w", 2)
+        return _volume_report(_volume_input(payload, None, None, MomentPolygon(make_polygon(verts), w)))
     if kind == "wall-case":
         rng = payload.get("range")
         lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)
-        case = WallCase(
+        return _wall_report(WallCase(
             name=str(payload.get("name", "scenario")),
             A0=_as_rat(_need(payload, "A0"), "A0"),
             ordD=_as_rat(_need(payload, "ordD"), "ordD"),
@@ -267,14 +292,13 @@ def run_scenario(kind: str, payload: dict) -> dict:
             alpha=_as_rat(_need(payload, "alpha"), "alpha"),
             beta=_as_rat(_need(payload, "beta"), "beta"),
             valid_range=Interval(lo, hi),
-        )
-        return _wall_report(case)
+        ))
     if kind == "centroid":
         gens = tuple(
             _rat_vec(g, f"generators[{i}]", 3)
             for i, g in enumerate(_as_list(_need(payload, "generators"), "generators", 3))
         )
-        case = CentroidCase(
+        return _centroid_report(CentroidCase(
             name=str(payload.get("name", "scenario")),
             generators=gens,  # type: ignore[arg-type]
             xi0=_rat_vec(_need(payload, "xi0"), "xi0", 3),
@@ -285,8 +309,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
                 if payload.get("u0_override") is not None
                 else None
             ),
-        )
-        return _centroid_report(case.name, case)
+        ))
     if kind == "git-binary":
         forms_doc = _need(payload, "forms")
         if not isinstance(forms_doc, dict):
@@ -316,25 +339,16 @@ def run_scenario(kind: str, payload: dict) -> dict:
             ),
         )
         lam = OnePS(tuple(_as_int(w, f"lambda[{i}]") for i, w in enumerate(_as_list(_need(payload, "lambda"), "lambda", 3))))
-        mu = hm_weight_plane(curve, lam)
-        return {
-            "curve degree": str(curve.degree),
-            "1-PS": "(" + ", ".join(str(w) for w in lam.weights) + ")",
-            "mu": fmt(mu),
-            "verdict": "destabilized (mu < 0 certifies instability)" if mu < 0 else
-                       ("torus direction has weight zero" if mu == 0 else "not destabilized by this 1-PS"),
-        }
+        return _plane_report(curve, lam)
     if kind == "lct":
         if "quasihomog" in payload:
             w1, w2, deg = (_as_int(v, f"quasihomog[{i}]") for i, v in enumerate(_as_list(payload["quasihomog"], "quasihomog", 3)))
-            value = lct_quasihomog(QuasiHomogGerm(w1, w2, deg))
-            return {"germ": f"quasi-homogeneous weights ({w1}, {w2}) degree {deg}", "lct": fmt(value)}
+            return _lct_report(QuasiHomogGerm(w1, w2, deg))
         mons = frozenset(
             tuple(_as_int(e, f"germ[{i}][{k}]") for k, e in enumerate(_as_list(m, f"germ[{i}]", 2)))
             for i, m in enumerate(_as_list(_need(payload, "germ"), "germ"))
         )
-        value = lct_newton(GermSupport(mons))
-        return {"germ": " ".join(f"({i},{j})" for i, j in sorted(mons)), "lct": fmt(value)}
+        return _lct_report(GermSupport(mons))
     if kind == "index":
         d = _as_int(_need(payload, "degree"), "degree")
         c = _as_rat(_need(payload, "coeff"), "coeff")
@@ -348,17 +362,11 @@ def run_scenario(kind: str, payload: dict) -> dict:
             "degree": str(d),
             "coeff": fmt(c),
             "cm degree": fmt(cm_degree(n, d, c)),
-            "positivity window": _interval_str(cm_positivity_window(n, d)),
+            "positivity window": str(cm_positivity_window(n, d)),
         }
     if kind == "stratum":
         coords = tuple(_as_rat(v, f"coords[{i}]") for i, v in enumerate(_as_list(_need(payload, "coords"), "coords")))
-        verdict = classify_quintic_stratum(QuinticStratumPoint(coords))
-        return {
-            "coords": "[" + ", ".join(fmt(c) for c in coords) + "]",
-            "stratum": verdict.stratum,
-            "wall": fmt(verdict.wall) if verdict.wall is not None else "none",
-            "note": verdict.note,
-        }
+        return _stratum_report(coords)
     raise SchemaError(f"field 'kind': unhandled kind {kind!r}")
 
 
@@ -369,8 +377,17 @@ def serialize_scenario(kind: str, payload: dict, provenance: str = "") -> str:
 
 
 # ---------------------------------------------------------------------------
-# fixture dispatch
+# engine inputs from registry names
 # ---------------------------------------------------------------------------
+
+_REGISTRIES = {
+    "volume": fixtures.VOLUME_FIXTURES,
+    "centroid": fixtures.CENTROID_FIXTURES,
+    "lct": fixtures.LCT_FIXTURES,
+    "git-binary": fixtures.BINARY_FIXTURES,
+    "git-plane": fixtures.PLANE_GIT_FIXTURES,
+}
+
 
 def _unknown_fixture(name: str) -> SchemaError:
     listing = ", ".join(fixtures.REGISTRY_NAMES)
@@ -378,81 +395,48 @@ def _unknown_fixture(name: str) -> SchemaError:
 
 
 def fixture_report(command: str, name: str) -> dict:
+    """The report of a registry name: its kind's builder on the fixture's
+    engine input, or a composite listing of several such reports."""
+    if (command, name) == ("wall", "x26-delta"):
+        out = _wall_report(fixtures.wall_case("x26"))
+        out["delta upper bound (c = 0)"] = fmt(fixtures.delta_upper_bound(name))
+        return out
+    if (command, name) == ("wall", "p1425-delta"):
+        ratios = fixtures.delta_ratios(name)
+        return {
+            "case": name,
+            "ray ratios A/S": ", ".join(f"{ray}: {fmt(v)}" for ray, v in sorted(ratios.items())),
+            "delta upper bound (c = 0)": fmt(min(ratios.values())),
+        }
+    if (command, name) == ("git-binary", "quartic-binary"):
+        reps = [_binary_report(sub, fixtures.BINARY_FIXTURES[sub].system)
+                for sub in ("quartic-binary-unstable", "quartic-binary-ss")]
+        return {"system": name, "verdicts": [f"{r['system']}: {r['verdict']} ({r['detail']})" for r in reps]}
+    if (command, name) == ("stratum", "quintic-strata"):
+        rows = []
+        for rep, coords in fixtures.STRATUM_REPRESENTATIVES.items():
+            r = _stratum_report(coords)
+            rows.append(f"{rep:<10} {r['coords']:<16} -> {r['stratum']:<7} wall {r['wall']:<7} {r['note']}")
+        return {"representatives": rows}
     if command == "wall":
-        if name == "x26-delta":
-            out = _wall_report(fixtures.wall_case("x26"))
-            out["delta upper bound (c = 0)"] = fmt(fixtures.delta_upper_bound("x26-delta"))
-            return out
-        if name == "p1425-delta":
-            ratios = {
-                ray: F(1) / (fixtures.VOLUME_FIXTURES[f"p1425-ray-{ray}"].anti_k[0]
-                             * fixtures.VOLUME_FIXTURES[f"p1425-ray-{ray}"].s0())
-                for ray in ("x", "y", "z")
-            }
-            return {
-                "case": "p1425-delta",
-                "ray ratios A/S": ", ".join(f"{ray}: {fmt(v)}" for ray, v in sorted(ratios.items())),
-                "delta upper bound (c = 0)": fmt(fixtures.delta_upper_bound("p1425-delta")),
-            }
         try:
             case = fixtures.wall_case(name)
         except KeyError:
             raise _unknown_fixture(name) from None
         return _wall_report(case)
+    fx = _REGISTRIES.get(command, {}).get(name)
+    if fx is None:
+        raise _unknown_fixture(name)
     if command == "volume":
-        vf = fixtures.VOLUME_FIXTURES.get(name)
-        if vf is None:
-            raise _unknown_fixture(name)
-        profile = vf.profile()
-        engine = "two-ray" if vf.model is not None else "toric"
-        report = _volume_report(name, profile, vf.s0(), engine)
-        if vf.model is not None and vf.moment is not None:
-            toric = vf.toric_profile()
-            report["toric cross-check"] = (
-                "identical profile" if toric.profile == profile.profile else "DISAGREES"
-            )
-        return report
+        return _volume_report(fx)
     if command == "centroid":
-        cf = fixtures.CENTROID_FIXTURES.get(name)
-        if cf is None:
-            raise _unknown_fixture(name)
-        return _centroid_report(name, cf.case, display=cf)
-    if command == "lct":
-        lf = fixtures.LCT_FIXTURES.get(name)
-        if lf is None:
-            raise _unknown_fixture(name)
-        if lf.support is not None:
-            value = lct_newton(lf.support)
-            desc = " ".join(f"({i},{j})" for i, j in sorted(lf.support.monomials))
-        else:
-            value = lct_quasihomog(lf.quasihomog)
-            desc = f"quasi-homogeneous weights ({lf.quasihomog.w1}, {lf.quasihomog.w2}) degree {lf.quasihomog.degree}"
-        return {"fixture": name, "germ": desc, "lct": fmt(value)}
+        return _centroid_report(fx.case, display=fx)
     if command == "git-binary":
-        if name == "quartic-binary":
-            rows = []
-            for sub in ("quartic-binary-unstable", "quartic-binary-ss"):
-                rep = _binary_report(sub, fixtures.BINARY_FIXTURES[sub].system)
-                rows.append(f"{sub}: {rep['verdict']} ({rep['detail']})")
-            return {"system": "quartic-binary", "verdicts": rows}
-        bf = fixtures.BINARY_FIXTURES.get(name)
-        if bf is None:
-            raise _unknown_fixture(name)
-        return _binary_report(name, bf.system)
+        return _binary_report(name, fx.system)
+    # these reports carry no name of their own: the fixture adds its name
     if command == "git-plane":
-        pf = fixtures.PLANE_GIT_FIXTURES.get(name)
-        if pf is None:
-            raise _unknown_fixture(name)
-        mu = hm_weight_plane(pf.curve, pf.one_ps)
-        return {
-            "fixture": name,
-            "curve degree": str(pf.curve.degree),
-            "1-PS": "(" + ", ".join(str(w) for w in pf.one_ps.weights) + ")",
-            "mu": fmt(mu),
-            "verdict": "destabilized (mu < 0 certifies instability)" if mu < 0 else
-                       ("torus direction has weight zero" if mu == 0 else "not destabilized by this 1-PS"),
-        }
-    raise SchemaError(f"no fixtures for command {command!r}")
+        return {"fixture": name, **_plane_report(fx.curve, fx.one_ps)}
+    return {"fixture": name, **_lct_report(fx.support if fx.support is not None else fx.quasihomog)}
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +490,6 @@ def _cmd_walls(args) -> dict:
     }
 
 
-def _scenario_or_fixture(args, command: str, allowed_kinds: set[str]) -> dict:
-    if getattr(args, "fixture", None):
-        return fixture_report(command, args.fixture)
-    kind, payload, _ = _read_scenario_file(args.file)
-    if kind not in allowed_kinds:
-        raise SchemaError(f"field 'kind': command expects one of {sorted(allowed_kinds)}, got {kind!r}")
-    return run_scenario(kind, payload)
-
-
 def _parse_pairs(text: str, what: str) -> frozenset[tuple[int, int]]:
     mons = set()
     for chunk in text.replace(";", " ").split():
@@ -530,6 +505,15 @@ def _parse_pairs(text: str, what: str) -> frozenset[tuple[int, int]]:
     return frozenset(mons)
 
 
+def _input_group(p: argparse.ArgumentParser, *inline: tuple[str, str]) -> None:
+    """One of the inline flags, --fixture or --file, all ending in one report builder."""
+    g = p.add_mutually_exclusive_group(required=True)
+    for flag, text in inline:
+        g.add_argument(flag, help=text)
+    g.add_argument("--fixture")
+    g.add_argument("--file")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kwall",
@@ -541,42 +525,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("walls", help="built-in wall tables")
     p.add_argument("which", choices=["quintic"])
 
-    p = sub.add_parser("wall", help="solve one valuative wall case")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--fixture")
-    g.add_argument("--file")
+    _input_group(sub.add_parser("wall", help="solve one valuative wall case"))
 
     p = sub.add_parser("first-wall", help="first wall for degree-d plane curves")
     p.add_argument("--degree", type=int, required=True)
 
-    p = sub.add_parser("volume", help="volume profile of a fixture or scenario")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--fixture")
-    g.add_argument("--file")
-
-    p = sub.add_parser("lct", help="log canonical threshold of a curve germ")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--germ", help="monomial support, e.g. '2,0 0,13'")
-    g.add_argument("--quasihomog", help="'w1,w2,degree'")
-    g.add_argument("--fixture")
-    g.add_argument("--file")
+    _input_group(sub.add_parser("volume", help="volume profile of a fixture or scenario"))
+    _input_group(sub.add_parser("lct", help="log canonical threshold of a curve germ"),
+                 ("--germ", "monomial support, e.g. '2,0 0,13'"), ("--quasihomog", "'w1,w2,degree'"))
 
     p = sub.add_parser("index-bound", help="max local Gorenstein index")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--coeff", required=True)
 
-    p = sub.add_parser("centroid", help="centroid K-polystability test")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--fixture")
-    g.add_argument("--file")
+    _input_group(sub.add_parser("centroid", help="centroid K-polystability test"))
 
     p = sub.add_parser("git", help="GIT weight computations")
     gsub = p.add_subparsers(dest="git_command", required=True)
     for which in ("binary", "plane"):
-        q = gsub.add_parser(which)
-        g = q.add_mutually_exclusive_group(required=True)
-        g.add_argument("--fixture")
-        g.add_argument("--file")
+        _input_group(gsub.add_parser(which))
 
     p = sub.add_parser("cm", help="CM line bundle degree for hypersurface families")
     p.add_argument("--n", type=int, required=True)
@@ -592,12 +559,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> the scenario kinds its --file accepts
+_FILE_KINDS = {
+    "wall": {"wall-case"},
+    "volume": {"two-ray", "toric"},
+    "centroid": {"centroid"},
+    "git-binary": {"git-binary"},
+    "git-plane": {"git-plane"},
+    "lct": {"lct"},
+}
+
+
 def _dispatch(args) -> tuple[dict, int]:
-    if args.command == "walls":
+    command = f"git-{args.git_command}" if args.command == "git" else args.command
+    if getattr(args, "fixture", None) is not None:
+        return fixture_report(command, args.fixture), 0
+    if getattr(args, "file", None) is not None:
+        kind, payload, _ = _read_scenario_file(args.file)
+        if kind not in _FILE_KINDS[command]:
+            raise SchemaError(f"field 'kind': command expects one of {sorted(_FILE_KINDS[command])}, got {kind!r}")
+        return run_scenario(kind, payload), 0
+    if command == "walls":
         return _cmd_walls(args), 0
-    if args.command == "wall":
-        return _scenario_or_fixture(args, "wall", {"wall-case"}), 0
-    if args.command == "first-wall":
+    if command == "first-wall":
         wall, tag, report = first_wall(args.degree)
         return {
             "degree": str(args.degree),
@@ -606,47 +590,22 @@ def _dispatch(args) -> tuple[dict, int]:
             "A(c)": f"{fmt(report.case.A0)} - {fmt(report.case.ordD)} c",
             "S(c)": f"({fmt(report.case.S0)}) ({fmt(report.case.alpha)} - {fmt(report.case.beta)} c)",
         }, 0
-    if args.command == "volume":
-        return _scenario_or_fixture(args, "volume", {"two-ray", "toric"}), 0
-    if args.command == "lct":
-        if args.fixture:
-            return fixture_report("lct", args.fixture), 0
-        if args.file:
-            kind, payload, _ = _read_scenario_file(args.file)
-            if kind != "lct":
-                raise SchemaError(f"field 'kind': expected 'lct', got {kind!r}")
-            return run_scenario(kind, payload), 0
-        if args.quasihomog:
-            parts = args.quasihomog.split(",")
-            if len(parts) != 3:
-                raise SchemaError("field 'quasihomog': expected 'w1,w2,degree'")
-            payload = {"quasihomog": [int(p) for p in parts]}
-            return run_scenario("lct", payload), 0
-        mons = _parse_pairs(args.germ, "germ")
-        return run_scenario("lct", {"germ": [list(m) for m in sorted(mons)]}), 0
-    if args.command == "index-bound":
+    if command == "lct":
+        if args.germ is not None:
+            return _lct_report(GermSupport(_parse_pairs(args.germ, "germ"))), 0
+        try:
+            w1, w2, degree = (int(part) for part in args.quasihomog.split(","))
+        except ValueError:
+            raise SchemaError(f"field 'quasihomog': expected 'w1,w2,degree' integers, got {args.quasihomog!r}") from None
+        return _lct_report(QuasiHomogGerm(w1, w2, degree)), 0
+    if command == "index-bound":
         return run_scenario("index", {"degree": args.degree, "coeff": args.coeff}), 0
-    if args.command == "centroid":
-        return _scenario_or_fixture(args, "centroid", {"centroid"}), 0
-    if args.command == "git":
-        which = "git-binary" if args.git_command == "binary" else "git-plane"
-        return _scenario_or_fixture(args, which, {which}), 0
-    if args.command == "cm":
+    if command == "cm":
         return run_scenario("cm", {"n": args.n, "degree": args.degree, "coeff": args.coeff}), 0
-    if args.command == "stratum":
-        if args.fixture:
-            if args.fixture != "quintic-strata":
-                raise _unknown_fixture(args.fixture)
-            rows = []
-            for name, rep in fixtures.STRATUM_REPRESENTATIVES.items():
-                verdict = classify_quintic_stratum(QuinticStratumPoint(rep))
-                coords = "[" + ", ".join(fmt(c) for c in rep) + "]"
-                wall = fmt(verdict.wall) if verdict.wall is not None else "none"
-                rows.append(f"{name:<10} {coords:<16} -> {verdict.stratum:<7} wall {wall:<7} {verdict.note}")
-            return {"representatives": rows}, 0
+    if command == "stratum":
         coords = [chunk.strip() for chunk in args.coords.split(",")]
         return run_scenario("stratum", {"coords": coords}), 0
-    if args.command == "verify-all":
+    if command == "verify-all":
         results = acceptance.run_all()
         lines = [
             f"{'PASS' if r.passed else 'FAIL'}  criterion {r.cid:>2}  {r.title}: {r.detail}"
@@ -658,7 +617,7 @@ def _dispatch(args) -> tuple[dict, int]:
             "summary": f"{sum(r.passed for r in results)}/{len(results)} criteria passed",
         }
         return report, 0 if ok else 1
-    raise SchemaError(f"unhandled command {args.command!r}")
+    raise SchemaError(f"unhandled command {command!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

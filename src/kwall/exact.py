@@ -318,6 +318,10 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
         return Polygon2((), "empty")
     if len(pts) == 1:
         return Polygon2(tuple(pts), "point")
+    d = v2_sub(pts[1], pts[0])
+    if all(v2_cross(d, v2_sub(p, pts[0])) == 0 for p in pts):
+        # a cycle on one line: the segment between its two extreme points
+        return Polygon2((min(pts), max(pts)), "segment")
     # drop collinear middle vertices of the cycle, noting any that turn back
     spike = False
     changed = True
@@ -332,10 +336,6 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
                 changed = True
                 break
     pts = _canonical_vertices(pts)
-    if len(pts) == 1:
-        return Polygon2(tuple(pts), "point")
-    if len(pts) == 2:
-        return Polygon2(tuple(pts), "segment")
     if spike:
         raise StructuralError("vertex cycle is not simple: it turns back on itself")
     area2 = sum(v2_cross(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))

@@ -9,6 +9,7 @@ are never returned as answers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -43,7 +44,7 @@ class VolumeFixture:
     model: Optional[TwoRayModel]
     L: tuple[Fraction, Fraction]
     moment: Optional[MomentPolygon]
-    anti_k: tuple[Fraction, Fraction]
+    anti_k: Optional[tuple[Fraction, Fraction]]  # None (a scenario without anti_k): no S0
     provenance: str
     expected: dict = field(default_factory=dict)
 
@@ -385,6 +386,13 @@ _add_wall(WallFixture(
 ))
 
 
+_PARITY = ("even", "odd")
+_FIRST_WALL_ALIASES = {"firstwall-even": 4, "firstwall-odd": 5, "firstwall-d5": 5}
+# the unlisted names 'firstwall-{even,odd}-dN': N in plain decimal of at most 9 digits,
+# with the named parity and N >= 4 as in walls.first_wall
+_FIRST_WALL_NAME = re.compile(r"firstwall-(even|odd)-d([1-9][0-9]{0,8})")
+
+
 def first_wall_case(d: int) -> WallCase:
     """Wall case for the degree-d first wall: the quotient point of the quadric cone
     against the conic degeneration, ord(D) = 0 for even d and 1/2 for odd d."""
@@ -392,7 +400,7 @@ def first_wall_case(d: int) -> WallCase:
     val = MonomialVal(_ORDER4_POINT, (F(1), F(1)))
     ordD = F(0) if d % 2 == 0 else ord_on_germ(val, germ((1, 1)))
     return WallCase(
-        name=f"firstwall-{'even' if d % 2 == 0 else 'odd'}-d{d}",
+        name=f"firstwall-{_PARITY[d % 2]}-d{d}",
         A0=log_discrepancy(val),
         ordD=ordD,
         S0=vf.s0(),
@@ -405,14 +413,11 @@ def first_wall_case(d: int) -> WallCase:
 
 def wall_case(name: str) -> WallCase:
     """Resolve a named wall case, deriving every number through the engines."""
-    if name == "firstwall-d5":
-        return first_wall_case(5)
-    if name.startswith("firstwall-even-d") or name.startswith("firstwall-odd-d"):
-        return first_wall_case(int(name.rsplit("d", 1)[1]))
-    if name == "firstwall-even":
-        return first_wall_case(4)
-    if name == "firstwall-odd":
-        return first_wall_case(5)
+    if name in _FIRST_WALL_ALIASES:
+        return first_wall_case(_FIRST_WALL_ALIASES[name])
+    m = _FIRST_WALL_NAME.fullmatch(name)
+    if m and int(m[2]) >= 4 and _PARITY[int(m[2]) % 2] == m[1]:
+        return first_wall_case(int(m[2]))
     if name not in WALL_FIXTURES:
         raise KeyError(name)
     return WALL_FIXTURES[name].case()
@@ -422,23 +427,24 @@ def wall_case(name: str) -> WallCase:
 # stability-threshold (delta) fixtures
 # ---------------------------------------------------------------------------
 
-def delta_upper_bound(name: str) -> Fraction:
-    """Upper bound for delta of a named surface, minimized over the fixture's
-    declared valuation list.  An upper bound only."""
+def delta_ratios(name: str) -> dict[str, Fraction]:
+    """The ratio A/(alpha S0) of each valuation in a named surface's declared
+    list, keyed by the valuation's label."""
     if name == "x26-delta":
         fx = WALL_FIXTURES["x26"]
         vf = VOLUME_FIXTURES[fx.volume]
-        return delta_upper(log_discrepancy(fx.valuation), vf.s0(), vf.anti_k)
+        return {"x26": delta_upper(log_discrepancy(fx.valuation), vf.s0(), vf.anti_k)}
     if name == "p1425-delta":
-        ratios = []
-        for ray in ("x", "y", "z"):
-            vf = VOLUME_FIXTURES[f"p1425-ray-{ray}"]
-            ratios.append(delta_upper(F(1), vf.s0(), vf.anti_k))
-        return min(ratios)
+        # toric boundary rays: A = 1
+        rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
+        return {ray: delta_upper(F(1), vf.s0(), vf.anti_k) for ray, vf in rays.items()}
     raise KeyError(name)
 
 
-DELTA_EXPECTED = {"x26-delta": F(1, 9), "p1425-delta": F(1, 10)}
+def delta_upper_bound(name: str) -> Fraction:
+    """Upper bound for delta of a named surface, minimized over the fixture's
+    declared valuation list.  An upper bound only."""
+    return min(delta_ratios(name).values())
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ class Interval:
     lo_closed: bool = False
     hi_closed: bool = False
 
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise WallError(f"range {self} is inverted: its low end exceeds its high end")
+
     def __contains__(self, c) -> bool:
         c = rat(c)
         if c < self.lo or (c == self.lo and not self.lo_closed):

@@ -294,3 +294,76 @@ def test_every_registry_name_is_reachable():
     for name, argv in sorted(commands.items()):
         code, out = run_cli(*argv, name)
         assert code == 0 and out.strip(), name
+
+
+@pytest.mark.parametrize("name", [
+    "firstwall-even-d5",   # parity does not match the degree
+    "firstwall-odd-d4",
+    "firstwall-odd-d3",    # below the d >= 4 scope of walls.first_wall
+    "firstwall-odd-d1",
+    "firstwall-even-d2",
+    "firstwall-even-dx",   # not a degree
+    "firstwall-even-d",
+    "firstwall-even-d06",  # not the canonical spelling of d = 6
+    pytest.param("firstwall-even-d" + "6" * 5000, id="firstwall-even-d<5000 digits>"),
+])
+def test_malformed_first_wall_names_are_unknown_fixtures(capsys, name):
+    code = cli.main(["wall", "--fixture", name])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: unknown fixture {name!r}")
+
+
+def test_unlisted_first_wall_names_run_their_degree():
+    assert json.loads(run_cli("--json", "wall", "--fixture", "firstwall-even-d6")[1])["wall"] == "1/4"
+    assert json.loads(run_cli("--json", "wall", "--fixture", "firstwall-odd-d7")[1])["wall"] == "3/11"
+
+
+def test_quasihomog_flag_rejects_non_integers(capsys):
+    code = cli.main(["lct", "--quasihomog", "a,b,c"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: field 'quasihomog'")
+
+
+def test_inverted_wall_range_rejected(tmp_path, capsys):
+    payload = {"A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5", "range": ["1/2", "1/4"]}
+    path = tmp_path / "inverted.json"
+    path.write_text(cli.serialize_scenario("wall-case", payload), encoding="utf-8")
+    code = cli.main(["wall", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error:") and "range (1/2, 1/4) is inverted" in captured.err
+
+
+@pytest.mark.parametrize("text", ["1e-3", "0.5", ".5", "1/2.0", "1_000", " 1/2", "1/0", "1/-2", "½"])
+def test_decimal_and_malformed_rational_strings_rejected(tmp_path, capsys, text):
+    # the flag route
+    code = cli.main(["index-bound", "--degree", "5", "--coeff", text])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: field 'coeff': malformed rational {text!r}")
+    # the file route
+    path = tmp_path / "coeff.json"
+    path.write_text(cli.serialize_scenario("cm", {"n": 2, "degree": 5, "coeff": text}), encoding="utf-8")
+    kind, payload, _ = cli._read_scenario_file(str(path))
+    with pytest.raises(cli.SchemaError, match="field 'coeff': malformed rational"):
+        cli.run_scenario(kind, payload)
+
+
+@pytest.mark.parametrize("text", ["57/100", "-3/7", "+2", "0", "12"])
+def test_integer_and_ratio_strings_accepted(text):
+    assert cli.run_scenario("cm", {"n": 2, "degree": 5, "coeff": text})["coeff"] == cli.fmt(cli.F(text))
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["wall", "--fixture", ""], "unknown fixture ''"),
+    (["lct", "--fixture", ""], "unknown fixture ''"),
+    (["lct", "--quasihomog", ""], "field 'quasihomog'"),
+    (["lct", "--germ", ""], "field 'germ'"),
+], ids=["wall-fixture", "lct-fixture", "lct-quasihomog", "lct-germ"])
+def test_empty_flag_values_end_in_named_errors(capsys, argv, field):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: {field}")

@@ -1,0 +1,96 @@
+"""Replay of a recorded CLI output snapshot.
+
+``tests/data/cli_snapshot.json`` holds stdout, stderr and the exit code of
+every registry name under its command (text and ``--json``), every README
+command, and the unknown-fixture error of every command that takes
+``--fixture``.  The replay requires byte-identical output.
+
+To re-record after an intended output change:
+
+    PYTHONPATH=src python tests/test_cli_snapshot.py
+"""
+
+from __future__ import annotations
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from kwall import cli, fixtures
+
+SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+
+README_COMMANDS = (
+    ("walls", "quintic"),
+    ("wall", "--fixture", "a12"),
+    ("first-wall", "--degree", "7"),
+    ("volume", "--fixture", "p114-w31"),
+    ("lct", "--germ", "2,0 0,13"),
+    ("lct", "--quasihomog", "2,1,5"),
+    ("index-bound", "--degree", "5", "--coeff", "57/100"),
+    ("centroid", "--fixture", "centroid-a10-case1"),
+    ("git", "binary", "--fixture", "quartic-binary-unstable"),
+    ("git", "plane", "--fixture", "q5-double-conic-line"),
+    ("cm", "--n", "2", "--degree", "5", "--coeff", "1/5"),
+    ("stratum", "--coords", "0,1,0,1"),
+    ("stratum", "--fixture", "quintic-strata"),
+    ("verify-all",),
+)
+
+FIXTURE_COMMANDS = (
+    ("wall",), ("volume",), ("centroid",), ("lct",),
+    ("git", "binary"), ("git", "plane"), ("stratum",),
+)
+
+
+def registry_command(name: str) -> tuple[str, ...]:
+    """The command that takes ``--fixture name``."""
+    for table, command in (
+        (fixtures.CENTROID_FIXTURES, ("centroid",)),
+        (fixtures.VOLUME_FIXTURES, ("volume",)),
+        (fixtures.LCT_FIXTURES, ("lct",)),
+        ({**fixtures.BINARY_FIXTURES, "quartic-binary": None}, ("git", "binary")),
+        (fixtures.PLANE_GIT_FIXTURES, ("git", "plane")),
+        ({"quintic-strata": None}, ("stratum",)),
+    ):
+        if name in table:
+            return command
+    return ("wall",)
+
+
+def snapshot_argvs() -> list[list[str]]:
+    commands = [(*registry_command(n), "--fixture", n) for n in fixtures.REGISTRY_NAMES]
+    commands += README_COMMANDS
+    commands += [(*c, "--fixture", "no-such-fixture") for c in FIXTURE_COMMANDS]
+    return [[*prefix, *c] for c in commands for prefix in ((), ("--json",))]
+
+
+def capture(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def load() -> list[dict]:
+    return json.loads(SNAPSHOT.read_text(encoding="utf-8"))
+
+
+def test_snapshot_covers_every_registry_name():
+    assert [e["argv"] for e in load()] == snapshot_argvs()
+
+
+# a missing file fails the coverage test above, not collection
+@pytest.mark.parametrize("entry", load() if SNAPSHOT.exists() else [], ids=lambda e: " ".join(e["argv"]))
+def test_output_matches_snapshot(entry):
+    assert capture(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    SNAPSHOT.parent.mkdir(exist_ok=True)
+    entries = [capture(argv) for argv in snapshot_argvs()]
+    SNAPSHOT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"recorded {len(entries)} invocations in {SNAPSHOT}")

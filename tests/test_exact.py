@@ -163,8 +163,11 @@ def test_polygon_rejects_spike():
 
 
 def test_collinear_cycle_is_still_a_segment():
-    # a cycle on one line turns back at its ends; that is a segment, not an error
-    assert polygon([(0, 0), (1, 1), (3, 3), (2, 2)]).kind == "segment"
+    # a cycle on one line turns back at its ends; that is the segment between
+    # its two extreme points, not an error
+    for cycle in ([(0, 0), (1, 1), (3, 3), (2, 2)], [(0, 0), (1, 1), (3, 3)], [(3, 3), (0, 0), (2, 2)]):
+        seg = polygon(cycle)
+        assert seg.kind == "segment" and seg.vertices == ((0, 0), (3, 3)), cycle
 
 
 def test_polygon_keeps_straight_vertices_out():

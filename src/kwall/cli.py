@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -18,7 +17,6 @@ from typing import Any
 from . import acceptance, fixtures
 from .git import (
     BinaryFormSystem,
-    GitError,
     OnePS,
     PlaneCurveSupport,
     binary_system_stability,
@@ -26,70 +24,38 @@ from .git import (
     cm_positivity_window,
     hm_weight_plane,
 )
-from .toric_kps import CentroidCase, ConeError, solve_centroid_condition
-from .valuations import (
-    DomainError,
-    GermSupport,
-    QuasiHomogGerm,
-    index_bound,
-    lct_newton,
-    lct_quasihomog,
-)
-from .volumes import InvalidValuationError, ModelError, MomentPolygon, TwoRayModel, s_invariant
+from .toric_kps import CentroidCase, solve_centroid_condition
+from .valuations import GermSupport, QuasiHomogGerm, index_bound, lct_newton, lct_quasihomog
+from .volumes import MomentPolygon, TwoRayModel, s_invariant
 from .walls import (
+    K_UNSTABLE,
     Interval,
     QuinticStratumPoint,
     WallCase,
-    WallError,
+    WallReport,
     classify_quintic_stratum,
     first_wall,
     quintic_wall_table,
     solve_wall,
 )
-from .exact import DegenerateInputError, SingularSystemError, StructuralError, fmt, polygon as make_polygon
+from .exact import KwallError, StructuralError, fmt, polygon as make_polygon, rat
 
 F = Fraction
 
 
-class SchemaError(ValueError):
+class SchemaError(KwallError):
     """Scenario document violates its kind's schema; message names the field."""
-
-
-_ERRORS = (
-    SchemaError,
-    StructuralError,
-    DegenerateInputError,
-    SingularSystemError,
-    ModelError,
-    InvalidValuationError,
-    DomainError,
-    WallError,
-    ConeError,
-    GitError,
-)
 
 
 # ---------------------------------------------------------------------------
 # scenario ingestion: rationals are 'p/q' strings or integers, never floats
 # ---------------------------------------------------------------------------
 
-# an integer or 'p/q': decimal and exponent strings such as '0.5' or '1e-3' are rejected
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def _as_rat(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise SchemaError(f"field '{where}': rationals must be 'p/q' strings or integers, got {value!r}")
-    if isinstance(value, int):
-        return F(value)
-    if isinstance(value, str):
-        try:
-            if _RATIONAL.fullmatch(value):
-                return F(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-        raise SchemaError(f"field '{where}': malformed rational {value!r}; expected 'p/q' or an integer")
-    raise SchemaError(f"field '{where}': expected a rational, got {type(value).__name__}")
+    try:
+        return rat(value)
+    except StructuralError as exc:
+        raise SchemaError(f"field '{where}': {exc}") from None
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -116,14 +82,27 @@ def _need(payload: dict, key: str):
     return payload[key]
 
 
+# scenario kind -> the payload fields its parser reads; 'name' only where the report prints it
+_FIELDS = {
+    "two-ray": {"name", "h2", "e2", "cross", "neg_curve", "L", "anti_k"},
+    "toric": {"name", "polygon", "w", "anti_k"},
+    "wall-case": {"name", "A0", "ordD", "S0", "alpha", "beta", "range"},
+    "centroid": {"name", "generators", "xi0", "eta0star", "u1", "u0_override"},
+    "git-binary": {"name", "parity", "degree", "forms"},
+    "git-plane": {"degree", "monomials", "lambda"},
+    "lct": {"germ", "quasihomog"},
+    "index": {"degree", "coeff"},
+    "cm": {"n", "degree", "coeff"},
+    "stratum": {"coords"},
+}
+
+
 def load_scenario(doc: Any) -> tuple[str, dict, str]:
     if not isinstance(doc, dict):
         raise SchemaError("field '<root>': scenario document must be a JSON object")
     kind = _need(doc, "kind")
-    known = {"two-ray", "toric", "wall-case", "centroid", "git-binary", "git-plane",
-             "lct", "index", "cm", "stratum"}
-    if kind not in known:
-        raise SchemaError(f"field 'kind': unknown scenario kind {kind!r}; expected one of {sorted(known)}")
+    if not isinstance(kind, str) or kind not in _FIELDS:
+        raise SchemaError(f"field 'kind': unknown scenario kind {kind!r}; expected one of {sorted(_FIELDS)}")
     payload = _need(doc, "payload")
     if not isinstance(payload, dict):
         raise SchemaError("field 'payload': expected a JSON object")
@@ -135,10 +114,11 @@ def load_scenario(doc: Any) -> tuple[str, dict, str]:
 
 # ---------------------------------------------------------------------------
 # report builders: one per scenario kind, each taking the kind's engine input
+# (the wall builder takes the solved case, so first-wall reuses its text)
 # ---------------------------------------------------------------------------
 
-def _wall_report(case: WallCase) -> dict:
-    report = solve_wall(case)
+def _wall_report(report: WallReport) -> dict:
+    case = report.case
     a_str = f"{fmt(case.A0)} - {fmt(case.ordD)} c" if case.ordD != 0 else fmt(case.A0)
     s_str = f"({fmt(case.S0)}) ({fmt(case.alpha)} - {fmt(case.beta)} c)"
     out = {
@@ -159,7 +139,7 @@ def _wall_report(case: WallCase) -> dict:
     else:
         # no wall inside the range: A - S keeps one sign there
         mid = (case.valid_range.lo + case.valid_range.hi) / 2
-        if case.margin(mid) < 0:
+        if report.verdict(mid) == K_UNSTABLE:
             out["verdict"] = "K-unstable on the whole range"
         else:
             out["verdict"] = "necessary condition passes on the whole range"
@@ -269,6 +249,11 @@ def _volume_input(payload: dict, model: TwoRayModel | None, L, moment: MomentPol
 
 
 def run_scenario(kind: str, payload: dict) -> dict:
+    if kind not in _FIELDS:
+        raise SchemaError(f"field 'kind': unhandled kind {kind!r}")
+    unknown = sorted(set(payload) - _FIELDS[kind])
+    if unknown:
+        raise SchemaError(f"field '{unknown[0]}': unknown field; kind {kind!r} reads {sorted(_FIELDS[kind])}")
     if kind == "two-ray":
         h2 = _as_rat(_need(payload, "h2"), "h2")
         e2 = _as_rat(_need(payload, "e2"), "e2")
@@ -284,7 +269,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
     if kind == "wall-case":
         rng = payload.get("range")
         lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)
-        return _wall_report(WallCase(
+        return _wall_report(solve_wall(WallCase(
             name=str(payload.get("name", "scenario")),
             A0=_as_rat(_need(payload, "A0"), "A0"),
             ordD=_as_rat(_need(payload, "ordD"), "ordD"),
@@ -292,7 +277,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
             alpha=_as_rat(_need(payload, "alpha"), "alpha"),
             beta=_as_rat(_need(payload, "beta"), "beta"),
             valid_range=Interval(lo, hi),
-        ))
+        )))
     if kind == "centroid":
         gens = tuple(
             _rat_vec(g, f"generators[{i}]", 3)
@@ -342,6 +327,8 @@ def run_scenario(kind: str, payload: dict) -> dict:
         return _plane_report(curve, lam)
     if kind == "lct":
         if "quasihomog" in payload:
+            if "germ" in payload:
+                raise SchemaError("field 'germ': give the germ as 'germ' or as 'quasihomog', not both")
             w1, w2, deg = (_as_int(v, f"quasihomog[{i}]") for i, v in enumerate(_as_list(payload["quasihomog"], "quasihomog", 3)))
             return _lct_report(QuasiHomogGerm(w1, w2, deg))
         mons = frozenset(
@@ -364,10 +351,9 @@ def run_scenario(kind: str, payload: dict) -> dict:
             "cm degree": fmt(cm_degree(n, d, c)),
             "positivity window": str(cm_positivity_window(n, d)),
         }
-    if kind == "stratum":
-        coords = tuple(_as_rat(v, f"coords[{i}]") for i, v in enumerate(_as_list(_need(payload, "coords"), "coords")))
-        return _stratum_report(coords)
-    raise SchemaError(f"field 'kind': unhandled kind {kind!r}")
+    # kind == "stratum", the last kind in _FIELDS
+    coords = tuple(_as_rat(v, f"coords[{i}]") for i, v in enumerate(_as_list(_need(payload, "coords"), "coords")))
+    return _stratum_report(coords)
 
 
 def serialize_scenario(kind: str, payload: dict, provenance: str = "") -> str:
@@ -398,7 +384,7 @@ def fixture_report(command: str, name: str) -> dict:
     """The report of a registry name: its kind's builder on the fixture's
     engine input, or a composite listing of several such reports."""
     if (command, name) == ("wall", "x26-delta"):
-        out = _wall_report(fixtures.wall_case("x26"))
+        out = _wall_report(solve_wall(fixtures.wall_case("x26")))
         out["delta upper bound (c = 0)"] = fmt(fixtures.delta_upper_bound(name))
         return out
     if (command, name) == ("wall", "p1425-delta"):
@@ -423,7 +409,7 @@ def fixture_report(command: str, name: str) -> dict:
             case = fixtures.wall_case(name)
         except KeyError:
             raise _unknown_fixture(name) from None
-        return _wall_report(case)
+        return _wall_report(solve_wall(case))
     fx = _REGISTRIES.get(command, {}).get(name)
     if fx is None:
         raise _unknown_fixture(name)
@@ -463,11 +449,15 @@ def _read_scenario_file(path: str) -> tuple[str, dict, str]:
             text = fh.read()
     except OSError as exc:
         raise SchemaError(f"cannot read scenario file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"field '<root>': scenario file is not UTF-8: {exc}") from exc
     if not text.strip():
         raise SchemaError("field '<root>': empty scenario file")
     try:
         doc = json.loads(text, parse_float=_reject_float)
-    except json.JSONDecodeError as exc:
+    except KwallError:
+        raise
+    except ValueError as exc:  # not JSON, or an integer with more digits than int() converts
         raise SchemaError(f"field '<root>': invalid JSON: {exc}") from exc
     return load_scenario(doc)
 
@@ -583,12 +573,13 @@ def _dispatch(args) -> tuple[dict, int]:
         return _cmd_walls(args), 0
     if command == "first-wall":
         wall, tag, report = first_wall(args.degree)
+        text = _wall_report(report)
         return {
             "degree": str(args.degree),
             "first wall": fmt(wall),
             "polystable replacement": f"curve {tag} on the quadric cone P(1,1,4)",
-            "A(c)": f"{fmt(report.case.A0)} - {fmt(report.case.ordD)} c",
-            "S(c)": f"({fmt(report.case.S0)}) ({fmt(report.case.alpha)} - {fmt(report.case.beta)} c)",
+            "A(c)": text["A(c)"],
+            "S(c)": text["S(c)"],
         }, 0
     if command == "lct":
         if args.germ is not None:
@@ -625,7 +616,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         report, code = _dispatch(args)
-    except _ERRORS as exc:
+    except KwallError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args.json)

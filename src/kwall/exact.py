@@ -8,6 +8,7 @@ always reduced, positive denominator).  Nothing here ever rounds.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -16,15 +17,19 @@ Vec2 = tuple[Fraction, Fraction]
 Vec3 = tuple[Fraction, Fraction, Fraction]
 
 
-class StructuralError(ValueError):
+class KwallError(ValueError):
+    """Base of every input error: the command line prints its message as ``error: ...``."""
+
+
+class StructuralError(KwallError):
     """Malformed input (non-monotone breakpoints, invalid vertex list, ...)."""
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(KwallError):
     """An operation received a degenerate value it cannot handle (e.g. centroid of a segment)."""
 
 
-class SingularSystemError(ValueError):
+class SingularSystemError(KwallError):
     """A linear system without a unique solution; carries the coefficient rank."""
 
     def __init__(self, rank: int):
@@ -32,15 +37,26 @@ class SingularSystemError(ValueError):
         self.rank = rank
 
 
-def rat(x, denom=None) -> Fraction:
-    """Coerce ints, 'p/q' strings, or pairs to an exact rational."""
-    if type(x) is Fraction and denom is None:
+# an integer or 'p/q' with q nonzero: decimal and exponent strings such as '0.5' or '1e-3' are rejected
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def rat(x) -> Fraction:
+    """Coerce a Fraction, an int, or an integer or 'p/q' string to an exact rational."""
+    if type(x) is Fraction:
         return x
-    if denom is not None:
-        return Fraction(x, denom)
-    if isinstance(x, float):
-        raise StructuralError("floating-point input rejected; use int, Fraction, or 'p/q' string")
-    return Fraction(x)
+    if isinstance(x, (bool, float)):
+        raise StructuralError(f"rationals must be 'p/q' strings or integers, got {x!r}")
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    if not isinstance(x, str):
+        raise StructuralError(f"expected a rational, got {type(x).__name__}")
+    if _RATIONAL.fullmatch(x):
+        try:
+            return Fraction(x)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise StructuralError(f"malformed rational {x!r}; expected 'p/q' or an integer")
 
 
 def fmt(q: Fraction) -> str:
@@ -250,10 +266,6 @@ class PiecewiseQuadratic:
 
     def __hash__(self):
         return hash((self.breakpoints, self.pieces))
-
-    def scale(self, s) -> "PiecewiseQuadratic":
-        s = rat(s)
-        return PiecewiseQuadratic(self.breakpoints, [p * s for p in self.pieces])
 
     def __repr__(self):
         parts = [

@@ -85,10 +85,7 @@ _add_volume(VolumeFixture(
     moment=None,
     anti_k=(F(3), F(5)),
     provenance="(13,2)-blow-up of the plane at the A12 point; Mori cone <E, Cbar_0 ~ 5H-26E>",
-    expected={
-        "pieces": "1 - t^2/26 on [0, 5]; (26 - 5t)^2/26 on [5, 26/5]",
-        "S0": F(17, 5),
-    },
+    expected={"S0": F(17, 5)},
 ))
 
 _add_volume(VolumeFixture(
@@ -98,10 +95,7 @@ _add_volume(VolumeFixture(
     moment=None,
     anti_k=(F(3), F(5)),
     provenance="(6,1)-blow-up at the reducible-A11 point; Qbar ~ 2H-6E, (Qbar^2) = -2",
-    expected={
-        "pieces": "1 - t^2/6 on [0, 2]; (3 - t)^2/3 on [2, 3]",
-        "S0": F(5, 3),
-    },
+    expected={"S0": F(5, 3)},
 ))
 
 _add_volume(VolumeFixture(
@@ -111,10 +105,7 @@ _add_volume(VolumeFixture(
     moment=None,
     anti_k=(F(3), F(5)),
     provenance="(6,1)-blow-up at the irreducible-A11 point; Qbar ~ 2H-5E, (Qbar^2) = -1/6",
-    expected={
-        "pieces": "1 - t^2/6 on [0, 12/5]; (5 - 2t)^2 on [12/5, 5/2]",
-        "S0": F(49, 30),
-    },
+    expected={"S0": F(49, 30)},
 ))
 
 _add_volume(VolumeFixture(
@@ -124,10 +115,7 @@ _add_volume(VolumeFixture(
     moment=None,
     anti_k=(F(3), F(5)),
     provenance="(11,2)-blow-up at the A10 point; Qbar ~ 2H-10E, (Qbar^2) = -6/11",
-    expected={
-        "pieces": "1 - t^2/22 on [0, 22/5]; (10 - 2t)^2/12 on [22/5, 5]",
-        "S0": F(47, 15),
-    },
+    expected={"S0": F(47, 15)},
 ))
 
 _add_volume(VolumeFixture(
@@ -137,10 +125,7 @@ _add_volume(VolumeFixture(
     moment=None,
     anti_k=(F(15), F(25)),
     provenance="order-25 quotient point of the degree-26 hypersurface; Gammabar ~ L - (26/25)E",
-    expected={
-        "pieces": "1/25 - 25 t^2/26 on [0, 1/25]; (26/25 - t)^2/26 on [1/25, 26/25]",
-        "S0": F(9, 25),
-    },
+    expected={"S0": F(9, 25)},
 ))
 
 _add_volume(VolumeFixture(
@@ -150,7 +135,7 @@ _add_volume(VolumeFixture(
     moment=None,
     anti_k=(F(6), F(10)),
     provenance="order-4 quotient point of the quadric cone; vol = max(1/4 - 4t^2, 0)",
-    expected={"pieces": "1/4 - 4 t^2 on [0, 1/4]", "S0": F(1, 6)},
+    expected={"S0": F(1, 6)},
 ))
 
 _add_volume(VolumeFixture(
@@ -160,10 +145,7 @@ _add_volume(VolumeFixture(
     moment=MomentPolygon(_p114_polygon(), (F(-2), F(-12))),
     anti_k=(F(6), F(10)),
     provenance="weights (3,1) at the order-4 point of the quadric cone, pushforward scale 4",
-    expected={
-        "pieces": "(1 - t^2/3)/4 on [0, 1]; (3 - t)^2/24 on [1, 3]",
-        "S0": F(4, 3),
-    },
+    expected={"S0": F(4, 3)},
 ))
 
 _add_volume(VolumeFixture(
@@ -173,10 +155,7 @@ _add_volume(VolumeFixture(
     moment=MomentPolygon(_p114_polygon(), (F(-4), F(-20))),
     anti_k=(F(6), F(10)),
     provenance="weights (5,1) at the order-4 point of the quadric cone, pushforward scale 4",
-    expected={
-        "pieces": "(1 - t^2/5)/4 on [0, 1]; (5 - t)^2/80 on [1, 5]",
-        "S0": F(2),
-    },
+    expected={"S0": F(2)},
 ))
 
 _add_volume(VolumeFixture(
@@ -186,10 +165,7 @@ _add_volume(VolumeFixture(
     moment=MomentPolygon(_p1425_polygon(), (F(-4), F(-24))),
     anti_k=(F(30), F(50)),
     provenance="weights (1,1) at the order-4 point of P(1,4,25), pushforward scale 4",
-    expected={
-        "pieces": "(1 - 25 t^2)/100 on [0, 1/25]; (1 - t)^2/96 on [1/25, 1]",
-        "S0": F(26, 75),
-    },
+    expected={"S0": F(26, 75)},
 ))
 
 _add_volume(VolumeFixture(
@@ -199,10 +175,7 @@ _add_volume(VolumeFixture(
     moment=MomentPolygon(_p1425_polygon(), (F(-4), F(-22))),
     anti_k=(F(30), F(50)),
     provenance="weights (1,3) at the order-4 point of P(1,4,25), pushforward scale 4",
-    expected={
-        "pieces": "1/100 - t^2/12 on [0, 3/25]; (1 - t)^2/88 on [3/25, 1]",
-        "S0": F(28, 75),
-    },
+    expected={"S0": F(28, 75)},
 ))
 
 _add_volume(VolumeFixture(
@@ -212,10 +185,7 @@ _add_volume(VolumeFixture(
     moment=MomentPolygon(_p1425_polygon(), (F(-4), F(-20))),
     anti_k=(F(30), F(50)),
     provenance="weights (1,5) at the order-4 point of P(1,4,25), pushforward scale 4",
-    expected={
-        "pieces": "(1 - 5 t^2)/100 on [0, 1/5]; (1 - t)^2/80 on [1/5, 1]",
-        "S0": F(2, 5),
-    },
+    expected={"S0": F(2, 5)},
 ))
 
 for _ray, _w, _s0 in (
@@ -459,8 +429,7 @@ class CentroidFixture:
     provenance: str
     expected: dict = field(default_factory=dict)
     # normality of the degeneration's central fiber is assumed for these
-    # families, not checked here; the annotation records the assumption
-    admissibility: str = "central fiber assumed normal (admissible degeneration data)"
+    # families, not checked here
 
     def to_printed(self, u: Vec3) -> Vec3:
         return mat3_vec(self.printed_basis, u)
@@ -714,7 +683,7 @@ class PlaneGitFixture:
 PLANE_GIT_FIXTURES: dict[str, PlaneGitFixture] = {
     "q5-double-conic-line": PlaneGitFixture(
         "q5-double-conic-line",
-        PlaneCurveSupport(5, frozenset({(2, 2, 1), (1, 1, 3), (0, 0, 5)}), torus_fixed=True),
+        PlaneCurveSupport(5, frozenset({(2, 2, 1), (1, 1, 3), (0, 0, 5)})),
         OnePS((-1, 1, 0)),
         "z(xy - z^2)^2: fixed by the diagonal torus",
         F(0)),

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import rat
+from .exact import KwallError, rat
 
 
-class GitError(ValueError):
+class GitError(KwallError):
     pass
 
 
@@ -27,7 +27,6 @@ class PlaneCurveSupport:
 
     degree: int
     monomials: frozenset[tuple[int, int, int]]
-    torus_fixed: bool = False
 
     def __post_init__(self):
         mons = frozenset((int(a), int(b), int(c)) for a, b, c in self.monomials)
@@ -104,7 +103,7 @@ class BinaryFormSystem:
         if not any(forms.values()):
             raise GitError("all-zero system is the excluded cone point")
         for j, supp in forms.items():
-            deg, _ = self._block_degree(j)
+            deg = self.block_degree(j)
             for i, k in supp:
                 if i < 0 or k < 0 or i + k != deg:
                     raise GitError(f"monomial {(i, k)} invalid in block {j} of degree {deg}")
@@ -112,19 +111,16 @@ class BinaryFormSystem:
                     raise GitError("the odd degree-6 block only carries x^6 and y^6")
         object.__setattr__(self, "forms", forms)
 
-    def _block_degree(self, j: int) -> tuple[int, int]:
+    def block_degree(self, j: int) -> int:
         if self.parity == "even":
             if not 2 <= j <= self.degree // 2:
                 raise GitError(f"even block index {j} out of range")
-            return 4 * j, 2
+            return 4 * j
         if j == 1:
-            return 6, 1
+            return 6
         if not 2 <= j <= (self.degree - 1) // 2:
             raise GitError(f"odd block index {j} out of range")
-        return 4 * j + 2, 1
-
-    def block_degree(self, j: int) -> int:
-        return self._block_degree(j)[0]
+        return 4 * j + 2
 
     def nonzero_blocks(self) -> list[int]:
         return sorted(j for j, supp in self.forms.items() if supp)

@@ -21,6 +21,7 @@ from typing import Optional
 
 from .exact import (
     DegenerateInputError,
+    KwallError,
     SingularSystemError,
     Vec3,
     det3,
@@ -35,7 +36,7 @@ from .exact import (
 )
 
 
-class ConeError(ValueError):
+class ConeError(KwallError):
     pass
 
 

@@ -2,8 +2,7 @@
 
 Log discrepancies, orders of vanishing on curve germs, Newton-polygon log
 canonical thresholds, Gorenstein index bounds, and stability-threshold upper
-bounds.  Germ data is a monomial support with generic coefficients; fixtures
-whose conclusions need coefficient relations carry an explicit flag.
+bounds.  Germ data is a monomial support with generic coefficients.
 """
 
 from __future__ import annotations
@@ -12,10 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import rat
+from .exact import KwallError, rat
 
 
-class DomainError(ValueError):
+class DomainError(KwallError):
     """Argument outside the documented domain (e.g. coefficient out of range)."""
 
 
@@ -73,15 +72,10 @@ class MonomialVal:
 
 @dataclass(frozen=True)
 class GermSupport:
-    """Support of a curve germ f(x, y) on the covering chart.
-
-    Coefficients are assumed generic (no cancellation) unless
-    ``assumes_generic`` is cleared by a fixture that has checked its own
-    coefficient conditions.
-    """
+    """Support of a curve germ f(x, y) on the covering chart; coefficients are
+    assumed generic (no cancellation)."""
 
     monomials: frozenset[tuple[int, int]]
-    assumes_generic: bool = True
 
     def __post_init__(self):
         mons = frozenset((int(i), int(j)) for i, j in self.monomials)
@@ -92,8 +86,8 @@ class GermSupport:
         object.__setattr__(self, "monomials", mons)
 
 
-def germ(*monomials: tuple[int, int], assumes_generic: bool = True) -> GermSupport:
-    return GermSupport(frozenset(monomials), assumes_generic)
+def germ(*monomials: tuple[int, int]) -> GermSupport:
+    return GermSupport(frozenset(monomials))
 
 
 @dataclass(frozen=True)

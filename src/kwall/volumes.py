@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import (
+    KwallError,
     PiecewiseQuadratic,
     Polygon2,
     Poly,
@@ -28,11 +29,11 @@ from .exact import (
 )
 
 
-class ModelError(ValueError):
+class ModelError(KwallError):
     """Inconsistent two-ray data (e.g. the declared negative curve has positive square)."""
 
 
-class InvalidValuationError(ValueError):
+class InvalidValuationError(KwallError):
     """Zero valuation direction handed to the toric engine."""
 
 

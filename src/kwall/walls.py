@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exact import rat, fmt
+from .exact import KwallError, rat, fmt
 
 
-class WallError(ValueError):
+class WallError(KwallError):
     pass
 
 

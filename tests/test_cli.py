@@ -6,7 +6,8 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from kwall import cli, fixtures
+from kwall import cli, fixtures, git, toric_kps, valuations, volumes, walls
+from kwall.exact import DegenerateInputError, KwallError, SingularSystemError, StructuralError, rat
 from kwall.volumes import TwoRayModel
 
 
@@ -349,6 +350,9 @@ def test_decimal_and_malformed_rational_strings_rejected(tmp_path, capsys, text)
     kind, payload, _ = cli._read_scenario_file(str(path))
     with pytest.raises(cli.SchemaError, match="field 'coeff': malformed rational"):
         cli.run_scenario(kind, payload)
+    # the library route: the same rule, without a field name
+    with pytest.raises(StructuralError, match="^malformed rational"):
+        rat(text)
 
 
 @pytest.mark.parametrize("text", ["57/100", "-3/7", "+2", "0", "12"])
@@ -367,3 +371,84 @@ def test_empty_flag_values_end_in_named_errors(capsys, argv, field):
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err.startswith(f"error: {field}")
+
+
+def test_every_input_error_is_a_kwall_error():
+    classes = (StructuralError, DegenerateInputError, SingularSystemError, volumes.ModelError,
+               volumes.InvalidValuationError, valuations.DomainError, walls.WallError, toric_kps.ConeError,
+               git.GitError, cli.SchemaError)
+    assert all(issubclass(cls, KwallError) for cls in classes)
+
+
+@pytest.mark.parametrize("d", range(4, 13))
+def test_first_wall_prints_the_text_of_its_wall_report(d):
+    first = json.loads(run_cli("--json", "first-wall", "--degree", str(d))[1])
+    name = f"firstwall-{'even' if d % 2 == 0 else 'odd'}-d{d}"
+    wall = json.loads(run_cli("--json", "wall", "--fixture", name)[1])
+    assert (first["A(c)"], first["S(c)"]) == (wall["A(c)"], wall["S(c)"])
+
+
+def test_centroid_u0_override():
+    payload = {
+        "generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]],
+        "xi0": ["0", "1", "0"], "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"],
+    }
+    base = cli.run_scenario("centroid", payload)
+    assert base["u0"] == "(7, 6, -1)"
+    # the anticanonical vector itself: the same report
+    assert cli.run_scenario("centroid", {**payload, "u0_override": ["7", "6", "-1"]}) == base
+    # twice that vector: a halves and c doubles, u2 and b stay
+    doubled = cli.run_scenario("centroid", {**payload, "u0_override": ["14", "12", "-2"]})
+    assert (doubled["u0"], doubled["u2"]) == ("(14, 12, -2)", base["u2"])
+    assert (base["(a, c, b)"], doubled["(a, c, b)"]) == ("(11/6, 6/11, 3/4)", "(11/12, 12/11, 3/4)")
+
+
+@pytest.mark.parametrize("command,kind,payload,key,right", [
+    (("wall",), "wall-case",
+     {"A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5", "rnge": ["1/4", "1/2"]}, "rnge", "range"),
+    (("volume",), "two-ray",
+     {"h2": "1", "e2": "1/26", "crosss": "0", "neg_curve": ["5", "26"], "L": ["1", "0"]}, "crosss", "cross"),
+    (("volume",), "toric", {"polygon": [["0", "0"], ["1", "0"], ["0", "1/4"]], "w": ["-2", "-12"],
+                            "antik": ["6", "10"]}, "antik", "anti_k"),
+    (("centroid",), "centroid", {
+        "generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]], "xi0": ["0", "1", "0"],
+        "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"], "u0_overide": ["14", "12", "-2"]},
+     "u0_overide", "u0_override"),
+    (("git", "binary"), "git-binary", {"nmae": "octic", "parity": "even", "degree": 4, "forms": {"2": [[5, 3]]}},
+     "nmae", "name"),
+    (("git", "plane"), "git-plane", {"degree": 5, "monomials": [[1, 4, 0]], "lamda": [-1, 2, -1]}, "lamda", "lambda"),
+    (("lct",), "lct", {"gmer": [[2, 0], [0, 10]]}, "gmer", "germ"),
+    # the report prints no name, so a name is not read either
+    (("git", "plane"), "git-plane",
+     {"name": "xy4", "degree": 5, "monomials": [[1, 4, 0]], "lambda": [-1, 2, -1]}, "name", None),
+    # a germ given twice: one of the two would be ignored
+    (("lct",), "lct", {"germ": [[2, 0], [0, 10]], "quasihomog": [2, 1, 5]}, "germ", None),
+], ids=["wall-case", "two-ray", "toric", "centroid", "git-binary", "git-plane", "lct",
+        "git-plane-name", "lct-germ-and-quasihomog"])
+def test_unknown_payload_field_rejected(tmp_path, capsys, command, kind, payload, key, right):
+    path = tmp_path / "doc.json"
+    path.write_text(cli.serialize_scenario(kind, payload), encoding="utf-8")
+    code = cli.main([*command, "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: field '{key}': ")
+    # spelled right, or left out where it has no right spelling, the document runs
+    fixed = dict(payload)
+    value = fixed.pop(key)
+    if right is not None:
+        fixed[right] = value
+    path.write_text(cli.serialize_scenario(kind, fixed), encoding="utf-8")
+    assert cli.main([*command, "--file", str(path)]) == 0
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"\xff\xfe{}", "field '<root>': scenario file is not UTF-8"),
+    (b'{"kind": "lct", "payload": {"germ": [[' + b"1" * 5000 + b', 0]]}}', "field '<root>': invalid JSON: Exceeds"),
+], ids=["not-utf8", "5000-digit-integer"])
+def test_unreadable_scenario_files_end_in_named_errors(tmp_path, capsys, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    code = cli.main(["lct", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: {message}")

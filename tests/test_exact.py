@@ -17,6 +17,7 @@ from kwall.exact import (
     mat3,
     poly,
     polygon,
+    rat,
     solve_linear3,
     rational_sqrt,
 )
@@ -34,6 +35,22 @@ def test_rational_arithmetic_exactness():
         assert (a + b) - b == a
         if b != 0:
             assert (a * b) / b == a
+
+
+@pytest.mark.parametrize("value,message", [
+    (True, "rationals must be 'p/q' strings or integers, got True"),
+    (1.5, "rationals must be 'p/q' strings or integers, got 1.5"),
+    (None, "expected a rational, got NoneType"),
+    ([1, 2], "expected a rational, got list"),
+], ids=["bool", "float", "none", "list"])
+def test_rat_rejects_bools_floats_and_non_numbers(value, message):
+    with pytest.raises(StructuralError) as err:
+        rat(value)
+    assert str(err.value) == message
+
+
+def test_rat_accepts_fractions_ints_and_rational_strings():
+    assert [rat(F(3, 4)), rat(-2), rat("57/100"), rat("+2"), rat("-3/07")] == [F(3, 4), F(-2), F(57, 100), 2, F(-3, 7)]
 
 
 def test_rational_sqrt():

@@ -177,6 +177,12 @@ def test_s_invariant_examples():
     assert s_invariant(tent, (F(1), F(0))) == F(1, 2)
 
 
+@pytest.mark.parametrize("name", sorted(fixtures.VOLUME_FIXTURES))
+def test_every_volume_fixture_reproduces_its_annotated_s0(name):
+    vf = fixtures.VOLUME_FIXTURES[name]
+    assert vf.s0() == vf.expected["S0"]
+
+
 def test_s_invariant_rejects_zero_volume():
     prof = fixtures.VOLUME_FIXTURES["a12"].profile()
     with pytest.raises(ModelError):

@@ -289,14 +289,17 @@ def criterion_11() -> str:
 
     # (a) scale invariance of walls: 200 random rescalings
     base_names = ("a12", "a11red", "a11irr", "a10", "p1425-case1", "p1425-case2")
+    base_cases = {name: fixtures.wall_case(name) for name in base_names}
+    base_walls = {name: solve_wall(case).wall for name, case in base_cases.items()}
     for _ in range(200):
-        case = fixtures.wall_case(rng.choice(base_names))
+        name = rng.choice(base_names)
+        case = base_cases[name]
         lam = F(rng.randint(1, 400), rng.randint(1, 400))
         scaled = WallCase(
             case.name + "-scaled", case.A0 * lam, case.ordD * lam, case.S0 * lam,
             case.alpha, case.beta, case.valid_range,
         )
-        if solve_wall(scaled).wall != solve_wall(case).wall:
+        if solve_wall(scaled).wall != base_walls[name]:
             raise CheckFailed(f"{case.name}: wall moves under rescaling by {lam}")
 
     # (b) engine agreement on random triangle fixtures with random directions
@@ -331,9 +334,11 @@ def criterion_11() -> str:
 
     # (c) unimodular equivariance of the centroid test: 100 trials
     names = sorted(fixtures.CENTROID_FIXTURES)
+    base_verdicts = {name: solve_centroid_condition(fixtures.CENTROID_FIXTURES[name].case) for name in names}
     for _ in range(100):
-        cf = fixtures.CENTROID_FIXTURES[rng.choice(names)]
-        base = solve_centroid_condition(cf.case)
+        name = rng.choice(names)
+        cf = fixtures.CENTROID_FIXTURES[name]
+        base = base_verdicts[name]
         g = _random_unimodular(rng)
         if det3(g) not in (1, -1):
             raise CheckFailed("random lattice move is not unimodular")

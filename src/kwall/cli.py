@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -80,6 +81,17 @@ def _need(payload: dict, key: str):
     if key not in payload:
         raise SchemaError(f"field '{key}': missing")
     return payload[key]
+
+
+def _name(payload: dict) -> str:
+    name = payload.get("name", "scenario")
+    if not isinstance(name, str):
+        raise SchemaError(f"field 'name': expected a string, got {name!r}")
+    return name
+
+
+# a git-binary block index: decimal digits without sign, spaces, separators or leading zeros
+_BLOCK_INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
 # scenario kind -> the payload fields its parser reads; 'name' only where the report prints it
@@ -244,7 +256,7 @@ def _stratum_report(coords: tuple[Fraction, ...]) -> dict:
 def _volume_input(payload: dict, model: TwoRayModel | None, L, moment: MomentPolygon | None) -> fixtures.VolumeFixture:
     anti = payload.get("anti_k")
     anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
-    return fixtures.VolumeFixture(name=payload.get("name", "scenario"), model=model, L=L, moment=moment,
+    return fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment,
                                   anti_k=anti_k, provenance="")
 
 
@@ -270,7 +282,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
         rng = payload.get("range")
         lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)
         return _wall_report(solve_wall(WallCase(
-            name=str(payload.get("name", "scenario")),
+            name=_name(payload),
             A0=_as_rat(_need(payload, "A0"), "A0"),
             ordD=_as_rat(_need(payload, "ordD"), "ordD"),
             S0=_as_rat(_need(payload, "S0"), "S0"),
@@ -284,7 +296,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
             for i, g in enumerate(_as_list(_need(payload, "generators"), "generators", 3))
         )
         return _centroid_report(CentroidCase(
-            name=str(payload.get("name", "scenario")),
+            name=_name(payload),
             generators=gens,  # type: ignore[arg-type]
             xi0=_rat_vec(_need(payload, "xi0"), "xi0", 3),
             eta0star=_rat_vec(_need(payload, "eta0star"), "eta0star", 3),
@@ -301,10 +313,12 @@ def run_scenario(kind: str, payload: dict) -> dict:
             raise SchemaError("field 'forms': expected an object mapping block index to monomials")
         forms = {}
         for key, mons in sorted(forms_doc.items()):
+            if not _BLOCK_INDEX.fullmatch(key):
+                raise SchemaError(f"field 'forms.{key}': block index must be an integer in canonical digits")
             try:
                 j = int(key)
-            except ValueError as exc:
-                raise SchemaError(f"field 'forms.{key}': block index must be an integer") from exc
+            except ValueError as exc:  # more digits than int() converts
+                raise SchemaError(f"field 'forms.{key}': block index has too many digits") from exc
             forms[j] = frozenset(
                 tuple(_as_int(e, f"forms.{key}[{i}][{k}]") for k, e in enumerate(_as_list(m, f"forms.{key}[{i}]", 2)))
                 for i, m in enumerate(_as_list(mons, f"forms.{key}"))
@@ -314,7 +328,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
             degree=_as_int(_need(payload, "degree"), "degree"),
             forms=forms,
         )
-        return _binary_report(payload.get("name", "scenario"), system)
+        return _binary_report(_name(payload), system)
     if kind == "git-plane":
         curve = PlaneCurveSupport(
             degree=_as_int(_need(payload, "degree"), "degree"),

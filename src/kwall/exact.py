@@ -2,7 +2,9 @@
 and convex polygon primitives.
 
 Every scalar in the toolkit is a ``fractions.Fraction`` (arbitrary-precision,
-always reduced, positive denominator).  Nothing here ever rounds.
+always reduced, positive denominator).  Nothing here ever rounds.  The dot and
+cross products, polynomial evaluation and the 3x3 kernels clear denominators
+and work over Python ``int``; each value they return is one reduced Fraction.
 """
 
 from __future__ import annotations
@@ -62,7 +64,11 @@ def rat(x) -> Fraction:
 def fmt(q: Fraction) -> str:
     """Render a rational as 'p/q' in lowest terms, or 'p' when integral."""
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # more digits than str() converts
+        raise KwallError(f"value too large to print: {q.numerator.bit_length()}-bit numerator, "
+                         f"{q.denominator.bit_length()}-bit denominator") from None
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -118,16 +124,36 @@ def v3_scale(s, a: Vec3) -> Vec3:
     return (s * a[0], s * a[1], s * a[2])
 
 
-def v3_dot(a: Vec3, b: Vec3) -> Fraction:
+def _cleared(v: Sequence) -> tuple[list[int], int]:
+    """Integer numerators of the rationals in v over their least common denominator, and that denominator."""
+    s = math.lcm(*[x.denominator for x in v])
+    return [x.numerator * (s // x.denominator) for x in v], s
+
+
+def _idot3(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def v3_cross(a: Vec3, b: Vec3) -> Vec3:
+def _icross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+def v3_dot(a: Vec3, b: Vec3) -> Fraction:
+    ia, s = _cleared(a)
+    ib, t = _cleared(b)
+    return Fraction(_idot3(ia, ib), s * t)
+
+
+def v3_cross(a: Vec3, b: Vec3) -> Vec3:
+    ia, s = _cleared(a)
+    ib, t = _cleared(b)
+    st = s * t
+    x, y, z = _icross(ia, ib)
+    return (Fraction(x, st), Fraction(y, st), Fraction(z, st))
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +185,16 @@ class Poly:
 
     def __call__(self, t) -> Fraction:
         t = rat(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        if not self.coeffs:
+            return Fraction(0)
+        nums, den = _cleared(self.coeffs)
+        # Horner's rule on t = p/q: acc = sum_i nums[i] p^i q^(n-i), value acc / (den q^n)
+        p, q = t.numerator, t.denominator
+        acc, qk = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, den * qk)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -434,12 +466,24 @@ def mat3(rows: Sequence[Sequence]) -> Mat3:
     return tuple(vec3(*r) for r in rows)  # type: ignore[return-value]
 
 
+def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators: the integer rows and their scales."""
+    cleared = [_cleared(r) for r in m]
+    return [r for r, _ in cleared], [s for _, s in cleared]
+
+
+def _adjugate_columns(a: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], ...]:
+    """Columns of adj(a) = det(a) a^-1 for integer rows a: each a cross product of two rows."""
+    return _icross(a[1], a[2]), _icross(a[2], a[0]), _icross(a[0], a[1])
+
+
 def det3(m: Mat3) -> Fraction:
-    return v3_dot(m[0], v3_cross(m[1], m[2]))
+    a, s = _int_rows(m)
+    return Fraction(_idot3(a[0], _icross(a[1], a[2])), s[0] * s[1] * s[2])
 
 
 def mat3_rank(m: Mat3) -> int:
-    rows = [list(r) for r in m]
+    rows = [[rat(x) for x in r] for r in m]  # plain int entries would divide as floats
     rank = 0
     col = 0
     while rank < 3 and col < 3:
@@ -459,26 +503,29 @@ def mat3_rank(m: Mat3) -> int:
 
 def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
     """Unique solution of m x = rhs; raises SingularSystemError(rank) when det = 0."""
-    d = det3(m)
+    # each equation scaled with its right-hand side: an integer system with the same solution
+    rows, _ = _int_rows([(*r, b) for r, b in zip(m, rhs)])
+    adj = _adjugate_columns(rows)
+    d = _idot3(rows[0], adj[0])
     if d == 0:
         raise SingularSystemError(mat3_rank(m))
-    out = []
-    for i in range(3):
-        mm = tuple(
-            tuple(rhs[r] if c == i else m[r][c] for c in range(3)) for r in range(3)
-        )
-        out.append(det3(mm) / d)  # type: ignore[arg-type]
-    return (out[0], out[1], out[2])
+    # Cramer's rule: x = adj(a) b / det(a)
+    b = [r[3] for r in rows]
+    return tuple(Fraction(_idot3(row, b), d) for row in zip(*adj))  # type: ignore[return-value]
 
 
 def mat3_vec(m: Mat3, v: Vec3) -> Vec3:
-    return (v3_dot(m[0], v), v3_dot(m[1], v), v3_dot(m[2], v))
+    a, s = _int_rows(m)
+    iv, t = _cleared(v)
+    return tuple(Fraction(_idot3(r, iv), sr * t) for r, sr in zip(a, s))  # type: ignore[return-value]
 
 
 def mat3_mul(a: Mat3, b: Mat3) -> Mat3:
-    cols = list(zip(*b))
+    ia, s = _int_rows(a)
+    ib, t = _int_rows(list(zip(*b)))
     return tuple(
-        tuple(v3_dot(a[r], vec3(*cols[c])) for c in range(3)) for r in range(3)
+        tuple(Fraction(_idot3(r, c), sr * tc) for c, tc in zip(ib, t))
+        for r, sr in zip(ia, s)
     )  # type: ignore[return-value]
 
 
@@ -487,15 +534,12 @@ def mat3_transpose(m: Mat3) -> Mat3:
 
 
 def mat3_inverse(m: Mat3) -> Mat3:
-    d = det3(m)
+    # m = diag(s)^-1 a, so m^-1 = a^-1 diag(s) = adj(a) diag(s) / det(a)
+    a, s = _int_rows(m)
+    adj = _adjugate_columns(a)
+    d = _idot3(a[0], adj[0])
     if d == 0:
         raise SingularSystemError(mat3_rank(m))
-    cof = [[None] * 3 for _ in range(3)]
-    for r in range(3):
-        for c in range(3):
-            sub = [
-                [m[i][j] for j in range(3) if j != c] for i in range(3) if i != r
-            ]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[r][c] = (-1) ** (r + c) * minor / d
-    return mat3_transpose(mat3(cof))
+    return tuple(
+        tuple(Fraction(x * sj, d) for x, sj in zip(row, s)) for row in zip(*adj)
+    )  # type: ignore[return-value]

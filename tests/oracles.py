@@ -6,6 +6,11 @@ level.  The constructions here are the longer, independent routes to the same
 numbers: the cross-section cut out in a rational basis of the Reeb plane and
 re-checked by clipping, and the profile sampled by clipping the moment polygon
 three times per piece and fitting the quadratic through the samples.
+
+The library's dot and cross products, polynomial evaluation and 3x3 kernels
+clear denominators and work over integers.  The kernels below are their
+``Fraction``-arithmetic references: the tests require exact equality with
+them, and the constructions here use them rather than the library's.
 """
 
 from __future__ import annotations
@@ -13,17 +18,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from kwall.exact import (
+    Mat3,
     PiecewiseQuadratic,
     Poly,
     Polygon2,
+    SingularSystemError,
     Vec3,
     area_centroid,
     clip,
+    mat3,
+    mat3_rank,
+    mat3_transpose,
     polygon,
     v2_dot,
     v3_add,
-    v3_cross,
-    v3_dot,
     v3_scale,
     v3_sub,
     vec3,
@@ -31,6 +39,80 @@ from kwall.exact import (
 from kwall.toric_kps import CentroidCase, ConeError
 from kwall.volumes import MomentPolygon, VolumeProfile
 
+
+# ---------------------------------------------------------------------------
+# reference kernels over Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def v3_dot(a: Vec3, b: Vec3) -> Fraction:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def v3_cross(a: Vec3, b: Vec3) -> Vec3:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def poly_eval(p: Poly, t) -> Fraction:
+    """Horner's rule over Fractions."""
+    t = Fraction(t)
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def det3(m: Mat3) -> Fraction:
+    return v3_dot(m[0], v3_cross(m[1], m[2]))
+
+
+def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
+    """Cramer's rule with one Fraction determinant per unknown."""
+    d = det3(m)
+    if d == 0:
+        raise SingularSystemError(mat3_rank(m))
+    out = []
+    for i in range(3):
+        mm = tuple(
+            tuple(rhs[r] if c == i else m[r][c] for c in range(3)) for r in range(3)
+        )
+        out.append(det3(mm) / d)
+    return (out[0], out[1], out[2])
+
+
+def mat3_vec(m: Mat3, v: Vec3) -> Vec3:
+    return (v3_dot(m[0], v), v3_dot(m[1], v), v3_dot(m[2], v))
+
+
+def mat3_mul(a: Mat3, b: Mat3) -> Mat3:
+    cols = list(zip(*b))
+    return tuple(
+        tuple(v3_dot(a[r], vec3(*cols[c])) for c in range(3)) for r in range(3)
+    )
+
+
+def mat3_inverse(m: Mat3) -> Mat3:
+    """Transposed cofactor matrix over the determinant."""
+    d = det3(m)
+    if d == 0:
+        raise SingularSystemError(mat3_rank(m))
+    cof = [[None] * 3 for _ in range(3)]
+    for r in range(3):
+        for c in range(3):
+            sub = [
+                [m[i][j] for j in range(3) if j != c] for i in range(3) if i != r
+            ]
+            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
+            cof[r][c] = (-1) ** (r + c) * minor / d
+    return mat3_transpose(mat3(cof))
+
+
+# ---------------------------------------------------------------------------
+# reference constructions
+# ---------------------------------------------------------------------------
 
 def plane_basis(xi0: Vec3) -> tuple[Vec3, Vec3, Vec3]:
     """Rational point and basis for the affine plane {<u, xi0> = 1}."""

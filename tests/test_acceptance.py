@@ -3,11 +3,14 @@ pass/fail line.  Every comparison is exact; there are no tolerances to tune."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,3 +62,42 @@ def test_gate_fails_under_python_O_on_a_corrupted_fixture():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL  criterion  3  volume profiles (both engines): CheckFailed: a12" in proc.stdout
+
+
+def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
+    # a "wall" that scales with S0: only the unscaled base case keeps its value
+    monkeypatch.setattr(acceptance, "solve_wall", lambda case: SimpleNamespace(wall=case.S0))
+    with pytest.raises(acceptance.CheckFailed, match="wall moves under rescaling"):
+        acceptance.criterion_11()
+
+
+def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypatch):
+    real = acceptance.solve_centroid_condition
+
+    def shifted(case):
+        verdict = real(case)
+        if not case.name.endswith("-moved"):
+            return verdict
+        a, c, b = verdict.solution
+        return dataclasses.replace(verdict, solution=(a, c + 1, b))
+
+    monkeypatch.setattr(acceptance, "solve_centroid_condition", shifted)
+    with pytest.raises(acceptance.CheckFailed, match="-moved: unique-c"):
+        acceptance.criterion_11()
+
+
+def test_criterion_11_derives_each_base_case_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("solve_wall", "solve_centroid_condition"):
+        monkeypatch.setattr(acceptance, name, counted(name, getattr(acceptance, name)))
+    monkeypatch.setattr(acceptance.fixtures, "wall_case", counted("wall_case", acceptance.fixtures.wall_case))
+    acceptance.criterion_11()
+    # 6 base walls, 8 base cone verdicts; the 200 rescalings and 100 lattice moves still run
+    assert calls == {"wall_case": 6, "solve_wall": 6 + 200, "solve_centroid_condition": 8 + 100}

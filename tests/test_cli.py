@@ -2,7 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import re
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -452,3 +457,43 @@ def test_unreadable_scenario_files_end_in_named_errors(tmp_path, capsys, data, m
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err.startswith(f"error: {message}")
+
+
+_OCTIC = {"name": "octic", "parity": "even", "degree": 4}
+
+
+@pytest.mark.parametrize("key", ["2_0", " 2", "02", "+2", "٢"],
+                         ids=["underscore", "space", "leading-zero", "sign", "arabic-indic-digit"])
+def test_git_binary_block_keys_must_be_canonical_digits(key):
+    # int() reads each of these as a block index: 20, 2, 2, 2, 2
+    with pytest.raises(cli.SchemaError, match=re.escape(f"field 'forms.{key}': block index must be an integer")):
+        cli.run_scenario("git-binary", {**_OCTIC, "forms": {key: [[5, 3]]}})
+    # "02" next to "2" no longer overwrites it
+    with pytest.raises(cli.SchemaError, match=re.escape(f"field 'forms.{key}': ")):
+        cli.run_scenario("git-binary", {**_OCTIC, "forms": {"2": [[4, 4]], key: [[5, 3]]}})
+    assert cli.run_scenario("git-binary", {**_OCTIC, "forms": {"2": [[5, 3]]}})["verdict"] == "unstable"
+
+
+@pytest.mark.parametrize("kind,payload", [
+    ("two-ray", {"h2": "1", "e2": "1/26", "neg_curve": ["5", "26"], "L": ["1", "0"]}),
+    ("toric", {"polygon": [["0", "0"], ["1", "0"], ["0", "1/4"]], "w": ["-2", "-12"]}),
+    ("wall-case", {"A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5"}),
+    ("centroid", {"generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]], "xi0": ["0", "1", "0"],
+                  "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"]}),
+    ("git-binary", {"parity": "even", "degree": 4, "forms": {"2": [[5, 3]]}}),
+], ids=["two-ray", "toric", "wall-case", "centroid", "git-binary"])
+def test_scenario_name_must_be_a_string(kind, payload):
+    for name in ({"x": [1]}, 5, None, ["a"]):
+        with pytest.raises(cli.SchemaError, match="^field 'name': expected a string"):
+            cli.run_scenario(kind, {**payload, "name": name})
+    assert "my-scenario" in cli.run_scenario(kind, {**payload, "name": "my-scenario"}).values()
+
+
+def test_a_value_too_large_to_print_ends_in_an_error_line():
+    # the CM degree of a 1500-digit coefficient has more digits than str() converts
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kwall", "cm", "--n", "3", "--degree", "5", "--coeff", "7" * 1500],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1 and not proc.stdout
+    assert proc.stderr.startswith("error: value too large to print")

@@ -17,7 +17,6 @@ from typing import Callable
 from . import fixtures
 from .exact import (
     PiecewiseQuadratic,
-    mat3,
     mat3_inverse,
     mat3_mul,
     mat3_transpose,
@@ -269,17 +268,18 @@ def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, den: int = 1
 
 
 def _random_unimodular(rng: random.Random):
-    m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    """Six random shears times a signed permutation; mat3_mul takes the plain int rows."""
+    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
         shear = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
         shear[i][j] = rng.randint(-2, 2)
-        m = mat3_mul(m, mat3(shear))
+        m = mat3_mul(m, shear)
     perm = list(range(3))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(3)]
     pm = [[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]
-    return mat3_mul(m, mat3(pm))
+    return mat3_mul(m, pm)
 
 
 def criterion_11() -> str:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from typing import Any
@@ -39,7 +38,7 @@ from .walls import (
     quintic_wall_table,
     solve_wall,
 )
-from .exact import KwallError, StructuralError, fmt, polygon as make_polygon, rat
+from .exact import KwallError, StructuralError, fmt, integer, polygon as make_polygon, rat
 
 F = Fraction
 
@@ -88,10 +87,6 @@ def _name(payload: dict) -> str:
     if not isinstance(name, str):
         raise SchemaError(f"field 'name': expected a string, got {name!r}")
     return name
-
-
-# a git-binary block index: decimal digits without sign, spaces, separators or leading zeros
-_BLOCK_INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
 # scenario kind -> the payload fields its parser reads; 'name' only where the report prints it
@@ -313,12 +308,12 @@ def run_scenario(kind: str, payload: dict) -> dict:
             raise SchemaError("field 'forms': expected an object mapping block index to monomials")
         forms = {}
         for key, mons in sorted(forms_doc.items()):
-            if not _BLOCK_INDEX.fullmatch(key):
-                raise SchemaError(f"field 'forms.{key}': block index must be an integer in canonical digits")
             try:
-                j = int(key)
-            except ValueError as exc:  # more digits than int() converts
-                raise SchemaError(f"field 'forms.{key}': block index has too many digits") from exc
+                j = integer(key)
+            except StructuralError:
+                j = -1
+            if j < 0 or str(j) != key:  # also a sign or leading zeros
+                raise SchemaError(f"field 'forms.{key}': block index must be an integer in canonical digits")
             forms[j] = frozenset(
                 tuple(_as_int(e, f"forms.{key}[{i}][{k}]") for k, e in enumerate(_as_list(m, f"forms.{key}[{i}]", 2)))
                 for i, m in enumerate(_as_list(mons, f"forms.{key}"))
@@ -501,7 +496,7 @@ def _parse_pairs(text: str, what: str) -> frozenset[tuple[int, int]]:
         if len(parts) != 2:
             raise SchemaError(f"field '{what}': expected 'i,j' pairs, got {chunk!r}")
         try:
-            mons.add((int(parts[0]), int(parts[1])))
+            mons.add((integer(parts[0]), integer(parts[1])))
         except ValueError as exc:
             raise SchemaError(f"field '{what}': non-integer exponent in {chunk!r}") from exc
     if not mons:
@@ -532,14 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     _input_group(sub.add_parser("wall", help="solve one valuative wall case"))
 
     p = sub.add_parser("first-wall", help="first wall for degree-d plane curves")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=integer, required=True)
 
     _input_group(sub.add_parser("volume", help="volume profile of a fixture or scenario"))
     _input_group(sub.add_parser("lct", help="log canonical threshold of a curve germ"),
                  ("--germ", "monomial support, e.g. '2,0 0,13'"), ("--quasihomog", "'w1,w2,degree'"))
 
     p = sub.add_parser("index-bound", help="max local Gorenstein index")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=integer, required=True)
     p.add_argument("--coeff", required=True)
 
     _input_group(sub.add_parser("centroid", help="centroid K-polystability test"))
@@ -550,8 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
         _input_group(gsub.add_parser(which))
 
     p = sub.add_parser("cm", help="CM line bundle degree for hypersurface families")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--degree", type=integer, required=True)
     p.add_argument("--coeff", required=True)
 
     p = sub.add_parser("stratum", help="classify a quintic boundary stratum point")
@@ -599,7 +594,7 @@ def _dispatch(args) -> tuple[dict, int]:
         if args.germ is not None:
             return _lct_report(GermSupport(_parse_pairs(args.germ, "germ"))), 0
         try:
-            w1, w2, degree = (int(part) for part in args.quasihomog.split(","))
+            w1, w2, degree = (integer(part) for part in args.quasihomog.split(","))
         except ValueError:
             raise SchemaError(f"field 'quasihomog': expected 'w1,w2,degree' integers, got {args.quasihomog!r}") from None
         return _lct_report(QuasiHomogGerm(w1, w2, degree)), 0

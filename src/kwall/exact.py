@@ -41,6 +41,8 @@ class SingularSystemError(KwallError):
 
 # an integer or 'p/q' with q nonzero: decimal and exponent strings such as '0.5' or '1e-3' are rejected
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+# an integer in ASCII digits: int() also reads '1_0', ' 5' and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def rat(x) -> Fraction:
@@ -59,6 +61,16 @@ def rat(x) -> Fraction:
         except ValueError:  # more digits than int() converts
             pass
     raise StructuralError(f"malformed rational {x!r}; expected 'p/q' or an integer")
+
+
+def integer(text: str) -> int:
+    """Parse an integer string under the one ASCII rule; StructuralError (a ValueError) otherwise."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise StructuralError(f"malformed integer {text!r}")
 
 
 def fmt(q: Fraction) -> str:

@@ -3,6 +3,11 @@
 Log discrepancies, orders of vanishing on curve germs, Newton-polygon log
 canonical thresholds, Gorenstein index bounds, and stability-threshold upper
 bounds.  Germ data is a monomial support with generic coefficients.
+
+The Newton-polygon lct walks the compact Newton boundary: the staircase of
+undominated monomials, its lower convex hull by a monotone chain with integer
+cross products, and the diagonal's crossing of that hull.  It costs
+O(n log n) integer operations for n monomials and builds one Fraction.
 """
 
 from __future__ import annotations
@@ -117,22 +122,40 @@ def ord_on_germ(v: MonomialVal, g: GermSupport) -> Fraction:
 
 def lct_newton(g: GermSupport) -> Fraction:
     """lct of a generic germ with the given Newton polygon: min(1, 1/t*) where
-    (t*, t*) is the diagonal's entry point into the polygon."""
+    (t*, t*) is the diagonal's entry point into conv(supp) + R^2_+.
+
+    The boundary of that region is a vertical ray, the compact Newton boundary
+    and a horizontal ray.  The compact part is the lower convex hull of the
+    staircase of undominated monomials (i ascending, j strictly descending).
+    The diagonal meets the vertical ray when the first hull vertex has i >= j,
+    the horizontal ray when no vertex has, and otherwise the edge that reaches
+    the first vertex with i >= j.  Sorting dominates: O(n log n) integer
+    operations in the n monomials, and one Fraction built at the end.
+    """
     if (0, 0) in g.monomials:
         raise DomainError("lct undefined for a unit germ")
-    pts = [(Fraction(i), Fraction(j)) for i, j in sorted(g.monomials)]
-    tstar = min(max(i, j) for i, j in pts)
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            (ia, ja), (ib, jb) = pts[a], pts[b]
-            # diagonal crossing of the segment, if any: solve x(lam) = y(lam)
-            dx, dy = ib - ia, jb - ja
-            if dx == dy:
-                continue
-            lam = (ja - ia) / (dx - dy)
-            if 0 <= lam <= 1:
-                tstar = min(tstar, ia + lam * dx)
-    return min(Fraction(1), 1 / tstar)
+    hull: list[tuple[int, int]] = []
+    for i, j in sorted(g.monomials):
+        if hull and j >= hull[-1][1]:
+            continue  # dominated: an earlier point has no larger i and no larger j
+        while len(hull) >= 2:
+            (io, jo), (ia, ja) = hull[-2], hull[-1]
+            if (ia - io) * (j - jo) - (ja - jo) * (i - io) > 0:
+                break  # a left turn: (ia, ja) stays on the lower hull
+            hull.pop()
+        hull.append((i, j))
+    # t* = num/den
+    for k, (i, j) in enumerate(hull):
+        if i >= j:
+            if k == 0:
+                num, den = i, 1  # on the vertical ray
+            else:
+                ia, ja = hull[k - 1]  # the edge from (ia, ja), with ia < ja, meets the diagonal
+                num, den = i * ja - ia * j, (i - j) - (ia - ja)
+            break
+    else:
+        num, den = hull[-1][1], 1  # on the horizontal ray
+    return Fraction(1) if num <= den else Fraction(den, num)
 
 
 def lct_quasihomog(g: QuasiHomogGerm) -> Fraction:

@@ -7,6 +7,10 @@ numbers: the cross-section cut out in a rational basis of the Reeb plane and
 re-checked by clipping, and the profile sampled by clipping the moment polygon
 three times per piece and fitting the quadratic through the samples.
 
+The library's Newton-polygon lct walks the lower hull of the undominated
+monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
+entry point.
+
 The library's dot and cross products, polynomial evaluation and 3x3 kernels
 clear denominators and work over integers.  The kernels below are their
 ``Fraction``-arithmetic references: the tests require exact equality with
@@ -37,6 +41,7 @@ from kwall.exact import (
     vec3,
 )
 from kwall.toric_kps import CentroidCase, ConeError
+from kwall.valuations import DomainError, GermSupport
 from kwall.volumes import MomentPolygon, VolumeProfile
 
 
@@ -113,6 +118,26 @@ def mat3_inverse(m: Mat3) -> Mat3:
 # ---------------------------------------------------------------------------
 # reference constructions
 # ---------------------------------------------------------------------------
+
+def lct_newton_pairs(g: GermSupport) -> Fraction:
+    """min(1, 1/t*) with t* the least diagonal point over every monomial's
+    quadrant corner and every pair's segment: O(n^2) Fraction crossings."""
+    if (0, 0) in g.monomials:
+        raise DomainError("lct undefined for a unit germ")
+    pts = [(Fraction(i), Fraction(j)) for i, j in sorted(g.monomials)]
+    tstar = min(max(i, j) for i, j in pts)
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            (ia, ja), (ib, jb) = pts[a], pts[b]
+            # diagonal crossing of the segment, if any: solve x(lam) = y(lam)
+            dx, dy = ib - ia, jb - ja
+            if dx == dy:
+                continue
+            lam = (ja - ia) / (dx - dy)
+            if 0 <= lam <= 1:
+                tstar = min(tstar, ia + lam * dx)
+    return min(Fraction(1), 1 / tstar)
+
 
 def plane_basis(xi0: Vec3) -> tuple[Vec3, Vec3, Vec3]:
     """Rational point and basis for the affine plane {<u, xi0> = 1}."""

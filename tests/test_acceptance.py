@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -15,8 +16,10 @@ from types import SimpleNamespace
 import pytest
 
 import kwall
+import oracles
 from kwall import acceptance
 from kwall.acceptance import CRITERIA
+from kwall.exact import mat3
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -101,3 +104,25 @@ def test_criterion_11_derives_each_base_case_once(monkeypatch):
     acceptance.criterion_11()
     # 6 base walls, 8 base cone verdicts; the 200 rescalings and 100 lattice moves still run
     assert calls == {"wall_case": 6, "solve_wall": 6 + 200, "solve_centroid_condition": 8 + 100}
+
+
+def _unimodular_by_fractions(rng: random.Random):
+    """The lattice move of criterion 11 composed through the rational 3x3 product."""
+    m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for _ in range(6):
+        i, j = rng.sample(range(3), 2)
+        shear = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
+        shear[i][j] = rng.randint(-2, 2)
+        m = oracles.mat3_mul(m, mat3(shear))
+    perm = list(range(3))
+    rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(3)]
+    pm = [[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]
+    return oracles.mat3_mul(m, mat3(pm))
+
+
+def test_integer_lattice_moves_match_the_rational_composition():
+    fast, slow = random.Random(20191), random.Random(20191)
+    for _ in range(500):
+        assert acceptance._random_unimodular(fast) == _unimodular_by_fractions(slow)
+    assert fast.getstate() == slow.getstate()

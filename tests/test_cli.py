@@ -332,6 +332,37 @@ def test_quasihomog_flag_rejects_non_integers(capsys):
     assert captured.err.startswith("error: field 'quasihomog'")
 
 
+@pytest.mark.parametrize("argv", [
+    ["first-wall", "--degree", "{}"],
+    ["index-bound", "--degree", "{}", "--coeff", "1/5"],
+    ["cm", "--n", "{}", "--degree", "5", "--coeff", "1/5"],
+], ids=["first-wall-degree", "index-bound-degree", "cm-n"])
+@pytest.mark.parametrize("text", ["1_0", "\u0665", " 5", "5 "])
+def test_integer_flags_read_ascii_digits_only(capsys, argv, text):
+    # a malformed integer takes the route of a non-numeric value: argparse, exit 2
+    outcomes = []
+    for value in (text, "x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([a.format(value) for a in argv])
+        captured = capsys.readouterr()
+        assert not captured.out
+        outcomes.append((exc.value.code, captured.err.replace(repr(value), "<value>")))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--germ", "2_0,0 0,13"),
+    ("--germ", "\u0662,0 0,13"),
+    ("--quasihomog", "2_0,1,50"),
+    ("--quasihomog", "2, 1, 5"),
+], ids=["germ-underscore", "germ-non-ascii", "quasihomog-underscore", "quasihomog-space"])
+def test_integer_exponents_read_ascii_digits_only(capsys, flag, value):
+    code = cli.main(["lct", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith(f"error: field '{flag[2:]}'")
+
+
 def test_inverted_wall_range_rejected(tmp_path, capsys):
     payload = {"A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5", "range": ["1/2", "1/4"]}
     path = tmp_path / "inverted.json"
@@ -462,10 +493,10 @@ def test_unreadable_scenario_files_end_in_named_errors(tmp_path, capsys, data, m
 _OCTIC = {"name": "octic", "parity": "even", "degree": 4}
 
 
-@pytest.mark.parametrize("key", ["2_0", " 2", "02", "+2", "٢"],
-                         ids=["underscore", "space", "leading-zero", "sign", "arabic-indic-digit"])
+@pytest.mark.parametrize("key", ["2_0", " 2", "02", "+2", "٢", "-2"],
+                         ids=["underscore", "space", "leading-zero", "sign", "arabic-indic-digit", "negative"])
 def test_git_binary_block_keys_must_be_canonical_digits(key):
-    # int() reads each of these as a block index: 20, 2, 2, 2, 2
+    # int() reads each of these as a block index: 20, 2, 2, 2, 2, -2
     with pytest.raises(cli.SchemaError, match=re.escape(f"field 'forms.{key}': block index must be an integer")):
         cli.run_scenario("git-binary", {**_OCTIC, "forms": {key: [[5, 3]]}})
     # "02" next to "2" no longer overwrites it

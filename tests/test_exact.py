@@ -13,6 +13,7 @@ from kwall.exact import (
     DegenerateInputError,
     area_centroid,
     clip,
+    integer,
     integrate,
     mat3,
     poly,
@@ -51,6 +52,16 @@ def test_rat_rejects_bools_floats_and_non_numbers(value, message):
 
 def test_rat_accepts_fractions_ints_and_rational_strings():
     assert [rat(F(3, 4)), rat(-2), rat("57/100"), rat("+2"), rat("-3/07")] == [F(3, 4), F(-2), F(57, 100), 2, F(-3, 7)]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0665", " 5", "5\n", "", "+", "0x1f", "2/1", "1" * 5000])
+def test_integer_reads_ascii_digits_only(text):
+    with pytest.raises(StructuralError, match="^malformed integer"):
+        integer(text)
+
+
+def test_integer_accepts_signed_ascii_digits():
+    assert [integer("0"), integer("+7"), integer("-013"), integer("20")] == [0, 7, -13, 20]
 
 
 def test_rational_sqrt():

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from kwall import fixtures
 from kwall.valuations import (
     CyclicQuot,
@@ -66,6 +69,57 @@ def test_lct_newton_examples():
         lct_newton(germ((0, 0), (1, 0)))
 
 
+exponents = st.integers(0, 12)
+
+
+@st.composite
+def germ_supports(draw) -> GermSupport:
+    """1-40 monomials, with the shapes the boundary walk branches on mixed in."""
+    mons = set(draw(st.lists(st.tuples(exponents, exponents), max_size=25)))
+    if draw(st.booleans()):  # a point on the diagonal
+        t = draw(st.integers(1, 12))
+        mons.add((t, t))
+    if draw(st.booleans()):  # collinear points along one boundary direction
+        i0, j0, p, q = draw(st.tuples(exponents, st.integers(4, 16), st.integers(1, 3), st.integers(1, 4)))
+        mons.update((i0 + k * p, j0 - k * q) for k in range(min(5, j0 // q + 1)))
+    if draw(st.booleans()):  # repeated i values
+        i = draw(exponents)
+        mons.update((i, j) for j in draw(st.lists(exponents, min_size=2, max_size=3)))
+    if draw(st.booleans()):  # pure powers
+        mons.add((draw(st.integers(1, 12)), 0))
+    if draw(st.booleans()):
+        mons.add((0, draw(st.integers(1, 12))))
+    if draw(st.booleans()):
+        mons.add((1, 1))
+    mons.discard((0, 0))
+    assume(1 <= len(mons) <= 40)
+    return GermSupport(frozenset(mons))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(g=germ_supports())
+@example(g=germ((5, 0)))  # lone pure powers: the horizontal and the vertical ray
+@example(g=germ((0, 7)))
+@example(g=germ((1, 1)))
+@example(g=germ((3, 3), (1, 5), (5, 1)))  # a hull vertex on the diagonal
+@example(g=germ((0, 6), (1, 4), (2, 2), (3, 0)))  # collinear boundary through the diagonal
+@example(g=germ((2, 9), (2, 5), (4, 3), (4, 1), (9, 0)))
+def test_lct_newton_matches_the_all_pairs_oracle(g):
+    assert lct_newton(g) == oracles.lct_newton_pairs(g)
+
+
+def test_lct_newton_on_a_2000_monomial_germ():
+    # built like the benchmark's germs: (a, 0), (0, b) and points on or above their segment
+    gen = random.Random(2000)
+    a, b = 12, 18
+    mons = {(a, 0), (0, b)} | {(2 * k, b - 3 * k) for k in range(7)}
+    while len(mons) < 2000:
+        i, j = gen.randint(0, a + 70), gen.randint(0, b + 70)
+        if i * b + j * a >= a * b:
+            mons.add((i, j))
+    assert lct_newton(GermSupport(frozenset(mons))) == min(F(1), F(1, a) + F(1, b))
+
+
 def test_lct_quasihomog_examples():
     assert lct_quasihomog(QuasiHomogGerm(2, 1, 5)) == F(3, 5)
     assert lct_quasihomog(QuasiHomogGerm(13, 2, 26)) == F(15, 26)
@@ -102,8 +156,10 @@ def test_skoda_estimate():
 
 def test_lct_fixture_values():
     for name, fx in fixtures.LCT_FIXTURES.items():
-        got = lct_newton(fx.support) if fx.support is not None else lct_quasihomog(fx.quasihomog)
-        assert got == fx.expected, name
+        if fx.support is not None:
+            assert lct_newton(fx.support) == oracles.lct_newton_pairs(fx.support) == fx.expected, name
+        else:
+            assert lct_quasihomog(fx.quasihomog) == fx.expected, name
 
 
 def test_index_bound_examples():

@@ -17,13 +17,16 @@ from typing import Callable
 from . import fixtures
 from .exact import (
     PiecewiseQuadratic,
+    area_centroid,
+    det3,
     mat3_inverse,
-    mat3_mul,
     mat3_transpose,
     mat3_vec,
     poly,
     polygon,
-    det3,
+    v2_cross,
+    v2_dot,
+    v2_sub,
 )
 from .git import (
     cm_degree_poly,
@@ -268,18 +271,19 @@ def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, den: int = 1
 
 
 def _random_unimodular(rng: random.Random):
-    """Six random shears times a signed permutation; mat3_mul takes the plain int rows."""
+    """Six random shears times a signed permutation, as integer column operations."""
     m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
-        shear = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-        shear[i][j] = rng.randint(-2, 2)
-        m = mat3_mul(m, shear)
+        k = rng.randint(-2, 2)
+        for row in m:  # times the shear I + k E_ij: column j += k column i
+            row[j] += k * row[i]
     perm = list(range(3))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(3)]
-    pm = [[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]
-    return mat3_mul(m, pm)
+    # times the signed permutation with entry signs[s] at (s, perm[s]): column s moves to perm[s]
+    source = [perm.index(c) for c in range(3)]
+    return tuple(tuple(signs[s] * row[s] for s in source) for row in m)
 
 
 def criterion_11() -> str:
@@ -318,11 +322,17 @@ def criterion_11() -> str:
         levels = sorted({w[0] * v[0] + w[1] * v[1] for v in tri.vertices})
         if len(levels) < 2 or levels[0] == levels[1]:
             continue  # needs a unique minimizing vertex for a two-ray shape
-        toric = volume_toric(MomentPolygon(tri, w)).profile
-        h2 = toric(0)
-        e = -toric.pieces[0].coeff(2)
-        t1 = toric.breakpoints[1]
+        # the twin comes from the triangle, not from the toric profile it is checked against:
+        # h2 = 2 area, e from the edges at the lowest vertex, t1 = the second vertex level
+        area, _ = area_centroid(tri)
+        vs = tri.vertices
+        k = min(range(3), key=lambda i: v2_dot(vs[i], w))
+        e1, e2 = v2_sub(vs[k - 2], vs[k]), v2_sub(vs[k - 1], vs[k])
+        h2 = 2 * area
+        e = abs(v2_cross(e1, e2)) / (v2_dot(e1, w) * v2_dot(e2, w))
+        t1 = levels[1] - levels[0]
         model = TwoRayModel(h2, e, F(0), (t1 * e, h2))
+        toric = volume_toric(MomentPolygon(tri, w)).profile
         two = volume_two_ray(model, (F(1), F(0))).profile
         if two != toric:
             raise CheckFailed(f"twin mismatch for {verts} {w}")

@@ -9,6 +9,7 @@ and work over Python ``int``; each value they return is one reduced Fraction.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -179,13 +180,16 @@ class Poly:
     coefficients.  No degree cap is imposed.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_nums", "_den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # the cleared form, coeffs[i] = _nums[i] / _den, is what evaluation reads
+        nums, self._den = _cleared(cs)
+        self._nums = tuple(nums)
 
     @property
     def degree(self) -> int:
@@ -197,16 +201,16 @@ class Poly:
 
     def __call__(self, t) -> Fraction:
         t = rat(t)
-        if not self.coeffs:
+        nums = self._nums
+        if not nums:
             return Fraction(0)
-        nums, den = _cleared(self.coeffs)
         # Horner's rule on t = p/q: acc = sum_i nums[i] p^i q^(n-i), value acc / (den q^n)
         p, q = t.numerator, t.denominator
         acc, qk = nums[-1], 1
-        for c in reversed(nums[:-1]):
+        for c in nums[-2::-1]:
             qk *= q
             acc = acc * p + c * qk
-        return Fraction(acc, den * qk)
+        return Fraction(acc, self._den * qk)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
@@ -270,13 +274,16 @@ class PiecewiseQuadratic:
     accepted.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("breakpoints", "pieces", "_bnums", "_bden")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Poly]):
         bps = [rat(b) for b in breakpoints]
         if len(bps) != len(pieces) + 1:
             raise StructuralError("need exactly one more breakpoint than pieces")
-        for a, b in zip(bps, bps[1:]):
+        # the cleared form, breakpoints[i] = _bnums[i] / _bden, is what evaluation searches
+        nums, self._bden = _cleared(bps)
+        self._bnums = tuple(nums)
+        for a, b in zip(nums, nums[1:]):
             if not a < b:
                 raise StructuralError("breakpoints must be strictly increasing")
         for i in range(len(pieces) - 1):
@@ -288,18 +295,13 @@ class PiecewiseQuadratic:
 
     def __call__(self, t) -> Fraction:
         t = rat(t)
-        if t < self.breakpoints[0]:
+        # an integer b is at most t _bden exactly when it is at most floor(t _bden)
+        i = bisect.bisect_right(self._bnums, t.numerator * self._bden // t.denominator)
+        if i == 0:
             raise StructuralError(f"evaluation below domain start {fmt(self.breakpoints[0])}")
-        if t >= self.breakpoints[-1]:
+        if i == len(self._bnums):
             return Fraction(0)
-        lo, hi = 0, len(self.pieces) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.breakpoints[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.pieces[lo](t)
+        return self.pieces[i - 1](t)
 
     def __eq__(self, other) -> bool:
         return (
@@ -530,15 +532,6 @@ def mat3_vec(m: Mat3, v: Vec3) -> Vec3:
     a, s = _int_rows(m)
     iv, t = _cleared(v)
     return tuple(Fraction(_idot3(r, iv), sr * t) for r, sr in zip(a, s))  # type: ignore[return-value]
-
-
-def mat3_mul(a: Mat3, b: Mat3) -> Mat3:
-    ia, s = _int_rows(a)
-    ib, t = _int_rows(list(zip(*b)))
-    return tuple(
-        tuple(Fraction(_idot3(r, c), sr * tc) for c, tc in zip(ib, t))
-        for r, sr in zip(ia, s)
-    )  # type: ignore[return-value]
 
 
 def mat3_transpose(m: Mat3) -> Mat3:

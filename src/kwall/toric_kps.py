@@ -24,14 +24,15 @@ from .exact import (
     KwallError,
     SingularSystemError,
     Vec3,
+    _cleared,
+    _icross,
+    _idot3,
+    _int_rows,
     det3,
     mat3,
+    mat3_vec,
     solve_linear3,
-    v3_add,
-    v3_cross,
     v3_dot,
-    v3_scale,
-    v3_sub,
     vec3,
 )
 
@@ -96,28 +97,37 @@ def reeb_cross_section_centroid(case: CentroidCase) -> tuple[tuple[Vec3, Vec3, V
     with it.  Scaled to <r, xi0> = 1 they are the vertices of the cross-section
     triangle, whose area centroid is their average.
     """
-    n1, n2, n3 = case.generators
-    rays = []
-    for a, b, other in ((n2, n3, n1), (n1, n3, n2), (n1, n2, n3)):
-        r = v3_cross(a, b)
-        s = v3_dot(r, other)
+    # positive rescalings of the generators and of xi0 keep every sign below and every scaled
+    # ray, so the rays, the checks and the centroid are integer work; xi0 = xi / xs
+    gens, _ = _int_rows(case.generators)
+    xi, xs = _cleared(case.xi0)
+    rays, pairings = [], []
+    for a, b, other in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
+        r = _icross(gens[a], gens[b])
+        s = _idot3(r, gens[other])
         if s == 0:
             raise ConeError("degenerate cone: a dual ray pairs to zero with its generator")
         if s < 0:
-            r = v3_scale(-1, r)
-        pairing = v3_dot(r, case.xi0)
+            r = (-r[0], -r[1], -r[2])
+        pairing = _idot3(r, xi)
         if pairing <= 0:
             raise ConeError("Reeb vector on the cone boundary: cross-section unbounded")
-        rays.append(v3_scale(Fraction(1) / pairing, r))
+        rays.append(r)
+        pairings.append(pairing)
     # verify against the halfplane description of the dual cone
-    if any(v3_dot(r, n) < 0 for r in rays for n in case.generators):
+    if any(_idot3(r, n) < 0 for r in rays for n in gens):
         raise ConeError("cross-section vertices violate the dual-cone halfplanes")
-    if det3(rays) == 0:
+    if _idot3(rays[0], _icross(rays[1], rays[2])) == 0:
         raise DegenerateInputError("cross-section degenerated to lower dimension")
-    u2 = v3_scale(Fraction(1, 3), v3_add(rays[0], v3_add(rays[1], rays[2])))
-    if v3_dot(u2, case.xi0) != 1:
+    # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
+    p0, p1, p2 = pairings
+    weights = (p1 * p2, p0 * p2, p0 * p1)
+    total = [sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
+    den = 3 * p0 * p1 * p2
+    if _idot3(total, xi) != den:
         raise ConeError("centroid failed to land on the Reeb hyperplane")
-    return (rays[0], rays[1], rays[2]), u2
+    vertices = tuple(tuple(Fraction(xs * x, p) for x in r) for r, p in zip(rays, pairings))
+    return vertices, tuple(Fraction(xs * x, den) for x in total)  # type: ignore[return-value]
 
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
@@ -149,10 +159,7 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
         )
     c = q / p
     sol = (p, c, b)
-    # exactness check of the decomposition
-    lhs = v3_add(
-        v3_scale(p, v3_sub(u0, v3_scale(c, case.u1))), v3_scale(b, case.eta0star)
-    )
-    if lhs != u2:
+    # exactness check of the decomposition: the columns of m are u0, -u1 and eta0*
+    if mat3_vec(m, (p, c * p, b)) != u2:
         raise ConeError("the solved decomposition does not reproduce the centroid")
     return CentroidVerdict(case, u0, u2, sol, "unique-c")

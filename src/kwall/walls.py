@@ -175,24 +175,6 @@ def classify_quintic_stratum(p: QuinticStratumPoint) -> StratumVerdict:
     return StratumVerdict("Sigma5", _STRATUM_WALLS["Sigma5"], "A10 quintic")
 
 
-def stratum_closure_contains(stratum: str, p: QuinticStratumPoint) -> bool:
-    """Set-theoretic Zariski closure test for the A9-chart strata."""
-    if p.chart != "A9":
-        return False
-    s, r, h, u = p.coords
-    closures = {
-        "Sigma1": r == 0 and h == 0 and u == 0,
-        "Sigma2": s == 0 and r == 0 and h == 0,
-        "Sigma3": h == 0 and u == 0,
-        "Sigma4": r == 0 and h == 0,
-        "Sigma5": h == 0,
-        "Sigma7": True,
-    }
-    if stratum not in closures:
-        raise WallError(f"unknown stratum {stratum}")
-    return closures[stratum]
-
-
 def first_wall(d: int) -> tuple[Fraction, str, WallReport]:
     """First wall for degree-d plane curves, derived by the wall solver.
 

@@ -11,9 +11,9 @@ The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
 entry point.
 
-The library's dot and cross products, polynomial evaluation and 3x3 kernels
-clear denominators and work over integers.  The kernels below are their
-``Fraction``-arithmetic references: the tests require exact equality with
+The library's dot and cross products, polynomial and piecewise evaluation and
+3x3 kernels clear denominators and work over integers.  The kernels below are
+their ``Fraction``-arithmetic references: the tests require exact equality with
 them, and the constructions here use them rather than the library's.
 """
 
@@ -27,6 +27,7 @@ from kwall.exact import (
     Poly,
     Polygon2,
     SingularSystemError,
+    StructuralError,
     Vec3,
     area_centroid,
     clip,
@@ -68,6 +69,17 @@ def poly_eval(p: Poly, t) -> Fraction:
     for c in reversed(p.coeffs):
         acc = acc * t + c
     return acc
+
+
+def piecewise_eval(f: PiecewiseQuadratic, t) -> Fraction:
+    """Linear scan over the Fraction breakpoints, each piece through poly_eval."""
+    t = Fraction(t)
+    if t < f.breakpoints[0]:
+        raise StructuralError("evaluation below domain start")
+    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
+        if a <= t < b:
+            return poly_eval(p, t)
+    return Fraction(0)
 
 
 def det3(m: Mat3) -> Fraction:

@@ -3,6 +3,7 @@ tests/oracles.py: equal values, each returned as a reduced Fraction."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 from kwall.exact import (
+    PiecewiseQuadratic,
     Poly,
     SingularSystemError,
+    StructuralError,
     det3,
     mat3_inverse,
-    mat3_mul,
     mat3_rank,
     mat3_vec,
     solve_linear3,
@@ -71,12 +73,11 @@ def test_v3_dot_and_cross_equal_their_references(a, b):
 
 
 @_PROPERTY
-@given(m=mat3s, n=mat3s, v=vec3s)
-def test_det3_mat3_vec_and_mat3_mul_equal_their_references(m, n, v):
-    fm, fn, fv = _as_fractions(m), _as_fractions(n), _as_fractions(v)
+@given(m=mat3s, v=vec3s)
+def test_det3_and_mat3_vec_equal_their_references(m, v):
+    fm, fv = _as_fractions(m), _as_fractions(v)
     _same(det3(m), oracles.det3(fm))
     _same(mat3_vec(m, v), oracles.mat3_vec(fm, fv))
-    _same(mat3_mul(m, n), oracles.mat3_mul(fm, fn))
 
 
 @_PROPERTY
@@ -120,3 +121,48 @@ def test_rank_of_an_integer_matrix_is_exact():
 def test_poly_call_equals_its_reference(coeffs, t):
     p = Poly(coeffs)
     _same(p(t), oracles.poly_eval(p, F(t)))
+
+
+coeff_lists = st.lists(scalars, max_size=5)
+
+
+@_PROPERTY
+@given(a=coeff_lists, b=coeff_lists, s=scalars, t=scalars)
+@example(a=[], b=[], s=0, t=0)
+@example(a=[F(1, 2), -3, F(7, 999983)], b=[F(1, 2), -3, F(7, 999983)], s=F(-5, 3), t=0)
+@example(a=[F(1, 2), -3, F(7, 999983)], b=[F(-1, 2), 3, F(-7, 999983)], s=1, t=F(-5, 3))
+def test_every_constructor_path_keeps_the_cleared_form(a, b, s, t):
+    # a Poly evaluates from its cleared integer form; the reference reads its Fraction coefficients
+    p, q = Poly(a), Poly(b)
+    for r in (p, p + q, p - q, p * q, p * s, s * p, p.derivative(), p.antiderivative()):
+        _same(r(t), oracles.poly_eval(r, F(t)))
+
+
+@st.composite
+def piecewise_and_points(draw):
+    """Pieces base + i (t - b_i)(t - b_(i+1)) agree at every breakpoint and differ inside;
+    t is drawn freely, on a breakpoint, or below one by less than 1/D, where D is the
+    breakpoints' common denominator (so t D sits just under an integer)."""
+    bps = sorted({F(x) for x in draw(st.lists(scalars, min_size=1, max_size=6))})
+    base = Poly(draw(st.lists(scalars, max_size=3)))
+    pieces = [base + i * Poly([a * b, -(a + b), 1]) for i, (a, b) in enumerate(zip(bps, bps[1:]))]
+    den = math.lcm(*(b.denominator for b in bps))
+    t = draw(st.one_of(
+        scalars,
+        st.sampled_from(bps),
+        st.builds(lambda b, k: b - F(1, k * den), st.sampled_from(bps), st.integers(2, 9)),
+    ))
+    return PiecewiseQuadratic(bps, pieces), t
+
+
+@_PROPERTY
+@given(case=piecewise_and_points())
+def test_piecewise_call_equals_its_reference(case):
+    f, t = case
+    try:
+        ref = oracles.piecewise_eval(f, t)
+    except StructuralError:
+        with pytest.raises(StructuralError):
+            f(t)
+    else:
+        _same(f(t), ref)

@@ -13,7 +13,6 @@ from kwall.exact import (
     area_centroid,
     mat3,
     mat3_inverse,
-    mat3_mul,
     mat3_transpose,
     mat3_vec,
     v2_add,
@@ -152,8 +151,8 @@ def _unimodular(shears, perm, signs):
     for (i, j), k in shears:
         shear = [[int(r == c) for c in range(3)] for r in range(3)]
         shear[i][j] = k
-        m = mat3_mul(m, mat3(shear))
-    return mat3_mul(m, mat3([[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]))
+        m = oracles.mat3_mul(m, mat3(shear))
+    return oracles.mat3_mul(m, mat3([[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]))
 
 
 _OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]

@@ -19,7 +19,6 @@ from kwall.walls import (
     interpolation_window,
     quintic_wall_table,
     solve_wall,
-    stratum_closure_contains,
 )
 
 rng = random.Random(31415926)
@@ -166,19 +165,6 @@ def test_stratum_walls_match_table():
         v = classify_quintic_stratum(QuinticStratumPoint(rep))
         if v.stratum in expect:
             assert v.wall == expect[v.stratum], name
-
-
-def test_stratum_closure_order():
-    reps = fixtures.STRATUM_REPRESENTATIVES
-    # Sigma2 -> Sigma4 -> Sigma5 -> Sigma7 and Sigma1 -> Sigma3 -> Sigma5
-    for small, big in (
-        ("Sigma2", "Sigma4"), ("Sigma4", "Sigma5"), ("Sigma5", "Sigma7"),
-        ("Sigma1", "Sigma3"), ("Sigma3", "Sigma5"),
-    ):
-        assert stratum_closure_contains(big, QuinticStratumPoint(reps[small])), (small, big)
-    # and the reverse inclusions fail
-    for small, big in (("Sigma4", "Sigma2"), ("Sigma7", "Sigma5"), ("Sigma3", "Sigma1")):
-        assert not stratum_closure_contains(big, QuinticStratumPoint(reps[small]))
 
 
 def test_interpolation_window_examples():

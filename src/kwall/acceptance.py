@@ -319,8 +319,8 @@ def criterion_11() -> str:
         w = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
         if w == (0, 0):
             continue
-        levels = sorted({w[0] * v[0] + w[1] * v[1] for v in tri.vertices})
-        if len(levels) < 2 or levels[0] == levels[1]:
+        levels = sorted(w[0] * v[0] + w[1] * v[1] for v in tri.vertices)
+        if levels[0] == levels[1]:
             continue  # needs a unique minimizing vertex for a two-ray shape
         # the twin comes from the triangle, not from the toric profile it is checked against:
         # h2 = 2 area, e from the edges at the lowest vertex, t1 = the second vertex level

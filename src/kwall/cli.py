@@ -365,12 +365,6 @@ def run_scenario(kind: str, payload: dict) -> dict:
     return _stratum_report(coords)
 
 
-def serialize_scenario(kind: str, payload: dict, provenance: str = "") -> str:
-    """Scenario document in the exact input format (round-trip safe)."""
-    return json.dumps({"kind": kind, "payload": payload, "provenance": provenance},
-                      indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # engine inputs from registry names
 # ---------------------------------------------------------------------------

@@ -124,19 +124,6 @@ def v2_cross(a: Vec2, b: Vec2) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def v3_add(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-
-
-def v3_sub(a: Vec3, b: Vec3) -> Vec3:
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def v3_scale(s, a: Vec3) -> Vec3:
-    s = rat(s)
-    return (s * a[0], s * a[1], s * a[2])
-
-
 def _cleared(v: Sequence) -> tuple[list[int], int]:
     """Integer numerators of the rationals in v over their least common denominator, and that denominator."""
     s = math.lcm(*[x.denominator for x in v])
@@ -159,14 +146,6 @@ def v3_dot(a: Vec3, b: Vec3) -> Fraction:
     ia, s = _cleared(a)
     ib, t = _cleared(b)
     return Fraction(_idot3(ia, ib), s * t)
-
-
-def v3_cross(a: Vec3, b: Vec3) -> Vec3:
-    ia, s = _cleared(a)
-    ib, t = _cleared(b)
-    st = s * t
-    x, y, z = _icross(ia, ib)
-    return (Fraction(x, st), Fraction(y, st), Fraction(z, st))
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,12 @@ class BinaryFormSystem:
     degree 4j, scaling weight j.  Odd parity: the restricted degree-6 block
     (coordinates x^6, y^6 only) of weight 1 plus blocks j = 2..(d-1)/2 of
     degree 4j + 2 and weight j.  A monomial of degree n is recorded as the pair
-    (i, n - i).  ``extra_candidates`` declares common roots that the support
-    alone cannot see, as maps block -> vanishing order at the root.
+    (i, n - i).
     """
 
     parity: str  # "even" | "odd"
     degree: int
     forms: dict[int, frozenset[tuple[int, int]]]
-    extra_candidates: tuple[dict[int, int], ...] = ()
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
@@ -155,14 +153,6 @@ def _candidate_orders(system: BinaryFormSystem) -> list[tuple[str, dict[int, lis
             deg = system.block_degree(j)
             per_block[j] = [(ordsel(i, k), deg) for i, k in sorted(system.forms[j])]
         out.append((name, per_block))
-    for idx, extra in enumerate(system.extra_candidates):
-        per_block = {}
-        for j in system.nonzero_blocks():
-            deg = system.block_degree(j)
-            if j not in extra:
-                raise GitError("declared root must record an order for every nonzero block")
-            per_block[j] = [(int(extra[j]), deg)]
-        out.append((f"declared-root-{idx}", per_block))
     return out
 
 

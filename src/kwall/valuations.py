@@ -40,10 +40,6 @@ class CyclicQuot:
             if math.gcd(self.a, self.n) != 1:
                 raise DomainError("first action weight must be coprime to the order")
 
-    @property
-    def smooth(self) -> bool:
-        return self.n == 1
-
 
 SMOOTH_POINT = CyclicQuot(1)
 
@@ -70,9 +66,6 @@ class MonomialVal:
             raise DomainError("monomial weights must be positive")
         if self.scale <= 0:
             raise DomainError("scale must be positive")
-
-    def rescale(self, lam) -> "MonomialVal":
-        return MonomialVal(self.point, self.weights, self.scale * rat(lam))
 
 
 @dataclass(frozen=True)
@@ -177,26 +170,6 @@ def index_bound(d: int, c: Fraction) -> int:
         raise DomainError(f"coefficient must lie in (0, 3/{d})")
     cap = Fraction(2 * d, 3) if d % 3 == 0 else Fraction(d)
     return int(min(Fraction(3) / (3 - c * d), cap).__floor__())
-
-
-def local_volume_bound_check(point: CyclicQuot, c: Fraction, d: int, ord_d: Fraction) -> bool:
-    """Local-to-global volume test for a point of type 1/n^2(1, an-1).
-
-    Returns True when the inequality n <= (2 - c ord(D))/(2 beta) with
-    beta = 1 - cd/3 admits the point, i.e. the singularity is not excluded.
-    """
-    c, ord_d = rat(c), rat(ord_d)
-    if point.smooth:
-        return True
-    n = math.isqrt(point.n)
-    if n * n != point.n:
-        raise DomainError("quotient order must be a perfect square n^2")
-    if point.a != 1 or (point.b + 1) % n != 0:
-        raise DomainError("point is not of type 1/n^2(1, an-1)")
-    beta = 1 - c * Fraction(d, 3)
-    if beta <= 0:
-        raise DomainError("beta = 1 - cd/3 must be positive")
-    return Fraction(n) <= (2 - c * ord_d) / (2 * beta)
 
 
 def delta_upper(A: Fraction, S0: Fraction, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:

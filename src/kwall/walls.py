@@ -143,36 +143,50 @@ class StratumVerdict:
     note: str
 
 
-_STRATUM_WALLS = {
-    "Sigma1": Fraction(3, 7),
-    "Sigma2": Fraction(8, 15),
-    "Sigma3": Fraction(6, 11),
-    "Sigma4": Fraction(63, 115),
-    "Sigma5": Fraction(54, 95),
-}
+# the quintic boundary strata that carry a wall, in wall order: stratum Sigma_i has the
+# i-th wall, solved from its wall case; then its note, the pairs below the wall and above it
+_QUINTIC_STRATA = (
+    ("Sigma1", "firstwall-d5", "double conic + transverse line",
+     "(P^2, Q_5)", "(P(1,1,4), xyz^2+(ax^6+by^6)z+g(x,y))"),
+    ("Sigma2", "a12", "A12 quintic", "(P^2, A12-quintic)", "(X_26, w=g(x,y))"),
+    ("Sigma3", "a11red", "reducible A11 quintic",
+     "(P^2, A11-reducible quintics)", "(P(1,1,4), x^2z^2+y^6z+g(x,y))"),
+    ("Sigma4", "a11irr", "irreducible A11 quintic",
+     "(P^2, A11-irreducible quintics)", "(P(1,4,25), z^2+x^2y^12+x^10 g(x,y))"),
+    ("Sigma5", "a10", "A10 quintic", "(P^2, A10-quintics)", "(P(1,4,25), z^2+x^6y^11+x^14 g(x,y))"),
+)
 
 _LC_BOUNDARY_NOTE = "lct = 3/5, no log Fano wall"
 
 
+def _solved_wall(case_name: str) -> Fraction:
+    from . import fixtures
+
+    report = solve_wall(fixtures.wall_case(case_name))
+    if report.wall is None:
+        raise WallError(f"case {case_name} produced no wall in range")
+    return report.wall
+
+
 def classify_quintic_stratum(p: QuinticStratumPoint) -> StratumVerdict:
-    """Locally-closed stratification of the quintic boundary with its wall assignment."""
+    """Locally-closed stratification of the quintic boundary; a stratum's wall is
+    solved from its wall case."""
     if p.chart == "D6":
-        s1, s2 = p.coords
-        if s2 == 0:
-            return StratumVerdict("Sigma1", _STRATUM_WALLS["Sigma1"], "double conic + transverse line")
-        return StratumVerdict("Sigma6", None, _LC_BOUNDARY_NOTE)
-    s, r, h, u = p.coords
-    if h != 0:
-        return StratumVerdict("Sigma7", None, _LC_BOUNDARY_NOTE)
-    if u == 0:
-        if r == 0:
-            return StratumVerdict("Sigma1", _STRATUM_WALLS["Sigma1"], "double conic + transverse line")
-        return StratumVerdict("Sigma3", _STRATUM_WALLS["Sigma3"], "reducible A11 quintic")
-    if r == 0 and s == 0:
-        return StratumVerdict("Sigma2", _STRATUM_WALLS["Sigma2"], "A12 quintic")
-    if r == 0:
-        return StratumVerdict("Sigma4", _STRATUM_WALLS["Sigma4"], "irreducible A11 quintic")
-    return StratumVerdict("Sigma5", _STRATUM_WALLS["Sigma5"], "A10 quintic")
+        stratum = "Sigma1" if p.coords[1] == 0 else "Sigma6"
+    else:
+        s, r, h, u = p.coords
+        if h != 0:
+            stratum = "Sigma7"
+        elif u == 0:
+            stratum = "Sigma1" if r == 0 else "Sigma3"
+        elif r == 0:
+            stratum = "Sigma2" if s == 0 else "Sigma4"
+        else:
+            stratum = "Sigma5"
+    for name, case_name, note, _, _ in _QUINTIC_STRATA:
+        if name == stratum:
+            return StratumVerdict(stratum, _solved_wall(case_name), note)
+    return StratumVerdict(stratum, None, _LC_BOUNDARY_NOTE)
 
 
 def first_wall(d: int) -> tuple[Fraction, str, WallReport]:
@@ -206,23 +220,10 @@ class WallTableRow:
 
 def quintic_wall_table() -> list[WallTableRow]:
     """The five quintic walls, each re-derived through the wall solver."""
-    from . import fixtures
-
-    rows = []
-    for i, (name, below, above) in enumerate(
-        [
-            ("firstwall-d5", "(P^2, Q_5)", "(P(1,1,4), xyz^2+(ax^6+by^6)z+g(x,y))"),
-            ("a12", "(P^2, A12-quintic)", "(X_26, w=g(x,y))"),
-            ("a11red", "(P^2, A11-reducible quintics)", "(P(1,1,4), x^2z^2+y^6z+g(x,y))"),
-            ("a11irr", "(P^2, A11-irreducible quintics)", "(P(1,4,25), z^2+x^2y^12+x^10 g(x,y))"),
-            ("a10", "(P^2, A10-quintics)", "(P(1,4,25), z^2+x^6y^11+x^14 g(x,y))"),
-        ],
-        start=1,
-    ):
-        report = solve_wall(fixtures.wall_case(name))
-        if report.wall is None:
-            raise WallError(f"case {name} produced no wall in range")
-        rows.append(WallTableRow(i, report.wall, below, above))
+    rows = [
+        WallTableRow(i, _solved_wall(case_name), below, above)
+        for i, (_, case_name, _, below, above) in enumerate(_QUINTIC_STRATA, start=1)
+    ]
     walls = [r.wall for r in rows]
     if walls != sorted(walls):
         raise WallError("quintic walls failed to come out increasing")
@@ -251,21 +252,3 @@ def admissibility_window(surface_tag: str, d: int) -> Interval:
 
     delta = fixtures.delta_upper_bound(fixture_name)
     return Interval(hi * (1 - delta), hi, lo_closed=True)
-
-
-def interpolation_window(kss_at: Fraction, lct: Fraction, d: int) -> Interval:
-    """Window of c where K-semistability at c0 plus the lct bound propagate it.
-
-    K-semistability at c0 extends up to min(lct, 3/d): to 3/d when the pair is
-    log canonical at the Calabi-Yau coefficient, and only up to the lc
-    threshold otherwise.
-    """
-    kss_at, lct = rat(kss_at), rat(lct)
-    hi = Fraction(3, d)
-    if not (0 < kss_at < hi):
-        raise WallError("base coefficient must lie in (0, 3/d)")
-    if lct < kss_at:
-        raise WallError("inconsistent input: lct below the K-semistable coefficient")
-    if lct == kss_at:
-        return Interval(kss_at, kss_at, lo_closed=True, hi_closed=True)
-    return Interval(kss_at, min(lct, hi), lo_closed=True)

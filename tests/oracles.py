@@ -14,7 +14,8 @@ entry point.
 The library's dot and cross products, polynomial and piecewise evaluation and
 3x3 kernels clear denominators and work over integers.  The kernels below are
 their ``Fraction``-arithmetic references: the tests require exact equality with
-them, and the constructions here use them rather than the library's.
+them, and the constructions here use them rather than the library's, together
+with the ``Fraction`` vector sum, difference and scaling defined here.
 """
 
 from __future__ import annotations
@@ -36,9 +37,6 @@ from kwall.exact import (
     mat3_transpose,
     polygon,
     v2_dot,
-    v3_add,
-    v3_scale,
-    v3_sub,
     vec3,
 )
 from kwall.toric_kps import CentroidCase, ConeError
@@ -60,6 +58,18 @@ def v3_cross(a: Vec3, b: Vec3) -> Vec3:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
+
+
+def v3_add(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+
+
+def v3_sub(a: Vec3, b: Vec3) -> Vec3:
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def v3_scale(s, a: Vec3) -> Vec3:
+    return (s * a[0], s * a[1], s * a[2])
 
 
 def poly_eval(p: Poly, t) -> Fraction:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ import kwall
 import oracles
 from kwall import acceptance
 from kwall.acceptance import CRITERIA
-from kwall.exact import mat3
+from kwall.exact import mat3, polygon
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -87,6 +88,14 @@ def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypat
     monkeypatch.setattr(acceptance, "solve_centroid_condition", shifted)
     with pytest.raises(acceptance.CheckFailed, match="-moved: unique-c"):
         acceptance.criterion_11()
+
+
+def test_criterion_11_skips_ties_among_its_random_directions(monkeypatch):
+    # every drawn triangle becomes the unit triangle; directions such as (1, 0), (0, 1) and
+    # (-1, -1) put two of its vertices on the lowest level, and they must be skipped
+    unit = polygon([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    monkeypatch.setattr(acceptance, "polygon", lambda verts: unit)
+    assert acceptance.criterion_11().startswith("200 wall rescalings, 60 random engine-agreement fixtures")
 
 
 def test_criterion_11_derives_each_base_case_once(monkeypatch):

@@ -23,6 +23,11 @@ def run_cli(*argv: str) -> tuple[int, str]:
     return code, buf.getvalue()
 
 
+def scenario_json(kind: str, payload: dict, provenance: str = "") -> str:
+    """A scenario document in the ``--file`` format."""
+    return json.dumps({"kind": kind, "payload": payload, "provenance": provenance}, indent=2, sort_keys=True)
+
+
 def test_walls_quintic_table():
     code, out = run_cli("walls", "quintic")
     assert code == 0
@@ -116,7 +121,7 @@ def test_scenario_two_ray_roundtrip(tmp_path):
         "L": ["1", "0"],
         "anti_k": ["3", "5"],
     }
-    text = cli.serialize_scenario("two-ray", payload, provenance="test")
+    text = scenario_json("two-ray", payload, provenance="test")
     path = tmp_path / "a12.json"
     path.write_text(text, encoding="utf-8")
     code, out = run_cli("--json", "volume", "--file", str(path))
@@ -136,7 +141,7 @@ def test_scenario_wall_case(tmp_path):
         "range": ["0", "3/5"],
     }
     path = tmp_path / "wall.json"
-    path.write_text(cli.serialize_scenario("wall-case", payload), encoding="utf-8")
+    path.write_text(scenario_json("wall-case", payload), encoding="utf-8")
     code, out = run_cli("--json", "wall", "--file", str(path))
     assert code == 0
     assert json.loads(out)["wall"] == "63/115"
@@ -151,7 +156,7 @@ def test_scenario_centroid(tmp_path):
         "u1": ["12", "10", "-1"],
     }
     path = tmp_path / "cent.json"
-    path.write_text(cli.serialize_scenario("centroid", payload), encoding="utf-8")
+    path.write_text(scenario_json("centroid", payload), encoding="utf-8")
     code, out = run_cli("--json", "centroid", "--file", str(path))
     assert code == 0
     assert json.loads(out)["(a, c, b)"] == "(11/6, 6/11, 3/4)"
@@ -160,7 +165,7 @@ def test_scenario_centroid(tmp_path):
 def test_scenario_git_binary(tmp_path):
     payload = {"name": "octic", "parity": "even", "degree": 4, "forms": {"2": [[5, 3]]}}
     path = tmp_path / "git.json"
-    path.write_text(cli.serialize_scenario("git-binary", payload), encoding="utf-8")
+    path.write_text(scenario_json("git-binary", payload), encoding="utf-8")
     code, out = run_cli("--json", "git", "binary", "--file", str(path))
     assert code == 0
     assert json.loads(out)["verdict"] == "unstable"
@@ -177,7 +182,7 @@ def test_scenario_git_binary(tmp_path):
     ("git-plane", {"degree": 5, "monomials": [[1, 4, 0]], "lambda": [-1, 2, -1]}),
 ])
 def test_every_scenario_kind_roundtrips(kind, payload):
-    text = cli.serialize_scenario(kind, payload)
+    text = scenario_json(kind, payload)
     kind2, payload2, _ = cli.load_scenario(json.loads(text))
     assert (kind2, payload2) == (kind, payload)
     first = cli.run_scenario(kind, payload)
@@ -366,7 +371,7 @@ def test_integer_exponents_read_ascii_digits_only(capsys, flag, value):
 def test_inverted_wall_range_rejected(tmp_path, capsys):
     payload = {"A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5", "range": ["1/2", "1/4"]}
     path = tmp_path / "inverted.json"
-    path.write_text(cli.serialize_scenario("wall-case", payload), encoding="utf-8")
+    path.write_text(scenario_json("wall-case", payload), encoding="utf-8")
     code = cli.main(["wall", "--file", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
@@ -382,7 +387,7 @@ def test_decimal_and_malformed_rational_strings_rejected(tmp_path, capsys, text)
     assert captured.err.startswith(f"error: field 'coeff': malformed rational {text!r}")
     # the file route
     path = tmp_path / "coeff.json"
-    path.write_text(cli.serialize_scenario("cm", {"n": 2, "degree": 5, "coeff": text}), encoding="utf-8")
+    path.write_text(scenario_json("cm", {"n": 2, "degree": 5, "coeff": text}), encoding="utf-8")
     kind, payload, _ = cli._read_scenario_file(str(path))
     with pytest.raises(cli.SchemaError, match="field 'coeff': malformed rational"):
         cli.run_scenario(kind, payload)
@@ -463,7 +468,7 @@ def test_centroid_u0_override():
         "git-plane-name", "lct-germ-and-quasihomog"])
 def test_unknown_payload_field_rejected(tmp_path, capsys, command, kind, payload, key, right):
     path = tmp_path / "doc.json"
-    path.write_text(cli.serialize_scenario(kind, payload), encoding="utf-8")
+    path.write_text(scenario_json(kind, payload), encoding="utf-8")
     code = cli.main([*command, "--file", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
@@ -473,7 +478,7 @@ def test_unknown_payload_field_rejected(tmp_path, capsys, command, kind, payload
     value = fixed.pop(key)
     if right is not None:
         fixed[right] = value
-    path.write_text(cli.serialize_scenario(kind, fixed), encoding="utf-8")
+    path.write_text(scenario_json(kind, fixed), encoding="utf-8")
     assert cli.main([*command, "--file", str(path)]) == 0
 
 

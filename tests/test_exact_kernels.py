@@ -21,7 +21,6 @@ from kwall.exact import (
     mat3_rank,
     mat3_vec,
     solve_linear3,
-    v3_cross,
     v3_dot,
 )
 
@@ -66,10 +65,9 @@ _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
 @_PROPERTY
 @given(a=vec3s, b=vec3s)
-def test_v3_dot_and_cross_equal_their_references(a, b):
+def test_v3_dot_equals_its_reference(a, b):
     fa, fb = _as_fractions(a), _as_fractions(b)
     _same(v3_dot(a, b), oracles.v3_dot(fa, fb))
-    _same(v3_cross(a, b), oracles.v3_cross(fa, fb))
 
 
 @_PROPERTY

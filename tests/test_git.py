@@ -111,18 +111,6 @@ def test_parity_degree_validation():
         BinaryFormSystem("even", 4, {2: frozenset({(9, 0)})})
 
 
-def test_declared_root_candidate():
-    # a support that looks generic but is declared to share a 5-fold root
-    system = BinaryFormSystem(
-        "even", 4,
-        {2: frozenset({(i, 8 - i) for i in range(9)})},
-        extra_candidates=({2: 5},),
-    )
-    verdict = binary_system_stability(system)
-    assert verdict.verdict == "unstable"
-    assert verdict.certificate.candidate == "declared-root-0"
-
-
 def _random_even_system():
     d = rng.choice((4, 6, 8))
     forms = {}

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import io
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from kwall import fixtures
+from kwall import cli, fixtures
 from kwall.walls import (
     Interval,
     K_UNSTABLE,
@@ -16,7 +20,6 @@ from kwall.walls import (
     admissibility_window,
     classify_quintic_stratum,
     first_wall,
-    interpolation_window,
     quintic_wall_table,
     solve_wall,
 )
@@ -167,15 +170,21 @@ def test_stratum_walls_match_table():
             assert v.wall == expect[v.stratum], name
 
 
-def test_interpolation_window_examples():
-    win = interpolation_window(F(3, 7), F(3, 5), 5)
-    assert (win.lo, win.hi, win.lo_closed, win.hi_closed) == (F(3, 7), F(3, 5), True, False)
-    flat = interpolation_window(F(1, 3), F(1, 3), 5)
-    assert (flat.lo, flat.hi, flat.lo_closed, flat.hi_closed) == (F(1, 3), F(1, 3), True, True)
-    stopped = interpolation_window(F(8, 15), F(15, 26), 5)
-    assert (stopped.lo, stopped.hi) == (F(8, 15), F(15, 26))
-    with pytest.raises(WallError):
-        interpolation_window(F(1, 2), F(1, 3), 5)
+def test_stratum_walls_are_solved_not_returned(monkeypatch):
+    # a10 with S0 = 47/15 + 1/15 crosses at 17/30, not 54/95: the Sigma5 wall must move with it
+    real = fixtures.wall_case
+
+    def shifted(name):
+        case = real(name)
+        return dataclasses.replace(case, S0=case.S0 + F(1, 15)) if name == "a10" else case
+
+    monkeypatch.setattr(fixtures, "wall_case", shifted)
+    v = classify_quintic_stratum(QuinticStratumPoint(fixtures.STRATUM_REPRESENTATIVES["Sigma5"]))
+    assert (v.stratum, v.wall) == ("Sigma5", F(17, 30))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["--json", "stratum", "--coords", "0,1,0,1"]) == 0
+    assert json.loads(out.getvalue())["wall"] == "17/30"
 
 
 def test_first_wall_range_check():

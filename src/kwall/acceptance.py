@@ -37,7 +37,7 @@ from .git import (
 )
 from .toric_kps import CentroidCase, solve_centroid_condition
 from .valuations import index_bound, lct_newton, lct_quasihomog
-from .volumes import MomentPolygon, TwoRayModel, volume_toric, volume_two_ray
+from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
 from .walls import WallCase, admissibility_window, first_wall, quintic_wall_table, solve_wall
 
 F = Fraction
@@ -155,6 +155,20 @@ def criterion_4() -> str:
     for c in (F(0), F(1, 5), F(8, 15)):
         if (vf.anti_k[0] - vf.anti_k[1] * c) * s0 != F(9, 25) * (15 - 25 * c):
             raise CheckFailed(f"x26: S({c}) differs")
+    # Blum-Jonsson: for a toric valuation S0 = <b, w> - min_P <., w> with b the barycenter of P, and
+    # vol(L) = 2 area(P); this route shares no slice width and no integration with the toric profile
+    toric = [(name, vf) for name, vf in fixtures.VOLUME_FIXTURES.items() if vf.moment is not None]
+    if len(toric) != 8:
+        raise CheckFailed(f"{len(toric)} toric volume fixtures, expected 8")
+    for name, vf in toric:
+        polygon_, w = vf.moment.polygon, vf.moment.valuation_direction
+        area, b = area_centroid(polygon_)
+        profile = volume_toric(vf.moment)
+        if profile.vol0 != 2 * area:
+            raise CheckFailed(f"{name}: toric vol(L) = {profile.vol0}, 2 area(P) = {2 * area}")
+        s0 = v2_dot(b, w) - min(v2_dot(v, w) for v in polygon_.vertices)
+        if s_invariant(profile, vf.anti_k) != s0:
+            raise CheckFailed(f"{name}: toric S0 = {s_invariant(profile, vf.anti_k)}, barycenter S0 = {s0}")
     return "S0 = 17/5, 5/3, 49/30, 47/15; S(c) = (9/25)(15 - 25c)"
 
 

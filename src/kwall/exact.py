@@ -126,8 +126,11 @@ def v2_cross(a: Vec2, b: Vec2) -> Fraction:
 
 def _cleared(v: Sequence) -> tuple[list[int], int]:
     """Integer numerators of the rationals in v over their least common denominator, and that denominator."""
-    s = math.lcm(*[x.denominator for x in v])
-    return [x.numerator * (s // x.denominator) for x in v], s
+    dens = [x.denominator for x in v]
+    if dens.count(1) == len(dens):  # integers already: nothing to scale
+        return [x.numerator for x in v], 1
+    s = math.lcm(*dens)
+    return [x.numerator * (s // d) for x, d in zip(v, dens)], s
 
 
 def _idot3(a: Sequence[int], b: Sequence[int]) -> int:
@@ -169,11 +172,6 @@ class Poly:
         # the cleared form, coeffs[i] = _nums[i] / _den, is what evaluation reads
         nums, self._den = _cleared(cs)
         self._nums = tuple(nums)
-
-    @property
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
@@ -333,59 +331,54 @@ class Polygon2:
         return self.kind != "polygon"
 
 
-def _canonical_vertices(points: Sequence[Vec2]) -> list[Vec2]:
-    pts = [(rat(p[0]), rat(p[1])) for p in points]
-    out: list[Vec2] = []
-    for p in pts:
-        if not out or p != out[-1]:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
-
-
 def polygon(points: Sequence[Vec2]) -> Polygon2:
     """Build a Polygon2 from a vertex cycle, accepting degenerate data.
 
-    A cycle that spans the plane must be simple: a 180-degree turn, or edges
-    that wind around more than once (a pentagram), raise StructuralError.
+    Repeated consecutive points and collinear middle vertices are dropped.  A
+    cycle that spans the plane must be simple: a 180-degree turn, or edges that
+    wind around more than once (a pentagram), raise StructuralError.
     """
-    pts = _canonical_vertices(points)
-    if not pts:
+    pts = [(rat(p[0]), rat(p[1])) for p in points]
+    # every test reads the points cleared over one positive denominator, which keeps each sign and each zero
+    nums, _ = _cleared([c for p in pts for c in p])
+    cycle: list[tuple[tuple[int, int], Vec2]] = []  # (cleared point, the caller's point)
+    for q, p in zip(zip(nums[::2], nums[1::2]), pts):
+        if not cycle or q != cycle[-1][0]:
+            cycle.append((q, p))
+    if len(cycle) > 1 and cycle[0][0] == cycle[-1][0]:
+        cycle.pop()
+    if not cycle:
         return Polygon2((), "empty")
-    if len(pts) == 1:
-        return Polygon2(tuple(pts), "point")
-    d = v2_sub(pts[1], pts[0])
-    if all(v2_cross(d, v2_sub(p, pts[0])) == 0 for p in pts):
+    if len(cycle) == 1:
+        return Polygon2((cycle[0][1],), "point")
+    (x0, y0), (x1, y1) = cycle[0][0], cycle[1][0]
+    if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for (x, y), _ in cycle):
         # a cycle on one line: the segment between its two extreme points
-        return Polygon2((min(pts), max(pts)), "segment")
-    # drop collinear middle vertices of the cycle, noting any that turn back
-    spike = False
-    changed = True
-    while changed and len(pts) > 2:
-        changed = False
-        for i in range(len(pts)):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-            u, v = v2_sub(b, a), v2_sub(c, b)
-            if v2_cross(u, v) == 0:
-                spike = spike or v2_dot(u, v) < 0
-                del pts[i]
-                changed = True
-                break
-    pts = _canonical_vertices(pts)
-    if spike:
-        raise StructuralError("vertex cycle is not simple: it turns back on itself")
-    area2 = sum(v2_cross(pts[i], pts[(i + 1) % len(pts)]) for i in range(len(pts)))
-    if area2 < 0:
-        pts.reverse()
-    edges = [v2_sub(b, a) for a, b in zip(pts, pts[1:] + pts[:1])]
-    if any(v2_cross(d, e) <= 0 for d, e in zip(edges[-1:] + edges[:-1], edges)):
+        return Polygon2((min(cycle)[1], max(cycle)[1]), "segment")
+    # Drop the collinear middle vertices in one pass.  Dropping a vertex that goes straight on leaves
+    # the direction of every other edge, so every other turn, unchanged; a vertex that turns back
+    # stays one until it is dropped, so the cycle is not simple exactly when one turns back here.
+    n = len(cycle)
+    kept = []
+    for i in range(n):
+        (ax, ay), (bx, by), (cx, cy) = cycle[i - 1][0], cycle[i][0], cycle[(i + 1) % n][0]
+        ux, uy, vx, vy = bx - ax, by - ay, cx - bx, cy - by
+        if ux * vy != uy * vx:
+            kept.append(cycle[i])
+        elif ux * vx + uy * vy < 0:
+            raise StructuralError("vertex cycle is not simple: it turns back on itself")
+    qs = [c[0] for c in kept]
+    if sum(ax * by - ay * bx for (ax, ay), (bx, by) in zip(qs, qs[1:] + qs[:1])) < 0:
+        kept.reverse()
+        qs.reverse()
+    edges = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(qs, qs[1:] + qs[:1])]
+    if any(dx * ey - dy * ex <= 0 for (dx, dy), (ex, ey) in zip(edges[-1:] + edges[:-1], edges)):
         raise StructuralError("vertex list is not strictly convex")
     # all turns are left turns under 180 degrees: edge directions change half-plane twice per turn around
-    upper = [d[1] > 0 or (d[1] == 0 and d[0] > 0) for d in edges]
+    upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in edges]
     if sum(x != y for x, y in zip(upper, upper[1:] + upper[:1])) != 2:
         raise StructuralError("vertex cycle is not simple: its edges wind around more than once")
-    return Polygon2(tuple(pts), "polygon")
+    return Polygon2(tuple(p for _, p in kept), "polygon")
 
 
 def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
@@ -431,19 +424,17 @@ def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
     """Exact area (shoelace) and centroid (signed triangle fan) of a non-degenerate polygon."""
     if p.is_degenerate:
         raise DegenerateInputError(f"centroid undefined for degenerate polygon (kind={p.kind})")
-    verts = p.vertices
-    n = len(verts)
-    twice_area = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        w = v2_cross(a, b)
+    nums, d = _cleared([c for v in p.vertices for c in v])
+    xs, ys = nums[::2], nums[1::2]
+    twice_area = cx = cy = 0
+    for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+        w = ax * by - ay * bx
         twice_area += w
-        cx += (a[0] + b[0]) * w
-        cy += (a[1] + b[1]) * w
-    area = twice_area / 2
-    return area, (cx / (3 * twice_area), cy / (3 * twice_area))
+        cx += (ax + bx) * w
+        cy += (ay + by) * w
+    # the cleared vertices are d times the true ones: twice the area is twice_area / d^2,
+    # and the fan sums are cx / d^3 and cy / d^3
+    return Fraction(twice_area, 2 * d * d), (Fraction(cx, 3 * twice_area * d), Fraction(cy, 3 * twice_area * d))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ cross-check of the toolkit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,11 +21,10 @@ from .exact import (
     Polygon2,
     Poly,
     Vec2,
+    _cleared,
     integrate,
     rat,
     rational_sqrt,
-    v2_cross,
-    v2_dot,
 )
 
 
@@ -52,6 +51,8 @@ class TwoRayModel:
     e2: Fraction
     cross: Fraction = Fraction(0)
     neg_curve: Optional[tuple[Fraction, Fraction]] = None
+    # (h2, cross, e2) cleared over one positive denominator k, as (h, x, e, k): what pair reads
+    _form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h2", rat(self.h2))
@@ -60,6 +61,8 @@ class TwoRayModel:
         if self.neg_curve is not None:
             a, b = self.neg_curve
             object.__setattr__(self, "neg_curve", (rat(a), rat(b)))
+        (h, x, e), k = _cleared((self.h2, self.cross, self.e2))
+        object.__setattr__(self, "_form", (h, x, e, k))
         if self.h2 <= 0:
             raise ModelError("(H^2) must be positive")
         if self.e2 <= 0:
@@ -69,11 +72,10 @@ class TwoRayModel:
 
     def pair(self, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
         """Intersection pairing of xH + yE classes."""
-        return (
-            v[0] * w[0] * self.h2
-            + (v[0] * w[1] + v[1] * w[0]) * self.cross
-            - v[1] * w[1] * self.e2
-        )
+        h, x, e, k = self._form
+        (v0, v1), s = _cleared(v)
+        (w0, w1), t = _cleared(w)
+        return Fraction(v0 * w0 * h + (v0 * w1 + v1 * w0) * x - v1 * w1 * e, k * s * t)
 
 
 @dataclass(frozen=True)
@@ -126,17 +128,13 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     For t up to the nef threshold the volume is (L - tE)^2; past it the
     positive part is taken orthogonal to the negative curve.
     """
-    cH, cE = rat(L[0]), rat(L[1])
-    # (L - tE) = (cH, cE - t); expand B(L-tE, L-tE) as a polynomial in t
-    vol_nef = Poly(
-        [
-            cH * cH * model.h2 + 2 * cH * cE * model.cross - cE * cE * model.e2,
-            -2 * cH * model.cross + 2 * cE * model.e2,
-            -model.e2,
-        ]
-    )
-    vol0 = vol_nef(0)
-    if vol0 <= 0:
+    (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
+    h, x, e, k = model._form
+    # (L - tE) = (cH, cE - t) with cH = lh / l, cE = le / l: B(L-tE, L-tE) = n0 / (k l^2) + n1 / (k l) t - e / k t^2
+    n0 = lh * lh * h + 2 * lh * le * x - le * le * e
+    n1 = 2 * (le * e - lh * x)
+    vol_nef = Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)])
+    if n0 <= 0:
         raise ModelError("L is not big at t = 0")
 
     if model.neg_curve is None:
@@ -151,16 +149,16 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         _check_profile(profile)
         return VolumeProfile(profile, t_max, t_max)
 
-    a, b = model.neg_curve
-    # B(L - tE, Cbar) is linear in t
-    q0 = model.pair((cH, cE), (a, -b))
-    q1 = -model.pair((Fraction(0), Fraction(1)), (a, -b))
+    (a, b), m = _cleared(model.neg_curve)
+    # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2)
+    q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
+    q1 = -(a * x + b * e)
     if q0 < 0:
         raise ModelError("L meets the negative curve negatively at t = 0")
-    c2 = model.pair((a, -b), (a, -b))
+    c2 = a * a * h - 2 * a * b * x - b * b * e
     if q1 == 0:
         raise ModelError("E does not pair with the negative curve; model is not two-ray")
-    t_nef = -q0 / q1
+    t_nef = Fraction(-q0, l * q1)
     if t_nef <= 0:
         raise ModelError("nef threshold must be positive")
 
@@ -172,14 +170,15 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         _check_profile(profile)
         return VolumeProfile(profile, t_nef, t_nef)
 
-    q = Poly([q0, q1])
-    vol_pos = vol_nef - q * q * (1 / c2)
-    if vol_pos.degree != 2:
+    # the positive part vol_nef - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
+    p0 = n0 * c2 - q0 * q0
+    p1 = n1 * c2 - 2 * q0 * q1
+    p2 = -(e * c2 + q1 * q1)
+    if p2 == 0:
         raise ModelError("degenerate positive-part branch")
-    p0, p1, p2 = vol_pos.coeff(0), vol_pos.coeff(1), vol_pos.coeff(2)
     if p1 * p1 - 4 * p2 * p0 != 0:
         raise ModelError("positive-part branch is not a perfect square")
-    t_max = -p1 / (2 * p2)
+    t_max = Fraction(-p1, 2 * l * p2)
     if t_max < t_nef:
         raise ModelError("nef threshold must not exceed the pseudoeffective threshold")
     if t_max == t_nef:
@@ -188,6 +187,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
         _check_profile(profile)
         return VolumeProfile(profile, t_nef, t_nef)
+    vol_pos = Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)])
     profile = PiecewiseQuadratic([Fraction(0), t_nef, t_max], [vol_nef, vol_pos])
     _check_profile(profile)
     return VolumeProfile(profile, t_nef, t_max)
@@ -200,39 +200,52 @@ def volume_toric(mp: MomentPolygon) -> VolumeProfile:
     width g = (s_upper - s_lower) / |w|^2, which is linear between vertex
     levels: one exact slice per level fixes a closed-form quadratic per piece.
     """
-    w = mp.valuation_direction
-    hs = [v2_dot(v, w) for v in mp.polygon.vertices]
-    ss = [v2_cross(w, v) for v in mp.polygon.vertices]
+    nums, d = _cleared([c for v in mp.polygon.vertices for c in v])
+    (w0, w1), e = _cleared(mp.valuation_direction)
+    # h and s of the cleared vertices and direction: d e times the true values
+    hs = [x * w0 + y * w1 for x, y in zip(nums[::2], nums[1::2])]
+    ss = [w0 * y - w1 * x for x, y in zip(nums[::2], nums[1::2])]
     n = len(hs)
     levels = sorted(set(hs))
     if len(levels) < 2:
         raise InvalidValuationError("valuation direction is constant on the polygon")
 
-    def chain(i: int, step: int) -> list[Fraction]:
-        # s at every level along the boundary chain that climbs from bottom vertex i
+    def chain(i: int, step: int) -> list[tuple[int, int]]:
+        # s at every level along the boundary chain that climbs from bottom vertex i, as (numerator, denominator)
         out = []
         for h in levels:
             while hs[i] < h:
                 i = (i + step) % n
             j = (i - step) % n
-            out.append(ss[i] if hs[i] == h else ss[j] + (ss[i] - ss[j]) * (h - hs[j]) / (hs[i] - hs[j]))
+            dh = hs[i] - hs[j]
+            out.append((ss[i], 1) if hs[i] == h else (ss[j] * dh + (ss[i] - ss[j]) * (h - hs[j]), dh))
         return out
 
     # the CCW cycle climbs along the lower chain (smaller s) and descends along the upper one
     m0 = levels[0]
     lower = chain(next(i for i in range(n) if hs[i] == m0 and hs[(i + 1) % n] != m0), 1)
     upper = chain(next(i for i in range(n) if hs[i] == m0 and hs[i - 1] != m0), -1)
-    ww = v2_dot(w, w)
-    g = [(su - sl) / ww for su, sl in zip(upper, lower)]
-    breaks = [h - m0 for h in levels]
-    # width g1 - m (t1 - t) on [t0, t1], rest = area past t1: vol = 2 (rest + g1 (t1 - t)) - m (t1 - t)^2
+    # true width (s_upper - s_lower) / |w|^2 = (su - sl) e / (d (w0^2 + w1^2)), and true t = T / u
+    scale = d * (w0 * w0 + w1 * w1)
+    g = [Fraction((pu * ql - pl * qu) * e, qu * ql * scale) for (pu, qu), (pl, ql) in zip(upper, lower)]
+    u = d * e
+    ts = [h - m0 for h in levels]
+    # width g1 - m (t1 - t) on [t0, t1], rest = area past t1: vol = 2 (rest + g1 (t1 - t)) - m (t1 - t)^2;
+    # with g = a / b and t = T / u every coefficient is one integer fraction
     pieces: list[Poly] = []
-    rest = Fraction(0)
-    for k in range(len(breaks) - 2, -1, -1):
-        t0, t1 = breaks[k], breaks[k + 1]
-        m = (g[k + 1] - g[k]) / (t1 - t0)
-        pieces.append(Poly([2 * (rest + g[k + 1] * t1) - m * t1 * t1, 2 * (m * t1 - g[k + 1]), -m]))
-        rest += (g[k] + g[k + 1]) * (t1 - t0) / 2
+    twice_rest = Fraction(0)
+    for k in range(len(ts) - 2, -1, -1):
+        a0, b0, a1, b1 = g[k].numerator, g[k].denominator, g[k + 1].numerator, g[k + 1].denominator
+        t1, dt = ts[k + 1], ts[k + 1] - ts[k]
+        dg = a1 * b0 - a0 * b1  # (g1 - g0) b0 b1
+        den = b0 * b1 * dt
+        pieces.append(Poly([
+            twice_rest + Fraction((2 * a1 * b0 * dt - dg * t1) * t1, den * u),
+            Fraction(2 * (dg * t1 - a1 * b0 * dt), den),
+            Fraction(-dg * u, den),
+        ]))
+        twice_rest += Fraction((a0 * b1 + a1 * b0) * dt, b0 * b1 * u)
+    breaks = [Fraction(t, u) for t in ts]
     profile = PiecewiseQuadratic(breaks, pieces[::-1])
     _check_profile(profile)
     # nef threshold of the toric profile: end of the first piece where the cut is a corner;

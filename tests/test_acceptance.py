@@ -20,7 +20,8 @@ import kwall
 import oracles
 from kwall import acceptance
 from kwall.acceptance import CRITERIA
-from kwall.exact import mat3, polygon
+from kwall.exact import PiecewiseQuadratic, Poly, mat3, polygon
+from kwall.volumes import VolumeProfile, volume_toric
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -135,3 +136,30 @@ def test_integer_lattice_moves_match_the_rational_composition():
     for _ in range(500):
         assert acceptance._random_unimodular(fast) == _unimodular_by_fractions(slow)
     assert fast.getstate() == slow.getstate()
+
+
+def _doubled_widths(mp):
+    # vol(L - tv) is twice the integral of the slice width past t: every width doubled doubles
+    # the profile, which leaves S0 = (integral of vol) / vol(L) unchanged
+    prof = volume_toric(mp)
+    pieces = [Poly([2 * c for c in p.coeffs]) for p in prof.profile.pieces]
+    return VolumeProfile(PiecewiseQuadratic(prof.profile.breakpoints, pieces), prof.nef_threshold,
+                         prof.pseff_threshold)
+
+
+def _doubled_depths(mp):
+    # every slice moved to twice its depth: vol(t / 2), which leaves vol(L) unchanged and doubles S0
+    prof = volume_toric(mp)
+    pieces = [Poly([c / 2**i for i, c in enumerate(p.coeffs)]) for p in prof.profile.pieces]
+    return VolumeProfile(PiecewiseQuadratic([2 * b for b in prof.profile.breakpoints], pieces),
+                         2 * prof.nef_threshold, 2 * prof.pseff_threshold)
+
+
+@pytest.mark.parametrize("mutant,message", [
+    (_doubled_widths, r"p114-w31: toric vol\(L\) = 1/2, 2 area\(P\) = 1/4"),
+    (_doubled_depths, r"p114-w31: toric S0 = 8/3, barycenter S0 = 4/3"),
+])
+def test_criterion_4_checks_the_toric_engine_against_the_barycenter(monkeypatch, mutant, message):
+    monkeypatch.setattr(acceptance, "volume_toric", mutant)
+    with pytest.raises(acceptance.CheckFailed, match=message):
+        acceptance.criterion_4()

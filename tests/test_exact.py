@@ -77,7 +77,7 @@ def test_poly_eval_and_arith():
     q = poly(0, 1)
     assert (p + q)(3) == p(3) + 3
     assert (p * q)(7) == p(7) * 7
-    assert Poly([1, 2, 0, 0]).degree == 1
+    assert Poly([1, 2, 0, 0]).coeffs == (1, 2)  # trailing zeros stripped
 
 
 def test_poly_integral():
@@ -201,6 +201,18 @@ def test_collinear_cycle_is_still_a_segment():
 def test_polygon_keeps_straight_vertices_out():
     sq = polygon([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)])
     assert sq.kind == "polygon" and len(sq.vertices) == 4
+
+
+def test_polygon_drops_a_long_collinear_run():
+    # a 2,000-vertex parabola chain closed by a chord through 2,000 more vertices on one line:
+    # the chord's vertices go straight on, and only the chain's remain
+    n = 2000
+    top = n - 1
+    chain = [(F(k), F(k * k)) for k in range(n)]
+    chord = [(F(top * j, n + 1), F(top * top * j, n + 1)) for j in range(n, 0, -1)]
+    p = polygon(chain + chord)
+    assert p.kind == "polygon" and len(p.vertices) == n
+    assert p.vertices == tuple(chain)
 
 
 def test_clip_unit_square_half():

@@ -1,5 +1,6 @@
 """The integer kernels of kwall.exact against their Fraction references in
-tests/oracles.py: equal values, each returned as a reduced Fraction."""
+tests/oracles.py: equal values, each returned as a reduced Fraction, or the
+same error with the same message."""
 
 from __future__ import annotations
 
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 
 import oracles
 from kwall.exact import (
+    DegenerateInputError,
     PiecewiseQuadratic,
     Poly,
     SingularSystemError,
     StructuralError,
+    area_centroid,
     det3,
     mat3_inverse,
     mat3_rank,
     mat3_vec,
+    polygon,
     solve_linear3,
     v3_dot,
 )
@@ -164,3 +168,89 @@ def test_piecewise_call_equals_its_reference(case):
             f(t)
     else:
         _same(f(t), ref)
+
+
+@st.composite
+def vertex_cycles(draw):
+    """Vertex cycles under a random rational affine map, singular at times (then a
+    cycle collapses onto a line).  Points on a small integer grid give repeated
+    points, collinear runs, spikes, segments, single points and reflex or crossing
+    cycles; points on a parabola arc give convex cycles, decorated with edge
+    midpoints (collinear runs), repeats and at most one spike (a point past the
+    next vertex on the same line), or taken in steps of two (a pentagram when the
+    count is odd)."""
+    if draw(st.integers(0, 2)) == 0:
+        grid = st.integers(-3, 3)
+        pts = [(F(x), F(y)) for x, y in draw(st.lists(st.tuples(grid, grid), max_size=7))]
+    else:
+        arc = [(F(x), F(x * x)) for x in sorted(draw(st.sets(st.integers(-20, 20), min_size=3, max_size=9)))]
+        n = len(arc)
+        if draw(st.booleans()):
+            arc = [arc[2 * i % n] for i in range(n)]
+        spike = draw(st.integers(0, 4 * n - 1))  # an edge index a quarter of the time
+        pts = []
+        for i, ((px, py), (qx, qy)) in enumerate(zip(arc, arc[1:] + arc[:1])):
+            pts.append((px, py))
+            extra = draw(st.sampled_from(("none", "none", "none", "midpoint", "repeat")))
+            if extra == "midpoint":
+                pts.append(((px + qx) / 2, (py + qy) / 2))
+            elif extra == "repeat":
+                pts.append((px, py))
+            if i == spike:
+                pts.append((2 * qx - px, 2 * qy - py))
+        shift = draw(st.integers(0, len(pts) - 1))
+        pts = pts[shift:] + pts[:shift]
+        if draw(st.booleans()):
+            pts.reverse()
+        if draw(st.booleans()):
+            pts.append(pts[0])  # the cycle closed by repeating its first point
+    a, b, c, d = draw(st.tuples(*[st.integers(-3, 3)] * 4))
+    if a * d == b * c and draw(st.integers(0, 3)):
+        a, b, c, d = 1, 0, 0, 1  # keep a quarter of the singular maps
+    scale = draw(st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG).filter(bool))
+    ox, oy = draw(st.tuples(scalars, scalars))
+    return [(scale * (a * x + b * y) + ox, scale * (c * x + d * y) + oy) for x, y in pts]
+
+
+def _same_or_same_error(run, reference, error):
+    """run() equals reference(), or both raise error with one message."""
+    try:
+        ref = reference()
+    except error as exc:
+        with pytest.raises(error) as got:
+            run()
+        assert str(got.value) == str(exc)
+        return None
+    got = run()
+    assert got == ref
+    return got
+
+
+@_PROPERTY
+@given(cycle=vertex_cycles())
+@example(cycle=[])
+@example(cycle=[(F(1, 3), 2), (F(1, 3), 2)])
+@example(cycle=[(0, 0), (1, 1), (3, 3), (2, 2)])
+@example(cycle=[(0, 0), (4, 0), (2, 0), (4, 4), (0, 4)])
+@example(cycle=[(0, 0), (2, 4), (4, 16), (1, 1), (3, 9)])
+@example(cycle=[(0, 0), (1, 0), (2, 0), (2, 2), (0, 2), (0, 0)])
+@example(cycle=[(0, 0), (2, 0), (2, 2), (1, 1), (0, 2)])
+def test_polygon_equals_its_reference(cycle):
+    got = _same_or_same_error(lambda: polygon(cycle), lambda: oracles.polygon(cycle), StructuralError)
+    if got is not None:
+        assert all(type(c) is F for v in got.vertices for c in v)
+
+
+@_PROPERTY
+@given(cycle=vertex_cycles())
+@example(cycle=[(0, 0), (1, 0), (0, 1)])
+@example(cycle=[(0, 0), (F(-1, 999983), F(1, 7)), (F(5, 3), F(-2, 999979))])
+def test_area_centroid_equals_its_reference(cycle):
+    try:
+        p = polygon(cycle)
+    except StructuralError:
+        return  # polygon has its own test
+    got = _same_or_same_error(lambda: area_centroid(p), lambda: oracles.area_centroid(p), DegenerateInputError)
+    if got is not None:
+        area, (cx, cy) = got
+        assert type(area) is type(cx) is type(cy) is F

@@ -215,9 +215,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def antiderivative(self) -> "Poly":
         return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 

@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import (
-    DegenerateInputError,
     KwallError,
     SingularSystemError,
     Vec3,
@@ -30,7 +29,6 @@ from .exact import (
     _int_rows,
     det3,
     mat3,
-    mat3_vec,
     solve_linear3,
     v3_dot,
     vec3,
@@ -73,7 +71,6 @@ class CentroidCase:
 
 @dataclass(frozen=True)
 class CentroidVerdict:
-    case: CentroidCase
     u0: Vec3
     u2: Vec3
     solution: Optional[tuple[Fraction, Fraction, Fraction]]  # (a, c, b)
@@ -89,45 +86,29 @@ def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:
         raise ConeError("degenerate cone: generators do not span") from exc
 
 
-def reeb_cross_section_centroid(case: CentroidCase) -> tuple[tuple[Vec3, Vec3, Vec3], Vec3]:
-    """Cross-section of the dual cone by the Reeb hyperplane and its exact centroid.
+def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
+    """Exact area centroid of the cross-section of the dual cone by the Reeb hyperplane.
 
-    The dual cone tau^v = {u : <u, n_i> >= 0} of a simplicial cone is spanned
-    by three rays, and because xi0 is interior to tau each pairs positively
-    with it.  Scaled to <r, xi0> = 1 they are the vertices of the cross-section
-    triangle, whose area centroid is their average.
+    With r_k = n_(k+1) x n_(k+2) (indices mod 3) and G the generator matrix,
+    <r_k, n_j> is det G for j = k and 0 otherwise, so the dual cone
+    tau^v = {u : <u, n_j> >= 0} is spanned by the rays sign(det G) r_k.  A
+    validated case has det G != 0 and xi0 = sum lambda_j n_j with every
+    lambda_j > 0, so <r_k, xi0> = lambda_k det G != 0 and v_k = r_k / <r_k, xi0>
+    is that ray scaled onto the plane <., xi0> = 1, whatever the sign of det G.
+    The v_k lie in every halfplane, and det(r_0, r_1, r_2) = (det G)^2 != 0, so
+    they are the vertices of a triangle, whose area centroid is their average
+    and lies on the plane with them.  No check is left.
     """
-    # positive rescalings of the generators and of xi0 keep every sign below and every scaled
-    # ray, so the rays, the checks and the centroid are integer work; xi0 = xi / xs
+    # positive rescalings of the generators and of xi0 keep every scaled ray, so the rays and
+    # the centroid are integer work; xi0 = xi / xs
     gens, _ = _int_rows(case.generators)
     xi, xs = _cleared(case.xi0)
-    rays, pairings = [], []
-    for a, b, other in ((1, 2, 0), (0, 2, 1), (0, 1, 2)):
-        r = _icross(gens[a], gens[b])
-        s = _idot3(r, gens[other])
-        if s == 0:
-            raise ConeError("degenerate cone: a dual ray pairs to zero with its generator")
-        if s < 0:
-            r = (-r[0], -r[1], -r[2])
-        pairing = _idot3(r, xi)
-        if pairing <= 0:
-            raise ConeError("Reeb vector on the cone boundary: cross-section unbounded")
-        rays.append(r)
-        pairings.append(pairing)
-    # verify against the halfplane description of the dual cone
-    if any(_idot3(r, n) < 0 for r in rays for n in gens):
-        raise ConeError("cross-section vertices violate the dual-cone halfplanes")
-    if _idot3(rays[0], _icross(rays[1], rays[2])) == 0:
-        raise DegenerateInputError("cross-section degenerated to lower dimension")
+    rays = [_icross(gens[1], gens[2]), _icross(gens[2], gens[0]), _icross(gens[0], gens[1])]
     # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
-    p0, p1, p2 = pairings
+    p0, p1, p2 = (_idot3(r, xi) for r in rays)
     weights = (p1 * p2, p0 * p2, p0 * p1)
     total = [sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
-    den = 3 * p0 * p1 * p2
-    if _idot3(total, xi) != den:
-        raise ConeError("centroid failed to land on the Reeb hyperplane")
-    vertices = tuple(tuple(Fraction(xs * x, p) for x in r) for r, p in zip(rays, pairings))
-    return vertices, tuple(Fraction(xs * x, den) for x in total)  # type: ignore[return-value]
+    return tuple(Fraction(xs * x, 3 * p0 * p1 * p2) for x in total)  # type: ignore[return-value]
 
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
@@ -137,13 +118,8 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
     u0 = case.u0_override if case.u0_override is not None else anticanonical_vector(case.generators)
-    _, u2 = reeb_cross_section_centroid(case)
-    m = mat3(
-        [
-            [u0[i], -case.u1[i], case.eta0star[i]]
-            for i in range(3)
-        ]
-    )
+    u2 = reeb_cross_section_centroid(case)
+    m = mat3([[u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
     try:
         p, q, b = solve_linear3(m, u2)
     except SingularSystemError as exc:
@@ -151,15 +127,8 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
             detail = "u1 = 0: the coefficient never enters the condition"
         else:
             detail = f"dependent system (rank {exc.rank}): coefficient not determined"
-        return CentroidVerdict(case, u0, u2, None, "indeterminate", detail)
+        return CentroidVerdict(u0, u2, None, "indeterminate", detail)
     if p <= 0 or b <= 0:
-        return CentroidVerdict(
-            case, u0, u2, None, "no-solution",
-            f"sign conditions fail: a = {p}, b = {b}",
-        )
-    c = q / p
-    sol = (p, c, b)
-    # exactness check of the decomposition: the columns of m are u0, -u1 and eta0*
-    if mat3_vec(m, (p, c * p, b)) != u2:
-        raise ConeError("the solved decomposition does not reproduce the centroid")
-    return CentroidVerdict(case, u0, u2, sol, "unique-c")
+        return CentroidVerdict(u0, u2, None, "no-solution", f"sign conditions fail: a = {p}, b = {b}")
+    # Cramer's rule is exact: m (p, q, b) = u2 needs no re-check
+    return CentroidVerdict(u0, u2, (p, q / p, b), "unique-c")

@@ -67,8 +67,10 @@ class TwoRayModel:
             raise ModelError("(H^2) must be positive")
         if self.e2 <= 0:
             raise ModelError("-(E^2) must be positive")
-        if self.neg_curve is not None and self.pair(self.neg_curve, self.neg_curve) > 0:
-            raise ModelError("declared negative curve has (Cbar^2) > 0")
+        if self.neg_curve is not None:
+            a, b = self.neg_curve
+            if self.pair((a, -b), (a, -b)) > 0:
+                raise ModelError("declared negative curve has (Cbar^2) > 0")
 
     def pair(self, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
         """Intersection pairing of xH + yE classes."""
@@ -112,85 +114,65 @@ class VolumeProfile:
         return self.profile(0)
 
 
-def _check_profile(profile: PiecewiseQuadratic) -> None:
-    # non-increasing: each piece has nonpositive derivative at both interval ends
-    for a, b, p in zip(profile.breakpoints, profile.breakpoints[1:], profile.pieces):
-        dp = p.derivative()
-        if dp(a) > 0 or dp(b) > 0:
-            raise ModelError("volume profile is not non-increasing")
-    if profile.pieces and profile.pieces[-1](profile.breakpoints[-1]) != 0:
-        raise ModelError("volume profile does not vanish at the pseudoeffective threshold")
-
-
 def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumeProfile:
     """Profile of vol(L - tE) by Zariski decomposition on a two-ray surface.
 
     For t up to the nef threshold the volume is (L - tE)^2; past it the
     positive part is taken orthogonal to the negative curve.
+
+    The pairing on span(H, E) is nondegenerate of signature (1, 1), so the
+    profile needs no checks of its own but one: with no curve the threshold
+    is positive whenever vol(L) > 0; an isotropic Cbar is orthogonal only to
+    its own multiples, so vol vanishes where L - tE meets it; otherwise
+    (Cbar^2) < 0 makes Cbar^perp a positive line, so the positive part is
+    kappa (t - t_max)^2 with kappa > 0, and it vanishes at t_nef only if L is
+    a multiple of E, which is not big.  The nef piece is concave and the
+    positive part falls to its root, so the profile is non-increasing exactly
+    when its slope at t = 0, -2 L.E, is not positive.
     """
     (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
     h, x, e, k = model._form
     # (L - tE) = (cH, cE - t) with cH = lh / l, cE = le / l: B(L-tE, L-tE) = n0 / (k l^2) + n1 / (k l) t - e / k t^2
     n0 = lh * lh * h + 2 * lh * le * x - le * le * e
     n1 = 2 * (le * e - lh * x)
-    vol_nef = Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)])
+    pieces = [Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)])]
     if n0 <= 0:
         raise ModelError("L is not big at t = 0")
 
     if model.neg_curve is None:
-        disc = vol_nef.coeff(1) ** 2 - 4 * vol_nef.coeff(2) * vol_nef.coeff(0)
-        root = rational_sqrt(disc)
+        # the positive root of the nef piece, (n1 + sqrt(n1^2 + 4 e n0)) / (2 e l)
+        root = rational_sqrt(Fraction(n1 * n1 + 4 * e * n0))
         if root is None:
             raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
-        t_max = (-vol_nef.coeff(1) - root) / (2 * vol_nef.coeff(2))
-        if t_max <= 0:
-            raise ModelError("no positive pseudoeffective threshold")
-        profile = PiecewiseQuadratic([Fraction(0), t_max], [vol_nef])
-        _check_profile(profile)
-        return VolumeProfile(profile, t_max, t_max)
-
-    (a, b), m = _cleared(model.neg_curve)
-    # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2)
-    q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
-    q1 = -(a * x + b * e)
-    if q0 < 0:
-        raise ModelError("L meets the negative curve negatively at t = 0")
-    c2 = a * a * h - 2 * a * b * x - b * b * e
-    if q1 == 0:
-        raise ModelError("E does not pair with the negative curve; model is not two-ray")
-    t_nef = Fraction(-q0, l * q1)
-    if t_nef <= 0:
-        raise ModelError("nef threshold must be positive")
-
-    if c2 == 0:
-        # the second ray is nef: the profile stops where it meets Cbar
-        if vol_nef(t_nef) != 0:
-            raise ModelError("(Cbar^2) = 0 but vol does not vanish at the nef threshold")
-        profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
-        _check_profile(profile)
-        return VolumeProfile(profile, t_nef, t_nef)
-
-    # the positive part vol_nef - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
-    p0 = n0 * c2 - q0 * q0
-    p1 = n1 * c2 - 2 * q0 * q1
-    p2 = -(e * c2 + q1 * q1)
-    if p2 == 0:
-        raise ModelError("degenerate positive-part branch")
-    if p1 * p1 - 4 * p2 * p0 != 0:
-        raise ModelError("positive-part branch is not a perfect square")
-    t_max = Fraction(-p1, 2 * l * p2)
-    if t_max < t_nef:
-        raise ModelError("nef threshold must not exceed the pseudoeffective threshold")
-    if t_max == t_nef:
-        # the volume vanishes exactly where the negative curve is met: the
-        # positive-part piece has zero length and is dropped
-        profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
-        _check_profile(profile)
-        return VolumeProfile(profile, t_nef, t_nef)
-    vol_pos = Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)])
-    profile = PiecewiseQuadratic([Fraction(0), t_nef, t_max], [vol_nef, vol_pos])
-    _check_profile(profile)
-    return VolumeProfile(profile, t_nef, t_max)
+        breaks = [Fraction(0), (n1 + root) / (2 * e * l)]
+    else:
+        (a, b), m = _cleared(model.neg_curve)
+        # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2)
+        q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
+        q1 = -(a * x + b * e)
+        if q0 < 0:
+            raise ModelError("L meets the negative curve negatively at t = 0")
+        c2 = a * a * h - 2 * a * b * x - b * b * e
+        if q1 == 0:
+            raise ModelError("E does not pair with the negative curve; model is not two-ray")
+        breaks = [Fraction(0), Fraction(-q0, l * q1)]
+        if breaks[1] <= 0:
+            raise ModelError("nef threshold must be positive")
+        if c2 != 0:
+            # the positive part (L - tE)^2 - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
+            p0 = n0 * c2 - q0 * q0
+            p1 = n1 * c2 - 2 * q0 * q1
+            p2 = -(e * c2 + q1 * q1)
+            if p2 == 0:
+                raise ModelError("degenerate positive-part branch")
+            breaks.append(Fraction(-p1, 2 * l * p2))
+            if breaks[2] < breaks[1]:
+                raise ModelError("nef threshold must not exceed the pseudoeffective threshold")
+            pieces.append(Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)]))
+    if n1 > 0:
+        # L.E < 0: the volume grows at t = 0
+        raise ModelError("volume profile is not non-increasing")
+    return VolumeProfile(PiecewiseQuadratic(breaks, pieces), breaks[1], breaks[-1])
 
 
 def volume_toric(mp: MomentPolygon) -> VolumeProfile:
@@ -246,11 +228,9 @@ def volume_toric(mp: MomentPolygon) -> VolumeProfile:
         ]))
         twice_rest += Fraction((a0 * b1 + a1 * b0) * dt, b0 * b1 * u)
     breaks = [Fraction(t, u) for t in ts]
-    profile = PiecewiseQuadratic(breaks, pieces[::-1])
-    _check_profile(profile)
-    # nef threshold of the toric profile: end of the first piece where the cut is a corner;
-    # reported as the first breakpoint past 0
-    return VolumeProfile(profile, breaks[1], breaks[-1])
+    # vol' = -2 (slice width) <= 0 and the top piece is 2 rest = 0 at its end: the profile needs no
+    # check; its nef threshold is the first breakpoint past 0, where the cut is a corner
+    return VolumeProfile(PiecewiseQuadratic(breaks, pieces[::-1]), breaks[1], breaks[-1])
 
 
 def s_invariant(profile: VolumeProfile, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:

@@ -52,7 +52,6 @@ from kwall.volumes import (
     MomentPolygon,
     TwoRayModel,
     VolumeProfile,
-    _check_profile,
 )
 
 
@@ -238,6 +237,17 @@ def pair(model: TwoRayModel, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fr
     )
 
 
+def _check_profile(profile: PiecewiseQuadratic) -> None:
+    """Non-increasing (each piece's derivative is <= 0 at both ends of its interval)
+    and zero at the last breakpoint; the library engines hold both by construction."""
+    for a, b, p in zip(profile.breakpoints, profile.breakpoints[1:], profile.pieces):
+        dp = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+        if poly_eval(dp, a) > 0 or poly_eval(dp, b) > 0:
+            raise ModelError("volume profile is not non-increasing")
+    if profile.pieces and poly_eval(profile.pieces[-1], profile.breakpoints[-1]) != 0:
+        raise ModelError("volume profile does not vanish at the pseudoeffective threshold")
+
+
 def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumeProfile:
     """Zariski decomposition with Poly products, scalar multiples and differences."""
     cH, cE = rat(L[0]), rat(L[1])
@@ -385,9 +395,15 @@ def cross_section(case: CentroidCase) -> tuple[Polygon2, Vec3]:
     rays = []
     for a, b, other in ((n2, n3, n1), (n1, n3, n2), (n1, n2, n3)):
         r = v3_cross(a, b)
-        if v3_dot(r, other) < 0:
+        s = v3_dot(r, other)
+        if s == 0:
+            raise ConeError("degenerate cone: a dual ray pairs to zero with its generator")
+        if s < 0:
             r = v3_scale(-1, r)
-        rays.append(v3_scale(Fraction(1) / v3_dot(r, case.xi0), r))
+        pairing = v3_dot(r, case.xi0)
+        if pairing <= 0:
+            raise ConeError("Reeb vector on the cone boundary: cross-section unbounded")
+        rays.append(v3_scale(Fraction(1) / pairing, r))
 
     base, e1, e2 = plane_basis(case.xi0)
     g11, g12, g22 = v3_dot(e1, e1), v3_dot(e1, e2), v3_dot(e2, e2)

@@ -2,9 +2,10 @@
 and convex polygon primitives.
 
 Every scalar in the toolkit is a ``fractions.Fraction`` (arbitrary-precision,
-always reduced, positive denominator).  Nothing here ever rounds.  The dot and
-cross products, polynomial evaluation and the 3x3 kernels clear denominators
-and work over Python ``int``; each value they return is one reduced Fraction.
+always reduced, positive denominator).  Nothing here ever rounds.  Polynomial
+evaluation, the polygon kernels, the 3x3 solve and the matrix-vector product clear
+denominators and work over Python ``int``; each value they return is one
+reduced Fraction.
 """
 
 from __future__ import annotations
@@ -143,12 +144,6 @@ def _icross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
         a[2] * b[0] - a[0] * b[2],
         a[0] * b[1] - a[1] * b[0],
     )
-
-
-def v3_dot(a: Vec3, b: Vec3) -> Fraction:
-    ia, s = _cleared(a)
-    ib, t = _cleared(b)
-    return Fraction(_idot3(ia, ib), s * t)
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +453,6 @@ def _adjugate_columns(a: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int],
     return _icross(a[1], a[2]), _icross(a[2], a[0]), _icross(a[0], a[1])
 
 
-def det3(m: Mat3) -> Fraction:
-    a, s = _int_rows(m)
-    return Fraction(_idot3(a[0], _icross(a[1], a[2])), s[0] * s[1] * s[2])
-
-
 def mat3_rank(m: Mat3) -> int:
     rows = [[rat(x) for x in r] for r in m]  # plain int entries would divide as floats
     rank = 0
@@ -499,19 +489,3 @@ def mat3_vec(m: Mat3, v: Vec3) -> Vec3:
     a, s = _int_rows(m)
     iv, t = _cleared(v)
     return tuple(Fraction(_idot3(r, iv), sr * t) for r, sr in zip(a, s))  # type: ignore[return-value]
-
-
-def mat3_transpose(m: Mat3) -> Mat3:
-    return tuple(zip(*m))  # type: ignore[return-value]
-
-
-def mat3_inverse(m: Mat3) -> Mat3:
-    # m = diag(s)^-1 a, so m^-1 = a^-1 diag(s) = adj(a) diag(s) / det(a)
-    a, s = _int_rows(m)
-    adj = _adjugate_columns(a)
-    d = _idot3(a[0], adj[0])
-    if d == 0:
-        raise SingularSystemError(mat3_rank(m))
-    return tuple(
-        tuple(Fraction(x * sj, d) for x, sj in zip(row, s)) for row in zip(*adj)
-    )  # type: ignore[return-value]

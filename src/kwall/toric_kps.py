@@ -15,7 +15,8 @@ a > 0 and b > 0, and then c is unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -23,14 +24,12 @@ from .exact import (
     KwallError,
     SingularSystemError,
     Vec3,
+    _adjugate_columns,
     _cleared,
-    _icross,
     _idot3,
-    _int_rows,
-    det3,
+    fmt,
     mat3,
     solve_linear3,
-    v3_dot,
     vec3,
 )
 
@@ -49,6 +48,9 @@ class CentroidCase:
     eta0star: Vec3
     u1: Vec3
     u0_override: Optional[Vec3] = None
+    # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, and with xi0
+    # cleared as xi / xs the pairings p_k = <r_k, xi>, as (rays, det, xs, p): what u0 and u2 read
+    _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         gens = tuple(vec3(*g) for g in self.generators)
@@ -58,15 +60,25 @@ class CentroidCase:
         object.__setattr__(self, "u1", vec3(*self.u1))
         if self.u0_override is not None:
             object.__setattr__(self, "u0_override", vec3(*self.u0_override))
-        if det3(mat3(gens)) == 0:
+        # the toric setting: each generator is the primitive lattice vector on its ray
+        for i, n in enumerate(gens):
+            if any(x.denominator != 1 for x in n) or math.gcd(*(x.numerator for x in n)) != 1:
+                raise ConeError(
+                    f"field 'generators[{i}]': ({', '.join(fmt(x) for x in n)}) is not a primitive integer vector"
+                )
+        rows = [[x.numerator for x in n] for n in gens]
+        rays = _adjugate_columns(rows)
+        det = _idot3(rows[0], rays[0])
+        if det == 0:
             raise ConeError("cone generators are linearly dependent")
-        # xi0 must be interior: positive coordinates in the generator basis
-        cols = mat3([[gens[j][i] for j in range(3)] for i in range(3)])
-        lams = solve_linear3(cols, self.xi0)
-        if any(l <= 0 for l in lams):
+        # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
+        xi, xs = _cleared(self.xi0)
+        p = tuple(_idot3(r, xi) for r in rays)
+        if any(pk * det <= 0 for pk in p):
             raise ConeError("Reeb vector must lie in the interior of the cone")
-        if v3_dot(self.eta0star, self.xi0) != 0:
+        if _idot3(_cleared(self.eta0star)[0], xi) != 0:
             raise ConeError("eta0* must pair to zero with the Reeb vector")
+        object.__setattr__(self, "_form", (rays, det, xs, p))
 
 
 @dataclass(frozen=True)
@@ -76,14 +88,6 @@ class CentroidVerdict:
     solution: Optional[tuple[Fraction, Fraction, Fraction]]  # (a, c, b)
     verdict: str  # "unique-c" | "no-solution" | "indeterminate"
     detail: str = ""
-
-
-def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:
-    """The u0 with <u0, n_i> = 1 for each primitive generator n_i."""
-    try:
-        return solve_linear3(mat3(generators), vec3(1, 1, 1))
-    except SingularSystemError as exc:
-        raise ConeError("degenerate cone: generators do not span") from exc
 
 
 def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
@@ -99,13 +103,8 @@ def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
     they are the vertices of a triangle, whose area centroid is their average
     and lies on the plane with them.  No check is left.
     """
-    # positive rescalings of the generators and of xi0 keep every scaled ray, so the rays and
-    # the centroid are integer work; xi0 = xi / xs
-    gens, _ = _int_rows(case.generators)
-    xi, xs = _cleared(case.xi0)
-    rays = [_icross(gens[1], gens[2]), _icross(gens[2], gens[0]), _icross(gens[0], gens[1])]
+    rays, _, xs, (p0, p1, p2) = case._form
     # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
-    p0, p1, p2 = (_idot3(r, xi) for r in rays)
     weights = (p1 * p2, p0 * p2, p0 * p1)
     total = [sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
     return tuple(Fraction(xs * x, 3 * p0 * p1 * p2) for x in total)  # type: ignore[return-value]
@@ -117,7 +116,11 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     Substituting p = a and q = ac makes the condition the linear system
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
-    u0 = case.u0_override if case.u0_override is not None else anticanonical_vector(case.generators)
+    u0 = case.u0_override
+    if u0 is None:
+        # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 pairs to 1 with each generator
+        rays, det, _, _ = case._form
+        u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
     u2 = reeb_cross_section_centroid(case)
     m = mat3([[u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
     try:

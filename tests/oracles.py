@@ -11,13 +11,18 @@ The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
 entry point.
 
-The library's dot and cross products, polynomial and piecewise evaluation, 3x3
-kernels, polygon construction, shoelace area and centroid, and both volume
-engines clear denominators and work over integers.  The kernels and engines
-below are their ``Fraction``-arithmetic references: the tests require exact
-equality with them (or the same error and message), and the constructions here
-use them rather than the library's, together with the ``Fraction`` vector sum,
-difference and scaling defined here.
+The library's polynomial and piecewise evaluation, 3x3 solve and
+matrix-vector product, polygon construction, shoelace area and centroid, and
+both volume engines clear denominators and work over integers.  The kernels and
+engines below are their ``Fraction``-arithmetic references: the tests require
+exact equality with them (or the same error and message), and the constructions
+here use them rather than the library's, together with the ``Fraction`` vector
+sum, difference and scaling defined here.  The dot product, determinant,
+transpose, inverse and anticanonical vector here have no library counterpart
+any more: the centroid test reads its dual rays, det G and u0 off the cleared
+cone of a ``CentroidCase``, and criterion 11 inverts its unimodular moves by
+integer cofactors.  The tests build their moved and drawn cones with them and
+check the library's u0 against ``anticanonical_vector``.
 """
 
 from __future__ import annotations
@@ -39,7 +44,6 @@ from kwall.exact import (
     clip,
     mat3,
     mat3_rank,
-    mat3_transpose,
     rat,
     rational_sqrt,
     vec3,
@@ -130,6 +134,10 @@ def mat3_mul(a: Mat3, b: Mat3) -> Mat3:
     return tuple(
         tuple(v3_dot(a[r], vec3(*cols[c])) for c in range(3)) for r in range(3)
     )
+
+
+def mat3_transpose(m: Mat3) -> Mat3:
+    return tuple(zip(*m))  # type: ignore[return-value]
 
 
 def mat3_inverse(m: Mat3) -> Mat3:
@@ -420,6 +428,11 @@ def cross_section(case: CentroidCase) -> tuple[Polygon2, Vec3]:
             raise ConeError("cross-section vertices violate the dual-cone halfplanes")
     _, (cs, ct) = area_centroid(poly)
     return poly, v3_add(base, v3_add(v3_scale(cs, e1), v3_scale(ct, e2)))
+
+
+def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:
+    """The u0 with <u0, n_i> = 1 for each generator n_i, by a Fraction solve."""
+    return solve_linear3(generators, (Fraction(1), Fraction(1), Fraction(1)))
 
 
 def _clipped_double_area(mp: MomentPolygon, level: Fraction) -> Fraction:

@@ -21,7 +21,7 @@ import oracles
 from kwall import acceptance
 from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, mat3, polygon
-from kwall.volumes import VolumeProfile, volume_toric
+from kwall.volumes import VolumeProfile, volume_toric, volume_two_ray
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -116,6 +116,30 @@ def test_criterion_11_derives_each_base_case_once(monkeypatch):
     assert calls == {"wall_case": 6, "solve_wall": 6 + 200, "solve_centroid_condition": 8 + 100}
 
 
+_CRITERION_11_DETAIL = "200 wall rescalings, 60 random engine-agreement fixtures, 100 lattice moves: all exact"
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 7, 42, 1909, 4576, 20191, 777000, 2**31 - 1, 20260811, 987654321])
+def test_criterion_11_passes_at_other_seeds(monkeypatch, seed):
+    # other triangles, directions and lattice moves than the fixed seed draws
+    monkeypatch.setattr(acceptance, "_SEED", seed)
+    assert acceptance.criterion_11() == _CRITERION_11_DETAIL
+
+
+def _doubled(prof):
+    """The profile with every piece doubled: still continuous, so still a valid PiecewiseQuadratic."""
+    pieces = [Poly([2 * c for c in p.coeffs]) for p in prof.profile.pieces]
+    return VolumeProfile(PiecewiseQuadratic(prof.profile.breakpoints, pieces), prof.nef_threshold,
+                         prof.pseff_threshold)
+
+
+def test_criterion_11_fails_on_a_two_ray_twin_with_doubled_pieces(monkeypatch):
+    # the equality of the two profiles alone guards the engine agreement of part (b)
+    monkeypatch.setattr(acceptance, "volume_two_ray", lambda model, L: _doubled(volume_two_ray(model, L)))
+    with pytest.raises(acceptance.CheckFailed, match="twin mismatch"):
+        acceptance.criterion_11()
+
+
 def _unimodular_by_fractions(rng: random.Random):
     """The lattice move of criterion 11 composed through the rational 3x3 product."""
     m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
@@ -141,10 +165,7 @@ def test_integer_lattice_moves_match_the_rational_composition():
 def _doubled_widths(mp):
     # vol(L - tv) is twice the integral of the slice width past t: every width doubled doubles
     # the profile, which leaves S0 = (integral of vol) / vol(L) unchanged
-    prof = volume_toric(mp)
-    pieces = [Poly([2 * c for c in p.coeffs]) for p in prof.profile.pieces]
-    return VolumeProfile(PiecewiseQuadratic(prof.profile.breakpoints, pieces), prof.nef_threshold,
-                         prof.pseff_threshold)
+    return _doubled(volume_toric(mp))
 
 
 def _doubled_depths(mp):

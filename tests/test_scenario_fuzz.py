@@ -36,6 +36,14 @@ VALID = [
     ("lct", {"quasihomog": [2, 1, 5]}),
 ]
 
+# centroid-a12-case1 with its first generator (6, -6, -13) doubled and halved: the same rays,
+# but no longer the primitive lattice vectors on them, which moved c off 8/15 with exit 0
+NON_LATTICE_GENERATORS = [
+    ("centroid", {"name": name, "generators": [first, ["-1", "1", "2"], ["1", "1", "2"]],
+                  "xi0": ["0", "1", "0"], "eta0star": ["0", "0", "1"], "u1": ["-1", "25", "-12"]})
+    for name, first in (("a12-doubled", ["12", "-12", "-26"]), ("a12-halved", ["3", "-3", "-13/2"]))
+]
+
 # well-formed rationals at and around the edges of each field's range
 EDGE_RATIONALS = ["0", "-1", "1", "1/2", "-3/7", "7/3", "100", "-12"]
 scalars = st.one_of(
@@ -97,3 +105,14 @@ def test_mutated_scenarios_end_in_a_report_or_a_kwall_error(data):
 def test_fuzz_seeds_are_valid_documents(kind, payload):
     # the fuzz starts from documents that run, so a rejection is the mutation's doing
     assert isinstance(cli.run_scenario(*cli.load_scenario({"kind": kind, "payload": payload})[:2]), dict)
+
+
+@pytest.mark.parametrize("kind,payload", NON_LATTICE_GENERATORS, ids=["doubled", "halved"])
+def test_non_lattice_generators_end_in_an_error_line(tmp_path, capsys, kind, payload):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
+    code = cli.main(["centroid", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("error: field 'generators[0]'")
+    assert "not a primitive integer vector" in captured.err

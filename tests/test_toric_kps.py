@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,8 +13,6 @@ from kwall import fixtures
 from kwall.exact import (
     area_centroid,
     mat3,
-    mat3_inverse,
-    mat3_transpose,
     mat3_vec,
     v2_add,
     v2_scale,
@@ -22,7 +21,6 @@ from kwall.exact import (
 from kwall.toric_kps import (
     CentroidCase,
     ConeError,
-    anticanonical_vector,
     reeb_cross_section_centroid,
     solve_centroid_condition,
 )
@@ -31,34 +29,55 @@ from kwall.walls import solve_wall
 rng = random.Random(777000)
 
 
+_OCTANT = CentroidCase(
+    name="octant",
+    generators=((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))),
+    xi0=(F(1), F(1), F(1)),
+    eta0star=(F(1), F(-1), F(0)),
+    u1=(F(0), F(0), F(1)),
+)
+
+
 def test_anticanonical_identity_basis():
-    gens = ((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
-    assert anticanonical_vector(gens) == (1, 1, 1)
+    assert solve_centroid_condition(_OCTANT).u0 == (1, 1, 1)
+    assert oracles.anticanonical_vector(_OCTANT.generators) == (1, 1, 1)
 
 
 def test_anticanonical_cone_fixtures():
-    case1 = fixtures.CENTROID_FIXTURES["centroid-a11red-case1"].case
-    assert anticanonical_vector(case1.generators) == (7, 6, -1)
-    case2 = fixtures.CENTROID_FIXTURES["centroid-a11red-case2"].case
-    assert anticanonical_vector(case2.generators) == (7, 6, 1)
+    for name, u0 in (("centroid-a11red-case1", (7, 6, -1)), ("centroid-a11red-case2", (7, 6, 1))):
+        case = fixtures.CENTROID_FIXTURES[name].case
+        assert solve_centroid_condition(case).u0 == u0
+        assert oracles.anticanonical_vector(case.generators) == u0
 
 
 def test_anticanonical_degenerate():
-    gens = ((F(1), F(0), F(0)), (F(2), F(0), F(0)), (F(0), F(0), F(1)))
-    with pytest.raises(ConeError):
-        anticanonical_vector(gens)
+    # two opposite primitive generators span a plane: the cone is refused before any u0
+    with pytest.raises(ConeError, match="linearly dependent"):
+        CentroidCase(
+            name="degenerate",
+            generators=((F(1), F(0), F(0)), (F(-1), F(0), F(0)), (F(0), F(0), F(1))),
+            xi0=(F(1), F(1), F(1)),
+            eta0star=(F(1), F(-1), F(0)),
+            u1=(F(0), F(0), F(1)),
+        )
+
+
+@pytest.mark.parametrize("first", [(12, -12, -26), (3, -3, F(-13, 2)), (0, 0, 0)])
+def test_generators_must_be_primitive_lattice_vectors(first):
+    # centroid-a12-case1 with its first generator (6, -6, -13) doubled, halved, or zero
+    case = fixtures.CENTROID_FIXTURES["centroid-a12-case1"].case
+    with pytest.raises(ConeError, match=r"generators\[0\].*not a primitive integer vector"):
+        CentroidCase(
+            name="scaled",
+            generators=(first,) + case.generators[1:],
+            xi0=case.xi0,
+            eta0star=case.eta0star,
+            u1=case.u1,
+        )
 
 
 def test_octant_centroid_symmetry():
-    case = CentroidCase(
-        name="octant",
-        generators=((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))),
-        xi0=(F(1), F(1), F(1)),
-        eta0star=(F(1), F(-1), F(0)),
-        u1=(F(0), F(0), F(1)),
-    )
-    u2 = reeb_cross_section_centroid(case)
-    assert u2 == (F(1, 3), F(1, 3), F(1, 3))
+    assert reeb_cross_section_centroid(_OCTANT) == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_a12_case1_centroid_in_printed_basis():
@@ -169,7 +188,7 @@ def test_ray_average_centroid_matches_plane_basis_oracle(name, shears, perm, sig
     # shears=[], perm=identity, signs=+1 is the fixture itself
     case = fixtures.CENTROID_FIXTURES[name].case
     g = _unimodular(shears, perm, signs)
-    ginv_t = mat3_transpose(mat3_inverse(g))
+    ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(g))
     moved = CentroidCase(
         name=case.name + "-moved",
         generators=tuple(mat3_vec(g, n) for n in case.generators),
@@ -180,6 +199,7 @@ def test_ray_average_centroid_matches_plane_basis_oracle(name, shears, perm, sig
     poly, oracle_u2 = oracles.cross_section(moved)
     assert reeb_cross_section_centroid(moved) == oracle_u2
     assert poly.kind == "polygon" and len(poly.vertices) == 3
+    assert solve_centroid_condition(moved).u0 == oracles.anticanonical_vector(moved.generators)
 
 
 def test_ray_average_centroid_matches_oracle_on_every_fixture():
@@ -189,15 +209,24 @@ def test_ray_average_centroid_matches_oracle_on_every_fixture():
 
 _coord = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 _vec = st.tuples(_coord, _coord, _coord)
+_icoord = st.integers(-4, 4)
+_primitive = st.tuples(_icoord, _icoord, _icoord).filter(lambda v: math.gcd(*v) == 1).map(
+    lambda v: tuple(map(F, v))
+)
+_generators = st.tuples(_primitive, _primitive, _primitive).filter(lambda g: oracles.det3(g) != 0)
+_positive = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
+
+
+def _combination(lams, gens):
+    return tuple(sum(lam * n[i] for lam, n in zip(lams, gens)) for i in range(3))
 
 
 @st.composite
 def centroid_cases(draw):
-    """A valid CentroidCase off the fixtures: independent rational generators, xi0 a
-    positive combination of them, eta0* = xi0 x w orthogonal to it, and a free u1."""
-    gens = draw(st.tuples(_vec, _vec, _vec).filter(lambda g: oracles.det3(g) != 0))
-    lams = draw(st.tuples(*[st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)] * 3))
-    xi0 = tuple(sum(lam * n[i] for lam, n in zip(lams, gens)) for i in range(3))
+    """A valid CentroidCase off the fixtures: independent primitive integer generators, xi0
+    a positive combination of them, eta0* = xi0 x w orthogonal to it, and a free u1."""
+    gens = draw(_generators)
+    xi0 = _combination(draw(st.tuples(_positive, _positive, _positive)), gens)
     return CentroidCase(
         name="drawn",
         generators=gens,
@@ -216,11 +245,28 @@ def test_centroid_of_a_drawn_cone_matches_the_plane_basis_oracle(case):
     assert u2 == oracles.cross_section(case)[1]
     assert oracles.v3_dot(u2, case.xi0) == 1
     verdict = solve_centroid_condition(case)
+    assert verdict.u0 == oracles.anticanonical_vector(case.generators)
     if verdict.verdict == "unique-c":
         # the decomposition u2 = a (u0 - c u1) + b eta0* the solve reports
         a, c, b = verdict.solution
         m = mat3([[verdict.u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
         assert mat3_vec(m, (a, c * a, b)) == u2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    gens=_generators,
+    lams=st.tuples(_positive, _positive, _positive),
+    k=st.integers(0, 2),
+    off=st.fractions(min_value=-4, max_value=0, max_denominator=4),
+    w=_vec,
+)
+def test_reeb_vector_on_or_outside_the_boundary_is_refused(gens, lams, k, off, w):
+    # lambda_k = 0 puts xi0 on a facet of the cone, lambda_k < 0 outside it
+    lams = lams[:k] + (off,) + lams[k + 1:]
+    xi0 = _combination(lams, gens)
+    with pytest.raises(ConeError, match="interior of the cone"):
+        CentroidCase(name="off", generators=gens, xi0=xi0, eta0star=oracles.v3_cross(xi0, w), u1=w)
 
 
 def test_sign_soundness_negating_u1():
@@ -254,7 +300,7 @@ def test_u1_zero_is_indeterminate():
 
 def test_u1_parallel_to_u0_is_indeterminate():
     cf = fixtures.CENTROID_FIXTURES["centroid-a11red-case1"]
-    u0 = anticanonical_vector(cf.case.generators)
+    u0 = solve_centroid_condition(cf.case).u0
     case = CentroidCase(
         name="u1-parallel",
         generators=cf.case.generators,

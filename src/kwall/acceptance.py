@@ -17,15 +17,14 @@ from typing import Callable
 from . import fixtures
 from .exact import (
     PiecewiseQuadratic,
+    Polygon2,
     _adjugate_columns,
+    _cleared,
     _idot3,
     area_centroid,
-    mat3_vec,
     poly,
     polygon,
-    v2_cross,
     v2_dot,
-    v2_sub,
 )
 from .git import (
     cm_degree_poly,
@@ -101,10 +100,6 @@ _REFERENCE_PROFILES = {
 }
 
 
-def _sample_points(t_max: Fraction, n: int = 20) -> list[Fraction]:
-    return [t_max * k / (n + 1) for k in range(1, n + 1)]
-
-
 def criterion_1() -> str:
     """Quintic wall table."""
     walls = [r.wall for r in quintic_wall_table()]
@@ -137,9 +132,10 @@ def criterion_3() -> str:
         for name in names:
             got = run(fixtures.VOLUME_FIXTURES[name]).profile
             ref = _REFERENCE_PROFILES[name]
-            if got != ref or any(got(t) != ref(t) for t in _sample_points(ref.breakpoints[-1])):
+            # equal breakpoints and pieces: two equal profiles cannot differ at any t
+            if got != ref:
                 raise CheckFailed(f"{name}: {engine} profile differs from the printed formula")
-    return "5 two-ray + 5 toric profiles, 20 exact samples each"
+    return "5 two-ray + 5 toric profiles, breakpoints and pieces exact"
 
 
 def criterion_4() -> str:
@@ -299,6 +295,52 @@ def _random_unimodular(rng: random.Random):
     return tuple(tuple(signs[s] * row[s] for s in source) for row in m)
 
 
+def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
+    """The two-ray model whose profile along E is that of the moment triangle tri along w,
+    or None when two vertices tie for the lowest level of w.
+
+    The twin comes from the triangle, not from the toric profile it is checked against:
+    h2 = 2 area, e from the edges at the lowest vertex, t1 = the second vertex level.
+    """
+    nums, den = _cleared([c for v in tri.vertices for c in v])
+    vs = list(zip(nums[::2], nums[1::2]))  # den times the vertices
+    levels = [x * w[0] + y * w[1] for x, y in vs]  # den times their levels
+    lo, mid, _ = sorted(levels)
+    if lo == mid:
+        return None  # needs a unique minimizing vertex for a two-ray shape
+    k = levels.index(lo)
+    (x0, y0), (x1, y1), (x2, y2) = vs[k], vs[k - 2], vs[k - 1]
+    # e = |e1 x e2| / ((e1 . w)(e2 . w)) for the edges e1, e2 at vertex k: den^2 cancels,
+    # and t1 e = (mid - lo) e / den
+    cross = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+    pairs = (levels[k - 2] - lo) * (levels[k - 1] - lo)
+    h2 = 2 * area_centroid(tri)[0]
+    return TwoRayModel(h2, Fraction(cross, pairs), Fraction(0), (Fraction((mid - lo) * cross, den * pairs), h2))
+
+
+def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
+    """The generators, xi0, eta0* and u1 of a case, each cleared: what _moved_case reads."""
+    return tuple(_cleared(v) for v in (*case.generators, case.xi0, case.eta0star, case.u1))
+
+
+def _moved_case(name: str, cone: tuple[tuple[list[int], int], ...], g, ginv_t) -> CentroidCase:
+    """The cleared cone moved by the lattice automorphism g: its generators and xi0 by g,
+    eta0* and u1 by (g^-1)^T, each an integer row times a cleared vector."""
+    *gens, xi0, eta0star, u1 = cone
+
+    def apply(m, cleared):
+        nums, s = cleared
+        return tuple(Fraction(_idot3(row, nums), s) for row in m)
+
+    return CentroidCase(
+        name=name,
+        generators=tuple(apply(g, n) for n in gens),
+        xi0=apply(g, xi0),
+        eta0star=apply(ginv_t, eta0star),
+        u1=apply(ginv_t, u1),
+    )
+
+
 def criterion_11() -> str:
     """Exact property suites: wall scale-invariance, random-fixture engine
     agreement, centroid unimodular equivariance."""
@@ -329,22 +371,12 @@ def criterion_11() -> str:
             continue
         if tri.kind != "polygon":
             continue
-        w = (F(rng.randint(-5, 5)), F(rng.randint(-5, 5)))
+        w = (rng.randint(-5, 5), rng.randint(-5, 5))
         if w == (0, 0):
             continue
-        levels = sorted(w[0] * v[0] + w[1] * v[1] for v in tri.vertices)
-        if levels[0] == levels[1]:
-            continue  # needs a unique minimizing vertex for a two-ray shape
-        # the twin comes from the triangle, not from the toric profile it is checked against:
-        # h2 = 2 area, e from the edges at the lowest vertex, t1 = the second vertex level
-        area, _ = area_centroid(tri)
-        vs = tri.vertices
-        k = min(range(3), key=lambda i: v2_dot(vs[i], w))
-        e1, e2 = v2_sub(vs[k - 2], vs[k]), v2_sub(vs[k - 1], vs[k])
-        h2 = 2 * area
-        e = abs(v2_cross(e1, e2)) / (v2_dot(e1, w) * v2_dot(e2, w))
-        t1 = levels[1] - levels[0]
-        model = TwoRayModel(h2, e, F(0), (t1 * e, h2))
+        model = _two_ray_twin(tri, w)
+        if model is None:
+            continue
         toric = volume_toric(MomentPolygon(tri, w)).profile
         two = volume_two_ray(model, (F(1), F(0))).profile
         # equal breakpoints and pieces: two equal profiles cannot differ at any t
@@ -354,10 +386,11 @@ def criterion_11() -> str:
 
     # (c) unimodular equivariance of the centroid test: 100 trials
     names = sorted(fixtures.CENTROID_FIXTURES)
-    base_verdicts = {name: solve_centroid_condition(fixtures.CENTROID_FIXTURES[name].case) for name in names}
+    cases = {name: fixtures.CENTROID_FIXTURES[name].case for name in names}
+    cones = {name: _cleared_cone(case) for name, case in cases.items()}
+    base_verdicts = {name: solve_centroid_condition(case) for name, case in cases.items()}
     for _ in range(100):
         name = rng.choice(names)
-        cf = fixtures.CENTROID_FIXTURES[name]
         base = base_verdicts[name]
         g = _random_unimodular(rng)
         # (g^-1)^T = adj(g)^T / det g: its rows are the columns of adj(g), and det g = +-1
@@ -366,13 +399,7 @@ def criterion_11() -> str:
         if det not in (1, -1):
             raise CheckFailed("random lattice move is not unimodular")
         ginv_t = tuple(tuple(det * x for x in row) for row in cof)
-        moved = CentroidCase(
-            name=cf.case.name + "-moved",
-            generators=tuple(mat3_vec(g, n) for n in cf.case.generators),
-            xi0=mat3_vec(g, cf.case.xi0),
-            eta0star=mat3_vec(ginv_t, cf.case.eta0star),
-            u1=mat3_vec(ginv_t, cf.case.u1),
-        )
+        moved = _moved_case(cases[name].name + "-moved", cones[name], g, ginv_t)
         res = solve_centroid_condition(moved)
         if (res.verdict, res.solution) != ("unique-c", base.solution):
             raise CheckFailed(f"{moved.name}: {res.verdict} {res.solution} != unique-c {base.solution}")

@@ -108,10 +108,6 @@ def v2_add(a: Vec2, b: Vec2) -> Vec2:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def v2_sub(a: Vec2, b: Vec2) -> Vec2:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def v2_scale(s, a: Vec2) -> Vec2:
     s = rat(s)
     return (s * a[0], s * a[1])
@@ -119,10 +115,6 @@ def v2_scale(s, a: Vec2) -> Vec2:
 
 def v2_dot(a: Vec2, b: Vec2) -> Fraction:
     return a[0] * b[0] + a[1] * b[1]
-
-
-def v2_cross(a: Vec2, b: Vec2) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
 
 
 def _cleared(v: Sequence) -> tuple[list[int], int]:
@@ -394,7 +386,7 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
         if fa >= 0 and fb >= 0:
             return p
         t = fa / (fa - fb)  # crossing parameter on [a, b]
-        cut = v2_add(a, v2_scale(t, v2_sub(b, a)))
+        cut = v2_add(a, v2_scale(t, (b[0] - a[0], b[1] - a[1])))
         kept = a if fa >= 0 else b
         return polygon([kept, cut])
     out: list[Vec2] = []
@@ -408,7 +400,7 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
             out.append(cur)
         if (fc > 0 and fn < 0) or (fc < 0 and fn > 0):
             t = fc / (fc - fn)
-            out.append(v2_add(cur, v2_scale(t, v2_sub(nxt, cur))))
+            out.append(v2_add(cur, v2_scale(t, (nxt[0] - cur[0], nxt[1] - cur[1]))))
     return polygon(out)
 
 

@@ -71,6 +71,14 @@ class TwoRayModel:
             a, b = self.neg_curve
             if self.pair((a, -b), (a, -b)) > 0:
                 raise ModelError("declared negative curve has (Cbar^2) > 0")
+            # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
+            # polarization H nonnegatively and E positively, and is no multiple of E
+            if a * self.h2 - b * self.cross < 0:
+                raise ModelError("field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective")
+            if a * self.cross + b * self.e2 <= 0:
+                raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
+            if a == 0:
+                raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")
 
     def pair(self, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
         """Intersection pairing of xH + yE classes."""
@@ -120,15 +128,23 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     For t up to the nef threshold the volume is (L - tE)^2; past it the
     positive part is taken orthogonal to the negative curve.
 
+    L is big exactly when it lies inside the pseudoeffective cone: a positive
+    combination of E and Cbar, or with no curve (where (L^2) > 0 is checked
+    first) in the positive cone on the side of H, L.H > 0.
+
     The pairing on span(H, E) is nondegenerate of signature (1, 1), so the
-    profile needs no checks of its own but one: with no curve the threshold
-    is positive whenever vol(L) > 0; an isotropic Cbar is orthogonal only to
-    its own multiples, so vol vanishes where L - tE meets it; otherwise
-    (Cbar^2) < 0 makes Cbar^perp a positive line, so the positive part is
-    kappa (t - t_max)^2 with kappa > 0, and it vanishes at t_nef only if L is
-    a multiple of E, which is not big.  The nef piece is concave and the
-    positive part falls to its root, so the profile is non-increasing exactly
-    when its slope at t = 0, -2 L.E, is not positive.
+    profile needs no checks of its own but these.  With no curve the threshold
+    is positive whenever vol(L) > 0.  The model has E.Cbar > 0, so L - tE
+    meets Cbar at one t, and writing L = lambda E + mu Cbar with lambda, mu > 0
+    gives t_nef = lambda + mu (Cbar^2) / E.Cbar <= lambda.  An isotropic Cbar
+    is orthogonal only to its own multiples, so vol vanishes at t_nef = lambda,
+    where L - tE meets it.  Otherwise (Cbar^2) < 0 makes Cbar^perp a positive
+    line, so the positive part is kappa (t - t_max)^2 with kappa > 0 (its t^2
+    coefficient is the Gram determinant of E and Cbar, negative because they
+    are independent), and it vanishes at t_max = lambda > t_nef, where L - tE
+    is a multiple of Cbar.  The nef piece is concave and the positive part
+    falls to its root, so the profile is non-increasing exactly when its slope
+    at t = 0, -2 L.E, is not positive.
     """
     (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
     h, x, e, k = model._form
@@ -140,6 +156,9 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         raise ModelError("L is not big at t = 0")
 
     if model.neg_curve is None:
+        # L.H = (lh h + le x) / (k l)
+        if lh * h + le * x <= 0:
+            raise ModelError("field 'L': L.H <= 0, so L is not big")
         # the positive root of the nef piece, (n1 + sqrt(n1^2 + 4 e n0)) / (2 e l)
         root = rational_sqrt(Fraction(n1 * n1 + 4 * e * n0))
         if root is None:
@@ -147,14 +166,19 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         breaks = [Fraction(0), (n1 + root) / (2 * e * l)]
     else:
         (a, b), m = _cleared(model.neg_curve)
-        # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2)
+        # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
+        # lambda = (lh b + le a) / (a l).  (L^2) > 0 puts L in one half of the positive cone, and the
+        # cone of E and Cbar, pointed since a != 0, holds one half whole and misses the other, so
+        # lambda and mu share their sign: L is a positive combination exactly when mu > 0
+        if lh * a <= 0:
+            raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
+        # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2),
+        # and q1 = -k m E.Cbar < 0
         q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
         q1 = -(a * x + b * e)
         if q0 < 0:
             raise ModelError("L meets the negative curve negatively at t = 0")
         c2 = a * a * h - 2 * a * b * x - b * b * e
-        if q1 == 0:
-            raise ModelError("E does not pair with the negative curve; model is not two-ray")
         breaks = [Fraction(0), Fraction(-q0, l * q1)]
         if breaks[1] <= 0:
             raise ModelError("nef threshold must be positive")
@@ -163,11 +187,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
             p0 = n0 * c2 - q0 * q0
             p1 = n1 * c2 - 2 * q0 * q1
             p2 = -(e * c2 + q1 * q1)
-            if p2 == 0:
-                raise ModelError("degenerate positive-part branch")
             breaks.append(Fraction(-p1, 2 * l * p2))
-            if breaks[2] < breaks[1]:
-                raise ModelError("nef threshold must not exceed the pseudoeffective threshold")
             pieces.append(Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)]))
     if n1 > 0:
         # L.E < 0: the volume grows at t = 0

@@ -8,11 +8,11 @@ for K-semistability and every report says so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import KwallError, rat, fmt
+from .exact import KwallError, _cleared, rat, fmt
 
 
 class WallError(KwallError):
@@ -56,13 +56,20 @@ class WallCase:
     beta: Fraction
     valid_range: Interval
     provenance: str = ""
+    # (A0, ordD, S0, alpha, beta) cleared over one positive denominator s, as (a0, od, s0, al, be, s):
+    # what the range checks and solve_wall read
+    _form: tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f_ in ("A0", "ordD", "S0", "alpha", "beta"):
             object.__setattr__(self, f_, rat(getattr(self, f_)))
-        if self.alpha - self.beta * self.valid_range.lo <= 0:
+        (a0, od, s0, al, be), s = _cleared((self.A0, self.ordD, self.S0, self.alpha, self.beta))
+        object.__setattr__(self, "_form", (a0, od, s0, al, be, s))
+        # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
+        lo, hi = self.valid_range.lo, self.valid_range.hi
+        if al * lo.denominator - be * lo.numerator <= 0:
             raise WallError("anti-canonical degree must be positive at the low end of the range")
-        if self.alpha - self.beta * self.valid_range.hi < 0:
+        if al * hi.denominator - be * hi.numerator < 0:
             raise WallError("anti-canonical degree must stay nonnegative on the range")
 
     def A(self, c) -> Fraction:
@@ -97,15 +104,20 @@ class WallReport:
 
 
 def solve_wall(case: WallCase) -> WallReport:
-    """Solve A(c) = S(c) exactly and classify each side by the sign of A - S."""
-    const = case.A0 - case.alpha * case.S0  # margin at c = 0
-    slope = case.beta * case.S0 - case.ordD  # d(margin)/dc
+    """Solve A(c) = S(c) exactly and classify each side by the sign of A - S.
+
+    On the cleared form the margin A - S is (const + slope c) / s^2 with integer
+    const and slope, so its signs and its root are theirs.
+    """
+    a0, od, s0, al, be, s = case._form
+    const = a0 * s - al * s0  # s^2 times the margin at c = 0
+    slope = be * s0 - od * s  # s^2 times d(margin)/dc
     if slope == 0 and const == 0:
         return WallReport(case, None, False, False, degenerate=True)
     if slope == 0:
         unstable = const < 0
         return WallReport(case, None, unstable, unstable)
-    cstar = -const / slope
+    cstar = Fraction(-const, slope)
     in_range = cstar in case.valid_range
     return WallReport(
         case,

@@ -7,6 +7,10 @@ numbers: the cross-section cut out in a rational basis of the Reeb plane and
 re-checked by clipping, and the profile sampled by clipping the moment polygon
 three times per piece and fitting the quadratic through the samples.
 
+The library's wall solver reads the sign and the root of A - S off a
+``WallCase`` cleared over one denominator; ``solve_wall`` and
+``check_wall_range`` here are its ``Fraction`` references.
+
 The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
 entry point.
@@ -22,7 +26,10 @@ transpose, inverse and anticanonical vector here have no library counterpart
 any more: the centroid test reads its dual rays, det G and u0 off the cleared
 cone of a ``CentroidCase``, and criterion 11 inverts its unimodular moves by
 integer cofactors.  The tests build their moved and drawn cones with them and
-check the library's u0 against ``anticanonical_vector``.
+check the library's u0 against ``anticanonical_vector``.  Nor have the planar
+difference and cross product: criterion 11 builds its two-ray twins from the
+cleared integer vertices of each triangle.  ``sample_points`` are interior
+points at which the tests evaluate whole profiles.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from kwall.exact import (
 )
 from kwall.toric_kps import CentroidCase, ConeError
 from kwall.valuations import DomainError, GermSupport
+from kwall.walls import Interval, WallCase, WallError, WallReport
 from kwall.volumes import (
     InvalidValuationError,
     ModelError,
@@ -271,6 +279,8 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         raise ModelError("L is not big at t = 0")
 
     if model.neg_curve is None:
+        if pair(model, (cH, cE), (Fraction(1), Fraction(0))) <= 0:
+            raise ModelError("field 'L': L.H <= 0, so L is not big")
         disc = vol_nef.coeff(1) ** 2 - 4 * vol_nef.coeff(2) * vol_nef.coeff(0)
         root = rational_sqrt(disc)
         if root is None:
@@ -283,6 +293,9 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
         return VolumeProfile(profile, t_max, t_max)
 
     a, b = model.neg_curve
+    # L = lam E + mu Cbar = (mu a, lam - mu b)
+    if a == 0 or cH / a <= 0 or cE + cH / a * b <= 0:
+        raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
     q0 = pair(model, (cH, cE), (a, -b))
     q1 = -pair(model, (Fraction(0), Fraction(1)), (a, -b))
     if q0 < 0:
@@ -358,9 +371,40 @@ def volume_toric(mp: MomentPolygon) -> VolumeProfile:
     return VolumeProfile(profile, breaks[1], breaks[-1])
 
 
+def check_wall_range(alpha: Fraction, beta: Fraction, valid_range: Interval) -> None:
+    """The range checks of a WallCase, on the Fraction degree alpha - beta c at both ends."""
+    if alpha - beta * valid_range.lo <= 0:
+        raise WallError("anti-canonical degree must be positive at the low end of the range")
+    if alpha - beta * valid_range.hi < 0:
+        raise WallError("anti-canonical degree must stay nonnegative on the range")
+
+
+def solve_wall(case: WallCase) -> WallReport:
+    """A(c) = S(c) solved on the case's Fraction fields."""
+    const = case.A0 - case.alpha * case.S0  # margin at c = 0
+    slope = case.beta * case.S0 - case.ordD  # d(margin)/dc
+    if slope == 0 and const == 0:
+        return WallReport(case, None, False, False, degenerate=True)
+    if slope == 0:
+        unstable = const < 0
+        return WallReport(case, None, unstable, unstable)
+    cstar = -const / slope
+    return WallReport(
+        case,
+        cstar if cstar in case.valid_range else None,
+        unstable_below=slope > 0,
+        unstable_above=slope < 0,
+    )
+
+
 # ---------------------------------------------------------------------------
 # reference constructions
 # ---------------------------------------------------------------------------
+
+def sample_points(t_max: Fraction, n: int = 20) -> list[Fraction]:
+    """n equally spaced points inside (0, t_max)."""
+    return [t_max * k / (n + 1) for k in range(1, n + 1)]
+
 
 def lct_newton_pairs(g: GermSupport) -> Fraction:
     """min(1, 1/t*) with t* the least diagonal point over every monomial's

@@ -18,10 +18,11 @@ import pytest
 
 import kwall
 import oracles
-from kwall import acceptance
+from kwall import acceptance, fixtures
 from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, mat3, polygon
-from kwall.volumes import VolumeProfile, volume_toric, volume_two_ray
+from kwall.toric_kps import CentroidCase
+from kwall.volumes import TwoRayModel, VolumeProfile, volume_toric, volume_two_ray
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -76,6 +77,18 @@ def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
         acceptance.criterion_11()
 
 
+def test_criterion_11_fails_on_a_wall_solver_that_misreads_the_cleared_scale(monkeypatch):
+    # the cleared margin is (a0 s - al s0 + (be s0 - od s) c) / s^2: a solver that drops the
+    # factors of s agrees with the true wall only while s = 1
+    def unscaled(case):
+        a0, od, s0, al, be, _ = case._form
+        return SimpleNamespace(wall=F(-(a0 - al * s0), be * s0 - od))
+
+    monkeypatch.setattr(acceptance, "solve_wall", unscaled)
+    with pytest.raises(acceptance.CheckFailed, match="wall moves under rescaling"):
+        acceptance.criterion_11()
+
+
 def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypatch):
     real = acceptance.solve_centroid_condition
 
@@ -124,6 +137,98 @@ def test_criterion_11_passes_at_other_seeds(monkeypatch, seed):
     # other triangles, directions and lattice moves than the fixed seed draws
     monkeypatch.setattr(acceptance, "_SEED", seed)
     assert acceptance.criterion_11() == _CRITERION_11_DETAIL
+
+
+def _twin_by_fractions(tri, w):
+    """The two-ray twin of criterion 11(b) built from the Fraction vertices, as it was first written."""
+    w = (F(w[0]), F(w[1]))
+    levels = sorted(oracles.v2_dot(v, w) for v in tri.vertices)
+    if levels[0] == levels[1]:
+        return None
+    vs = tri.vertices
+    k = min(range(3), key=lambda i: oracles.v2_dot(vs[i], w))
+    e1, e2 = oracles.v2_sub(vs[k - 2], vs[k]), oracles.v2_sub(vs[k - 1], vs[k])
+    h2 = 2 * oracles.area_centroid(tri)[0]
+    e = abs(oracles.v2_cross(e1, e2)) / (oracles.v2_dot(e1, w) * oracles.v2_dot(e2, w))
+    return TwoRayModel(h2, e, F(0), ((levels[1] - levels[0]) * e, h2))
+
+
+def _moved_by_fractions(case, g):
+    """A cone moved by g through the Fraction matrix-vector product and the Fraction inverse."""
+    gf = mat3(g)
+    ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(gf))
+    return CentroidCase(
+        name=case.name + "-moved",
+        generators=tuple(oracles.mat3_vec(gf, n) for n in case.generators),
+        xi0=oracles.mat3_vec(gf, case.xi0),
+        eta0star=oracles.mat3_vec(ginv_t, case.eta0star),
+        u1=oracles.mat3_vec(ginv_t, case.u1),
+    )
+
+
+@pytest.mark.parametrize("seed", [acceptance._SEED, 1, 2, 3, 7, 42, 1909, 4576, 20191, 777000, 2**31 - 1,
+                                  20260811, 987654321])
+def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_constructions(monkeypatch, seed):
+    # every twin and moved cone the criterion builds at this seed, ties among the directions included
+    twins, moves = [], []
+    real_twin, real_moved = acceptance._two_ray_twin, acceptance._moved_case
+
+    def twin(tri, w):
+        twins.append((tri, w, real_twin(tri, w)))
+        return twins[-1][2]
+
+    def moved(name, cone, g, ginv_t):
+        moves.append((name, g, real_moved(name, cone, g, ginv_t)))
+        return moves[-1][2]
+
+    monkeypatch.setattr(acceptance, "_SEED", seed)
+    monkeypatch.setattr(acceptance, "_two_ray_twin", twin)
+    monkeypatch.setattr(acceptance, "_moved_case", moved)
+    acceptance.criterion_11()
+    assert sum(model is not None for _, _, model in twins) == 60 and len(moves) == 100
+    for tri, w, model in twins:
+        assert model == _twin_by_fractions(tri, w), (tri, w)
+    for name, g, case in moves:
+        base = fixtures.CENTROID_FIXTURES[name.removesuffix("-moved")].case
+        assert case == _moved_by_fractions(base, g), name
+
+
+def _one_coefficient_changed(prof):
+    """The profile with the t^2 coefficient of its last piece raised by 1.  Changing one coefficient
+    breaks continuity at the breakpoint before it, so the piece is set past the constructor's check,
+    as an engine that wrote one wrong coefficient into its pieces would return it."""
+    pq = prof.profile
+    bad = PiecewiseQuadratic(pq.breakpoints, pq.pieces)
+    last = pq.pieces[-1]
+    bad.pieces = pq.pieces[:-1] + (Poly([last.coeff(0), last.coeff(1), last.coeff(2) + 1]),)
+    return VolumeProfile(bad, prof.nef_threshold, prof.pseff_threshold)
+
+
+@pytest.mark.parametrize("engine", ["volume_two_ray", "volume_toric"])
+def test_criterion_3_fails_on_an_engine_that_changes_one_coefficient(monkeypatch, engine):
+    real = getattr(acceptance, engine)
+    monkeypatch.setattr(acceptance, engine, lambda *args: _one_coefficient_changed(real(*args)))
+    with pytest.raises(acceptance.CheckFailed, match="profile differs from the printed formula"):
+        acceptance.criterion_3()
+
+
+@pytest.mark.parametrize("name", sorted(acceptance._REFERENCE_PROFILES))
+def test_criterion_3_profiles_agree_with_the_printed_formulas_inside_their_support(name):
+    # criterion 3 compares breakpoints and pieces; equal profiles then agree at every sample point
+    got = fixtures.VOLUME_FIXTURES[name].profile().profile
+    ref = acceptance._REFERENCE_PROFILES[name]
+    samples = oracles.sample_points(ref.breakpoints[-1])
+    assert [oracles.piecewise_eval(got, t) for t in samples] == [oracles.piecewise_eval(ref, t) for t in samples]
+
+
+def test_samples_can_miss_a_piece_that_the_comparison_of_pieces_sees():
+    # no sample of a11irr falls in its last piece [12/5, 5/2): the one-coefficient mutant agrees with
+    # the printed formula at all 20 samples, and criterion 3 still fails on it
+    ref = acceptance._REFERENCE_PROFILES["a11irr"]
+    bad = _one_coefficient_changed(fixtures.VOLUME_FIXTURES["a11irr"].profile()).profile
+    samples = oracles.sample_points(ref.breakpoints[-1])
+    assert [oracles.piecewise_eval(bad, t) for t in samples] == [oracles.piecewise_eval(ref, t) for t in samples]
+    assert bad != ref
 
 
 def _doubled(prof):

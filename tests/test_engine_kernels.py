@@ -89,19 +89,19 @@ def two_ray_inputs(draw):
 @given(args=two_ray_inputs())
 # one example per reachable ModelError of volume_two_ray and per shape of profile it returns (the
 # volume_two_ray docstring says why no other check is reachable); the monotonicity test comes last,
-# so the examples marked L.E < 0 pin the earlier message where both fail
+# so the examples marked L.E < 0 pin the earlier message where both fail.  For L inside the cone of
+# E and a curve the model accepts, L.Cbar <= 0 and L.E < 0 never hold together: they would make the
+# Gram determinant of E and Cbar positive, which the signature (1, 1) forbids.
 @example(args=(F(1, 3), F(1), F(5, 4), None, (F(-3), F(1, 2))))  # L is not big at t = 0, L.E < 0
+@example(args=(F(1), F(1), F(0), None, (F(-1), F(0))))  # no curve, L.H < 0
+@example(args=(F(1), F(1), F(0), None, (F(-2), F(1))))  # no curve, L.H < 0, L.E < 0
 @example(args=(F(1), F(3, 4), F(0), None, (F(5, 4), F(1, 2))))  # irrational threshold, L.E < 0
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(-1), F(0))))  # L outside the cone of E and Cbar
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(-1), F(1))))  # L outside the cone, L.E < 0
 @example(args=(F(3, 4), F(2), F(0), (F(1, 2), F(3, 2)), (F(4), F(-1))))  # L meets Cbar negatively
-@example(args=(F(1), F(1), F(0), (F(0), F(-1)), (F(2), F(1))))  # L meets Cbar negatively, L.E < 0
-@example(args=(F(1), F(1), F(0), (F(0), F(0)), (F(1), F(0))))  # E does not pair with Cbar
-@example(args=(F(1), F(2), F(0), (F(0), F(0)), (F(2), F(1))))  # E does not pair with Cbar, L.E < 0
-@example(args=(F(1, 2), F(1, 3), F(0), (F(3, 4), F(-2)), (F(2), F(0))))  # nef threshold not positive
-@example(args=(F(2), F(1), F(0), (F(1), F(-2)), (F(1), F(1))))  # nef threshold not positive, L.E < 0
-@example(args=(F(6), F(5, 3), F(0), (F(0), F(2, 3)), (F(-3, 2), F(1))))  # degenerate positive part, L.E < 0
-@example(args=(F(1), F(1), F(0), (F(-1), F(3)), (F(1), F(1, 2))))  # t_nef beyond t_max, L.E < 0
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(5), F(-25))))  # nef threshold not positive
 @example(args=(F(6), F(1, 3), F(-1, 2), None, (F(3, 4), F(-1))))  # profile not non-increasing
-@example(args=(F(1, 4), F(5, 2), F(-2), (F(-1, 3), F(1)), (F(-6), F(4))))  # two pieces, cross != 0
+@example(args=(F(1), F(1), F(-1), (F(-1), F(2)), (F(-1), F(1))))  # two pieces, cross != 0
 @example(args=(F(1), F(1), F(0), (F(1), F(1)), (F(1), F(0))))  # (Cbar^2) = 0
 @example(args=(F(3, 4), F(3, 4), F(1), None, (F(2, 3), F(1, 4))))  # no curve, cross != 0
 def test_volume_two_ray_equals_its_reference(args):
@@ -121,6 +121,16 @@ def test_volume_two_ray_equals_its_reference(args):
         assert str(got.value) == str(exc)
     else:
         assert volume_two_ray(model, L) == ref
+
+
+@pytest.mark.parametrize("neg,message", [
+    ((F(-1), F(3)), r"field 'neg_curve': H\.Cbar < 0"),  # Cbar = -H - 3E
+    ((F(1), F(-1)), r"field 'neg_curve': E\.Cbar <= 0"),  # Cbar = H + E
+    ((F(0), F(1)), r"field 'neg_curve': a = 0"),  # Cbar = -E
+])
+def test_the_model_refuses_a_curve_that_cannot_span_the_second_ray(neg, message):
+    with pytest.raises(ModelError, match=message):
+        TwoRayModel(F(1), F(1), F(0), neg)
 
 
 def test_the_model_squares_the_declared_curve_cbar():

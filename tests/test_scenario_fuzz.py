@@ -44,6 +44,11 @@ NON_LATTICE_GENERATORS = [
     for name, first in (("a12-doubled", ["12", "-12", "-26"]), ("a12-halved", ["3", "-3", "-13/2"]))
 ]
 
+# a declared curve Cbar = -H - 3E, which is not effective (H.Cbar = -1), and L = -H, which is not big:
+# this printed a two-piece profile and S0 = 10/9 with exit 0
+NOT_EFFECTIVE_CURVE = ("two-ray", {"name": "not-effective", "h2": "1", "e2": "1", "neg_curve": ["-1", "3"],
+                                   "L": ["-1", "0"], "anti_k": ["3", "5"]})
+
 # well-formed rationals at and around the edges of each field's range
 EDGE_RATIONALS = ["0", "-1", "1", "1/2", "-3/7", "7/3", "100", "-12"]
 scalars = st.one_of(
@@ -116,3 +121,13 @@ def test_non_lattice_generators_end_in_an_error_line(tmp_path, capsys, kind, pay
     assert code == 1 and not captured.out
     assert captured.err.startswith("error: field 'generators[0]'")
     assert "not a primitive integer vector" in captured.err
+
+
+def test_an_invalid_two_ray_geometry_ends_in_an_error_line(tmp_path, capsys):
+    kind, payload = NOT_EFFECTIVE_CURVE
+    path = tmp_path / "two-ray.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
+    code = cli.main(["volume", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == "error: field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective\n"

@@ -16,7 +16,6 @@ from kwall.exact import (
     mat3_vec,
     v2_add,
     v2_scale,
-    v2_sub,
 )
 from kwall.toric_kps import (
     CentroidCase,
@@ -130,8 +129,8 @@ def _subdivision_centroid(poly, depth: int = 4):
     acc = (F(0), F(0))
     for k in range(1, len(verts) - 1):
         tri = (verts[0], verts[k], verts[k + 1])
-        e1 = v2_sub(tri[1], tri[0])
-        e2 = v2_sub(tri[2], tri[0])
+        e1 = oracles.v2_sub(tri[1], tri[0])
+        e2 = oracles.v2_sub(tri[2], tri[0])
         tri_area2 = e1[0] * e2[1] - e1[1] * e2[0]
         cell_w = tri_area2 / (depth * depth)
         for i in range(depth):

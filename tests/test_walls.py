@@ -7,7 +7,10 @@ import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
+import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kwall import cli, fixtures
 from kwall.walls import (
@@ -68,6 +71,55 @@ def test_solve_wall_constant_margin():
 def test_wall_case_rejects_nonpositive_antikanonical_degree():
     with pytest.raises(WallError):
         WallCase("bad", F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE)
+
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=30)
+coefficients = st.fractions(min_value=-1, max_value=1, max_denominator=30)
+
+
+@st.composite
+def wall_inputs(draw):
+    """(A0, ordD, S0, alpha, beta, range): free rationals, a flat margin (slope = 0), a vanishing
+    one (const = slope = 0), or a wall put on an end of the range or inside it; each end open or
+    closed.  With the range inside [-1, 2] and alpha >= -1, about a third of the draws fail a
+    range check."""
+    a0, od, s0, be = (draw(rationals) for _ in range(4))
+    al = draw(st.fractions(min_value=-1, max_value=12, max_denominator=30))
+    lo = draw(coefficients)
+    hi = lo + abs(draw(coefficients))
+    kind = draw(st.sampled_from(("free", "flat", "vanishing", "wall-at-lo", "wall-at-hi", "wall-inside")))
+    if kind in ("flat", "vanishing"):
+        od = be * s0
+        if kind == "vanishing":
+            a0 = al * s0
+    elif kind != "free":
+        # A - S = (a0 - al s0) + (be s0 - od) c vanishes at the chosen point of the range
+        c = {"wall-at-lo": lo, "wall-at-hi": hi}.get(kind, lo + (hi - lo) * draw(st.fractions(0, 1)))
+        a0 = al * s0 - (be * s0 - od) * c
+    return a0, od, s0, al, be, Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=wall_inputs())
+@example(args=(F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE))  # alpha - beta hi < 0
+@example(args=(F(1), F(0), F(1), F(-1), F(1), QUINTIC_RANGE))  # alpha - beta lo < 0
+@example(args=(F(1), F(0), F(1), F(0), F(1), QUINTIC_RANGE))  # alpha - beta lo = 0
+@example(args=(F(1), F(0), F(1), F(3), F(5), QUINTIC_RANGE))  # alpha - beta hi = 0 is allowed
+@example(args=(F(2), F(5), F(1), F(3), F(5), QUINTIC_RANGE))  # slope = 0
+@example(args=(F(2), F(1), F(1), F(2), F(1), QUINTIC_RANGE))  # const = slope = 0
+@example(args=(F(7), F(12), F(49, 30), F(3), F(5), Interval(F(63, 115), F(3, 5), True)))  # wall at a closed end
+@example(args=(F(7), F(12), F(49, 30), F(3), F(5), Interval(F(63, 115), F(3, 5))))  # wall at an open end
+def test_integer_wall_solver_equals_its_reference(args):
+    *fields, valid_range = args
+    try:
+        oracles.check_wall_range(fields[3], fields[4], valid_range)
+    except WallError as exc:
+        with pytest.raises(WallError) as got:
+            WallCase("drawn", *fields, valid_range)
+        assert str(got.value) == str(exc)
+        return
+    case = WallCase("drawn", *fields, valid_range)
+    assert solve_wall(case) == oracles.solve_wall(case)
 
 
 def test_wall_bracketing():

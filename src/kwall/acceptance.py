@@ -130,7 +130,7 @@ def criterion_3() -> str:
     )
     for engine, run, names in engines:
         for name in names:
-            got = run(fixtures.VOLUME_FIXTURES[name]).profile
+            got = run(fixtures.VOLUME_FIXTURES[name])
             ref = _REFERENCE_PROFILES[name]
             # equal breakpoints and pieces: two equal profiles cannot differ at any t
             if got != ref:
@@ -159,8 +159,8 @@ def criterion_4() -> str:
         polygon_, w = vf.moment.polygon, vf.moment.valuation_direction
         area, b = area_centroid(polygon_)
         profile = volume_toric(vf.moment)
-        if profile.vol0 != 2 * area:
-            raise CheckFailed(f"{name}: toric vol(L) = {profile.vol0}, 2 area(P) = {2 * area}")
+        if profile(0) != 2 * area:
+            raise CheckFailed(f"{name}: toric vol(L) = {profile(0)}, 2 area(P) = {2 * area}")
         s0 = v2_dot(b, w) - min(v2_dot(v, w) for v in polygon_.vertices)
         if s_invariant(profile, vf.anti_k) != s0:
             raise CheckFailed(f"{name}: toric S0 = {s_invariant(profile, vf.anti_k)}, barycenter S0 = {s0}")
@@ -377,8 +377,8 @@ def criterion_11() -> str:
         model = _two_ray_twin(tri, w)
         if model is None:
             continue
-        toric = volume_toric(MomentPolygon(tri, w)).profile
-        two = volume_two_ray(model, (F(1), F(0))).profile
+        toric = volume_toric(MomentPolygon(tri, w))
+        two = volume_two_ray(model, (F(1), F(0)))
         # equal breakpoints and pieces: two equal profiles cannot differ at any t
         if two != toric:
             raise CheckFailed(f"twin mismatch for {verts} {w}")

@@ -26,7 +26,7 @@ from .git import (
 )
 from .toric_kps import CentroidCase, solve_centroid_condition
 from .valuations import GermSupport, QuasiHomogGerm, index_bound, lct_newton, lct_quasihomog
-from .volumes import MomentPolygon, TwoRayModel, s_invariant
+from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric
 from .walls import (
     K_UNSTABLE,
     Interval,
@@ -155,7 +155,7 @@ def _wall_report(report: WallReport) -> dict:
 
 def _profile_rows(profile) -> list[str]:
     rows = []
-    for a, b, p in zip(profile.profile.breakpoints, profile.profile.breakpoints[1:], profile.profile.pieces):
+    for a, b, p in zip(profile.breakpoints, profile.breakpoints[1:], profile.pieces):
         cs = [fmt(p.coeff(k)) for k in range(3)]
         rows.append(f"[{fmt(a)}, {fmt(b)}]: {cs[0]} + {cs[1]} t + {cs[2]} t^2")
     return rows
@@ -168,15 +168,16 @@ def _volume_report(vf: fixtures.VolumeFixture) -> dict:
     out = {
         "fixture": vf.name,
         "engine": "two-ray" if vf.model is not None else "toric",
-        "vol(L)": fmt(profile.vol0),
-        "nef threshold": fmt(profile.nef_threshold),
-        "pseudoeffective threshold": fmt(profile.pseff_threshold),
+        "vol(L)": fmt(profile(0)),
+        # both engines break a profile at 0, then the nef threshold, ..., last the pseudoeffective threshold
+        "nef threshold": fmt(profile.breakpoints[1]),
+        "pseudoeffective threshold": fmt(profile.breakpoints[-1]),
         "pieces": _profile_rows(profile),
     }
     if vf.anti_k is not None:
         out["S0"] = fmt(s_invariant(profile, vf.anti_k))
     if vf.model is not None and vf.moment is not None:
-        same = vf.toric_profile().profile == profile.profile
+        same = volume_toric(vf.moment) == profile
         out["toric cross-check"] = "identical profile" if same else "DISAGREES"
     return out
 

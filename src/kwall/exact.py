@@ -10,7 +10,6 @@ reduced Fraction.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -179,29 +178,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) + other.coeff(i) for i in range(n)])
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self.coeff(i) - other.coeff(i) for i in range(n)])
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
-        s = rat(other)
-        return Poly([s * c for c in self.coeffs])
-
-    __rmul__ = __mul__
-
     def antiderivative(self) -> "Poly":
         return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
 
@@ -235,16 +211,13 @@ class PiecewiseQuadratic:
     accepted.
     """
 
-    __slots__ = ("breakpoints", "pieces", "_bnums", "_bden")
+    __slots__ = ("breakpoints", "pieces")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Poly]):
         bps = [rat(b) for b in breakpoints]
         if len(bps) != len(pieces) + 1:
             raise StructuralError("need exactly one more breakpoint than pieces")
-        # the cleared form, breakpoints[i] = _bnums[i] / _bden, is what evaluation searches
-        nums, self._bden = _cleared(bps)
-        self._bnums = tuple(nums)
-        for a, b in zip(nums, nums[1:]):
+        for a, b in zip(bps, bps[1:]):
             if not a < b:
                 raise StructuralError("breakpoints must be strictly increasing")
         for i in range(len(pieces) - 1):
@@ -256,13 +229,12 @@ class PiecewiseQuadratic:
 
     def __call__(self, t) -> Fraction:
         t = rat(t)
-        # an integer b is at most t _bden exactly when it is at most floor(t _bden)
-        i = bisect.bisect_right(self._bnums, t.numerator * self._bden // t.denominator)
-        if i == 0:
+        if t < self.breakpoints[0]:
             raise StructuralError(f"evaluation below domain start {fmt(self.breakpoints[0])}")
-        if i == len(self._bnums):
-            return Fraction(0)
-        return self.pieces[i - 1](t)
+        for b, p in zip(self.breakpoints[1:], self.pieces):
+            if t < b:
+                return p(t)
+        return Fraction(0)
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,9 +242,6 @@ class PiecewiseQuadratic:
             and self.breakpoints == other.breakpoints
             and self.pieces == other.pieces
         )
-
-    def __hash__(self):
-        return hash((self.breakpoints, self.pieces))
 
     def __repr__(self):
         parts = [
@@ -445,25 +414,6 @@ def _adjugate_columns(a: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int],
     return _icross(a[1], a[2]), _icross(a[2], a[0]), _icross(a[0], a[1])
 
 
-def mat3_rank(m: Mat3) -> int:
-    rows = [[rat(x) for x in r] for r in m]  # plain int entries would divide as floats
-    rank = 0
-    col = 0
-    while rank < 3 and col < 3:
-        piv = next((r for r in range(rank, 3) if rows[r][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        for r in range(rank + 1, 3):
-            f = rows[r][col] / rows[rank][col]
-            for c in range(col, 3):
-                rows[r][c] -= f * rows[rank][c]
-        rank += 1
-        col += 1
-    return rank
-
-
 def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
     """Unique solution of m x = rhs; raises SingularSystemError(rank) when det = 0."""
     # each equation scaled with its right-hand side: an integer system with the same solution
@@ -471,7 +421,9 @@ def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
     adj = _adjugate_columns(rows)
     d = _idot3(rows[0], adj[0])
     if d == 0:
-        raise SingularSystemError(mat3_rank(m))
+        # adj(a) holds every 2x2 minor of the coefficient rows, and scaling a row keeps the rank
+        rank = 2 if any(any(c) for c in adj) else 1 if any(any(r[:3]) for r in rows) else 0
+        raise SingularSystemError(rank)
     # Cramer's rule: x = adj(a) b / det(a)
     b = [r[3] for r in rows]
     return tuple(Fraction(_idot3(row, b), d) for row in zip(*adj))  # type: ignore[return-value]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Mat3, Vec3, mat3, mat3_vec, polygon
+from .exact import Mat3, PiecewiseQuadratic, Vec3, mat3, mat3_vec, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
 from .toric_kps import CentroidCase
 from .valuations import (
@@ -28,7 +28,7 @@ from .valuations import (
     log_discrepancy,
     ord_on_germ,
 )
-from .volumes import ModelError, MomentPolygon, TwoRayModel, VolumeProfile, s_invariant, volume_toric, volume_two_ray
+from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
 from .walls import Interval, WallCase
 
 F = Fraction
@@ -48,16 +48,11 @@ class VolumeFixture:
     provenance: str
     expected: dict = field(default_factory=dict)
 
-    def profile(self) -> VolumeProfile:
+    def profile(self) -> PiecewiseQuadratic:
         """Primary engine: two-ray when present, else toric."""
         if self.model is not None:
             return volume_two_ray(self.model, self.L)
-        if self.moment is None:
-            raise ModelError(f"volume fixture {self.name!r} has neither a two-ray model nor a moment polygon")
         return volume_toric(self.moment)
-
-    def toric_profile(self) -> Optional[VolumeProfile]:
-        return volume_toric(self.moment) if self.moment is not None else None
 
     def s0(self) -> Fraction:
         return s_invariant(self.profile(), self.anti_k)

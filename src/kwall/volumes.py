@@ -7,6 +7,11 @@ each vertex level of the valuation; the width is linear in between, so the
 profile is a closed-form quadratic per piece.  Both return the same exact
 piecewise-quadratic profile on every shared fixture, which is the main
 cross-check of the toolkit.
+
+A profile is the ``PiecewiseQuadratic`` itself.  Both engines start it at
+t = 0 and end it at the pseudoeffective threshold, and the first breakpoint
+past 0 is the nef threshold: breakpoints[1] and breakpoints[-1] are the two
+thresholds (one and the same when the profile has one piece).
 """
 
 from __future__ import annotations
@@ -108,21 +113,7 @@ class MomentPolygon:
             raise InvalidValuationError("valuation direction must be nonzero")
 
 
-@dataclass(frozen=True)
-class VolumeProfile:
-    profile: PiecewiseQuadratic
-    nef_threshold: Fraction
-    pseff_threshold: Fraction
-
-    def __call__(self, t) -> Fraction:
-        return self.profile(t)
-
-    @property
-    def vol0(self) -> Fraction:
-        return self.profile(0)
-
-
-def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumeProfile:
+def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
     """Profile of vol(L - tE) by Zariski decomposition on a two-ray surface.
 
     For t up to the nef threshold the volume is (L - tE)^2; past it the
@@ -130,7 +121,9 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
 
     L is big exactly when it lies inside the pseudoeffective cone: a positive
     combination of E and Cbar, or with no curve (where (L^2) > 0 is checked
-    first) in the positive cone on the side of H, L.H > 0.
+    first) in the positive cone on the side of H, L.H > 0.  (L^2) > 0 is
+    checked first with a curve too: a big L with (L^2) <= 0 is not nef at
+    t = 0, where the engine has no Zariski decomposition, and is refused as such.
 
     The pairing on span(H, E) is nondegenerate of signature (1, 1), so the
     profile needs no checks of its own but these.  With no curve the threshold
@@ -153,6 +146,12 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     n1 = 2 * (le * e - lh * x)
     pieces = [Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)])]
     if n0 <= 0:
+        if model.neg_curve is not None:
+            # lambda > 0 and mu > 0 (below) put L inside the cone of E and Cbar: big, but not nef
+            (a, b), _ = _cleared(model.neg_curve)
+            if lh * a > 0 and (lh * b + le * a) * a > 0:
+                raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
+                                 "the engine has no Zariski decomposition there")
         raise ModelError("L is not big at t = 0")
 
     if model.neg_curve is None:
@@ -192,10 +191,10 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     if n1 > 0:
         # L.E < 0: the volume grows at t = 0
         raise ModelError("volume profile is not non-increasing")
-    return VolumeProfile(PiecewiseQuadratic(breaks, pieces), breaks[1], breaks[-1])
+    return PiecewiseQuadratic(breaks, pieces)
 
 
-def volume_toric(mp: MomentPolygon) -> VolumeProfile:
+def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     """Profile of vol(L - t v_w) = 2 area(P ∩ {<u, w> >= m0 + t}) for a toric valuation.
 
     In the coordinates h = <u, w>, s = w x u the area is ∫ g(h) dh with slice
@@ -250,10 +249,10 @@ def volume_toric(mp: MomentPolygon) -> VolumeProfile:
     breaks = [Fraction(t, u) for t in ts]
     # vol' = -2 (slice width) <= 0 and the top piece is 2 rest = 0 at its end: the profile needs no
     # check; its nef threshold is the first breakpoint past 0, where the cut is a corner
-    return VolumeProfile(PiecewiseQuadratic(breaks, pieces[::-1]), breaks[1], breaks[-1])
+    return PiecewiseQuadratic(breaks, pieces[::-1])
 
 
-def s_invariant(profile: VolumeProfile, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:
+def s_invariant(profile: PiecewiseQuadratic, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:
     """S0 = integral of the profile divided by vol(L).
 
     With -K_X - cD ~ (alpha - beta c) L the expected vanishing order is
@@ -262,7 +261,7 @@ def s_invariant(profile: VolumeProfile, anti_k_scale: tuple[Fraction, Fraction])
     alpha, beta = rat(anti_k_scale[0]), rat(anti_k_scale[1])
     if alpha <= 0:
         raise ModelError("anti-canonical scale must be positive at c = 0")
-    v0 = profile.vol0
+    v0 = profile(0)
     if v0 <= 0:
         raise ModelError("zero-volume polarization")
-    return integrate(profile.profile, 0) / v0
+    return integrate(profile, 0) / v0

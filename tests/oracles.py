@@ -15,9 +15,10 @@ The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
 entry point.
 
-The library's polynomial and piecewise evaluation, 3x3 solve and
-matrix-vector product, polygon construction, shoelace area and centroid, and
-both volume engines clear denominators and work over integers.  The kernels and
+The library's polynomial evaluation (and so each piece of a piecewise
+evaluation), 3x3 solve and matrix-vector product, polygon construction,
+shoelace area and centroid, and both volume engines clear denominators and work
+over integers.  The kernels and
 engines below are their ``Fraction``-arithmetic references: the tests require
 exact equality with them (or the same error and message), and the constructions
 here use them rather than the library's, together with the ``Fraction`` vector
@@ -28,8 +29,13 @@ cone of a ``CentroidCase``, and criterion 11 inverts its unimodular moves by
 integer cofactors.  The tests build their moved and drawn cones with them and
 check the library's u0 against ``anticanonical_vector``.  Nor have the planar
 difference and cross product: criterion 11 builds its two-ray twins from the
-cleared integer vertices of each triangle.  ``sample_points`` are interior
-points at which the tests evaluate whole profiles.
+cleared integer vertices of each triangle.  Nor have the polynomial sum,
+difference and product (``poly_add``, ``poly_sub``, ``poly_mul``), which no
+command calls: the tests and the engines here build polynomials with them.
+``mat3_rank`` is the Fraction elimination that the library's solve replaced by
+reading the rank of a singular system off the 2x2 minors it already has; it is
+the reference for that rank.  ``sample_points`` are interior points at which
+the tests evaluate whole profiles.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ from kwall.exact import (
     Vec3,
     clip,
     mat3,
-    mat3_rank,
     rat,
     rational_sqrt,
     vec3,
@@ -63,7 +68,6 @@ from kwall.volumes import (
     ModelError,
     MomentPolygon,
     TwoRayModel,
-    VolumeProfile,
 )
 
 
@@ -95,6 +99,28 @@ def v3_scale(s, a: Vec3) -> Vec3:
     return (s * a[0], s * a[1], s * a[2])
 
 
+def poly_add(p: Poly, q: Poly) -> Poly:
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([p.coeff(i) + q.coeff(i) for i in range(n)])
+
+
+def poly_sub(p: Poly, q: Poly) -> Poly:
+    n = max(len(p.coeffs), len(q.coeffs))
+    return Poly([p.coeff(i) - q.coeff(i) for i in range(n)])
+
+
+def poly_mul(p: Poly, q) -> Poly:
+    """The product of two polynomials, or of a polynomial and a scalar q."""
+    if isinstance(q, Poly):
+        out = [Fraction(0)] * (len(p.coeffs) + len(q.coeffs))
+        for i, a in enumerate(p.coeffs):
+            for j, b in enumerate(q.coeffs):
+                out[i + j] += a * b
+        return Poly(out)
+    s = rat(q)
+    return Poly([s * c for c in p.coeffs])
+
+
 def poly_eval(p: Poly, t) -> Fraction:
     """Horner's rule over Fractions."""
     t = Fraction(t)
@@ -113,6 +139,26 @@ def piecewise_eval(f: PiecewiseQuadratic, t) -> Fraction:
         if a <= t < b:
             return poly_eval(p, t)
     return Fraction(0)
+
+
+def mat3_rank(m: Mat3) -> int:
+    """Gaussian elimination over Fractions."""
+    rows = [[rat(x) for x in r] for r in m]  # plain int entries would divide as floats
+    rank = 0
+    col = 0
+    while rank < 3 and col < 3:
+        piv = next((r for r in range(rank, 3) if rows[r][col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, 3):
+            f = rows[r][col] / rows[rank][col]
+            for c in range(col, 3):
+                rows[r][c] -= f * rows[rank][c]
+        rank += 1
+        col += 1
+    return rank
 
 
 def det3(m: Mat3) -> Fraction:
@@ -264,7 +310,7 @@ def _check_profile(profile: PiecewiseQuadratic) -> None:
         raise ModelError("volume profile does not vanish at the pseudoeffective threshold")
 
 
-def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumeProfile:
+def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
     """Zariski decomposition with Poly products, scalar multiples and differences."""
     cH, cE = rat(L[0]), rat(L[1])
     vol_nef = Poly(
@@ -276,6 +322,12 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     )
     vol0 = vol_nef(0)
     if vol0 <= 0:
+        if model.neg_curve is not None:
+            a, b = model.neg_curve
+            # L = lam E + mu Cbar = (mu a, lam - mu b) with lam, mu > 0 is big
+            if a != 0 and cH / a > 0 and cE + cH / a * b > 0:
+                raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
+                                 "the engine has no Zariski decomposition there")
         raise ModelError("L is not big at t = 0")
 
     if model.neg_curve is None:
@@ -290,7 +342,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
             raise ModelError("no positive pseudoeffective threshold")
         profile = PiecewiseQuadratic([Fraction(0), t_max], [vol_nef])
         _check_profile(profile)
-        return VolumeProfile(profile, t_max, t_max)
+        return profile
 
     a, b = model.neg_curve
     # L = lam E + mu Cbar = (mu a, lam - mu b)
@@ -312,10 +364,10 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
             raise ModelError("(Cbar^2) = 0 but vol does not vanish at the nef threshold")
         profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
         _check_profile(profile)
-        return VolumeProfile(profile, t_nef, t_nef)
+        return profile
 
     q = Poly([q0, q1])
-    vol_pos = vol_nef - q * q * (1 / c2)
+    vol_pos = poly_sub(vol_nef, poly_mul(poly_mul(q, q), 1 / c2))
     if len(vol_pos.coeffs) != 3:
         raise ModelError("degenerate positive-part branch")
     p0, p1, p2 = vol_pos.coeffs
@@ -327,13 +379,13 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> VolumePr
     if t_max == t_nef:
         profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
         _check_profile(profile)
-        return VolumeProfile(profile, t_nef, t_nef)
+        return profile
     profile = PiecewiseQuadratic([Fraction(0), t_nef, t_max], [vol_nef, vol_pos])
     _check_profile(profile)
-    return VolumeProfile(profile, t_nef, t_max)
+    return profile
 
 
-def volume_toric(mp: MomentPolygon) -> VolumeProfile:
+def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     """One Fraction slice width per vertex level, interpolated along each boundary
     chain, and the closed-form quadratic per piece in Fraction arithmetic."""
     w = mp.valuation_direction
@@ -368,7 +420,7 @@ def volume_toric(mp: MomentPolygon) -> VolumeProfile:
         rest += (g[k] + g[k + 1]) * (t1 - t0) / 2
     profile = PiecewiseQuadratic(breaks, pieces[::-1])
     _check_profile(profile)
-    return VolumeProfile(profile, breaks[1], breaks[-1])
+    return profile
 
 
 def check_wall_range(alpha: Fraction, beta: Fraction, valid_range: Interval) -> None:
@@ -490,12 +542,12 @@ def _lagrange_quadratic(samples: list[tuple[Fraction, Fraction]]) -> Poly:
         term = Poly([vi])
         for j, (tj, _) in enumerate(samples):
             if j != i:
-                term = term * Poly([-tj / (ti - tj), 1 / (ti - tj)])
-        out = out + term
+                term = poly_mul(term, Poly([-tj / (ti - tj), 1 / (ti - tj)]))
+        out = poly_add(out, term)
     return out
 
 
-def toric_profile(mp: MomentPolygon) -> VolumeProfile:
+def toric_profile(mp: MomentPolygon) -> PiecewiseQuadratic:
     """vol(L - t v_w) sampled by clipping at both ends and the middle of each
     piece between vertex levels, with the quadratic through the samples."""
     w = mp.valuation_direction
@@ -506,4 +558,4 @@ def toric_profile(mp: MomentPolygon) -> VolumeProfile:
         _lagrange_quadratic([(t, _clipped_double_area(mp, m0 + t)) for t in (t0, (t0 + t1) / 2, t1)])
         for t0, t1 in zip(breaks, breaks[1:])
     ]
-    return VolumeProfile(PiecewiseQuadratic(breaks, pieces), breaks[1], breaks[-1])
+    return PiecewiseQuadratic(breaks, pieces)

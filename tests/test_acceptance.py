@@ -22,7 +22,7 @@ from kwall import acceptance, fixtures
 from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, mat3, polygon
 from kwall.toric_kps import CentroidCase
-from kwall.volumes import TwoRayModel, VolumeProfile, volume_toric, volume_two_ray
+from kwall.volumes import TwoRayModel, volume_toric, volume_two_ray
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -197,11 +197,10 @@ def _one_coefficient_changed(prof):
     """The profile with the t^2 coefficient of its last piece raised by 1.  Changing one coefficient
     breaks continuity at the breakpoint before it, so the piece is set past the constructor's check,
     as an engine that wrote one wrong coefficient into its pieces would return it."""
-    pq = prof.profile
-    bad = PiecewiseQuadratic(pq.breakpoints, pq.pieces)
-    last = pq.pieces[-1]
-    bad.pieces = pq.pieces[:-1] + (Poly([last.coeff(0), last.coeff(1), last.coeff(2) + 1]),)
-    return VolumeProfile(bad, prof.nef_threshold, prof.pseff_threshold)
+    bad = PiecewiseQuadratic(prof.breakpoints, prof.pieces)
+    last = prof.pieces[-1]
+    bad.pieces = prof.pieces[:-1] + (Poly([last.coeff(0), last.coeff(1), last.coeff(2) + 1]),)
+    return bad
 
 
 @pytest.mark.parametrize("engine", ["volume_two_ray", "volume_toric"])
@@ -215,7 +214,7 @@ def test_criterion_3_fails_on_an_engine_that_changes_one_coefficient(monkeypatch
 @pytest.mark.parametrize("name", sorted(acceptance._REFERENCE_PROFILES))
 def test_criterion_3_profiles_agree_with_the_printed_formulas_inside_their_support(name):
     # criterion 3 compares breakpoints and pieces; equal profiles then agree at every sample point
-    got = fixtures.VOLUME_FIXTURES[name].profile().profile
+    got = fixtures.VOLUME_FIXTURES[name].profile()
     ref = acceptance._REFERENCE_PROFILES[name]
     samples = oracles.sample_points(ref.breakpoints[-1])
     assert [oracles.piecewise_eval(got, t) for t in samples] == [oracles.piecewise_eval(ref, t) for t in samples]
@@ -225,7 +224,7 @@ def test_samples_can_miss_a_piece_that_the_comparison_of_pieces_sees():
     # no sample of a11irr falls in its last piece [12/5, 5/2): the one-coefficient mutant agrees with
     # the printed formula at all 20 samples, and criterion 3 still fails on it
     ref = acceptance._REFERENCE_PROFILES["a11irr"]
-    bad = _one_coefficient_changed(fixtures.VOLUME_FIXTURES["a11irr"].profile()).profile
+    bad = _one_coefficient_changed(fixtures.VOLUME_FIXTURES["a11irr"].profile())
     samples = oracles.sample_points(ref.breakpoints[-1])
     assert [oracles.piecewise_eval(bad, t) for t in samples] == [oracles.piecewise_eval(ref, t) for t in samples]
     assert bad != ref
@@ -233,9 +232,8 @@ def test_samples_can_miss_a_piece_that_the_comparison_of_pieces_sees():
 
 def _doubled(prof):
     """The profile with every piece doubled: still continuous, so still a valid PiecewiseQuadratic."""
-    pieces = [Poly([2 * c for c in p.coeffs]) for p in prof.profile.pieces]
-    return VolumeProfile(PiecewiseQuadratic(prof.profile.breakpoints, pieces), prof.nef_threshold,
-                         prof.pseff_threshold)
+    pieces = [Poly([2 * c for c in p.coeffs]) for p in prof.pieces]
+    return PiecewiseQuadratic(prof.breakpoints, pieces)
 
 
 def test_criterion_11_fails_on_a_two_ray_twin_with_doubled_pieces(monkeypatch):
@@ -276,9 +274,8 @@ def _doubled_widths(mp):
 def _doubled_depths(mp):
     # every slice moved to twice its depth: vol(t / 2), which leaves vol(L) unchanged and doubles S0
     prof = volume_toric(mp)
-    pieces = [Poly([c / 2**i for i, c in enumerate(p.coeffs)]) for p in prof.profile.pieces]
-    return VolumeProfile(PiecewiseQuadratic([2 * b for b in prof.profile.breakpoints], pieces),
-                         2 * prof.nef_threshold, 2 * prof.pseff_threshold)
+    pieces = [Poly([c / 2**i for i, c in enumerate(p.coeffs)]) for p in prof.pieces]
+    return PiecewiseQuadratic([2 * b for b in prof.breakpoints], pieces)
 
 
 @pytest.mark.parametrize("mutant,message", [

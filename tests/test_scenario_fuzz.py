@@ -49,6 +49,11 @@ NON_LATTICE_GENERATORS = [
 NOT_EFFECTIVE_CURVE = ("two-ray", {"name": "not-effective", "h2": "1", "e2": "1", "neg_curve": ["-1", "3"],
                                    "L": ["-1", "0"], "anti_k": ["3", "5"]})
 
+# the a12 model with L = E + 3 Cbar = 15H - 77E: big, as a positive combination of E and Cbar, but
+# (L^2) = -79/26, so not nef at t = 0; this was refused as "L is not big at t = 0"
+BIG_NOT_NEF = ("two-ray", {"name": "big-not-nef", "h2": "1", "e2": "1/26", "neg_curve": ["5", "26"],
+                           "L": ["15", "-77"], "anti_k": ["3", "5"]})
+
 # well-formed rationals at and around the edges of each field's range
 EDGE_RATIONALS = ["0", "-1", "1", "1/2", "-3/7", "7/3", "100", "-12"]
 scalars = st.one_of(
@@ -123,11 +128,15 @@ def test_non_lattice_generators_end_in_an_error_line(tmp_path, capsys, kind, pay
     assert "not a primitive integer vector" in captured.err
 
 
-def test_an_invalid_two_ray_geometry_ends_in_an_error_line(tmp_path, capsys):
-    kind, payload = NOT_EFFECTIVE_CURVE
+@pytest.mark.parametrize("kind,payload,message", [
+    (*NOT_EFFECTIVE_CURVE, "field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective"),
+    (*BIG_NOT_NEF, "field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
+                   "the engine has no Zariski decomposition there"),
+], ids=["not-effective", "big-not-nef"])
+def test_an_invalid_two_ray_geometry_ends_in_an_error_line(tmp_path, capsys, kind, payload, message):
     path = tmp_path / "two-ray.json"
     path.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
     code = cli.main(["volume", "--file", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
-    assert captured.err == "error: field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective\n"
+    assert captured.err == f"error: {message}\n"

@@ -15,7 +15,6 @@ from kwall.volumes import (
     ModelError,
     MomentPolygon,
     TwoRayModel,
-    VolumeProfile,
     s_invariant,
     volume_toric,
     volume_two_ray,
@@ -27,17 +26,17 @@ rng = random.Random(555321)
 def test_a12_profile_pieces():
     vf = fixtures.VOLUME_FIXTURES["a12"]
     prof = volume_two_ray(vf.model, vf.L)
-    assert prof.profile == PiecewiseQuadratic(
+    assert prof == PiecewiseQuadratic(
         [0, 5, F(26, 5)], [poly(1, 0, F(-1, 26)), poly(26, -10, F(25, 26))]
     )
-    assert (prof.nef_threshold, prof.pseff_threshold) == (5, F(26, 5))
+    assert (prof.breakpoints[1], prof.breakpoints[-1]) == (5, F(26, 5))
 
 
 def test_a11irr_profile_pieces():
     vf = fixtures.VOLUME_FIXTURES["a11irr"]
     prof = volume_two_ray(vf.model, vf.L)
     # ample until 12/5, then the square (5 - 2t)^2 down to 5/2
-    assert prof.profile == PiecewiseQuadratic(
+    assert prof == PiecewiseQuadratic(
         [0, F(12, 5), F(5, 2)], [poly(1, 0, F(-1, 6)), poly(25, -20, 4)]
     )
 
@@ -45,7 +44,7 @@ def test_a11irr_profile_pieces():
 def test_x26_profile_pieces():
     vf = fixtures.VOLUME_FIXTURES["x26"]
     prof = volume_two_ray(vf.model, vf.L)
-    assert prof.profile.breakpoints == (0, F(1, 25), F(26, 25))
+    assert prof.breakpoints == (0, F(1, 25), F(26, 25))
     assert prof(0) == F(1, 25)
     assert prof(F(1, 25)) == F(1, 25) - F(25, 26) / 625
     assert prof(1) == F(1, 26) * F(1, 625)
@@ -63,7 +62,7 @@ def test_volume_at_zero_is_selfintersection():
 def test_toric_p114_weights31():
     vf = fixtures.VOLUME_FIXTURES["p114-w31"]
     prof = volume_toric(vf.moment)
-    assert prof.profile == PiecewiseQuadratic(
+    assert prof == PiecewiseQuadratic(
         [0, 1, 3], [poly(F(1, 4), 0, F(-1, 12)), poly(F(3, 8), F(-1, 4), F(1, 24))]
     )
 
@@ -71,7 +70,7 @@ def test_toric_p114_weights31():
 def test_toric_p114_weights51():
     vf = fixtures.VOLUME_FIXTURES["p114-w51"]
     prof = volume_toric(vf.moment)
-    assert prof.profile == PiecewiseQuadratic(
+    assert prof == PiecewiseQuadratic(
         [0, 1, 5], [poly(F(1, 4), 0, F(-1, 20)), poly(F(5, 16), F(-1, 8), F(1, 80))]
     )
 
@@ -92,8 +91,8 @@ def test_engine_agreement_on_builtin_fixtures():
         vf = fixtures.VOLUME_FIXTURES[name]
         two = volume_two_ray(vf.model, vf.L)
         tor = volume_toric(vf.moment)
-        t_max = two.pseff_threshold
-        assert tor.pseff_threshold == t_max, name
+        t_max = two.breakpoints[-1]
+        assert tor.breakpoints[-1] == t_max, name
         for _ in range(20):
             t = t_max * F(rng.randint(0, 120), 120)
             assert two(t) == tor(t), (name, t)
@@ -102,7 +101,7 @@ def test_engine_agreement_on_builtin_fixtures():
 def test_profile_monotone_on_random_samples():
     for name, vf in fixtures.VOLUME_FIXTURES.items():
         prof = vf.profile()
-        t_max = prof.pseff_threshold
+        t_max = prof.breakpoints[-1]
         for _ in range(20):
             t1 = t_max * F(rng.randint(0, 100), 100)
             t2 = t_max * F(rng.randint(0, 100), 100)
@@ -119,7 +118,7 @@ def test_scaling_covariance():
         lam = F(rng.randint(1, 12), rng.randint(1, 12))
         scaled = volume_two_ray(vf.model, (vf.L[0] * lam, vf.L[1] * lam))
         for _ in range(10):
-            t = base.pseff_threshold * F(rng.randint(0, 50), 50)
+            t = base.breakpoints[-1] * F(rng.randint(0, 50), 50)
             assert scaled(lam * t) == lam * lam * base(t)
         assert s_invariant(scaled, vf.anti_k) == lam * s_invariant(base, vf.anti_k)
 
@@ -132,9 +131,9 @@ def test_valuation_scaling_covariance():
         mp = MomentPolygon(vf.moment.polygon, (vf.moment.valuation_direction[0] * lam,
                                                vf.moment.valuation_direction[1] * lam))
         scaled = volume_toric(mp)
-        assert scaled.pseff_threshold == lam * base.pseff_threshold
+        assert scaled.breakpoints[-1] == lam * base.breakpoints[-1]
         for _ in range(10):
-            t = base.pseff_threshold * F(rng.randint(0, 50), 50)
+            t = base.breakpoints[-1] * F(rng.randint(0, 50), 50)
             assert scaled(lam * t) == base(t)
         assert s_invariant(scaled, vf.anti_k) == lam * s_invariant(base, vf.anti_k)
 
@@ -143,8 +142,8 @@ def test_boundary_exactness_at_nef_threshold():
     for name in ("a12", "a11red", "a11irr", "a10", "x26"):
         vf = fixtures.VOLUME_FIXTURES[name]
         prof = volume_two_ray(vf.model, vf.L)
-        t_nef = prof.nef_threshold
-        p_nef, p_pos = prof.profile.pieces
+        t_nef = prof.breakpoints[1]
+        p_nef, p_pos = prof.pieces
         assert p_nef(t_nef) == p_pos(t_nef), name
 
 
@@ -161,8 +160,8 @@ def test_model_error_on_irrational_threshold():
 def test_negcurve_absent_sanity_case():
     vf = fixtures.VOLUME_FIXTURES["p114-quot"]
     prof = volume_two_ray(vf.model, vf.L)
-    assert prof.profile == PiecewiseQuadratic([0, F(1, 4)], [poly(F(1, 4), 0, -4)])
-    assert prof.nef_threshold == prof.pseff_threshold == F(1, 4)
+    assert prof == PiecewiseQuadratic([0, F(1, 4)], [poly(F(1, 4), 0, -4)])
+    assert prof.breakpoints[1] == prof.breakpoints[-1] == F(1, 4)
 
 
 def test_invalid_valuation_direction():
@@ -173,7 +172,7 @@ def test_invalid_valuation_direction():
 def test_s_invariant_examples():
     assert fixtures.VOLUME_FIXTURES["a12"].s0() == F(17, 5)
     assert fixtures.VOLUME_FIXTURES["x26"].s0() == F(9, 25)
-    tent = VolumeProfile(PiecewiseQuadratic([0, 1], [poly(1, -1)]), F(1), F(1))
+    tent = PiecewiseQuadratic([0, 1], [poly(1, -1)])
     assert s_invariant(tent, (F(1), F(0))) == F(1, 2)
 
 
@@ -195,14 +194,14 @@ def test_c2_zero_branch():
     tri = polygon([(0, 0), (2, 0), (0, 2)])
     mp = MomentPolygon(tri, (F(1), F(1)))
     tor = volume_toric(mp)
-    assert len(tor.profile.pieces) == 1
+    assert len(tor.pieces) == 1
     h2 = tor(0)
-    e = -tor.profile.pieces[0].coeff(2)
-    T = tor.pseff_threshold
+    e = -tor.pieces[0].coeff(2)
+    T = tor.breakpoints[-1]
     model = TwoRayModel(h2, e, F(0), (T * e, h2))
     assert model.pair((T * e, -h2), (T * e, -h2)) == 0
     two = volume_two_ray(model, (F(1), F(0)))
-    assert two.profile == tor.profile
+    assert two == tor
 
 
 @st.composite
@@ -239,8 +238,8 @@ def toric_valuations(draw, n):
 def test_slice_width_profile_matches_clip_oracle(n, data):
     mp = MomentPolygon(*data.draw(toric_valuations(n)))
     got, ref = volume_toric(mp), oracles.toric_profile(mp)
-    assert got.profile == ref.profile
-    assert (got.nef_threshold, got.pseff_threshold) == (ref.nef_threshold, ref.pseff_threshold)
+    assert got == ref
+    assert (got.breakpoints[1], got.breakpoints[-1]) == (ref.breakpoints[1], ref.breakpoints[-1])
 
 
 def test_slice_width_profile_on_a_flat_sided_polygon():
@@ -248,4 +247,4 @@ def test_slice_width_profile_on_a_flat_sided_polygon():
     square = polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
     for w in ((F(1), F(0)), (F(0), F(-1)), (F(-1), F(0)), (F(2), F(1))):
         mp = MomentPolygon(square, w)
-        assert volume_toric(mp).profile == oracles.toric_profile(mp).profile, w
+        assert volume_toric(mp) == oracles.toric_profile(mp), w

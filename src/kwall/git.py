@@ -9,7 +9,7 @@ nonpositive weight.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -62,8 +62,6 @@ def hm_weight_plane(curve: PlaneCurveSupport, lam: OnePS) -> Fraction:
     along lambda is zero and the curve is destabilized; any monomial of
     nonpositive weight blocks the direction.
     """
-    if len(lam.weights) != 3:
-        raise GitError("plane-curve 1-PS needs three weights")
     return -min(
         sum(Fraction(e) * w for e, w in zip(mon, lam.weights))
         for mon in sorted(curve.monomials)
@@ -212,11 +210,8 @@ def binary_system_stability(system: BinaryFormSystem) -> StabilityVerdict:
 def replay_certificate(system: BinaryFormSystem, cert: StabilityCertificate) -> list[Fraction]:
     """Recompute the combined weights a(2 ord - deg) + r j of an unstable certificate
     directly from the raw monomial data."""
-    for name, per_block in _candidate_orders(system):
-        if name == cert.candidate:
-            return [cert.a * (2 * order - deg) + cert.r * j
-                    for j, entries in per_block.items() for order, deg in entries]
-    raise GitError(f"certificate candidate {cert.candidate!r} not found in system")
+    per_block = dict(_candidate_orders(system))[cert.candidate]
+    return [cert.a * (2 * order - deg) + cert.r * j for j, entries in per_block.items() for order, deg in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +220,30 @@ def replay_certificate(system: BinaryFormSystem, cert: StabilityCertificate) -> 
 
 def cm_degree(n: int, d: int, c: Fraction) -> Fraction:
     """Degree (n+1) c (n+1 - cd)^n of the CM line bundle on the space of
-    degree-d hypersurfaces in P^n at coefficient c."""
+    degree-d hypersurfaces in P^n at coefficient c.
+
+    A value with more digits than an int converts to text
+    (``sys.get_int_max_str_digits()``, 0 for no limit) is refused before the
+    power is taken, from bit lengths alone.  With c = a/b and the base
+    n+1 - cd = p/q in lowest terms, the value's numerator is at least |p|^n / b
+    and its denominator at least q^n / ((n+1)|a|) when a != 0, and
+    2^(10k/3) > 10^k.
+    """
     if n < 1 or d < 1:
         raise GitError("dimension and degree must be positive")
     c = rat(c)
-    return (n + 1) * c * (n + 1 - c * d) ** n
-
-
-def cm_degree_poly(n: int, d: int) -> list[Fraction]:
-    """Coefficients of cm_degree(n, d, c) as a polynomial in c, lowest first."""
-    coeffs = [Fraction(0)] * (n + 2)
-    # (n+1) c sum_k binom(n,k) (n+1)^(n-k) (-d)^k c^k
-    for k in range(n + 1):
-        coeffs[k + 1] = (n + 1) * math.comb(n, k) * Fraction(n + 1) ** (n - k) * Fraction(-d) ** k
-    return coeffs
+    if c == 0:
+        return c
+    base = n + 1 - c * d
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before Python 3.10.7
+    bits = -(-10 * limit // 3)  # ceil(10 limit / 3)
+    for part, power_bits, cancel in (
+        ("numerator", abs(base.numerator).bit_length(), c.denominator),
+        ("denominator", base.denominator.bit_length(), (n + 1) * abs(c.numerator)),
+    ):
+        if limit and (power_bits - 1) * n >= cancel.bit_length() + bits:
+            raise GitError(f"value too large to print: its {part} has more than {limit} digits")
+    return (n + 1) * c * base ** n
 
 
 def cm_positivity_window(n: int, d: int):

@@ -12,7 +12,6 @@ O(n log n) integer operations for n monomials and builds one Fraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,20 +24,12 @@ class DomainError(KwallError):
 
 @dataclass(frozen=True)
 class CyclicQuot:
-    """Cyclic quotient point of type 1/n(a, b); n = 1 is a smooth point."""
+    """Cyclic quotient point of type 1/n(a, b); n = 1 is a smooth point.  Only
+    n enters the valuations; a and b name the action."""
 
     n: int
     a: int = 1
     b: int = 1
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("quotient order must be positive")
-        if self.n > 1:
-            object.__setattr__(self, "a", self.a % self.n)
-            object.__setattr__(self, "b", self.b % self.n)
-            if math.gcd(self.a, self.n) != 1:
-                raise DomainError("first action weight must be coprime to the order")
 
 
 SMOOTH_POINT = CyclicQuot(1)
@@ -62,10 +53,6 @@ class MonomialVal:
         w1, w2 = rat(self.weights[0]), rat(self.weights[1])
         object.__setattr__(self, "weights", (w1, w2))
         object.__setattr__(self, "scale", rat(self.scale))
-        if w1 <= 0 or w2 <= 0:
-            raise DomainError("monomial weights must be positive")
-        if self.scale <= 0:
-            raise DomainError("scale must be positive")
 
 
 @dataclass(frozen=True)
@@ -180,6 +167,4 @@ def delta_upper(A: Fraction, S0: Fraction, anti_k_scale: tuple[Fraction, Fractio
     """
     A, S0 = rat(A), rat(S0)
     alpha = rat(anti_k_scale[0])
-    if S0 <= 0:
-        raise DomainError("S0 must be positive")
     return A / (alpha * S0)

@@ -207,9 +207,8 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     hs = [x * w0 + y * w1 for x, y in zip(nums[::2], nums[1::2])]
     ss = [w0 * y - w1 * x for x, y in zip(nums[::2], nums[1::2])]
     n = len(hs)
+    # a non-degenerate polygon has vertices on two levels of any w != 0: at least two levels
     levels = sorted(set(hs))
-    if len(levels) < 2:
-        raise InvalidValuationError("valuation direction is constant on the polygon")
 
     def chain(i: int, step: int) -> list[tuple[int, int]]:
         # s at every level along the boundary chain that climbs from bottom vertex i, as (numerator, denominator)
@@ -257,11 +256,10 @@ def s_invariant(profile: PiecewiseQuadratic, anti_k_scale: tuple[Fraction, Fract
 
     With -K_X - cD ~ (alpha - beta c) L the expected vanishing order is
     S(c) = (alpha - beta c) S0; the affine function is assembled downstream.
+    Both engines give vol(L) > 0: the two-ray engine refuses (L^2) <= 0, and
+    the toric one starts at 2 area(P) of a non-degenerate polygon.
     """
     alpha, beta = rat(anti_k_scale[0]), rat(anti_k_scale[1])
     if alpha <= 0:
         raise ModelError("anti-canonical scale must be positive at c = 0")
-    v0 = profile(0)
-    if v0 <= 0:
-        raise ModelError("zero-volume polarization")
-    return integrate(profile, 0) / v0
+    return integrate(profile, 0) / profile(0)

@@ -70,6 +70,22 @@ def test_gate_fails_under_python_O_on_a_corrupted_fixture():
     assert "FAIL  criterion  3  volume profiles (both engines): CheckFailed: a12" in proc.stdout
 
 
+def test_criterion_2_fails_on_a_first_wall_case_with_a_wrong_s0(monkeypatch):
+    # walls.first_wall keeps no closed-form check of its own: criterion 2's comparison is the check
+    real = fixtures.first_wall_case
+    monkeypatch.setattr(fixtures, "first_wall_case", lambda d: dataclasses.replace(real(d), S0=real(d).S0 + F(1, 8)))
+    with pytest.raises(acceptance.CheckFailed, match="^d=4: "):
+        acceptance.criterion_2()
+
+
+def test_criterion_9_fails_on_a_cm_degree_with_one_coefficient_changed(monkeypatch):
+    real = acceptance.cm_degree
+    # the c^2 coefficient -18d raised by 1
+    monkeypatch.setattr(acceptance, "cm_degree", lambda n, d, c: real(n, d, c) + F(c) ** 2)
+    with pytest.raises(acceptance.CheckFailed, match="^d=3: "):
+        acceptance.criterion_9()
+
+
 def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
     # a "wall" that scales with S0: only the unscaled base case keeps its value
     monkeypatch.setattr(acceptance, "solve_wall", lambda case: SimpleNamespace(wall=case.S0))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -533,3 +534,16 @@ def test_a_value_too_large_to_print_ends_in_an_error_line():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1 and not proc.stdout
     assert proc.stderr.startswith("error: value too large to print")
+
+
+def test_cm_at_a_billion_decides_from_bit_lengths_before_taking_the_power():
+    # the base n + 1 - cd = 10^9: refused at once, before a power of 3 10^10 bits is taken
+    start = time.perf_counter()
+    assert run_cli("cm", "--n", "1000000000", "--degree", "5", "--coeff", "1/5") == (1, "")
+    assert time.perf_counter() - start < 1
+    # the base 1: the power is cheap at any n, and the value prints
+    code, out = run_cli("cm", "--n", "1000000000", "--degree", "5", "--coeff", "200000000")
+    assert code == 0 and "cm degree        : 200000000200000000\n" in out
+    # c = 0: the value 0, without the power of (n + 1)^n
+    code, out = run_cli("cm", "--n", "1000000000", "--degree", "5", "--coeff", "0")
+    assert code == 0 and "cm degree        : 0\n" in out

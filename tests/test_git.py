@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from kwall import fixtures
+from kwall.exact import KwallError, fmt
 from kwall.git import (
     BinaryFormSystem,
     GitError,
@@ -14,7 +16,6 @@ from kwall.git import (
     PlaneCurveSupport,
     binary_system_stability,
     cm_degree,
-    cm_degree_poly,
     cm_positivity_window,
     hm_weight_plane,
     replay_certificate,
@@ -172,8 +173,24 @@ def test_cm_degree_matches_expansion_oracle():
                 assert cm_degree(n, d, c) == _cm_oracle(n, d, c), (n, d, c)
 
 
-def test_cm_degree_poly_coefficients():
-    assert cm_degree_poly(2, 5) == [0, 27, -90, 75]
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int-to-str conversion has no digit limit")
+def test_cm_degree_refuses_only_values_too_large_to_print():
+    # near the limit on either side: a refused value is one that fmt cannot print either
+    limit, draw = sys.get_int_max_str_digits(), random.Random(4300)
+    draws = [(n, d, F(draw.randint(-40, 40), draw.randint(1, 40)))
+             for n, d in ((draw.randint(limit // 8, 3 * limit), draw.randint(1, 9)) for _ in range(40))]
+    refused = 0
+    for n, d, c in draws:
+        try:
+            value = cm_degree(n, d, c)
+        except GitError as exc:
+            refused += 1
+            assert str(exc).startswith("value too large to print: its ")
+            with pytest.raises(KwallError, match="^value too large to print"):
+                fmt((n + 1) * c * (n + 1 - c * d) ** n)
+        else:
+            assert value == (n + 1) * c * (n + 1 - c * d) ** n
+    assert 0 < refused < len(draws)
 
 
 def test_cm_positivity_window():

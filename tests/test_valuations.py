@@ -28,14 +28,6 @@ from kwall.valuations import (
 rng = random.Random(424242)
 
 
-def test_cyclic_quot_validation():
-    assert CyclicQuot(25, 27, 13).a == 2  # reduced mod n
-    with pytest.raises(DomainError):
-        CyclicQuot(0)
-    with pytest.raises(DomainError):
-        CyclicQuot(4, 2, 1)  # gcd(2, 4) != 1
-
-
 def test_log_discrepancy_examples():
     assert log_discrepancy(MonomialVal(SMOOTH_POINT, (13, 2))) == 15
     assert log_discrepancy(MonomialVal(CyclicQuot(25, 2, 13), (2, 13))) == F(3, 5)

@@ -159,8 +159,8 @@ def criterion_4() -> str:
         if profile(0) != 2 * area:
             raise CheckFailed(f"{name}: toric vol(L) = {profile(0)}, 2 area(P) = {2 * area}")
         s0 = v2_dot(b, w) - min(v2_dot(v, w) for v in polygon_.vertices)
-        if s_invariant(profile, vf.anti_k) != s0:
-            raise CheckFailed(f"{name}: toric S0 = {s_invariant(profile, vf.anti_k)}, barycenter S0 = {s0}")
+        if s_invariant(profile) != s0:
+            raise CheckFailed(f"{name}: toric S0 = {s_invariant(profile)}, barycenter S0 = {s0}")
     return "S0 = 17/5, 5/3, 49/30, 47/15; S(c) = (9/25)(15 - 25c)"
 
 

@@ -28,7 +28,6 @@ from .toric_kps import CentroidCase, solve_centroid_condition
 from .valuations import GermSupport, QuasiHomogGerm, index_bound, lct_newton, lct_quasihomog
 from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric
 from .walls import (
-    K_UNSTABLE,
     Interval,
     QuinticStratumPoint,
     WallCase,
@@ -143,13 +142,10 @@ def _wall_report(report: WallReport) -> dict:
             f"K-unstable for c {'>' if report.unstable_above else '<'} {fmt(report.wall)}; "
             f"necessary condition for K-semistability passes on the other side"
         )
+    elif report.unstable_below:  # no wall inside the range: both flags give the one sign of A - S there
+        out["verdict"] = "K-unstable on the whole range"
     else:
-        # no wall inside the range: A - S keeps one sign there
-        mid = (case.valid_range.lo + case.valid_range.hi) / 2
-        if report.verdict(mid) == K_UNSTABLE:
-            out["verdict"] = "K-unstable on the whole range"
-        else:
-            out["verdict"] = "necessary condition passes on the whole range"
+        out["verdict"] = "necessary condition passes on the whole range"
     return out
 
 
@@ -175,7 +171,7 @@ def _volume_report(vf: fixtures.VolumeFixture) -> dict:
         "pieces": _profile_rows(profile),
     }
     if vf.anti_k is not None:
-        out["S0"] = fmt(s_invariant(profile, vf.anti_k))
+        out["S0"] = fmt(s_invariant(profile))
     if vf.model is not None and vf.moment is not None:
         same = volume_toric(vf.moment) == profile
         out["toric cross-check"] = "identical profile" if same else "DISAGREES"
@@ -252,6 +248,8 @@ def _stratum_report(coords: tuple[Fraction, ...]) -> dict:
 def _volume_input(payload: dict, model: TwoRayModel | None, L, moment: MomentPolygon | None) -> fixtures.VolumeFixture:
     anti = payload.get("anti_k")
     anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
+    if anti_k is not None and anti_k[0] <= 0:
+        raise SchemaError("field 'anti_k': anti-canonical scale must be positive at c = 0")
     return fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment,
                                   anti_k=anti_k, provenance="")
 
@@ -275,6 +273,8 @@ def run_scenario(kind: str, payload: dict) -> dict:
     if kind == "wall-case":
         rng = payload.get("range")
         lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)
+        if lo == hi:  # a scenario range is open
+            raise SchemaError(f"field 'range': range ({fmt(lo)}, {fmt(hi)}) is empty")
         return _wall_report(solve_wall(WallCase(
             name=_name(payload),
             A0=_as_rat(_need(payload, "A0"), "A0"),

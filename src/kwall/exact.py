@@ -84,17 +84,6 @@ def fmt(q: Fraction) -> str:
                          f"{q.denominator.bit_length()}-bit denominator") from None
 
 
-def rational_sqrt(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # vectors
 # ---------------------------------------------------------------------------
@@ -251,17 +240,10 @@ class PiecewiseQuadratic:
         return "PiecewiseQuadratic{" + ", ".join(parts) + "}"
 
 
-def integrate(f: PiecewiseQuadratic, start) -> Fraction:
-    """Exact integral of f over [start, oo); finite because support is bounded."""
-    start = rat(start)
-    if start < f.breakpoints[0]:
-        raise StructuralError("integration start below domain start")
-    total = Fraction(0)
-    for a, b, p in zip(f.breakpoints, f.breakpoints[1:], f.pieces):
-        lo = max(a, start)
-        if lo < b:
-            total += p.integral(lo, b)
-    return total
+def integrate(f: PiecewiseQuadratic) -> Fraction:
+    """Exact integral of f over its domain [t0, oo); finite because support is bounded."""
+    pieces = zip(f.breakpoints, f.breakpoints[1:], f.pieces)
+    return sum((p.integral(a, b) for a, b, p in pieces), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

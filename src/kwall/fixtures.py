@@ -2,9 +2,10 @@
 
 Every fixture stores raw input data (intersection numbers, moment polygons,
 valuation weights, germ supports, cone data) plus *annotations*: the values
-the computation is expected to reproduce, with a provenance note.  The
-annotations are compared against engine output in the verification suite and
-are never returned as answers.
+the computation is expected to reproduce, with a provenance note.  The tests
+compare the annotations with engine output, and criterion 5 of the
+verification checklist reads the printed centroid vectors; no annotation is
+ever returned as an answer.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class VolumeFixture:
         return volume_toric(self.moment)
 
     def s0(self) -> Fraction:
-        return s_invariant(self.profile(), self.anti_k)
+        return s_invariant(self.profile())
 
 
 def _p114_polygon():
@@ -225,7 +226,6 @@ class WallFixture:
             alpha=vf.anti_k[0],
             beta=vf.anti_k[1],
             valid_range=self.valid_range,
-            provenance=self.provenance,
         )
 
 
@@ -372,7 +372,6 @@ def first_wall_case(d: int) -> WallCase:
         alpha=F(6),
         beta=F(2 * d),
         valid_range=Interval(F(0), F(3, d)),
-        provenance="quotient-point valuation on the quadric cone against the conic degeneration",
     )
 
 
@@ -642,25 +641,21 @@ class BinaryFixture:
     name: str
     system: BinaryFormSystem
     provenance: str
-    expected: str
 
 
 BINARY_FIXTURES: dict[str, BinaryFixture] = {
     "quartic-binary-unstable": BinaryFixture(
         "quartic-binary-unstable",
         BinaryFormSystem("even", 4, {2: frozenset({(5, 3)})}),
-        "octic x^5 y^3: a root of multiplicity 5 > 4",
-        "unstable"),
+        "octic x^5 y^3: a root of multiplicity 5 > 4"),
     "quartic-binary-ss": BinaryFixture(
         "quartic-binary-ss",
         BinaryFormSystem("even", 4, {2: frozenset({(4, 4)})}),
-        "octic x^4 y^4: torus-fixed with weight hull {0}",
-        "strictly-semistable"),
+        "octic x^4 y^4: torus-fixed with weight hull {0}"),
     "quintic-binary-f6": BinaryFixture(
         "quintic-binary-f6",
         BinaryFormSystem("odd", 5, {1: frozenset({(6, 0), (0, 6)})}),
-        "restricted degree-6 block x^6 + y^6: weights {6, -6}",
-        "stable"),
+        "restricted degree-6 block x^6 + y^6: weights {6, -6}"),
 }
 
 
@@ -670,7 +665,6 @@ class PlaneGitFixture:
     curve: PlaneCurveSupport
     one_ps: OnePS
     provenance: str
-    expected: Fraction
 
 
 PLANE_GIT_FIXTURES: dict[str, PlaneGitFixture] = {
@@ -678,14 +672,12 @@ PLANE_GIT_FIXTURES: dict[str, PlaneGitFixture] = {
         "q5-double-conic-line",
         PlaneCurveSupport(5, frozenset({(2, 2, 1), (1, 1, 3), (0, 0, 5)})),
         OnePS((-1, 1, 0)),
-        "z(xy - z^2)^2: fixed by the diagonal torus",
-        F(0)),
+        "z(xy - z^2)^2: fixed by the diagonal torus"),
     "xy4-destabilized": PlaneGitFixture(
         "xy4-destabilized",
         PlaneCurveSupport(5, frozenset({(1, 4, 0)})),
         OnePS((-1, 2, -1)),
-        "monomial quintic x y^4 destabilized by (-1, 2, -1)",
-        F(-7)),
+        "monomial quintic x y^4 destabilized by (-1, 2, -1)"),
 }
 
 

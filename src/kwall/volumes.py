@@ -1,8 +1,8 @@
 """Volume profiles t -> vol(L - t v) on surfaces, by two independent engines.
 
 The intersection-theoretic engine works on a two-ray model of the Mori cone
-(nef part, then the Zariski positive part orthogonal to the unique negative
-curve).  The toric engine measures the width of the moment polygon's slice at
+(nef part, then the Zariski positive part orthogonal to the cone's second
+ray).  The toric engine measures the width of the moment polygon's slice at
 each vertex level of the valuation; the width is linear in between, so the
 profile is a closed-form quadratic per piece.  Both return the same exact
 piecewise-quadratic profile on every shared fixture, which is the main
@@ -16,6 +16,7 @@ thresholds (one and the same when the profile has one piece).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -29,7 +30,6 @@ from .exact import (
     _cleared,
     integrate,
     rat,
-    rational_sqrt,
 )
 
 
@@ -48,8 +48,12 @@ class TwoRayModel:
 
     h2 = (H^2) > 0, e2 = -(E^2) > 0 stored as a positive magnitude,
     cross = H.E (normally 0).  neg_curve = (a, b) declares the effective class
-    Cbar = a H - b E generating the second ray; absent means the cone is
-    generated by E and a nef class (sanity cases only).
+    Cbar = a H - b E generating the second ray.  Absent, the second ray is the
+    boundary of the positive cone on the side of H: with (h2, cross, e2)
+    cleared to the integers (h, x, e) over k and r^2 = x^2 + h e, it is the
+    isotropic class R = e H - (r - x) E, which has (R^2) = 0,
+    H.R = r (r - x) / k > 0 and E.R = r e / k > 0, and it becomes neg_curve.
+    A model whose R is irrational is refused.
     """
 
     h2: Fraction
@@ -72,7 +76,12 @@ class TwoRayModel:
             raise ModelError("(H^2) must be positive")
         if self.e2 <= 0:
             raise ModelError("-(E^2) must be positive")
-        if self.neg_curve is not None:
+        if self.neg_curve is None:
+            r = math.isqrt(x * x + h * e)
+            if r * r != x * x + h * e:
+                raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
+            object.__setattr__(self, "neg_curve", (Fraction(e), Fraction(r - x)))
+        else:
             a, b = self.neg_curve
             if self.pair((a, -b), (a, -b)) > 0:
                 raise ModelError("declared negative curve has (Cbar^2) > 0")
@@ -117,77 +126,64 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
     """Profile of vol(L - tE) by Zariski decomposition on a two-ray surface.
 
     For t up to the nef threshold the volume is (L - tE)^2; past it the
-    positive part is taken orthogonal to the negative curve.
+    positive part is taken orthogonal to the second ray Cbar (the declared
+    curve, or the model's isotropic class R).
 
     L is big exactly when it lies inside the pseudoeffective cone: a positive
-    combination of E and Cbar, or with no curve (where (L^2) > 0 is checked
-    first) in the positive cone on the side of H, L.H > 0.  (L^2) > 0 is
-    checked first with a curve too: a big L with (L^2) <= 0 is not nef at
-    t = 0, where the engine has no Zariski decomposition, and is refused as such.
+    combination of E and Cbar.  (L^2) > 0 is checked first: a big L with
+    (L^2) <= 0 is not nef at t = 0, where the engine has no Zariski
+    decomposition, and is refused as such.
 
     The pairing on span(H, E) is nondegenerate of signature (1, 1), so the
-    profile needs no checks of its own but these.  With no curve the threshold
-    is positive whenever vol(L) > 0.  The model has E.Cbar > 0, so L - tE
-    meets Cbar at one t, and writing L = lambda E + mu Cbar with lambda, mu > 0
-    gives t_nef = lambda + mu (Cbar^2) / E.Cbar <= lambda.  An isotropic Cbar
-    is orthogonal only to its own multiples, so vol vanishes at t_nef = lambda,
-    where L - tE meets it.  Otherwise (Cbar^2) < 0 makes Cbar^perp a positive
-    line, so the positive part is kappa (t - t_max)^2 with kappa > 0 (its t^2
-    coefficient is the Gram determinant of E and Cbar, negative because they
-    are independent), and it vanishes at t_max = lambda > t_nef, where L - tE
-    is a multiple of Cbar.  The nef piece is concave and the positive part
-    falls to its root, so the profile is non-increasing exactly when its slope
-    at t = 0, -2 L.E, is not positive.
+    profile needs no checks of its own but these.  The model has E.Cbar > 0,
+    so L - tE meets Cbar at one t, and writing L = lambda E + mu Cbar with
+    lambda, mu > 0 gives t_nef = lambda + mu (Cbar^2) / E.Cbar <= lambda.  An
+    isotropic Cbar is orthogonal only to its own multiples, so vol vanishes at
+    t_nef = lambda, where L - tE meets it.  Otherwise (Cbar^2) < 0 makes
+    Cbar^perp a positive line, so the positive part is kappa (t - t_max)^2
+    with kappa > 0 (its t^2 coefficient is the Gram determinant of E and Cbar,
+    negative because they are independent), and it vanishes at
+    t_max = lambda > t_nef, where L - tE is a multiple of Cbar.  The nef piece
+    is concave and the positive part falls to its root, so the profile is
+    non-increasing exactly when its slope at t = 0, -2 L.E, is not positive.
     """
     (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
     h, x, e, k = model._form
+    (a, b), m = _cleared(model.neg_curve)
     # (L - tE) = (cH, cE - t) with cH = lh / l, cE = le / l: B(L-tE, L-tE) = n0 / (k l^2) + n1 / (k l) t - e / k t^2
     n0 = lh * lh * h + 2 * lh * le * x - le * le * e
     n1 = 2 * (le * e - lh * x)
     pieces = [Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)])]
+    # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
+    # lambda = (lh b + le a) / (a l)
     if n0 <= 0:
-        if model.neg_curve is not None:
-            # lambda > 0 and mu > 0 (below) put L inside the cone of E and Cbar: big, but not nef
-            (a, b), _ = _cleared(model.neg_curve)
-            if lh * a > 0 and (lh * b + le * a) * a > 0:
-                raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
-                                 "the engine has no Zariski decomposition there")
+        # lambda > 0 and mu > 0 put L inside the cone of E and Cbar: big, but not nef
+        if lh * a > 0 and (lh * b + le * a) * a > 0:
+            raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
+                             "the engine has no Zariski decomposition there")
         raise ModelError("L is not big at t = 0")
-
-    if model.neg_curve is None:
-        # L.H = (lh h + le x) / (k l)
-        if lh * h + le * x <= 0:
-            raise ModelError("field 'L': L.H <= 0, so L is not big")
-        # the positive root of the nef piece, (n1 + sqrt(n1^2 + 4 e n0)) / (2 e l)
-        root = rational_sqrt(Fraction(n1 * n1 + 4 * e * n0))
-        if root is None:
-            raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
-        breaks = [Fraction(0), (n1 + root) / (2 * e * l)]
-    else:
-        (a, b), m = _cleared(model.neg_curve)
-        # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
-        # lambda = (lh b + le a) / (a l).  (L^2) > 0 puts L in one half of the positive cone, and the
-        # cone of E and Cbar, pointed since a != 0, holds one half whole and misses the other, so
-        # lambda and mu share their sign: L is a positive combination exactly when mu > 0
-        if lh * a <= 0:
-            raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
-        # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2),
-        # and q1 = -k m E.Cbar < 0
-        q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
-        q1 = -(a * x + b * e)
-        if q0 < 0:
-            raise ModelError("L meets the negative curve negatively at t = 0")
-        c2 = a * a * h - 2 * a * b * x - b * b * e
-        breaks = [Fraction(0), Fraction(-q0, l * q1)]
-        if breaks[1] <= 0:
-            raise ModelError("nef threshold must be positive")
-        if c2 != 0:
-            # the positive part (L - tE)^2 - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
-            p0 = n0 * c2 - q0 * q0
-            p1 = n1 * c2 - 2 * q0 * q1
-            p2 = -(e * c2 + q1 * q1)
-            breaks.append(Fraction(-p1, 2 * l * p2))
-            pieces.append(Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)]))
+    # (L^2) > 0 puts L in one half of the positive cone, and the cone of E and Cbar, pointed since
+    # a != 0, holds one half whole and misses the other, so lambda and mu share their sign: L is a
+    # positive combination exactly when mu > 0
+    if lh * a <= 0:
+        raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
+    # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2),
+    # and q1 = -k m E.Cbar < 0
+    q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
+    q1 = -(a * x + b * e)
+    if q0 < 0:
+        raise ModelError("L meets the negative curve negatively at t = 0")
+    c2 = a * a * h - 2 * a * b * x - b * b * e
+    breaks = [Fraction(0), Fraction(-q0, l * q1)]
+    if breaks[1] <= 0:
+        raise ModelError("nef threshold must be positive")
+    if c2 != 0:
+        # the positive part (L - tE)^2 - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
+        p0 = n0 * c2 - q0 * q0
+        p1 = n1 * c2 - 2 * q0 * q1
+        p2 = -(e * c2 + q1 * q1)
+        breaks.append(Fraction(-p1, 2 * l * p2))
+        pieces.append(Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)]))
     if n1 > 0:
         # L.E < 0: the volume grows at t = 0
         raise ModelError("volume profile is not non-increasing")
@@ -251,7 +247,7 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     return PiecewiseQuadratic(breaks, pieces[::-1])
 
 
-def s_invariant(profile: PiecewiseQuadratic, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:
+def s_invariant(profile: PiecewiseQuadratic) -> Fraction:
     """S0 = integral of the profile divided by vol(L).
 
     With -K_X - cD ~ (alpha - beta c) L the expected vanishing order is
@@ -259,7 +255,4 @@ def s_invariant(profile: PiecewiseQuadratic, anti_k_scale: tuple[Fraction, Fract
     Both engines give vol(L) > 0: the two-ray engine refuses (L^2) <= 0, and
     the toric one starts at 2 area(P) of a non-degenerate polygon.
     """
-    alpha, beta = rat(anti_k_scale[0]), rat(anti_k_scale[1])
-    if alpha <= 0:
-        raise ModelError("anti-canonical scale must be positive at c = 0")
-    return integrate(profile, 0) / profile(0)
+    return integrate(profile) / profile(0)

@@ -55,7 +55,6 @@ class WallCase:
     alpha: Fraction
     beta: Fraction
     valid_range: Interval
-    provenance: str = ""
     # (A0, ordD, S0, alpha, beta) cleared over one positive denominator s, as (a0, od, s0, al, be, s):
     # what the range checks and solve_wall read
     _form: tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
@@ -72,35 +71,18 @@ class WallCase:
         if al * hi.denominator - be * hi.numerator < 0:
             raise WallError("anti-canonical degree must stay nonnegative on the range")
 
-    def A(self, c) -> Fraction:
-        return self.A0 - rat(c) * self.ordD
-
-    def S(self, c) -> Fraction:
-        return (self.alpha - self.beta * rat(c)) * self.S0
-
-    def margin(self, c) -> Fraction:
-        return self.A(c) - self.S(c)
-
-
-NECESSARY_PASS = "necessary-condition-passed"
-K_UNSTABLE = "K-unstable"
-
 
 @dataclass(frozen=True)
 class WallReport:
-    """Solved wall data.  ``wall`` is the crossing inside the valid range (None
-    when there is none there); unstable_below/above refer to the sides of the
-    solved crossing.  ``verdict`` is the authoritative per-coefficient call."""
+    """Solved wall data.  ``wall`` is the crossing inside the valid range, and
+    unstable_below/above say whether A < S on each side of it; with no wall
+    in the range A - S keeps one sign there, and both flags give it."""
 
     case: WallCase
     wall: Optional[Fraction]
     unstable_below: bool
     unstable_above: bool
     degenerate: bool = False
-
-    def verdict(self, c) -> str:
-        """A < S proves K-instability; the other side only passes a necessary condition."""
-        return K_UNSTABLE if self.case.margin(c) < 0 else NECESSARY_PASS
 
 
 def solve_wall(case: WallCase) -> WallReport:
@@ -114,17 +96,12 @@ def solve_wall(case: WallCase) -> WallReport:
     slope = be * s0 - od * s  # s^2 times d(margin)/dc
     if slope == 0 and const == 0:
         return WallReport(case, None, False, False, degenerate=True)
-    if slope == 0:
-        unstable = const < 0
-        return WallReport(case, None, unstable, unstable)
-    cstar = Fraction(-const, slope)
-    in_range = cstar in case.valid_range
-    return WallReport(
-        case,
-        cstar if in_range else None,
-        unstable_below=slope > 0,
-        unstable_above=slope < 0,
-    )
+    if slope != 0 and (cstar := Fraction(-const, slope)) in case.valid_range:
+        return WallReport(case, cstar, unstable_below=slope > 0, unstable_above=slope < 0)
+    # no root in the range: the margin keeps the sign it has at the midpoint p / q, (const q + slope p) / (q s^2)
+    mid = (case.valid_range.lo + case.valid_range.hi) / 2
+    unstable = const * mid.denominator + slope * mid.numerator < 0
+    return WallReport(case, None, unstable, unstable)
 
 
 @dataclass(frozen=True)

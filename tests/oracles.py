@@ -9,7 +9,13 @@ three times per piece and fitting the quadratic through the samples.
 
 The library's wall solver reads the sign and the root of A - S off a
 ``WallCase`` cleared over one denominator; ``solve_wall`` and
-``check_wall_range`` here are its ``Fraction`` references.
+``check_wall_range`` here are its ``Fraction`` references, and ``margin`` is
+A - S at one coefficient, which the wall tests read.
+
+The library's two-ray model takes the isotropic class as its second ray when
+no curve is declared; ``volume_two_ray`` here reads the surface data as given
+and, with no curve, takes the threshold at the root of (L - tE)^2 = 0 through
+``rational_sqrt``.
 
 The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
@@ -40,6 +46,7 @@ the tests evaluate whole profiles.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from typing import Sequence
@@ -57,7 +64,6 @@ from kwall.exact import (
     clip,
     mat3,
     rat,
-    rational_sqrt,
     vec3,
 )
 from kwall.toric_kps import CentroidCase, ConeError
@@ -67,7 +73,6 @@ from kwall.volumes import (
     InvalidValuationError,
     ModelError,
     MomentPolygon,
-    TwoRayModel,
 )
 
 
@@ -290,13 +295,22 @@ def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
     return area, (cx / (3 * twice_area), cy / (3 * twice_area))
 
 
-def pair(model: TwoRayModel, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
-    """The intersection pairing over the model's Fraction fields."""
-    return (
-        v[0] * w[0] * model.h2
-        + (v[0] * w[1] + v[1] * w[0]) * model.cross
-        - v[1] * w[1] * model.e2
-    )
+def pair(form: tuple[Fraction, Fraction, Fraction], v: tuple[Fraction, Fraction],
+         w: tuple[Fraction, Fraction]) -> Fraction:
+    """The intersection pairing of xH + yE classes over Fractions, for the form (h2, e2, cross)."""
+    h2, e2, cross = form
+    return v[0] * w[0] * h2 + (v[0] * w[1] + v[1] * w[0]) * cross - v[1] * w[1] * e2
+
+
+def rational_sqrt(q: Fraction) -> Fraction | None:
+    """Exact square root of a nonnegative rational, or None if irrational."""
+    if q < 0:
+        return None
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
 
 
 def _check_profile(profile: PiecewiseQuadratic) -> None:
@@ -310,49 +324,59 @@ def _check_profile(profile: PiecewiseQuadratic) -> None:
         raise ModelError("volume profile does not vanish at the pseudoeffective threshold")
 
 
-def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
-    """Zariski decomposition with Poly products, scalar multiples and differences."""
+def volume_two_ray(h2: Fraction, e2: Fraction, cross: Fraction, neg_curve: tuple[Fraction, Fraction] | None,
+                   L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
+    """Zariski decomposition with Poly products, scalar multiples and differences, on the
+    surface data as given.  With no curve, the pseudoeffective threshold is the larger root
+    of (L - tE)^2 = 0; its discriminant is 4 cH^2 (cross^2 + h2 e2), so it is rational for
+    every big L exactly when cross^2 + h2 e2 is a square."""
+    form = (h2, e2, cross)
     cH, cE = rat(L[0]), rat(L[1])
     vol_nef = Poly(
         [
-            cH * cH * model.h2 + 2 * cH * cE * model.cross - cE * cE * model.e2,
-            -2 * cH * model.cross + 2 * cE * model.e2,
-            -model.e2,
+            cH * cH * h2 + 2 * cH * cE * cross - cE * cE * e2,
+            -2 * cH * cross + 2 * cE * e2,
+            -e2,
         ]
     )
+    if neg_curve is None:
+        if rational_sqrt(cross * cross + h2 * e2) is None:
+            raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
+        disc = vol_nef.coeff(1) ** 2 - 4 * vol_nef.coeff(2) * vol_nef.coeff(0)
+        t_max = (-vol_nef.coeff(1) - rational_sqrt(disc)) / (2 * vol_nef.coeff(2))
     vol0 = vol_nef(0)
     if vol0 <= 0:
-        if model.neg_curve is not None:
-            a, b = model.neg_curve
+        if neg_curve is not None:
+            a, b = neg_curve
             # L = lam E + mu Cbar = (mu a, lam - mu b) with lam, mu > 0 is big
-            if a != 0 and cH / a > 0 and cE + cH / a * b > 0:
-                raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
-                                 "the engine has no Zariski decomposition there")
+            big = a != 0 and cH / a > 0 and cE + cH / a * b > 0
+        else:
+            # L = lam E + mu R for the isotropic R on the side of H: mu > 0 exactly when cH > 0,
+            # and then (L - tE)^2 = 0 at t = lam and at a smaller t
+            big = cH > 0 and t_max > 0
+        if big:
+            raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
+                             "the engine has no Zariski decomposition there")
         raise ModelError("L is not big at t = 0")
 
-    if model.neg_curve is None:
-        if pair(model, (cH, cE), (Fraction(1), Fraction(0))) <= 0:
-            raise ModelError("field 'L': L.H <= 0, so L is not big")
-        disc = vol_nef.coeff(1) ** 2 - 4 * vol_nef.coeff(2) * vol_nef.coeff(0)
-        root = rational_sqrt(disc)
-        if root is None:
-            raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
-        t_max = (-vol_nef.coeff(1) - root) / (2 * vol_nef.coeff(2))
+    if neg_curve is None:
+        if pair(form, (cH, cE), (Fraction(1), Fraction(0))) <= 0:
+            raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
         if t_max <= 0:
             raise ModelError("no positive pseudoeffective threshold")
         profile = PiecewiseQuadratic([Fraction(0), t_max], [vol_nef])
         _check_profile(profile)
         return profile
 
-    a, b = model.neg_curve
+    a, b = neg_curve
     # L = lam E + mu Cbar = (mu a, lam - mu b)
     if a == 0 or cH / a <= 0 or cE + cH / a * b <= 0:
         raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
-    q0 = pair(model, (cH, cE), (a, -b))
-    q1 = -pair(model, (Fraction(0), Fraction(1)), (a, -b))
+    q0 = pair(form, (cH, cE), (a, -b))
+    q1 = -pair(form, (Fraction(0), Fraction(1)), (a, -b))
     if q0 < 0:
         raise ModelError("L meets the negative curve negatively at t = 0")
-    c2 = pair(model, (a, -b), (a, -b))
+    c2 = pair(form, (a, -b), (a, -b))
     if q1 == 0:
         raise ModelError("E does not pair with the negative curve; model is not two-ray")
     t_nef = -q0 / q1
@@ -431,22 +455,23 @@ def check_wall_range(alpha: Fraction, beta: Fraction, valid_range: Interval) -> 
         raise WallError("anti-canonical degree must stay nonnegative on the range")
 
 
+def margin(case: WallCase, c) -> Fraction:
+    """A(c) - S(c) on the case's Fraction fields."""
+    c = rat(c)
+    return case.A0 - c * case.ordD - (case.alpha - case.beta * c) * case.S0
+
+
 def solve_wall(case: WallCase) -> WallReport:
-    """A(c) = S(c) solved on the case's Fraction fields."""
-    const = case.A0 - case.alpha * case.S0  # margin at c = 0
+    """A(c) = S(c) solved on the case's Fraction fields; with no root in the range, both
+    sides take the sign of the margin at the range's midpoint."""
+    const = margin(case, 0)
     slope = case.beta * case.S0 - case.ordD  # d(margin)/dc
     if slope == 0 and const == 0:
         return WallReport(case, None, False, False, degenerate=True)
-    if slope == 0:
-        unstable = const < 0
-        return WallReport(case, None, unstable, unstable)
-    cstar = -const / slope
-    return WallReport(
-        case,
-        cstar if cstar in case.valid_range else None,
-        unstable_below=slope > 0,
-        unstable_above=slope < 0,
-    )
+    if slope != 0 and (cstar := -const / slope) in case.valid_range:
+        return WallReport(case, cstar, unstable_below=slope > 0, unstable_above=slope < 0)
+    unstable = margin(case, (case.valid_range.lo + case.valid_range.hi) / 2) < 0
+    return WallReport(case, None, unstable, unstable)
 
 
 # ---------------------------------------------------------------------------

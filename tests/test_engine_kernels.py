@@ -20,6 +20,12 @@ _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 moment_polygons = st.integers(3, 64).flatmap(toric_valuations).map(lambda pw: MomentPolygon(*pw))
 
 
+def test_rational_sqrt():
+    assert oracles.rational_sqrt(F(9, 16)) == F(3, 4)
+    assert oracles.rational_sqrt(F(2)) is None
+    assert oracles.rational_sqrt(F(0)) == 0
+
+
 @_PROPERTY
 @given(mp=moment_polygons)
 def test_volume_toric_equals_its_reference(mp):
@@ -34,7 +40,7 @@ def test_toric_s0_is_the_barycenter_form(mp):
     w = mp.valuation_direction
     profile = volume_toric(mp)
     assert profile(0) == 2 * area
-    assert s_invariant(profile, (F(1), F(0))) == v2_dot(b, w) - min(v2_dot(v, w) for v in mp.polygon.vertices)
+    assert s_invariant(profile) == v2_dot(b, w) - min(v2_dot(v, w) for v in mp.polygon.vertices)
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -106,16 +112,24 @@ def two_ray_inputs(draw):
 @example(args=(F(1), F(1), F(0), (F(1), F(1)), (F(1), F(0))))  # (Cbar^2) = 0
 @example(args=(F(3, 4), F(3, 4), F(1), None, (F(2, 3), F(1, 4))))  # no curve, cross != 0
 def test_volume_two_ray_equals_its_reference(args):
+    # the reference gets the drawn data, not the model's isotropic ray: with no curve it takes its
+    # threshold at the root of (L - tE)^2 = 0
     h2, e2, cross, neg, L = args
     try:
         model = TwoRayModel(h2, e2, cross, neg)
-    except ModelError:
-        return  # the model's own checks are shared by both engines
-    assert model.pair(L, L) == oracles.pair(model, L, L)
+    except ModelError as exc:
+        if neg is None and h2 > 0 and e2 > 0:
+            # an irrational isotropic ray, which the reference refuses for every L
+            with pytest.raises(ModelError) as ref:
+                oracles.volume_two_ray(h2, e2, cross, neg, L)
+            assert str(ref.value) == str(exc)
+        return  # the model's checks of its form and of a declared curve are shared by both engines
+    form = (h2, e2, cross)
+    assert model.pair(L, L) == oracles.pair(form, L, L)
     if neg is not None:
-        assert model.pair(L, neg) == oracles.pair(model, L, neg)
+        assert model.pair(L, neg) == oracles.pair(form, L, neg)
     try:
-        ref = oracles.volume_two_ray(model, L)
+        ref = oracles.volume_two_ray(h2, e2, cross, neg, L)
     except ModelError as exc:
         with pytest.raises(ModelError) as got:
             volume_two_ray(model, L)
@@ -141,4 +155,4 @@ def test_the_model_squares_the_declared_curve_cbar():
     model = TwoRayModel(F(1), F(1, 2), F(1), (F(1), F(1, 2)))  # (Cbar^2) = -1/8
     profile = volume_two_ray(model, (F(1), F(0)))
     assert len(profile.pieces) == 2
-    assert profile == oracles.volume_two_ray(model, (F(1), F(0)))
+    assert profile == oracles.volume_two_ray(F(1), F(1, 2), F(1), (F(1), F(1, 2)), (F(1), F(0)))

@@ -21,7 +21,6 @@ from kwall.exact import (
     polygon,
     rat,
     solve_linear3,
-    rational_sqrt,
 )
 
 rng = random.Random(987123)
@@ -65,12 +64,6 @@ def test_integer_accepts_signed_ascii_digits():
     assert [integer("0"), integer("+7"), integer("-013"), integer("20")] == [0, 7, -13, 20]
 
 
-def test_rational_sqrt():
-    assert rational_sqrt(F(9, 16)) == F(3, 4)
-    assert rational_sqrt(F(2)) is None
-    assert rational_sqrt(F(0)) == 0
-
-
 def test_poly_eval_and_arith():
     p = poly(1, 0, F(-1, 26))
     assert p(0) == 1
@@ -95,24 +88,22 @@ A12_PROFILE = PiecewiseQuadratic(
 
 def test_integrate_a12_pieces():
     # 1 - t^2/26 on [0,5], then (26-5t)^2/26 up to 26/5
-    assert integrate(A12_PROFILE, 0) == F(17, 5)
+    assert integrate(A12_PROFILE) == F(17, 5)
 
 
 def test_integrate_a11red_pieces():
     f = PiecewiseQuadratic([0, 2, 3], [poly(1, 0, F(-1, 6)), poly(3, -2, F(1, 3))])
-    assert integrate(f, 0) == F(5, 3)
+    assert integrate(f) == F(5, 3)
 
 
 def test_integrate_zero_function():
     f = PiecewiseQuadratic([0, 1], [Poly([])])
-    assert integrate(f, 0) == 0
+    assert integrate(f) == 0
 
 
-def test_integrate_from_midpoint():
-    f = PiecewiseQuadratic([0, 1], [poly(1)])
-    assert integrate(f, F(1, 2)) == F(1, 2)
-    with pytest.raises(StructuralError):
-        integrate(f, -1)
+def test_integrate_from_domain_start():
+    f = PiecewiseQuadratic([F(1, 2), 1], [poly(1)])
+    assert integrate(f) == F(1, 2)
 
 
 def test_piecewise_validation():
@@ -152,7 +143,7 @@ def test_integrate_linearity_on_matched_grids():
             bps, [oracles.poly_add(oracles.poly_mul(pf, al), oracles.poly_mul(pg, be))
                   for pf, pg in zip(f.pieces, g.pieces)]
         )
-        assert integrate(combo, bps[0]) == al * integrate(f, bps[0]) + be * integrate(g, bps[0])
+        assert integrate(combo) == al * integrate(f) + be * integrate(g)
 
 
 def test_integrate_against_midpoint_refinement():
@@ -174,7 +165,7 @@ def test_integrate_against_midpoint_refinement():
             h = (b - a) / m
             total_mid += sum(piece(a + h * (k + F(1, 2))) * h for k in range(m))
             total_bound += abs(piece.coeff(2)) * (b - a) * h * h / 12
-        assert abs(integrate(f, bps[0]) - total_mid) <= total_bound
+        assert abs(integrate(f) - total_mid) <= total_bound
 
 
 UNIT_SQUARE = polygon([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -22,7 +22,8 @@ tests compare raise for raise with ``tests/oracles.py``.  No raise is exempt.
 
 ``INVALID`` holds an invocation for each reachable raise in scope, with the
 exact error line it prints; the CLI snapshot pins those of the unknown-fixture
-raises.
+raises.  It also pins the lines of the ``exact`` raises that a scenario file
+reaches through a rational field or a moment polygon.
 """
 
 from __future__ import annotations
@@ -161,11 +162,13 @@ INVALID: list[tuple[list[str], object, str]] = [
      "field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E"),
     (*_file("volume", "two-ray", {**_A12, "e2": "1", "neg_curve": ["0", "1"]}),
      "field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E"),
-    # volumes: the two-ray engine, with no curve and then with Cbar = H - 2E on h2 = e2 = 1
+    # volumes: the two-ray engine, with no curve (its second ray the isotropic class: R = H - E on
+    # h2 = e2 = 1, irrational on h2 = 2) and then with Cbar = H - 2E on h2 = e2 = 1
     (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["0", "1"]}), "L is not big at t = 0"),
     (*_file("volume", "two-ray", {**_A12, "L": ["15", "-77"]}),
      "field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; the engine has no Zariski decomposition there"),
-    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["-2", "1"]}), "field 'L': L.H <= 0, so L is not big"),
+    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["-2", "1"]}),
+     "field 'L': L is not a positive combination of E and Cbar, so it is not big"),
     (*_file("volume", "two-ray", {"h2": "2", "e2": "1", "L": ["1", "0"]}),
      "pseudoeffective threshold is irrational; supply the negative curve"),
     (*_file("volume", "two-ray", {**_A12, "L": ["-1", "0"]}),
@@ -175,7 +178,8 @@ INVALID: list[tuple[list[str], object, str]] = [
     (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "neg_curve": ["1", "2"], "L": ["2", "-1"]}),
      "nef threshold must be positive"),
     (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["2", "1"]}), "volume profile is not non-increasing"),
-    (*_file("volume", "two-ray", {**_A12, "anti_k": ["0", "5"]}), "anti-canonical scale must be positive at c = 0"),
+    (*_file("volume", "two-ray", {**_A12, "anti_k": ["0", "5"]}),
+     "field 'anti_k': anti-canonical scale must be positive at c = 0"),
     # volumes: the moment polygon
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["1", "0"], ["2", "0"]], "w": ["1", "2"]}),
      "moment polygon must be non-degenerate"),
@@ -185,11 +189,24 @@ INVALID: list[tuple[list[str], object, str]] = [
     (["first-wall", "--degree", "3"], None, "degrees below 4 are out of scope"),
     (*_file("wall", "wall-case", {**_WALL, "range": ["1/2", "1/4"]}),
      "range (1/2, 1/4) is inverted: its low end exceeds its high end"),
+    (*_file("wall", "wall-case", {**_WALL, "range": ["1/2", "1/2"]}), "field 'range': range (1/2, 1/2) is empty"),
     (*_file("wall", "wall-case", {**_WALL, "alpha": "0"}),
      "anti-canonical degree must be positive at the low end of the range"),
     (*_file("wall", "wall-case", {**_WALL, "alpha": "1"}), "anti-canonical degree must stay nonnegative on the range"),
     (["stratum", "--coords", "1,2,3"], None, "stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]"),
     (["stratum", "--coords", "0,0"], None, "stratum point cannot be the zero vector"),
+    # exact: rationals, and the vertex cycle of a moment polygon
+    (*_file("volume", "two-ray", {**_A12, "h2": True}),
+     "field 'h2': rationals must be 'p/q' strings or integers, got True"),
+    (*_file("volume", "two-ray", {**_A12, "h2": ["1"]}), "field 'h2': expected a rational, got list"),
+    (*_file("volume", "toric", {"polygon": [["0", "0"], ["4", "0"], ["2", "0"], ["4", "4"], ["0", "4"]],
+                                "w": ["1", "2"]}),
+     "vertex cycle is not simple: it turns back on itself"),
+    (*_file("volume", "toric", {"polygon": [["0", "0"], ["4", "0"], ["1", "1"], ["0", "4"]], "w": ["1", "2"]}),
+     "vertex list is not strictly convex"),
+    (*_file("volume", "toric", {"polygon": [["0", "0"], ["2", "4"], ["4", "16"], ["1", "1"], ["3", "9"]],
+                                "w": ["1", "2"]}),
+     "vertex cycle is not simple: its edges wind around more than once"),
 ]
 
 _PROBE = """

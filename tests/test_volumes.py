@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwall import fixtures
+from kwall import cli, fixtures
 from kwall.exact import PiecewiseQuadratic, poly, polygon
 from kwall.volumes import (
     InvalidValuationError,
@@ -120,7 +120,7 @@ def test_scaling_covariance():
         for _ in range(10):
             t = base.breakpoints[-1] * F(rng.randint(0, 50), 50)
             assert scaled(lam * t) == lam * lam * base(t)
-        assert s_invariant(scaled, vf.anti_k) == lam * s_invariant(base, vf.anti_k)
+        assert s_invariant(scaled) == lam * s_invariant(base)
 
 
 def test_valuation_scaling_covariance():
@@ -135,7 +135,7 @@ def test_valuation_scaling_covariance():
         for _ in range(10):
             t = base.breakpoints[-1] * F(rng.randint(0, 50), 50)
             assert scaled(lam * t) == base(t)
-        assert s_invariant(scaled, vf.anti_k) == lam * s_invariant(base, vf.anti_k)
+        assert s_invariant(scaled) == lam * s_invariant(base)
 
 
 def test_boundary_exactness_at_nef_threshold():
@@ -153,12 +153,15 @@ def test_model_error_on_positive_square():
 
 
 def test_model_error_on_irrational_threshold():
-    with pytest.raises(ModelError):
-        volume_two_ray(TwoRayModel(F(2), F(1), F(0), None), (F(1), F(0)))
+    # with no curve the second ray is the isotropic class, irrational here: x^2 + h e = 2 is not a square
+    with pytest.raises(ModelError, match="^pseudoeffective threshold is irrational"):
+        TwoRayModel(F(2), F(1), F(0), None)
 
 
 def test_negcurve_absent_sanity_case():
     vf = fixtures.VOLUME_FIXTURES["p114-quot"]
+    # (1/4, 0, 4) clears to (h, x, e) = (1, 0, 16) over k = 4: r = 4 and R = 16H - 4E
+    assert vf.model.neg_curve == (16, 4)
     prof = volume_two_ray(vf.model, vf.L)
     assert prof == PiecewiseQuadratic([0, F(1, 4)], [poly(F(1, 4), 0, -4)])
     assert prof.breakpoints[1] == prof.breakpoints[-1] == F(1, 4)
@@ -173,7 +176,7 @@ def test_s_invariant_examples():
     assert fixtures.VOLUME_FIXTURES["a12"].s0() == F(17, 5)
     assert fixtures.VOLUME_FIXTURES["x26"].s0() == F(9, 25)
     tent = PiecewiseQuadratic([0, 1], [poly(1, -1)])
-    assert s_invariant(tent, (F(1), F(0))) == F(1, 2)
+    assert s_invariant(tent) == F(1, 2)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.VOLUME_FIXTURES))
@@ -182,10 +185,10 @@ def test_every_volume_fixture_reproduces_its_annotated_s0(name):
     assert vf.s0() == vf.expected["S0"]
 
 
-def test_s_invariant_rejects_zero_volume():
-    prof = fixtures.VOLUME_FIXTURES["a12"].profile()
-    with pytest.raises(ModelError):
-        s_invariant(prof, (F(0), F(1)))
+def test_a_volume_scenario_rejects_a_nonpositive_anti_canonical_scale():
+    payload = {"h2": "1", "e2": "1/26", "neg_curve": ["5", "26"], "L": ["1", "0"], "anti_k": ["0", "1"]}
+    with pytest.raises(cli.SchemaError, match="^field 'anti_k': anti-canonical scale must be positive at c = 0$"):
+        cli.run_scenario("two-ray", payload)
 
 
 def test_c2_zero_branch():

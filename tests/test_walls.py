@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 from kwall import cli, fixtures
 from kwall.walls import (
     Interval,
-    K_UNSTABLE,
-    NECESSARY_PASS,
     QuinticStratumPoint,
     WallCase,
     WallError,
@@ -33,11 +31,12 @@ QUINTIC_RANGE = Interval(F(0), F(3, 5))
 
 
 def test_solve_wall_a12():
-    rep = solve_wall(fixtures.wall_case("a12"))
+    case = fixtures.wall_case("a12")
+    rep = solve_wall(case)
     assert rep.wall == F(8, 15)
     assert rep.unstable_above and not rep.unstable_below
-    assert rep.verdict(F(1, 2)) == NECESSARY_PASS
-    assert rep.verdict(F(11, 20)) == K_UNSTABLE
+    assert oracles.margin(case, F(1, 2)) >= 0
+    assert oracles.margin(case, F(11, 20)) < 0
 
 
 def test_solve_wall_a11red():
@@ -49,10 +48,11 @@ def test_solve_wall_a10():
 
 
 def test_solve_wall_p114_weights51_unstable_everywhere():
-    rep = solve_wall(fixtures.wall_case("p114-nondeg"))
-    assert rep.wall is None
+    case = fixtures.wall_case("p114-nondeg")
+    rep = solve_wall(case)
+    assert rep.wall is None and rep.unstable_below and rep.unstable_above
     for c in (F(1, 100), F(1, 3), F(3, 5) - F(1, 100)):
-        assert rep.verdict(c) == K_UNSTABLE
+        assert oracles.margin(case, c) < 0
 
 
 def test_solve_wall_degenerate_case():
@@ -65,7 +65,7 @@ def test_solve_wall_constant_margin():
     case = WallCase("flat", F(2), F(5), F(1), F(3), F(5), QUINTIC_RANGE)
     rep = solve_wall(case)  # A - S = -1 identically
     assert rep.wall is None and rep.unstable_above and rep.unstable_below
-    assert rep.verdict(F(1, 2)) == "K-unstable"
+    assert oracles.margin(case, F(1, 2)) < 0
 
 
 def test_wall_case_rejects_nonpositive_antikanonical_degree():
@@ -122,14 +122,27 @@ def test_integer_wall_solver_equals_its_reference(args):
     assert solve_wall(case) == oracles.solve_wall(case)
 
 
+@pytest.mark.parametrize("name", sorted(fixtures.WALL_FIXTURES))
+def test_wall_fixture_annotations_are_the_solved_walls(name):
+    # 'above' and 'below' name the unstable side of the wall; 'everywhere' is no wall in the range
+    # and A < S on all of it
+    expected = fixtures.WALL_FIXTURES[name].expected
+    rep = solve_wall(fixtures.wall_case(name))
+    side = {(False, True): "above", (True, False): "below"}.get((rep.unstable_below, rep.unstable_above))
+    if expected["unstable"] == "everywhere":
+        assert rep.wall is None and rep.unstable_below and rep.unstable_above
+    else:
+        assert (rep.wall, side) == (expected["wall"], expected["unstable"])
+
+
 def test_wall_bracketing():
     eps = F(1, 1000)
     for name in ("a12", "a11red", "a11irr", "a10"):
         case = fixtures.wall_case(name)
         rep = solve_wall(case)
-        assert case.margin(rep.wall) == 0
-        assert case.margin(rep.wall - eps) > 0
-        assert case.margin(rep.wall + eps) < 0
+        assert oracles.margin(case, rep.wall) == 0
+        assert oracles.margin(case, rep.wall - eps) > 0
+        assert oracles.margin(case, rep.wall + eps) < 0
 
 
 def test_wall_scale_invariance():
@@ -265,7 +278,7 @@ def test_wall_invariant_under_valuation_normalization():
         "p114-deg-divisorial",
         A0=log_discrepancy(val),
         ordD=ord_on_germ(val, g),
-        S0=s_invariant(prof, (F(6), F(10))),
+        S0=s_invariant(prof),
         alpha=F(6),
         beta=F(10),
         valid_range=QUINTIC_RANGE,

@@ -161,12 +161,18 @@ def _volume_report(vf: fixtures.VolumeFixture) -> dict:
     """Profile by the primary engine, S0 from that profile, and the toric
     cross-check when both engines apply."""
     profile = vf.profile()
+    # the toric engine breaks a profile at 0, then the nef threshold; a two-ray L is nef when it meets
+    # E and Cbar nonnegatively, and its nef threshold is then where L - tE meets Cbar
+    nef = fmt(profile.breakpoints[1])
+    if vf.model is not None:
+        model, (a, b) = vf.model, vf.model.neg_curve
+        l_e, l_c = model.pair(vf.L, (F(0), F(1))), model.pair(vf.L, (a, -b))
+        nef = fmt(l_c / model.pair((F(0), F(1)), (a, -b))) if l_e >= 0 and l_c >= 0 else "none (L is not nef)"
     out = {
         "fixture": vf.name,
         "engine": "two-ray" if vf.model is not None else "toric",
         "vol(L)": fmt(profile(0)),
-        # both engines break a profile at 0, then the nef threshold, ..., last the pseudoeffective threshold
-        "nef threshold": fmt(profile.breakpoints[1]),
+        "nef threshold": nef,
         "pseudoeffective threshold": fmt(profile.breakpoints[-1]),
         "pieces": _profile_rows(profile),
     }

@@ -1,17 +1,19 @@
 """Volume profiles t -> vol(L - t v) on surfaces, by two independent engines.
 
 The intersection-theoretic engine works on a two-ray model of the Mori cone
-(nef part, then the Zariski positive part orthogonal to the cone's second
-ray).  The toric engine measures the width of the moment polygon's slice at
-each vertex level of the valuation; the width is linear in between, so the
-profile is a closed-form quadratic per piece.  Both return the same exact
-piecewise-quadratic profile on every shared fixture, which is the main
-cross-check of the toolkit.
+and walks the Zariski chambers of L - tE (E in the negative part, nef, the
+cone's second ray in the negative part).  The toric engine measures the width
+of the moment polygon's slice at each vertex level of the valuation; the
+width is linear in between, so the profile is a closed-form quadratic per
+piece.  Both return the same exact piecewise-quadratic profile on every
+shared fixture, which is the main cross-check of the toolkit.
 
 A profile is the ``PiecewiseQuadratic`` itself.  Both engines start it at
-t = 0 and end it at the pseudoeffective threshold, and the first breakpoint
-past 0 is the nef threshold: breakpoints[1] and breakpoints[-1] are the two
-thresholds (one and the same when the profile has one piece).
+t = 0 and end it at the pseudoeffective threshold, breakpoints[-1].
+breakpoints[1] is the nef threshold only for a nef L, and for a two-ray L
+only when L.Cbar > 0: a big L that is not nef has no nef threshold, and its
+profile opens with a constant piece or with its positive part, as does that
+of an L with L.Cbar = 0, whose nef threshold is 0.
 """
 
 from __future__ import annotations
@@ -73,18 +75,18 @@ class TwoRayModel:
         (h, x, e), k = _cleared((self.h2, self.cross, self.e2))
         object.__setattr__(self, "_form", (h, x, e, k))
         if self.h2 <= 0:
-            raise ModelError("(H^2) must be positive")
+            raise ModelError("field 'h2': (H^2) must be positive")
         if self.e2 <= 0:
-            raise ModelError("-(E^2) must be positive")
+            raise ModelError("field 'e2': -(E^2) must be positive")
         if self.neg_curve is None:
             r = math.isqrt(x * x + h * e)
             if r * r != x * x + h * e:
-                raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
+                raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
             object.__setattr__(self, "neg_curve", (Fraction(e), Fraction(r - x)))
         else:
             a, b = self.neg_curve
             if self.pair((a, -b), (a, -b)) > 0:
-                raise ModelError("declared negative curve has (Cbar^2) > 0")
+                raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
             # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
             # polarization H nonnegatively and E positively, and is no multiple of E
             if a * self.h2 - b * self.cross < 0:
@@ -117,76 +119,59 @@ class MomentPolygon:
         w = (rat(self.valuation_direction[0]), rat(self.valuation_direction[1]))
         object.__setattr__(self, "valuation_direction", w)
         if self.polygon.is_degenerate:
-            raise ModelError("moment polygon must be non-degenerate")
+            raise ModelError("field 'polygon': moment polygon must be non-degenerate")
         if w == (Fraction(0), Fraction(0)):
-            raise InvalidValuationError("valuation direction must be nonzero")
+            raise InvalidValuationError("field 'w': valuation direction must be nonzero")
 
 
 def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
-    """Profile of vol(L - tE) by Zariski decomposition on a two-ray surface.
+    """Profile of vol(L - tE) = (P^2), P the Zariski positive part, on a two-ray surface.
 
-    For t up to the nef threshold the volume is (L - tE)^2; past it the
-    positive part is taken orthogonal to the second ray Cbar (the declared
-    curve, or the model's isotropic class R).
-
-    L is big exactly when it lies inside the pseudoeffective cone: a positive
-    combination of E and Cbar.  (L^2) > 0 is checked first: a big L with
-    (L^2) <= 0 is not nef at t = 0, where the engine has no Zariski
-    decomposition, and is refused as such.
-
-    The pairing on span(H, E) is nondegenerate of signature (1, 1), so the
-    profile needs no checks of its own but these.  The model has E.Cbar > 0,
-    so L - tE meets Cbar at one t, and writing L = lambda E + mu Cbar with
-    lambda, mu > 0 gives t_nef = lambda + mu (Cbar^2) / E.Cbar <= lambda.  An
-    isotropic Cbar is orthogonal only to its own multiples, so vol vanishes at
-    t_nef = lambda, where L - tE meets it.  Otherwise (Cbar^2) < 0 makes
-    Cbar^perp a positive line, so the positive part is kappa (t - t_max)^2
-    with kappa > 0 (its t^2 coefficient is the Gram determinant of E and Cbar,
-    negative because they are independent), and it vanishes at
-    t_max = lambda > t_nef, where L - tE is a multiple of Cbar.  The nef piece
-    is concave and the positive part falls to its root, so the profile is
-    non-increasing exactly when its slope at t = 0, -2 L.E, is not positive.
+    L must be big: L = lambda E + mu Cbar with lambda, mu > 0, where Cbar spans
+    the second ray (the declared curve, or the model's isotropic class R).  On
+    Picard rank 2, vol(D) = (P^2) (Bauer-Kuronya-Szemberg), and L - tE for t in
+    [0, lambda] crosses at most three chambers, in this order, as D.E grows and
+    D.Cbar falls with t:
+    - E in the negative part up to t_E, where (L - tE).E = 0: P = L - t_E E,
+      a constant piece;
+    - nef up to t_nef, where (L - tE).Cbar = 0: (L - tE)^2, empty when t_nef <= 0;
+    - Cbar in the negative part up to lambda, where L - tE = mu Cbar: P is
+      orthogonal to Cbar, kappa (t - lambda)^2 with kappa > 0.  An isotropic
+      Cbar is orthogonal only to its own multiples, so then t_nef = lambda.
+    The pairing has signature (1, 1), so no big D meets both E and Cbar
+    negatively (the Gram determinant of E and Cbar would be positive): t_E < t_nef.
     """
     (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
     h, x, e, k = model._form
     (a, b), m = _cleared(model.neg_curve)
+    # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
+    # lambda = (lh b + le a) / (a l)
+    if lh * a <= 0 or (lh * b + le * a) * a <= 0:
+        raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
     # (L - tE) = (cH, cE - t) with cH = lh / l, cE = le / l: B(L-tE, L-tE) = n0 / (k l^2) + n1 / (k l) t - e / k t^2
     n0 = lh * lh * h + 2 * lh * le * x - le * le * e
     n1 = 2 * (le * e - lh * x)
-    pieces = [Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)])]
-    # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
-    # lambda = (lh b + le a) / (a l)
-    if n0 <= 0:
-        # lambda > 0 and mu > 0 put L inside the cone of E and Cbar: big, but not nef
-        if lh * a > 0 and (lh * b + le * a) * a > 0:
-            raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
-                             "the engine has no Zariski decomposition there")
-        raise ModelError("L is not big at t = 0")
-    # (L^2) > 0 puts L in one half of the positive cone, and the cone of E and Cbar, pointed since
-    # a != 0, holds one half whole and misses the other, so lambda and mu share their sign: L is a
-    # positive combination exactly when mu > 0
-    if lh * a <= 0:
-        raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
+    breaks, pieces = [Fraction(0)], []
+    if n1 > 0:
+        # L.E < 0: the slope -2 (L - tE).E vanishes at t_E = n1 / (2 l e)
+        breaks.append(Fraction(n1, 2 * l * e))
+        pieces.append(Poly([Fraction(4 * e * n0 + n1 * n1, 4 * e * k * l * l)]))
     # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2),
     # and q1 = -k m E.Cbar < 0
     q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
     q1 = -(a * x + b * e)
-    if q0 < 0:
-        raise ModelError("L meets the negative curve negatively at t = 0")
+    t_nef = Fraction(-q0, l * q1)
+    if t_nef > 0:
+        breaks.append(t_nef)
+        pieces.append(Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)]))
     c2 = a * a * h - 2 * a * b * x - b * b * e
-    breaks = [Fraction(0), Fraction(-q0, l * q1)]
-    if breaks[1] <= 0:
-        raise ModelError("nef threshold must be positive")
     if c2 != 0:
         # the positive part (L - tE)^2 - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
         p0 = n0 * c2 - q0 * q0
         p1 = n1 * c2 - 2 * q0 * q1
         p2 = -(e * c2 + q1 * q1)
-        breaks.append(Fraction(-p1, 2 * l * p2))
+        breaks.append(Fraction(lh * b + le * a, a * l))
         pieces.append(Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)]))
-    if n1 > 0:
-        # L.E < 0: the volume grows at t = 0
-        raise ModelError("volume profile is not non-increasing")
     return PiecewiseQuadratic(breaks, pieces)
 
 
@@ -252,7 +237,8 @@ def s_invariant(profile: PiecewiseQuadratic) -> Fraction:
 
     With -K_X - cD ~ (alpha - beta c) L the expected vanishing order is
     S(c) = (alpha - beta c) S0; the affine function is assembled downstream.
-    Both engines give vol(L) > 0: the two-ray engine refuses (L^2) <= 0, and
-    the toric one starts at 2 area(P) of a non-degenerate polygon.
+    Both engines give vol(L) > 0: for the two-ray engine vol(L) = (P_0^2) > 0
+    for the positive part P_0 of every big L, and the toric one starts at
+    2 area(P) of a non-degenerate polygon.
     """
     return integrate(profile) / profile(0)

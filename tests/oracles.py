@@ -14,8 +14,10 @@ A - S at one coefficient, which the wall tests read.
 
 The library's two-ray model takes the isotropic class as its second ray when
 no curve is declared; ``volume_two_ray`` here reads the surface data as given
-and, with no curve, takes the threshold at the root of (L - tE)^2 = 0 through
-``rational_sqrt``.
+and, with no curve, takes its second ray through the larger root of
+(L - tE)^2 = 0, found with ``rational_sqrt``.  Both walk the Zariski chambers
+of L - tE as a whole; ``zariski_volume`` is the pointwise reference, Zariski's
+algorithm at one class.
 
 The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
@@ -318,18 +320,16 @@ def _check_profile(profile: PiecewiseQuadratic) -> None:
     and zero at the last breakpoint; the library engines hold both by construction."""
     for a, b, p in zip(profile.breakpoints, profile.breakpoints[1:], profile.pieces):
         dp = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
-        if poly_eval(dp, a) > 0 or poly_eval(dp, b) > 0:
-            raise ModelError("volume profile is not non-increasing")
-    if profile.pieces and poly_eval(profile.pieces[-1], profile.breakpoints[-1]) != 0:
-        raise ModelError("volume profile does not vanish at the pseudoeffective threshold")
+        assert poly_eval(dp, a) <= 0 and poly_eval(dp, b) <= 0, "a volume piece increases"
+    assert poly_eval(profile.pieces[-1], profile.breakpoints[-1]) == 0, "the volume does not vanish at t_max"
 
 
 def volume_two_ray(h2: Fraction, e2: Fraction, cross: Fraction, neg_curve: tuple[Fraction, Fraction] | None,
                    L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
-    """Zariski decomposition with Poly products, scalar multiples and differences, on the
-    surface data as given.  With no curve, the pseudoeffective threshold is the larger root
-    of (L - tE)^2 = 0; its discriminant is 4 cH^2 (cross^2 + h2 e2), so it is rational for
-    every big L exactly when cross^2 + h2 e2 is a square."""
+    """Zariski chambers with Poly products, scalar multiples and differences, on the
+    surface data as given.  With no curve, the second ray is spanned by L - t_max E for the
+    larger root t_max of (L - tE)^2 = 0; its discriminant is 4 cH^2 (cross^2 + h2 e2), so it
+    is rational for every big L exactly when cross^2 + h2 e2 is a square."""
     form = (h2, e2, cross)
     cH, cE = rat(L[0]), rat(L[1])
     vol_nef = Poly(
@@ -341,72 +341,59 @@ def volume_two_ray(h2: Fraction, e2: Fraction, cross: Fraction, neg_curve: tuple
     )
     if neg_curve is None:
         if rational_sqrt(cross * cross + h2 * e2) is None:
-            raise ModelError("pseudoeffective threshold is irrational; supply the negative curve")
+            raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
         disc = vol_nef.coeff(1) ** 2 - 4 * vol_nef.coeff(2) * vol_nef.coeff(0)
         t_max = (-vol_nef.coeff(1) - rational_sqrt(disc)) / (2 * vol_nef.coeff(2))
-    vol0 = vol_nef(0)
-    if vol0 <= 0:
-        if neg_curve is not None:
-            a, b = neg_curve
-            # L = lam E + mu Cbar = (mu a, lam - mu b) with lam, mu > 0 is big
-            big = a != 0 and cH / a > 0 and cE + cH / a * b > 0
-        else:
-            # L = lam E + mu R for the isotropic R on the side of H: mu > 0 exactly when cH > 0,
-            # and then (L - tE)^2 = 0 at t = lam and at a smaller t
-            big = cH > 0 and t_max > 0
-        if big:
-            raise ModelError("field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
-                             "the engine has no Zariski decomposition there")
-        raise ModelError("L is not big at t = 0")
-
-    if neg_curve is None:
-        if pair(form, (cH, cE), (Fraction(1), Fraction(0))) <= 0:
-            raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
-        if t_max <= 0:
-            raise ModelError("no positive pseudoeffective threshold")
-        profile = PiecewiseQuadratic([Fraction(0), t_max], [vol_nef])
-        _check_profile(profile)
-        return profile
-
+        # cH (L - t_max E), with a = cH^2: for cH > 0 the isotropic ray on the side of H, and for cH <= 0
+        # (L then no positive combination of E and that ray) refused by the test below
+        neg_curve = (cH * cH, cH * (t_max - cE))
     a, b = neg_curve
     # L = lam E + mu Cbar = (mu a, lam - mu b)
     if a == 0 or cH / a <= 0 or cE + cH / a * b <= 0:
         raise ModelError("field 'L': L is not a positive combination of E and Cbar, so it is not big")
+    lam = cE + cH / a * b
+    # the slope -2 (L - tE).E of (L - tE)^2 vanishes at t_E, and (L - tE).Cbar = q0 + q1 t at t_nef
+    t_e = -vol_nef.coeff(1) / (2 * vol_nef.coeff(2))
     q0 = pair(form, (cH, cE), (a, -b))
     q1 = -pair(form, (Fraction(0), Fraction(1)), (a, -b))
-    if q0 < 0:
-        raise ModelError("L meets the negative curve negatively at t = 0")
     c2 = pair(form, (a, -b), (a, -b))
-    if q1 == 0:
-        raise ModelError("E does not pair with the negative curve; model is not two-ray")
-    t_nef = -q0 / q1
-    if t_nef <= 0:
-        raise ModelError("nef threshold must be positive")
-
-    if c2 == 0:
-        if vol_nef(t_nef) != 0:
-            raise ModelError("(Cbar^2) = 0 but vol does not vanish at the nef threshold")
-        profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
-        _check_profile(profile)
-        return profile
-
-    q = Poly([q0, q1])
-    vol_pos = poly_sub(vol_nef, poly_mul(poly_mul(q, q), 1 / c2))
-    if len(vol_pos.coeffs) != 3:
-        raise ModelError("degenerate positive-part branch")
-    p0, p1, p2 = vol_pos.coeffs
-    if p1 * p1 - 4 * p2 * p0 != 0:
-        raise ModelError("positive-part branch is not a perfect square")
-    t_max = -p1 / (2 * p2)
-    if t_max < t_nef:
-        raise ModelError("nef threshold must not exceed the pseudoeffective threshold")
-    if t_max == t_nef:
-        profile = PiecewiseQuadratic([Fraction(0), t_nef], [vol_nef])
-        _check_profile(profile)
-        return profile
-    profile = PiecewiseQuadratic([Fraction(0), t_nef, t_max], [vol_nef, vol_pos])
+    breaks, pieces = [Fraction(0)], []
+    if t_e > 0:
+        breaks.append(t_e)
+        pieces.append(Poly([poly_eval(vol_nef, t_e)]))
+    if -q0 / q1 > breaks[-1]:
+        breaks.append(-q0 / q1)
+        pieces.append(vol_nef)
+    if c2 != 0:
+        q = Poly([q0, q1])
+        breaks.append(lam)
+        pieces.append(poly_sub(vol_nef, poly_mul(poly_mul(q, q), 1 / c2)))
+    profile = PiecewiseQuadratic(breaks, pieces)
     _check_profile(profile)
+    assert profile.breakpoints[-1] == lam, "the profile does not end where L - tE leaves the cone"
     return profile
+
+
+def zariski_volume(form: tuple[Fraction, Fraction, Fraction], neg_curve: tuple[Fraction, Fraction],
+                   D: tuple[Fraction, Fraction]) -> Fraction:
+    """vol(D) = (P^2) for the positive part P of D on the surface whose Mori cone is spanned
+    by E and Cbar = aH - bE, by Zariski's algorithm at one class: while P meets E or Cbar
+    negatively, add that curve to the support N, then solve P.C = 0 for C in N with
+    P = D - sum over N of x_C C.  On rank 2, P orthogonal to both curves is 0."""
+    curves = [(Fraction(0), Fraction(1)), (rat(neg_curve[0]), -rat(neg_curve[1]))]
+    D = (rat(D[0]), rat(D[1]))
+    support: list[tuple[Fraction, Fraction]] = []
+    P = D
+    while True:
+        negative = [C for C in curves if C not in support and pair(form, P, C) < 0]
+        if not negative:
+            return pair(form, P, P)
+        support.append(negative[0])
+        if len(support) == 2:
+            return Fraction(0)
+        C = support[0]
+        x = pair(form, D, C) / pair(form, C, C)
+        P = (D[0] - x * C[0], D[1] - x * C[1])
 
 
 def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:

@@ -3,7 +3,9 @@
 ``tests/data/cli_snapshot.json`` holds stdout, stderr and the exit code of
 every registry name under its command (text and ``--json``), every README
 command, and the unknown-fixture error of every command that takes
-``--fixture``.  The replay requires byte-identical output.
+``--fixture``.  The replay requires byte-identical output.  The README
+commands are kept by hand here and in the CI workflow; a test parses the
+README's ``## Command line`` block and requires both copies to match it.
 
 To re-record after an intended output change:
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -21,7 +24,8 @@ import pytest
 
 from kwall import cli, fixtures
 
-SNAPSHOT = Path(__file__).parent / "data" / "cli_snapshot.json"
+ROOT = Path(__file__).resolve().parent.parent
+SNAPSHOT = ROOT / "tests" / "data" / "cli_snapshot.json"
 
 README_COMMANDS = (
     ("walls", "quintic"),
@@ -81,6 +85,19 @@ def load() -> list[dict]:
 
 def test_snapshot_covers_every_registry_name():
     assert [e["argv"] for e in load()] == snapshot_argvs()
+
+
+def test_readme_commands_are_the_ones_the_snapshot_and_ci_run():
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    readme = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert all(argv[0] == "kwall" for argv in readme)
+    assert [tuple(argv[1:]) for argv in readme] == list(README_COMMANDS)
+    # the verify-all job runs the checklist in steps of its own and each other README command in one
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    ci = [shlex.split(line)[3:] for line in workflow.splitlines() if line.strip().startswith("python -m kwall ")]
+    assert ci == [argv[1:] for argv in readme if argv[1:] != ["verify-all"]]
+    assert "run: PYTHONPATH=src python -m kwall verify-all\n" in workflow
 
 
 # a missing file fails the coverage test above, not collection

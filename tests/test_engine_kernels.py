@@ -48,15 +48,19 @@ positive = st.fractions(min_value=F(1, 7), max_value=6, max_denominator=7)
 
 
 @st.composite
-def two_ray_inputs(draw):
+def two_ray_inputs(draw, big=False):
     """(h2, e2, cross, neg_curve, L) on every branch of volume_two_ray:
     - the twin of a triangle;
     - an isotropic curve, a^2 h2 = b^2 e2, so that (Cbar^2) = 0;
-    - no curve, with e2 h2 + cross^2 a rational square, so that the threshold is rational;
+    - no curve, with e2 h2 + cross^2 a rational square, so that the second ray is rational;
     - every entry drawn freely (mostly errors);
-    then, at times, the same surface in the basis H + sE, E, where cross changes by -s e2 and
-    the profile does not, and one entry of a constructed case redrawn."""
-    kind = draw(st.sampled_from(("twin", "twin", "isotropic", "no-curve", "free")))
+    at times with L = lam E + mu Cbar drawn inside the cone, where a large lam makes L.E < 0 and a
+    large mu makes L.Cbar < 0 (when (Cbar^2) < 0); then, at times, the same surface in the basis
+    H + sE, E, where cross changes by -s e2 and the profile does not, and one entry of a constructed
+    case redrawn.  With ``big``, every case is constructed, L is drawn inside the cone, and no entry
+    is redrawn: L is big on a model the library accepts."""
+    # a big L is drawn on more twins, the only models with (Cbar^2) < 0 and so a third chamber
+    kind = draw(st.sampled_from(("twin", "twin", "isotropic", "no-curve") + (("twin", "twin") if big else ("free",))))
     if kind == "twin":
         # as criterion 11(b) builds it: a triangle whose edges at its lowest vertex rise to levels
         # l1 and l2 and span twice the area h2 has e = h2 / (l1 l2) and Cbar = t1 e H - h2 E,
@@ -65,26 +69,35 @@ def two_ray_inputs(draw):
         l2 = l1 if draw(st.booleans()) else draw(positive)
         e = h2 / (l1 * l2)
         args = [h2, e, F(0), (min(l1, l2) * e, h2), (F(1), F(0))]
+        ray = args[3]
     elif kind == "isotropic":
         h2, a, b = draw(positive), draw(positive), draw(positive)
         args = [h2, a * a * h2 / (b * b), F(0), (a, b), (draw(positive), F(0))]
+        ray = args[3]
     elif kind == "no-curve":
         h2, cross = draw(positive), draw(small)
         r = abs(cross) + draw(positive)
         args = [h2, (r * r - cross * cross) / h2, cross, None, (draw(positive), draw(small))]
+        # the isotropic class e2 H - (r - cross) E on the side of H
+        ray = (args[1], r - cross)
     else:
         args = [draw(positive), draw(positive), draw(small), draw(st.none() | st.tuples(small, small)),
                 (draw(small), draw(small))]
+    if big or (kind != "free" and draw(st.booleans())):
+        lam, mu = draw(positive), draw(positive)
+        args[4] = (mu * ray[0], lam - mu * ray[1])
     if draw(st.booleans()):
-        # the basis H' = H + sE, E: (H'^2) = h2 - s^2 e2, H'.E = cross - s e2, and a class
-        # xH + yE is xH' + (y - s x)E, so Cbar = aH - bE is aH' - (b + s a)E
+        # the basis H' = H + sE, E: (H'^2) = h2 + 2 s cross - s^2 e2, H'.E = cross - s e2, and a class
+        # xH + yE is xH' + (y - s x)E, so Cbar = aH - bE is aH' - (b + s a)E; s is halved until H' is
+        # positive, and a constructed curve stays effective: H'.Cbar = H.Cbar + s E.Cbar >= 0
         h2, e2, cross, neg, (x, y) = args
+        a, b = neg if kind != "free" and neg is not None else (0, 0)
         s = draw(st.fractions(min_value=-1, max_value=1, max_denominator=7))
-        while h2 + 2 * s * cross - s * s * e2 <= 0:
+        while h2 + 2 * s * cross - s * s * e2 <= 0 or a * h2 - b * cross + s * (a * cross + b * e2) < 0:
             s /= 2
         args = [h2 + 2 * s * cross - s * s * e2, e2, cross - s * e2,
                 None if neg is None else (neg[0], neg[1] + s * neg[0]), (x, y - s * x)]
-    if kind != "free" and draw(st.integers(0, 3)) == 0:
+    if not big and kind != "free" and draw(st.integers(0, 3)) == 0:
         i = draw(st.integers(0, 4))
         args[i] = [draw(positive), draw(positive), draw(small), (draw(small), draw(small)),
                    (draw(small), draw(small))][i]
@@ -93,27 +106,26 @@ def two_ray_inputs(draw):
 
 @_PROPERTY
 @given(args=two_ray_inputs())
-# one example per reachable ModelError of volume_two_ray and per shape of profile it returns (the
-# volume_two_ray docstring says why no other check is reachable); the monotonicity test comes last,
-# so the examples marked L.E < 0 pin the earlier message where both fail.  For L inside the cone of
-# E and a curve the model accepts, L.Cbar <= 0 and L.E < 0 never hold together: they would make the
-# Gram determinant of E and Cbar positive, which the signature (1, 1) forbids.
-@example(args=(F(1, 3), F(1), F(5, 4), None, (F(-3), F(1, 2))))  # L is not big at t = 0, L.E < 0
-@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(15), F(-77))))  # L = E + 3 Cbar: big, (L^2) < 0
-@example(args=(F(1), F(1), F(0), None, (F(-1), F(0))))  # no curve, L.H < 0
-@example(args=(F(1), F(1), F(0), None, (F(-2), F(1))))  # no curve, L.H < 0, L.E < 0
-@example(args=(F(1), F(3, 4), F(0), None, (F(5, 4), F(1, 2))))  # irrational threshold, L.E < 0
+# one example per refusal a two-ray input reaches (an irrational isotropic ray, an L outside the cone)
+# and per chamber a profile can open in (E, nef, Cbar, and the wall between the last two).  For L
+# inside the cone of E and a curve the model accepts, L.Cbar < 0 and L.E < 0 never hold together:
+# they would make the Gram determinant of E and Cbar positive, which the signature (1, 1) forbids.
+@example(args=(F(1, 3), F(1), F(5, 4), None, (F(-3), F(1, 2))))  # irrational isotropic ray
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(15), F(-77))))  # L = E + 3 Cbar: (L^2) < 0, L.Cbar < 0
+@example(args=(F(1), F(1), F(0), None, (F(-1), F(0))))  # no curve, L.H < 0: outside the cone
+@example(args=(F(1), F(1), F(0), None, (F(-2), F(1))))  # no curve, outside the cone, L.E < 0
+@example(args=(F(1), F(3, 4), F(0), None, (F(5, 4), F(1, 2))))  # irrational isotropic ray, L.E < 0
 @example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(-1), F(0))))  # L outside the cone of E and Cbar
 @example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(-1), F(1))))  # L outside the cone, L.E < 0
-@example(args=(F(3, 4), F(2), F(0), (F(1, 2), F(3, 2)), (F(4), F(-1))))  # L meets Cbar negatively
-@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(5), F(-25))))  # nef threshold not positive
-@example(args=(F(6), F(1, 3), F(-1, 2), None, (F(3, 4), F(-1))))  # profile not non-increasing
+@example(args=(F(3, 4), F(2), F(0), (F(1, 2), F(3, 2)), (F(4), F(-1))))  # L.Cbar < 0: one positive-part piece
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26)), (F(5), F(-25))))  # L = E + Cbar, nef, L.Cbar = 0
+@example(args=(F(6), F(1, 3), F(-1, 2), None, (F(3, 4), F(-1))))  # L.E < 0: constant, then nef
 @example(args=(F(1), F(1), F(-1), (F(-1), F(2)), (F(-1), F(1))))  # two pieces, cross != 0
 @example(args=(F(1), F(1), F(0), (F(1), F(1)), (F(1), F(0))))  # (Cbar^2) = 0
 @example(args=(F(3, 4), F(3, 4), F(1), None, (F(2, 3), F(1, 4))))  # no curve, cross != 0
 def test_volume_two_ray_equals_its_reference(args):
     # the reference gets the drawn data, not the model's isotropic ray: with no curve it takes its
-    # threshold at the root of (L - tE)^2 = 0
+    # second ray through the larger root of (L - tE)^2 = 0
     h2, e2, cross, neg, L = args
     try:
         model = TwoRayModel(h2, e2, cross, neg)
@@ -136,6 +148,27 @@ def test_volume_two_ray_equals_its_reference(args):
         assert str(got.value) == str(exc)
     else:
         assert volume_two_ray(model, L) == ref
+
+
+# 300 drawn models and L, each compared at every breakpoint and 20 points between; with hypothesis
+# 6.155, L - tE starts in the E chamber in 93 draws, nef in 170 and in the Cbar one in 37, and
+# 106 draws have cross != 0
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=two_ray_inputs(big=True))
+@example(args=(F(1), F(1, 2), F(1), (F(1), F(1, 2)), (F(1), F(0))))  # nef, cross != 0
+@example(args=(F(1), F(1), F(0), (F(1), F(2)), (F(2), F(-1))))  # nef with L.Cbar = 0
+@example(args=(F(1), F(1), F(0), (F(1), F(2)), (F(3), F(-2))))  # L.Cbar < 0
+@example(args=(F(1), F(1), F(0), None, (F(2), F(1))))  # no curve, L.E < 0
+def test_every_big_profile_is_the_zariski_volume_pointwise(args):
+    h2, e2, cross, neg, L = args
+    model = TwoRayModel(h2, e2, cross, neg)
+    a, b = model.neg_curve
+    profile = volume_two_ray(model, L)
+    assert profile == oracles.volume_two_ray(h2, e2, cross, neg, L)
+    # t_max = lam for L = lam E + mu Cbar = (mu a, lam - mu b)
+    assert profile.breakpoints[-1] == L[1] + L[0] / a * b
+    for t in {*profile.breakpoints, *oracles.sample_points(profile.breakpoints[-1])}:
+        assert profile(t) == oracles.zariski_volume((h2, e2, cross), (a, b), (L[0], L[1] - t))
 
 
 @pytest.mark.parametrize("neg,message", [

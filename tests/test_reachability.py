@@ -153,38 +153,34 @@ INVALID: list[tuple[list[str], object, str]] = [
     (["index-bound", "--degree", "0", "--coeff", "1/5"], None, "degree must be positive"),
     (["index-bound", "--degree", "5", "--coeff", "3/5"], None, "coefficient must lie in (0, 3/5)"),
     # volumes: the two-ray model
-    (*_file("volume", "two-ray", {**_A12, "h2": "0"}), "(H^2) must be positive"),
-    (*_file("volume", "two-ray", {**_A12, "e2": "0"}), "-(E^2) must be positive"),
-    (*_file("volume", "two-ray", {**_A12, "e2": "1", "neg_curve": ["2", "1"]}), "declared negative curve has (Cbar^2) > 0"),
+    (*_file("volume", "two-ray", {**_A12, "h2": "0"}), "field 'h2': (H^2) must be positive"),
+    (*_file("volume", "two-ray", {**_A12, "e2": "0"}), "field 'e2': -(E^2) must be positive"),
+    (*_file("volume", "two-ray", {**_A12, "e2": "1", "neg_curve": ["2", "1"]}),
+     "field 'neg_curve': declared negative curve has (Cbar^2) > 0"),
     (*_file("volume", "two-ray", {**_A12, "e2": "1", "neg_curve": ["-1", "3"]}),
      "field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective"),
     (*_file("volume", "two-ray", {**_A12, "e2": "1", "neg_curve": ["1", "-1"]}),
      "field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E"),
     (*_file("volume", "two-ray", {**_A12, "e2": "1", "neg_curve": ["0", "1"]}),
      "field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E"),
-    # volumes: the two-ray engine, with no curve (its second ray the isotropic class: R = H - E on
-    # h2 = e2 = 1, irrational on h2 = 2) and then with Cbar = H - 2E on h2 = e2 = 1
-    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["0", "1"]}), "L is not big at t = 0"),
-    (*_file("volume", "two-ray", {**_A12, "L": ["15", "-77"]}),
-     "field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; the engine has no Zariski decomposition there"),
+    # with no curve the second ray is the isotropic class, irrational on h2 = 2, e2 = 1
+    (*_file("volume", "two-ray", {"h2": "2", "e2": "1", "L": ["1", "0"]}),
+     "field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve"),
+    # volumes: the two-ray engine, with no curve (its second ray the isotropic class R = H - E on
+    # h2 = e2 = 1: L = E lies on the ray of E, L = -2H + E outside the cone) and with Cbar = 5H - 26E
+    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["0", "1"]}),
+     "field 'L': L is not a positive combination of E and Cbar, so it is not big"),
     (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["-2", "1"]}),
      "field 'L': L is not a positive combination of E and Cbar, so it is not big"),
-    (*_file("volume", "two-ray", {"h2": "2", "e2": "1", "L": ["1", "0"]}),
-     "pseudoeffective threshold is irrational; supply the negative curve"),
     (*_file("volume", "two-ray", {**_A12, "L": ["-1", "0"]}),
      "field 'L': L is not a positive combination of E and Cbar, so it is not big"),
-    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "neg_curve": ["1", "2"], "L": ["3", "-2"]}),
-     "L meets the negative curve negatively at t = 0"),
-    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "neg_curve": ["1", "2"], "L": ["2", "-1"]}),
-     "nef threshold must be positive"),
-    (*_file("volume", "two-ray", {"h2": "1", "e2": "1", "L": ["2", "1"]}), "volume profile is not non-increasing"),
     (*_file("volume", "two-ray", {**_A12, "anti_k": ["0", "5"]}),
      "field 'anti_k': anti-canonical scale must be positive at c = 0"),
     # volumes: the moment polygon
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["1", "0"], ["2", "0"]], "w": ["1", "2"]}),
-     "moment polygon must be non-degenerate"),
+     "field 'polygon': moment polygon must be non-degenerate"),
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["1", "0"], ["0", "1"]], "w": ["0", "0"]}),
-     "valuation direction must be nonzero"),
+     "field 'w': valuation direction must be nonzero"),
     # walls
     (["first-wall", "--degree", "3"], None, "degrees below 4 are out of scope"),
     (*_file("wall", "wall-case", {**_WALL, "range": ["1/2", "1/4"]}),

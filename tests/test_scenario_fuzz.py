@@ -50,7 +50,7 @@ NOT_EFFECTIVE_CURVE = ("two-ray", {"name": "not-effective", "h2": "1", "e2": "1"
                                    "L": ["-1", "0"], "anti_k": ["3", "5"]})
 
 # the a12 model with L = E + 3 Cbar = 15H - 77E: big, as a positive combination of E and Cbar, but
-# (L^2) = -79/26, so not nef at t = 0; this was refused as "L is not big at t = 0"
+# (L^2) = -79/26, so not nef at t = 0; this was refused, first as "L is not big at t = 0"
 BIG_NOT_NEF = ("two-ray", {"name": "big-not-nef", "h2": "1", "e2": "1/26", "neg_curve": ["5", "26"],
                            "L": ["15", "-77"], "anti_k": ["3", "5"]})
 
@@ -130,9 +130,7 @@ def test_non_lattice_generators_end_in_an_error_line(tmp_path, capsys, kind, pay
 
 @pytest.mark.parametrize("kind,payload,message", [
     (*NOT_EFFECTIVE_CURVE, "field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective"),
-    (*BIG_NOT_NEF, "field 'L': L is big but (L^2) <= 0, so it is not nef at t = 0; "
-                   "the engine has no Zariski decomposition there"),
-], ids=["not-effective", "big-not-nef"])
+], ids=["not-effective"])
 def test_an_invalid_two_ray_geometry_ends_in_an_error_line(tmp_path, capsys, kind, payload, message):
     path = tmp_path / "two-ray.json"
     path.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
@@ -140,3 +138,23 @@ def test_an_invalid_two_ray_geometry_ends_in_an_error_line(tmp_path, capsys, kin
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_big_polarization_that_is_not_nef_prints_its_profile(tmp_path, capsys):
+    # Cbar lies in the negative part of every L - tE, whose positive part is (25/26) (1 - t)^2
+    kind, payload = BIG_NOT_NEF
+    path = tmp_path / "two-ray.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}), encoding="utf-8")
+    code = cli.main(["volume", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (
+        "fixture                  : big-not-nef\n"
+        "engine                   : two-ray\n"
+        "vol(L)                   : 25/26\n"
+        "nef threshold            : none (L is not nef)\n"
+        "pseudoeffective threshold: 1\n"
+        "pieces:\n"
+        "  [0, 1]: 25/26 + -25/13 t + 25/26 t^2\n"
+        "S0                       : 1/3\n"
+    )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -154,7 +155,7 @@ def test_model_error_on_positive_square():
 
 def test_model_error_on_irrational_threshold():
     # with no curve the second ray is the isotropic class, irrational here: x^2 + h e = 2 is not a square
-    with pytest.raises(ModelError, match="^pseudoeffective threshold is irrational"):
+    with pytest.raises(ModelError, match="^field 'neg_curve': pseudoeffective threshold is irrational"):
         TwoRayModel(F(2), F(1), F(0), None)
 
 
@@ -165,6 +166,41 @@ def test_negcurve_absent_sanity_case():
     prof = volume_two_ray(vf.model, vf.L)
     assert prof == PiecewiseQuadratic([0, F(1, 4)], [poly(F(1, 4), 0, -4)])
     assert prof.breakpoints[1] == prof.breakpoints[-1] == F(1, 4)
+
+
+# big polarizations that the engine once refused, as (payload, nef threshold, pieces, S0): on
+# h2 = e2 = 1 with Cbar = H - 2E, L = 2H - E is nef with L.Cbar = 0 and L = 3H - 2E meets Cbar
+# negatively; on a12, L = E + 3 Cbar has (L^2) < 0; with no curve (Cbar the isotropic class H - E),
+# L = 2H + E meets E negatively, so vol(L - tE) stays at (2H)^2 until (L - tE).E = 0
+BIG_TWO_RAY = [
+    ({"h2": "1", "e2": "1", "neg_curve": ["1", "2"], "L": ["2", "-1"]}, "0",
+     ["[0, 3]: 3 + -2 t + 1/3 t^2"], "1"),
+    ({"h2": "1", "e2": "1", "neg_curve": ["1", "2"], "L": ["3", "-2"]}, "none (L is not nef)",
+     ["[0, 4]: 16/3 + -8/3 t + 1/3 t^2"], "4/3"),
+    ({"h2": "1", "e2": "1/26", "neg_curve": ["5", "26"], "L": ["15", "-77"]}, "none (L is not nef)",
+     ["[0, 1]: 25/26 + -25/13 t + 25/26 t^2"], "1/3"),
+    ({"h2": "1", "e2": "1", "L": ["2", "1"]}, "none (L is not nef)",
+     ["[0, 1]: 4 + 0 t + 0 t^2", "[1, 3]: 3 + 2 t + -1 t^2"], "7/3"),
+]
+
+
+@pytest.mark.parametrize("payload,nef,pieces,s0", BIG_TWO_RAY, ids=["on-the-wall", "cbar-negative", "a12-E+3Cbar",
+                                                                     "e-negative"])
+def test_a_big_two_ray_document_prints_its_profile(tmp_path, capsys, payload, nef, pieces, s0):
+    path = tmp_path / "two-ray.json"
+    path.write_text(json.dumps({"kind": "two-ray", "payload": {**payload, "anti_k": ["3", "5"]}}), encoding="utf-8")
+    assert cli.main(["--json", "volume", "--file", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["nef threshold"], report["pieces"], report["S0"]) == (nef, pieces, s0)
+    # the engine, its Fraction reference and Zariski's algorithm at each breakpoint and 20 points between
+    h2, e2 = F(payload["h2"]), F(payload["e2"])
+    neg = tuple(F(c) for c in payload["neg_curve"]) if "neg_curve" in payload else None
+    L = (F(payload["L"][0]), F(payload["L"][1]))
+    model = TwoRayModel(h2, e2, F(0), neg)
+    profile = volume_two_ray(model, L)
+    assert profile == oracles.volume_two_ray(h2, e2, F(0), neg, L)
+    for t in {*profile.breakpoints, *oracles.sample_points(profile.breakpoints[-1])}:
+        assert profile(t) == oracles.zariski_volume((h2, e2, F(0)), model.neg_curve, (L[0], L[1] - t))
 
 
 def test_invalid_valuation_direction():

@@ -25,7 +25,7 @@ from .git import (
     hm_weight_plane,
 )
 from .toric_kps import CentroidCase, solve_centroid_condition
-from .valuations import GermSupport, QuasiHomogGerm, index_bound, lct_newton, lct_quasihomog
+from .valuations import GermSupport, QuasiHomogGerm, index_bound, lct_newton
 from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric
 from .walls import (
     Interval,
@@ -93,7 +93,7 @@ _FIELDS = {
     "two-ray": {"name", "h2", "e2", "cross", "neg_curve", "L", "anti_k"},
     "toric": {"name", "polygon", "w", "anti_k"},
     "wall-case": {"name", "A0", "ordD", "S0", "alpha", "beta", "range"},
-    "centroid": {"name", "generators", "xi0", "eta0star", "u1", "u0_override"},
+    "centroid": {"name", "generators", "xi0", "eta0star", "u1"},
     "git-binary": {"name", "parity", "degree", "forms"},
     "git-plane": {"degree", "monomials", "lambda"},
     "lct": {"germ", "quasihomog"},
@@ -230,11 +230,12 @@ def _plane_report(curve: PlaneCurveSupport, lam: OnePS) -> dict:
     }
 
 
-def _lct_report(germ: GermSupport | QuasiHomogGerm) -> dict:
+def _lct_report(germ: GermSupport) -> dict:
     if isinstance(germ, QuasiHomogGerm):
         desc = f"quasi-homogeneous weights ({germ.w1}, {germ.w2}) degree {germ.degree}"
-        return {"germ": desc, "lct": fmt(lct_quasihomog(germ))}
-    return {"germ": " ".join(f"({i},{j})" for i, j in sorted(germ.monomials)), "lct": fmt(lct_newton(germ))}
+    else:
+        desc = " ".join(f"({i},{j})" for i, j in sorted(germ.monomials))
+    return {"germ": desc, "lct": fmt(lct_newton(germ))}
 
 
 def _stratum_report(coords: tuple[Fraction, ...]) -> dict:
@@ -301,11 +302,6 @@ def run_scenario(kind: str, payload: dict) -> dict:
             xi0=_rat_vec(_need(payload, "xi0"), "xi0", 3),
             eta0star=_rat_vec(_need(payload, "eta0star"), "eta0star", 3),
             u1=_rat_vec(_need(payload, "u1"), "u1", 3),
-            u0_override=(
-                _rat_vec(payload["u0_override"], "u0_override", 3)
-                if payload.get("u0_override") is not None
-                else None
-            ),
         ))
     if kind == "git-binary":
         forms_doc = _need(payload, "forms")
@@ -430,7 +426,7 @@ def fixture_report(command: str, name: str) -> dict:
     # these reports carry no name of their own: the fixture adds its name
     if command == "git-plane":
         return {"fixture": name, **_plane_report(fx.curve, fx.one_ps)}
-    return {"fixture": name, **_lct_report(fx.support if fx.support is not None else fx.quasihomog)}
+    return {"fixture": name, **_lct_report(fx.support)}
 
 
 # ---------------------------------------------------------------------------

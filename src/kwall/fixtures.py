@@ -415,7 +415,6 @@ def delta_upper_bound(name: str) -> Fraction:
 
 @dataclass(frozen=True)
 class CentroidFixture:
-    name: str
     case: CentroidCase
     printed_basis: Mat3  # maps internal dual coordinates to the printed ones
     provenance: str
@@ -446,7 +445,6 @@ def _add_centroid(
         u1=tuple(u1),
     )
     CENTROID_FIXTURES[name] = CentroidFixture(
-        name=name,
         case=case,
         printed_basis=mat3(printed_basis),
         provenance=provenance,
@@ -581,9 +579,7 @@ CENTROID_WALL_TWINS = {
 
 @dataclass(frozen=True)
 class LctFixture:
-    name: str
-    support: Optional[GermSupport]
-    quasihomog: Optional[QuasiHomogGerm]
+    support: GermSupport  # a QuasiHomogGerm reports its weights and degree, not its monomials
     provenance: str
     expected: Fraction
 
@@ -600,34 +596,34 @@ def _line_support(*levels: int) -> GermSupport:
 
 LCT_FIXTURES: dict[str, LctFixture] = {
     "a9-germ": LctFixture(
-        "a9-germ", germ((2, 0), (0, 10)), None,
+        germ((2, 0), (0, 10)),
         "double point x^2 = y^10", F(3, 5)),
     "a12-germ": LctFixture(
-        "a12-germ", germ((2, 0), (0, 13)), None,
+        germ((2, 0), (0, 13)),
         "double point x^2 = y^13", F(15, 26)),
     "a3-germ": LctFixture(
-        "a3-germ", germ((2, 0), (0, 4)), None,
+        germ((2, 0), (0, 4)),
         "tacnode on a polystable quartic", F(3, 4)),
     "d6-germ": LctFixture(
-        "d6-germ", None, QuasiHomogGerm(2, 1, 5),
+        QuasiHomogGerm(2, 1, 5),
         "y(x - t1 y^2)(x - t2 y^2): weights (2,1), degree 5", F(3, 5)),
     "p114-nodal": LctFixture(
-        "p114-nodal", germ((2, 0), (1, 1), (0, 2)), None,
+        germ((2, 0), (1, 1), (0, 2)),
         "even-degree curve nodal at the order-4 point", F(1)),
     "sextic-lct": LctFixture(
-        "sextic-lct", germ((0, 3), (4, 1), (6, 0)), None,
+        germ((0, 3), (4, 1), (6, 0)),
         "z^3 + a(xy)^4 z + b(xy)^6 sextic germ", F(1, 2)),
     "p1425-d10": LctFixture(
-        "p1425-d10", _line_support(10), None,
+        _line_support(10),
         "degree-10 curve at the order-25 point", F(1, 2)),
     "p1425-d20": LctFixture(
-        "p1425-d20", _line_support(20), None,
+        _line_support(20),
         "degree-20 curve at the order-25 point", F(1, 4)),
     "p1425-d40": LctFixture(
-        "p1425-d40", _line_support(40, 15), None,
+        _line_support(40, 15),
         "degree-40 curve at the order-25 point", F(1, 3)),
     "p1425-d70": LctFixture(
-        "p1425-d70", _line_support(70, 45, 20), None,
+        _line_support(70, 45, 20),
         "degree-70 curve at the order-25 point (degree-7 exclusion input)", F(1, 4)),
 }
 
@@ -638,22 +634,18 @@ LCT_FIXTURES: dict[str, LctFixture] = {
 
 @dataclass(frozen=True)
 class BinaryFixture:
-    name: str
     system: BinaryFormSystem
     provenance: str
 
 
 BINARY_FIXTURES: dict[str, BinaryFixture] = {
     "quartic-binary-unstable": BinaryFixture(
-        "quartic-binary-unstable",
         BinaryFormSystem("even", 4, {2: frozenset({(5, 3)})}),
         "octic x^5 y^3: a root of multiplicity 5 > 4"),
     "quartic-binary-ss": BinaryFixture(
-        "quartic-binary-ss",
         BinaryFormSystem("even", 4, {2: frozenset({(4, 4)})}),
         "octic x^4 y^4: torus-fixed with weight hull {0}"),
     "quintic-binary-f6": BinaryFixture(
-        "quintic-binary-f6",
         BinaryFormSystem("odd", 5, {1: frozenset({(6, 0), (0, 6)})}),
         "restricted degree-6 block x^6 + y^6: weights {6, -6}"),
 }
@@ -661,7 +653,6 @@ BINARY_FIXTURES: dict[str, BinaryFixture] = {
 
 @dataclass(frozen=True)
 class PlaneGitFixture:
-    name: str
     curve: PlaneCurveSupport
     one_ps: OnePS
     provenance: str
@@ -669,12 +660,10 @@ class PlaneGitFixture:
 
 PLANE_GIT_FIXTURES: dict[str, PlaneGitFixture] = {
     "q5-double-conic-line": PlaneGitFixture(
-        "q5-double-conic-line",
         PlaneCurveSupport(5, frozenset({(2, 2, 1), (1, 1, 3), (0, 0, 5)})),
         OnePS((-1, 1, 0)),
         "z(xy - z^2)^2: fixed by the diagonal torus"),
     "xy4-destabilized": PlaneGitFixture(
-        "xy4-destabilized",
         PlaneCurveSupport(5, frozenset({(1, 4, 0)})),
         OnePS((-1, 2, -1)),
         "monomial quintic x y^4 destabilized by (-1, 2, -1)"),

@@ -10,7 +10,9 @@ three dual rays scaled onto the hyperplane), and solves
     u2 = a (u0 - c u1) + b eta0*
 
 for (a, c, b); the obstruction vanishes with the correct signs exactly when
-a > 0 and b > 0, and then c is unique.
+a > 0 and b > 0, and then c is unique.  u0 is always the anticanonical vector
+of the generators: any other vector would place a different wall.  A refused
+cone names the scenario field at fault.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ class CentroidCase:
     xi0: Vec3
     eta0star: Vec3
     u1: Vec3
-    u0_override: Optional[Vec3] = None
     # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, and with xi0
     # cleared as xi / xs the pairings p_k = <r_k, xi>, as (rays, det, xs, p): what u0 and u2 read
     _form: tuple = field(init=False, repr=False, compare=False)
@@ -58,8 +59,6 @@ class CentroidCase:
         object.__setattr__(self, "xi0", vec3(*self.xi0))
         object.__setattr__(self, "eta0star", vec3(*self.eta0star))
         object.__setattr__(self, "u1", vec3(*self.u1))
-        if self.u0_override is not None:
-            object.__setattr__(self, "u0_override", vec3(*self.u0_override))
         # the toric setting: each generator is the primitive lattice vector on its ray
         for i, n in enumerate(gens):
             if any(x.denominator != 1 for x in n) or math.gcd(*(x.numerator for x in n)) != 1:
@@ -70,14 +69,14 @@ class CentroidCase:
         rays = _adjugate_columns(rows)
         det = _idot3(rows[0], rays[0])
         if det == 0:
-            raise ConeError("cone generators are linearly dependent")
+            raise ConeError("field 'generators': cone generators are linearly dependent")
         # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
         xi, xs = _cleared(self.xi0)
         p = tuple(_idot3(r, xi) for r in rays)
         if any(pk * det <= 0 for pk in p):
-            raise ConeError("Reeb vector must lie in the interior of the cone")
+            raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
         if _idot3(_cleared(self.eta0star)[0], xi) != 0:
-            raise ConeError("eta0* must pair to zero with the Reeb vector")
+            raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
         object.__setattr__(self, "_form", (rays, det, xs, p))
 
 
@@ -116,11 +115,9 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     Substituting p = a and q = ac makes the condition the linear system
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
-    u0 = case.u0_override
-    if u0 is None:
-        # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 pairs to 1 with each generator
-        rays, det, _, _ = case._form
-        u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
+    # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 pairs to 1 with each generator
+    rays, det, _, _ = case._form
+    u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
     u2 = reeb_cross_section_centroid(case)
     m = mat3([[u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
     try:

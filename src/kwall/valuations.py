@@ -2,7 +2,10 @@
 
 Log discrepancies, orders of vanishing on curve germs, Newton-polygon log
 canonical thresholds, Gorenstein index bounds, and stability-threshold upper
-bounds.  Germ data is a monomial support with generic coefficients.
+bounds.  Germ data is a monomial support with generic coefficients; a
+quasi-homogeneous germ is given by its weights and degree and is the generic
+germ on the monomials of that weighted degree, so ``lct_newton`` is the one
+lct engine for both.
 
 The Newton-polygon lct walks the compact Newton boundary: the staircase of
 undominated monomials, its lower convex hull by a monotone chain with integer
@@ -12,7 +15,8 @@ O(n log n) integer operations for n monomials and builds one Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exact import KwallError, rat
@@ -65,9 +69,9 @@ class GermSupport:
     def __post_init__(self):
         mons = frozenset((int(i), int(j)) for i, j in self.monomials)
         if not mons:
-            raise DomainError("germ support must be nonempty")
+            raise DomainError("field 'germ': germ support must be nonempty")
         if any(i < 0 or j < 0 for i, j in mons):
-            raise DomainError("exponents must be nonnegative")
+            raise DomainError("field 'germ': exponents must be nonnegative")
         object.__setattr__(self, "monomials", mons)
 
 
@@ -76,18 +80,35 @@ def germ(*monomials: tuple[int, int]) -> GermSupport:
 
 
 @dataclass(frozen=True)
-class QuasiHomogGerm:
-    """Quasi-homogeneous curve germ: weights (w1, w2) and weighted degree."""
+class QuasiHomogGerm(GermSupport):
+    """Generic quasi-homogeneous germ: the sum of every monomial x^i y^j of
+    weighted degree w1 i + w2 j = degree, with generic coefficients.
 
+    Those monomials lie on one lattice segment, whose two ends span the same
+    Newton polygon as the whole support, so ``monomials`` holds the two ends.
+    With g = gcd(w1, w2) there is no monomial unless g divides the degree.
+    Otherwise, with (a, b) = (w1, w2)/g, the end with the least i has
+    i = (degree/g) a^-1 mod b, and the end with the least j follows from it in
+    steps of (b, -a).  This is O(log) integer work at any degree.
+    """
+
+    monomials: frozenset[tuple[int, int]] = field(init=False)
     w1: int
     w2: int
     degree: int
 
     def __post_init__(self):
-        if self.w1 <= 0 or self.w2 <= 0 or self.degree <= 0:
-            raise DomainError("weights and degree must be positive")
-        if self.degree < max(self.w1, self.w2):
-            raise DomainError("degree must be at least each weight")
+        w1, w2, d = self.w1, self.w2, self.degree
+        if w1 <= 0 or w2 <= 0 or d <= 0:
+            raise DomainError("field 'quasihomog': weights and degree must be positive")
+        g = math.gcd(w1, w2)
+        a, b = w1 // g, w2 // g
+        # the least i >= 0 with w2 | d - w1 i, and its j: an end of the segment when g divides d
+        i = d // g * pow(a, -1, b) % b
+        j = (d - w1 * i) // w2
+        if d % g or j < 0:
+            raise DomainError(f"field 'quasihomog': no monomial x^i y^j has {w1} i + {w2} j = {d}")
+        object.__setattr__(self, "monomials", frozenset({(i, j), (i + b * (j // a), j % a)}))
 
 
 def log_discrepancy(v: MonomialVal) -> Fraction:
@@ -113,7 +134,7 @@ def lct_newton(g: GermSupport) -> Fraction:
     operations in the n monomials, and one Fraction built at the end.
     """
     if (0, 0) in g.monomials:
-        raise DomainError("lct undefined for a unit germ")
+        raise DomainError("field 'germ': lct undefined for a unit germ")
     hull: list[tuple[int, int]] = []
     for i, j in sorted(g.monomials):
         if hull and j >= hull[-1][1]:
@@ -138,11 +159,6 @@ def lct_newton(g: GermSupport) -> Fraction:
     return Fraction(1) if num <= den else Fraction(den, num)
 
 
-def lct_quasihomog(g: QuasiHomogGerm) -> Fraction:
-    """lct of a quasi-homogeneous germ: min(1, (w1 + w2)/degree)."""
-    return min(Fraction(1), Fraction(g.w1 + g.w2, g.degree))
-
-
 def index_bound(d: int, c: Fraction) -> int:
     """Largest local Gorenstein index allowed on a surface in the coefficient-c
     moduli of degree-d curve pairs.
@@ -152,9 +168,9 @@ def index_bound(d: int, c: Fraction) -> int:
     """
     c = rat(c)
     if d < 1:
-        raise DomainError("degree must be positive")
+        raise DomainError("field 'degree': degree must be positive")
     if not (0 < c < Fraction(3, d)):
-        raise DomainError(f"coefficient must lie in (0, 3/{d})")
+        raise DomainError(f"field 'coeff': coefficient must lie in (0, 3/{d})")
     cap = Fraction(2 * d, 3) if d % 3 == 0 else Fraction(d)
     return int(min(Fraction(3) / (3 - c * d), cap).__floor__())
 

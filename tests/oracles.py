@@ -21,7 +21,9 @@ algorithm at one class.
 
 The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
-entry point.
+entry point.  A quasi-homogeneous germ keeps the two ends of its segment of
+monomials; ``quasihomog_support`` enumerates the whole segment, and
+``lct_quasihomog`` is the closed form that holds on isolated germs only.
 
 The library's polynomial evaluation (and so each piece of a piecewise
 evaluation), 3x3 solve and matrix-vector product, polygon construction,
@@ -488,6 +490,17 @@ def lct_newton_pairs(g: GermSupport) -> Fraction:
             if 0 <= lam <= 1:
                 tstar = min(tstar, ia + lam * dx)
     return min(Fraction(1), 1 / tstar)
+
+
+def quasihomog_support(w1: int, w2: int, degree: int) -> frozenset[tuple[int, int]]:
+    """Every monomial x^i y^j with w1 i + w2 j = degree, by trying each i."""
+    return frozenset((i, (degree - w1 * i) // w2) for i in range(degree // w1 + 1) if (degree - w1 * i) % w2 == 0)
+
+
+def lct_quasihomog(w1: int, w2: int, degree: int) -> Fraction:
+    """min(1, (w1 + w2)/degree): the lct of an isolated quasi-homogeneous
+    (Brieskorn-Pham) germ such as x^p + y^q, and of no other."""
+    return min(Fraction(1), Fraction(w1 + w2, degree))
 
 
 def plane_basis(xi0: Vec3) -> tuple[Vec3, Vec3, Vec3]:

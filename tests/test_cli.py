@@ -2,13 +2,9 @@ from __future__ import annotations
 
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 import time
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import pytest
 
@@ -82,6 +78,9 @@ def test_lct_command_variants():
     assert code == 0 and "3/5" in out
     code, out = run_cli("lct", "--quasihomog", "2,1,5")
     assert code == 0 and "3/5" in out
+    # y^2 (y^5 + x): the generic germ of weighted degree 7, not an isolated singularity
+    code, out = run_cli("lct", "--quasihomog", "5,1,7")
+    assert code == 0 and "lct : 1/2\n" in out
     code, out = run_cli("lct", "--fixture", "p1425-d20")
     assert code == 0 and "1/4" in out
 
@@ -430,21 +429,6 @@ def test_first_wall_prints_the_text_of_its_wall_report(d):
     assert (first["A(c)"], first["S(c)"]) == (wall["A(c)"], wall["S(c)"])
 
 
-def test_centroid_u0_override():
-    payload = {
-        "generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]],
-        "xi0": ["0", "1", "0"], "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"],
-    }
-    base = cli.run_scenario("centroid", payload)
-    assert base["u0"] == "(7, 6, -1)"
-    # the anticanonical vector itself: the same report
-    assert cli.run_scenario("centroid", {**payload, "u0_override": ["7", "6", "-1"]}) == base
-    # twice that vector: a halves and c doubles, u2 and b stay
-    doubled = cli.run_scenario("centroid", {**payload, "u0_override": ["14", "12", "-2"]})
-    assert (doubled["u0"], doubled["u2"]) == ("(14, 12, -2)", base["u2"])
-    assert (base["(a, c, b)"], doubled["(a, c, b)"]) == ("(11/6, 6/11, 3/4)", "(11/12, 12/11, 3/4)")
-
-
 @pytest.mark.parametrize("command,kind,payload,key,right", [
     (("wall",), "wall-case",
      {"A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5", "rnge": ["1/4", "1/2"]}, "rnge", "range"),
@@ -454,8 +438,7 @@ def test_centroid_u0_override():
                             "antik": ["6", "10"]}, "antik", "anti_k"),
     (("centroid",), "centroid", {
         "generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]], "xi0": ["0", "1", "0"],
-        "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"], "u0_overide": ["14", "12", "-2"]},
-     "u0_overide", "u0_override"),
+        "eta0_star": ["0", "0", "1"], "u1": ["12", "10", "-1"]}, "eta0_star", "eta0star"),
     (("git", "binary"), "git-binary", {"nmae": "octic", "parity": "even", "degree": 4, "forms": {"2": [[5, 3]]}},
      "nmae", "name"),
     (("git", "plane"), "git-plane", {"degree": 5, "monomials": [[1, 4, 0]], "lamda": [-1, 2, -1]}, "lamda", "lambda"),
@@ -465,8 +448,13 @@ def test_centroid_u0_override():
      {"name": "xy4", "degree": 5, "monomials": [[1, 4, 0]], "lambda": [-1, 2, -1]}, "name", None),
     # a germ given twice: one of the two would be ignored
     (("lct",), "lct", {"germ": [[2, 0], [0, 10]], "quasihomog": [2, 1, 5]}, "germ", None),
+    # u0 is always the anticanonical vector: another one would place a different wall
+    (("centroid",), "centroid", {
+        "generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]], "xi0": ["0", "1", "0"],
+        "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"], "u0_override": ["14", "12", "-2"]},
+     "u0_override", None),
 ], ids=["wall-case", "two-ray", "toric", "centroid", "git-binary", "git-plane", "lct",
-        "git-plane-name", "lct-germ-and-quasihomog"])
+        "git-plane-name", "lct-germ-and-quasihomog", "centroid-u0-override"])
 def test_unknown_payload_field_rejected(tmp_path, capsys, command, kind, payload, key, right):
     path = tmp_path / "doc.json"
     path.write_text(scenario_json(kind, payload), encoding="utf-8")
@@ -526,14 +514,16 @@ def test_scenario_name_must_be_a_string(kind, payload):
     assert "my-scenario" in cli.run_scenario(kind, {**payload, "name": "my-scenario"}).values()
 
 
-def test_a_value_too_large_to_print_ends_in_an_error_line():
-    # the CM degree of a 1500-digit coefficient has more digits than str() converts
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "kwall", "cm", "--n", "3", "--degree", "5", "--coeff", "7" * 1500],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1 and not proc.stdout
-    assert proc.stderr.startswith("error: value too large to print")
+def test_a_value_too_large_to_print_ends_in_an_error_line(tmp_path, capsys):
+    # a triangle with legs 1/p and 1/q has volume 1/(pq): a denominator of more digits than str() converts
+    p, q = 10**2200 + 1, 10**2200 + 3
+    path = tmp_path / "tiny.json"
+    path.write_text(scenario_json("toric", {"polygon": [["0", "0"], [f"1/{p}", "0"], ["0", f"1/{q}"]],
+                                            "w": ["1", "0"]}), encoding="utf-8")
+    code = cli.main(["volume", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: value too large to print: 1-bit numerator, 14617-bit denominator\n"
 
 
 def test_cm_at_a_billion_decides_from_bit_lengths_before_taking_the_power():

@@ -141,17 +141,18 @@ INVALID: list[tuple[list[str], object, str]] = [
     (*_file("centroid", "centroid", {**_CONE, "generators": [["0", "0", "-2"], *_CONE["generators"][1:]]}),
      "field 'generators[0]': (0, 0, -2) is not a primitive integer vector"),
     (*_file("centroid", "centroid", {**_CONE, "generators": [["1", "0", "0"], ["0", "1", "0"], ["1", "1", "0"]]}),
-     "cone generators are linearly dependent"),
-    (*_file("centroid", "centroid", {**_CONE, "xi0": ["0", "-1", "0"]}), "Reeb vector must lie in the interior of the cone"),
-    (*_file("centroid", "centroid", {**_CONE, "eta0star": ["0", "1", "0"]}), "eta0* must pair to zero with the Reeb vector"),
+     "field 'generators': cone generators are linearly dependent"),
+    (*_file("centroid", "centroid", {**_CONE, "xi0": ["0", "-1", "0"]}), "field 'xi0': Reeb vector must lie in the interior of the cone"),
+    (*_file("centroid", "centroid", {**_CONE, "eta0star": ["0", "1", "0"]}), "field 'eta0star': eta0* must pair to zero with the Reeb vector"),
     # valuations
-    (["lct", "--germ", "0,0"], None, "lct undefined for a unit germ"),
-    (*_file("lct", "lct", {"germ": []}), "germ support must be nonempty"),
-    (*_file("lct", "lct", {"germ": [[-1, 2]]}), "exponents must be nonnegative"),
-    (["lct", "--quasihomog", "0,1,5"], None, "weights and degree must be positive"),
-    (["lct", "--quasihomog", "2,1,1"], None, "degree must be at least each weight"),
-    (["index-bound", "--degree", "0", "--coeff", "1/5"], None, "degree must be positive"),
-    (["index-bound", "--degree", "5", "--coeff", "3/5"], None, "coefficient must lie in (0, 3/5)"),
+    (["lct", "--germ", "0,0"], None, "field 'germ': lct undefined for a unit germ"),
+    (*_file("lct", "lct", {"germ": []}), "field 'germ': germ support must be nonempty"),
+    (*_file("lct", "lct", {"germ": [[-1, 2]]}), "field 'germ': exponents must be nonnegative"),
+    (["lct", "--quasihomog", "0,1,5"], None, "field 'quasihomog': weights and degree must be positive"),
+    # gcd(2, 2) does not divide 5, so no monomial has weighted degree 5
+    (["lct", "--quasihomog", "2,2,5"], None, "field 'quasihomog': no monomial x^i y^j has 2 i + 2 j = 5"),
+    (["index-bound", "--degree", "0", "--coeff", "1/5"], None, "field 'degree': degree must be positive"),
+    (["index-bound", "--degree", "5", "--coeff", "3/5"], None, "field 'coeff': coefficient must lie in (0, 3/5)"),
     # volumes: the two-ray model
     (*_file("volume", "two-ray", {**_A12, "h2": "0"}), "field 'h2': (H^2) must be positive"),
     (*_file("volume", "two-ray", {**_A12, "e2": "0"}), "field 'e2': -(E^2) must be positive"),

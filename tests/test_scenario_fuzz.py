@@ -28,8 +28,7 @@ VALID = [
     ("wall-case", {"name": "a11irr", "A0": "7", "ordD": "12", "S0": "49/30", "alpha": "3", "beta": "5",
                    "range": ["0", "3/5"]}),
     ("centroid", {"name": "a11red", "generators": [["0", "0", "-1"], ["-1", "1", "-2"], ["1", "0", "6"]],
-                  "xi0": ["0", "1", "0"], "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"],
-                  "u0_override": ["7", "6", "-1"]}),
+                  "xi0": ["0", "1", "0"], "eta0star": ["0", "0", "1"], "u1": ["12", "10", "-1"]}),
     ("git-binary", {"name": "octic", "parity": "even", "degree": 6, "forms": {"2": [[5, 3]], "3": [[6, 6]]}}),
     ("git-plane", {"degree": 5, "monomials": [[1, 4, 0], [0, 0, 5]], "lambda": [-1, 2, -1]}),
     ("lct", {"germ": [[2, 0], [0, 10], [3, 3]]}),

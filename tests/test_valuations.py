@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +21,6 @@ from kwall.valuations import (
     germ,
     index_bound,
     lct_newton,
-    lct_quasihomog,
     log_discrepancy,
     ord_on_germ,
 )
@@ -112,17 +112,38 @@ def test_lct_newton_on_a_2000_monomial_germ():
 
 
 def test_lct_quasihomog_examples():
-    assert lct_quasihomog(QuasiHomogGerm(2, 1, 5)) == F(3, 5)
-    assert lct_quasihomog(QuasiHomogGerm(13, 2, 26)) == F(15, 26)
-    assert lct_quasihomog(QuasiHomogGerm(1, 1, 2)) == 1
+    assert lct_newton(QuasiHomogGerm(2, 1, 5)) == F(3, 5)
+    assert lct_newton(QuasiHomogGerm(13, 2, 26)) == F(15, 26)
+    assert lct_newton(QuasiHomogGerm(1, 1, 2)) == 1
+    # y^2 (y^5 + x) and y^2: generic, but not isolated, so (w1 + w2)/d = 6/7 and 2 are wrong
+    assert lct_newton(QuasiHomogGerm(5, 1, 7)) == F(1, 2)
+    assert lct_newton(QuasiHomogGerm(3, 1, 2)) == F(1, 2)
+
+
+def test_quasihomog_germ_is_the_newton_polygon_of_its_generic_support():
+    for w1 in range(1, 9):
+        for w2 in range(1, 9):
+            for d in range(1, 41):
+                support = oracles.quasihomog_support(w1, w2, d)
+                if not support:
+                    with pytest.raises(DomainError, match="^field 'quasihomog': no monomial"):
+                        QuasiHomogGerm(w1, w2, d)
+                    continue
+                g = QuasiHomogGerm(w1, w2, d)
+                assert g.monomials == {min(support), min(support, key=lambda m: m[1])}, (w1, w2, d)
+                assert lct_newton(g) == oracles.lct_newton_pairs(GermSupport(support)), (w1, w2, d)
+    # the two ends come from a modular inverse, not from walking the segment
+    start = time.perf_counter()
+    assert lct_newton(QuasiHomogGerm(1, 1, 10**9)) == F(1, 500000000)
+    assert time.perf_counter() - start < 1
 
 
 def test_lct_two_routes_agree_on_binomial_germs():
     for _ in range(50):
         p, q = rng.randint(1, 30), rng.randint(1, 30)
         newton = lct_newton(germ((p, 0), (0, q)))
-        # x^p + y^q is quasi-homogeneous of weights (q, p) and degree pq
-        assert newton == lct_quasihomog(QuasiHomogGerm(q, p, p * q))
+        # x^p + y^q is an isolated quasi-homogeneous singularity of weights (q, p) and degree pq
+        assert newton == oracles.lct_quasihomog(q, p, p * q) == lct_newton(QuasiHomogGerm(q, p, p * q))
 
 
 def test_lct_monotone_under_support_growth():
@@ -147,10 +168,7 @@ def test_skoda_estimate():
 
 def test_lct_fixture_values():
     for name, fx in fixtures.LCT_FIXTURES.items():
-        if fx.support is not None:
-            assert lct_newton(fx.support) == oracles.lct_newton_pairs(fx.support) == fx.expected, name
-        else:
-            assert lct_quasihomog(fx.quasihomog) == fx.expected, name
+        assert lct_newton(fx.support) == oracles.lct_newton_pairs(fx.support) == fx.expected, name
 
 
 def test_index_bound_examples():

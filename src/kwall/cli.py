@@ -103,7 +103,7 @@ _FIELDS = {
 }
 
 
-def load_scenario(doc: Any) -> tuple[str, dict, str]:
+def load_scenario(doc: Any) -> tuple[str, dict]:
     if not isinstance(doc, dict):
         raise SchemaError("field '<root>': scenario document must be a JSON object")
     kind = _need(doc, "kind")
@@ -112,10 +112,9 @@ def load_scenario(doc: Any) -> tuple[str, dict, str]:
     payload = _need(doc, "payload")
     if not isinstance(payload, dict):
         raise SchemaError("field 'payload': expected a JSON object")
-    provenance = doc.get("provenance", "")
-    if not isinstance(provenance, str):
+    if not isinstance(doc.get("provenance", ""), str):
         raise SchemaError("field 'provenance': expected a string")
-    return kind, payload, provenance
+    return kind, payload
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key:<{width}}: {value}")
 
 
-def _read_scenario_file(path: str) -> tuple[str, dict, str]:
+def _read_scenario_file(path: str) -> tuple[str, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -567,7 +566,7 @@ def _dispatch(args) -> tuple[dict, int]:
     if getattr(args, "fixture", None) is not None:
         return fixture_report(command, args.fixture), 0
     if getattr(args, "file", None) is not None:
-        kind, payload, _ = _read_scenario_file(args.file)
+        kind, payload = _read_scenario_file(args.file)
         if kind not in _FILE_KINDS[command]:
             raise SchemaError(f"field 'kind': command expects one of {sorted(_FILE_KINDS[command])}, got {kind!r}")
         return run_scenario(kind, payload), 0

@@ -1,11 +1,18 @@
 """Built-in registry of the named computation scenarios.
 
-Every fixture stores raw input data (intersection numbers, moment polygons,
-valuation weights, germ supports, cone data) plus *annotations*: the values
-the computation is expected to reproduce, with a provenance note.  The tests
-compare the annotations with engine output, and criterion 5 of the
-verification checklist reads the printed centroid vectors; no annotation is
-ever returned as an answer.
+Every fixture stores raw input data (surfaces, moment polygons, valuation
+weights, germ supports, cone data) plus *annotations*: the values the
+computation is expected to reproduce, with a provenance note.  The tests
+compare the annotations with engine output, and criteria 5 and 8 of the
+verification checklist read the printed centroid vectors and the lct values;
+no annotation is ever returned as an answer.
+
+A two-ray model is derived, never typed: a weighted blow-up fixture declares
+its surface ((H^2) and anti_k), its valuation of weights (w1, w2) and scale s
+at a 1/n point, and one curve C of degree deg(C) by its germ.  Then
+-(E^2) = n/(w1 w2 s^2), and the strict transform Cbar = deg(C) H - v(C) E
+spans the second ray; a blow-up without a curve takes its isotropic ray.
+Wall fixtures read A0 and ord(D) from their volume fixture's valuation.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ F = Fraction
 
 
 # ---------------------------------------------------------------------------
-# volume fixtures: the two-ray models and moment polygons of the named cases
+# volume fixtures: the weighted blow-ups and moment polygons of the named cases
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -48,6 +55,7 @@ class VolumeFixture:
     anti_k: Optional[tuple[Fraction, Fraction]]  # None (a scenario without anti_k): no S0
     provenance: str
     expected: dict = field(default_factory=dict)
+    valuation: Optional[MonomialVal] = None  # a blow-up's valuation, read by its wall fixtures
 
     def profile(self) -> PiecewiseQuadratic:
         """Primary engine: two-ray when present, else toric."""
@@ -57,6 +65,28 @@ class VolumeFixture:
 
     def s0(self) -> Fraction:
         return s_invariant(self.profile())
+
+
+# each surface as a row ((H^2), anti_k), with -(K + cD) = (alpha - beta c) H for anti_k = (alpha, beta)
+_P2 = (F(1), (F(3), F(5)))
+_P114 = (F(1, 4), (F(6), F(10)))
+_P1425 = (F(1, 100), (F(30), F(50)))
+_X26 = (F(1, 25), (F(15), F(25)))
+
+_ORDER4_POINT = CyclicQuot(4, 1, 1)
+_A11_VAL = MonomialVal(SMOOTH_POINT, (F(6), F(1)))
+_A12_QUINTIC = germ((2, 0), (0, 13))
+_AXIS = germ((1, 0))  # the curve x = 0 through the point
+
+
+def _blow_up(name, surface, valuation, curve, s0, provenance, moment=None) -> VolumeFixture:
+    """The weighted blow-up of ``surface`` by ``valuation``, with L = H and curve = (degree, germ)
+    or None, as the module docstring derives it."""
+    h2, anti_k = surface
+    (w1, w2), s = valuation.weights, valuation.scale
+    neg_curve = None if curve is None else (F(curve[0]), ord_on_germ(valuation, curve[1]))
+    model = TwoRayModel(h2, valuation.point.n / (w1 * w2 * s * s), F(0), neg_curve)
+    return VolumeFixture(name, model, (F(1), F(0)), moment, anti_k, provenance, {"S0": s0}, valuation)
 
 
 def _p114_polygon():
@@ -74,114 +104,54 @@ def _add_volume(fx: VolumeFixture) -> None:
     VOLUME_FIXTURES[fx.name] = fx
 
 
-_add_volume(VolumeFixture(
-    name="a12",
-    model=TwoRayModel(F(1), F(1, 26), F(0), (F(5), F(26))),
-    L=(F(1), F(0)),
-    moment=None,
-    anti_k=(F(3), F(5)),
-    provenance="(13,2)-blow-up of the plane at the A12 point; Mori cone <E, Cbar_0 ~ 5H-26E>",
-    expected={"S0": F(17, 5)},
+_add_volume(_blow_up(
+    "a12", _P2, MonomialVal(SMOOTH_POINT, (F(13), F(2))), (5, _A12_QUINTIC), F(17, 5),
+    "(13,2)-blow-up of the plane at the A12 point; Mori cone <E, Cbar_0 ~ 5H-26E>",
 ))
-
-_add_volume(VolumeFixture(
-    name="a11red",
-    model=TwoRayModel(F(1), F(1, 6), F(0), (F(2), F(6))),
-    L=(F(1), F(0)),
-    moment=None,
-    anti_k=(F(3), F(5)),
-    provenance="(6,1)-blow-up at the reducible-A11 point; Qbar ~ 2H-6E, (Qbar^2) = -2",
-    expected={"S0": F(5, 3)},
+_add_volume(_blow_up(
+    "a11red", _P2, _A11_VAL, (2, germ((1, 0), (0, 6))), F(5, 3),
+    "(6,1)-blow-up at the reducible-A11 point; Qbar ~ 2H-6E, (Qbar^2) = -2",
 ))
-
-_add_volume(VolumeFixture(
-    name="a11irr",
-    model=TwoRayModel(F(1), F(1, 6), F(0), (F(2), F(5))),
-    L=(F(1), F(0)),
-    moment=None,
-    anti_k=(F(3), F(5)),
-    provenance="(6,1)-blow-up at the irreducible-A11 point; Qbar ~ 2H-5E, (Qbar^2) = -1/6",
-    expected={"S0": F(49, 30)},
+_add_volume(_blow_up(
+    "a11irr", _P2, _A11_VAL, (2, germ((1, 0), (0, 5))), F(49, 30),
+    "(6,1)-blow-up at the irreducible-A11 point; Qbar ~ 2H-5E, (Qbar^2) = -1/6",
 ))
-
-_add_volume(VolumeFixture(
-    name="a10",
-    model=TwoRayModel(F(1), F(1, 22), F(0), (F(2), F(10))),
-    L=(F(1), F(0)),
-    moment=None,
-    anti_k=(F(3), F(5)),
-    provenance="(11,2)-blow-up at the A10 point; Qbar ~ 2H-10E, (Qbar^2) = -6/11",
-    expected={"S0": F(47, 15)},
+_add_volume(_blow_up(
+    "a10", _P2, MonomialVal(SMOOTH_POINT, (F(11), F(2))), (2, germ((1, 0), (0, 5))), F(47, 15),
+    "(11,2)-blow-up at the A10 point; Qbar ~ 2H-10E, (Qbar^2) = -6/11",
 ))
-
-_add_volume(VolumeFixture(
-    name="x26",
-    model=TwoRayModel(F(1, 25), F(25, 26), F(0), (F(1), F(26, 25))),
-    L=(F(1), F(0)),
-    moment=None,
-    anti_k=(F(15), F(25)),
-    provenance="order-25 quotient point of the degree-26 hypersurface; Gammabar ~ L - (26/25)E",
-    expected={"S0": F(9, 25)},
+_add_volume(_blow_up(
+    "x26", _X26, MonomialVal(CyclicQuot(25, 2, 13), (F(2), F(13))), (1, germ((13, 0), (0, 2))), F(9, 25),
+    "order-25 quotient point of the degree-26 hypersurface; Gammabar ~ L - (26/25)E",
 ))
-
-_add_volume(VolumeFixture(
-    name="p114-quot",
-    model=TwoRayModel(F(1, 4), F(4), F(0), None),
-    L=(F(1), F(0)),
-    moment=None,
-    anti_k=(F(6), F(10)),
-    provenance="order-4 quotient point of the quadric cone; vol = max(1/4 - 4t^2, 0)",
-    expected={"S0": F(1, 6)},
+_add_volume(_blow_up(
+    "p114-quot", _P114, MonomialVal(_ORDER4_POINT, (F(1), F(1))), None, F(1, 6),
+    "order-4 quotient point of the quadric cone; vol = max(1/4 - 4t^2, 0)",
 ))
-
-_add_volume(VolumeFixture(
-    name="p114-w31",
-    model=TwoRayModel(F(1, 4), F(1, 12), F(0), (F(1), F(3))),
-    L=(F(1), F(0)),
-    moment=MomentPolygon(_p114_polygon(), (F(-2), F(-12))),
-    anti_k=(F(6), F(10)),
-    provenance="weights (3,1) at the order-4 point of the quadric cone, pushforward scale 4",
-    expected={"S0": F(4, 3)},
+_add_volume(_blow_up(
+    "p114-w31", _P114, MonomialVal(_ORDER4_POINT, (F(3), F(1)), scale=F(4)), (1, _AXIS), F(4, 3),
+    "weights (3,1) at the order-4 point of the quadric cone, pushforward scale 4",
+    MomentPolygon(_p114_polygon(), (F(-2), F(-12))),
 ))
-
-_add_volume(VolumeFixture(
-    name="p114-w51",
-    model=TwoRayModel(F(1, 4), F(1, 20), F(0), (F(1), F(5))),
-    L=(F(1), F(0)),
-    moment=MomentPolygon(_p114_polygon(), (F(-4), F(-20))),
-    anti_k=(F(6), F(10)),
-    provenance="weights (5,1) at the order-4 point of the quadric cone, pushforward scale 4",
-    expected={"S0": F(2)},
+_add_volume(_blow_up(
+    "p114-w51", _P114, MonomialVal(_ORDER4_POINT, (F(5), F(1)), scale=F(4)), (1, _AXIS), F(2),
+    "weights (5,1) at the order-4 point of the quadric cone, pushforward scale 4",
+    MomentPolygon(_p114_polygon(), (F(-4), F(-20))),
 ))
-
-_add_volume(VolumeFixture(
-    name="p1425-w11",
-    model=TwoRayModel(F(1, 100), F(1, 4), F(0), (F(1), F(1))),
-    L=(F(1), F(0)),
-    moment=MomentPolygon(_p1425_polygon(), (F(-4), F(-24))),
-    anti_k=(F(30), F(50)),
-    provenance="weights (1,1) at the order-4 point of P(1,4,25), pushforward scale 4",
-    expected={"S0": F(26, 75)},
+_add_volume(_blow_up(
+    "p1425-w11", _P1425, MonomialVal(_ORDER4_POINT, (F(1), F(1)), scale=F(4)), (1, _AXIS), F(26, 75),
+    "weights (1,1) at the order-4 point of P(1,4,25), pushforward scale 4",
+    MomentPolygon(_p1425_polygon(), (F(-4), F(-24))),
 ))
-
-_add_volume(VolumeFixture(
-    name="p1425-w13",
-    model=TwoRayModel(F(1, 100), F(1, 12), F(0), (F(1), F(1))),
-    L=(F(1), F(0)),
-    moment=MomentPolygon(_p1425_polygon(), (F(-4), F(-22))),
-    anti_k=(F(30), F(50)),
-    provenance="weights (1,3) at the order-4 point of P(1,4,25), pushforward scale 4",
-    expected={"S0": F(28, 75)},
+_add_volume(_blow_up(
+    "p1425-w13", _P1425, MonomialVal(_ORDER4_POINT, (F(1), F(3)), scale=F(4)), (1, _AXIS), F(28, 75),
+    "weights (1,3) at the order-4 point of P(1,4,25), pushforward scale 4",
+    MomentPolygon(_p1425_polygon(), (F(-4), F(-22))),
 ))
-
-_add_volume(VolumeFixture(
-    name="p1425-w15",
-    model=TwoRayModel(F(1, 100), F(1, 20), F(0), (F(1), F(1))),
-    L=(F(1), F(0)),
-    moment=MomentPolygon(_p1425_polygon(), (F(-4), F(-20))),
-    anti_k=(F(30), F(50)),
-    provenance="weights (1,5) at the order-4 point of P(1,4,25), pushforward scale 4",
-    expected={"S0": F(2, 5)},
+_add_volume(_blow_up(
+    "p1425-w15", _P1425, MonomialVal(_ORDER4_POINT, (F(1), F(5)), scale=F(4)), (1, _AXIS), F(2, 5),
+    "weights (1,5) at the order-4 point of P(1,4,25), pushforward scale 4",
+    MomentPolygon(_p1425_polygon(), (F(-4), F(-20))),
 ))
 
 for _ray, _w, _s0 in (
@@ -194,30 +164,29 @@ for _ray, _w, _s0 in (
         model=None,
         L=(F(1), F(0)),
         moment=MomentPolygon(_p1425_polygon(), _w),
-        anti_k=(F(30), F(50)),
+        anti_k=_P1425[1],
         provenance=f"toric boundary ray ({_ray}-divisor) of P(1,4,25)",
         expected={"S0": _s0},
     ))
 
 
 # ---------------------------------------------------------------------------
-# wall-case fixtures: (valuation, germ, volume fixture) triples
+# wall-case fixtures: a curve germ on a volume fixture's blow-up, whose valuation gives A0
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WallFixture:
     name: str
-    valuation: MonomialVal
     curve_germ: Optional[GermSupport]
-    volume: str  # key into VOLUME_FIXTURES
+    volume: str  # key into VOLUME_FIXTURES: its valuation gives A0 and ord(D), its profile S0
     valid_range: Interval
     provenance: str
     expected: dict = field(default_factory=dict)
 
     def case(self) -> WallCase:
         vf = VOLUME_FIXTURES[self.volume]
-        A0 = log_discrepancy(self.valuation)
-        ordD = ord_on_germ(self.valuation, self.curve_germ) if self.curve_germ else F(0)
+        A0 = log_discrepancy(vf.valuation)
+        ordD = ord_on_germ(vf.valuation, self.curve_germ) if self.curve_germ else F(0)
         return WallCase(
             name=self.name,
             A0=A0,
@@ -240,8 +209,7 @@ def _add_wall(fx: WallFixture) -> None:
 
 _add_wall(WallFixture(
     name="a12",
-    valuation=MonomialVal(SMOOTH_POINT, (F(13), F(2))),
-    curve_germ=germ((2, 0), (0, 13)),
+    curve_germ=_A12_QUINTIC,
     volume="a12",
     valid_range=_QUINTIC_RANGE,
     provenance="A12 plane quintic: A = 15 - 26c against S = (17/5)(3 - 5c)",
@@ -250,7 +218,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="a11red",
-    valuation=MonomialVal(SMOOTH_POINT, (F(6), F(1))),
     curve_germ=germ((2, 0), (0, 12)),
     volume="a11red",
     valid_range=_QUINTIC_RANGE,
@@ -260,7 +227,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="a11irr",
-    valuation=MonomialVal(SMOOTH_POINT, (F(6), F(1))),
     curve_germ=germ((2, 0), (0, 12)),
     volume="a11irr",
     valid_range=_QUINTIC_RANGE,
@@ -270,7 +236,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="a10",
-    valuation=MonomialVal(SMOOTH_POINT, (F(11), F(2))),
     curve_germ=germ((2, 0), (0, 11)),
     volume="a10",
     valid_range=_QUINTIC_RANGE,
@@ -278,11 +243,8 @@ _add_wall(WallFixture(
     expected={"A0": F(13), "ordD": F(22), "wall": F(54, 95), "unstable": "above"},
 ))
 
-_ORDER4_POINT = CyclicQuot(4, 1, 1)
-
 _add_wall(WallFixture(
     name="x26",
-    valuation=MonomialVal(CyclicQuot(25, 2, 13), (F(2), F(13))),
     curve_germ=None,
     volume="x26",
     valid_range=_QUINTIC_RANGE,
@@ -292,7 +254,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="x26-through-sing",
-    valuation=MonomialVal(CyclicQuot(25, 2, 13), (F(2), F(13))),
     curve_germ=germ((6, 1), (25, 0), (12, 2)),
     volume="x26",
     valid_range=_QUINTIC_RANGE,
@@ -302,7 +263,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="p114-deg",
-    valuation=MonomialVal(_ORDER4_POINT, (F(3), F(1)), scale=F(4)),
     curve_germ=germ((2, 0), (0, 6), (10, 0), (0, 10)),
     volume="p114-w31",
     valid_range=_QUINTIC_RANGE,
@@ -312,7 +272,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="p114-nondeg",
-    valuation=MonomialVal(_ORDER4_POINT, (F(5), F(1)), scale=F(4)),
     curve_germ=germ((2, 0), (1, 5), (0, 10)),
     volume="p114-w51",
     valid_range=_QUINTIC_RANGE,
@@ -322,7 +281,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="p1425-case1",
-    valuation=MonomialVal(_ORDER4_POINT, (F(1), F(1)), scale=F(4)),
     curve_germ=germ((2, 0), (1, 1), (0, 2)),
     volume="p1425-w11",
     valid_range=_QUINTIC_RANGE,
@@ -332,7 +290,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="p1425-case2",
-    valuation=MonomialVal(_ORDER4_POINT, (F(1), F(3)), scale=F(4)),
     curve_germ=germ((6, 0), (10, 0), (0, 2)),
     volume="p1425-w13",
     valid_range=_QUINTIC_RANGE,
@@ -342,7 +299,6 @@ _add_wall(WallFixture(
 
 _add_wall(WallFixture(
     name="p1425-case3",
-    valuation=MonomialVal(_ORDER4_POINT, (F(1), F(5)), scale=F(4)),
     curve_germ=germ((10, 0), (0, 2)),
     volume="p1425-w15",
     valid_range=_QUINTIC_RANGE,
@@ -362,14 +318,13 @@ def first_wall_case(d: int) -> WallCase:
     """Wall case for the degree-d first wall: the quotient point of the quadric cone
     against the conic degeneration, ord(D) = 0 for even d and 1/2 for odd d."""
     vf = VOLUME_FIXTURES["p114-quot"]
-    val = MonomialVal(_ORDER4_POINT, (F(1), F(1)))
-    ordD = F(0) if d % 2 == 0 else ord_on_germ(val, germ((1, 1)))
+    ordD = F(0) if d % 2 == 0 else ord_on_germ(vf.valuation, germ((1, 1)))
     return WallCase(
         name=f"firstwall-{_PARITY[d % 2]}-d{d}",
-        A0=log_discrepancy(val),
+        A0=log_discrepancy(vf.valuation),
         ordD=ordD,
         S0=vf.s0(),
-        alpha=F(6),
+        alpha=vf.anti_k[0],
         beta=F(2 * d),
         valid_range=Interval(F(0), F(3, d)),
     )
@@ -395,9 +350,8 @@ def delta_ratios(name: str) -> dict[str, Fraction]:
     """The ratio A/(alpha S0) of each valuation in a named surface's declared
     list, keyed by the valuation's label."""
     if name == "x26-delta":
-        fx = WALL_FIXTURES["x26"]
-        vf = VOLUME_FIXTURES[fx.volume]
-        return {"x26": delta_upper(log_discrepancy(fx.valuation), vf.s0(), vf.anti_k)}
+        vf = VOLUME_FIXTURES["x26"]
+        return {"x26": delta_upper(log_discrepancy(vf.valuation), vf.s0(), vf.anti_k)}
     # name == "p1425-delta", the other surface: its toric boundary rays, with A = 1
     rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
     return {ray: delta_upper(F(1), vf.s0(), vf.anti_k) for ray, vf in rays.items()}

@@ -28,7 +28,7 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise WallError(f"range {self} is inverted: its low end exceeds its high end")
+            raise WallError(f"field 'range': range {self} is inverted: its low end exceeds its high end")
 
     def __contains__(self, c) -> bool:
         c = rat(c)
@@ -67,9 +67,9 @@ class WallCase:
         # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
         lo, hi = self.valid_range.lo, self.valid_range.hi
         if al * lo.denominator - be * lo.numerator <= 0:
-            raise WallError("anti-canonical degree must be positive at the low end of the range")
+            raise WallError("field 'alpha': anti-canonical degree must be positive at the low end of the range")
         if al * hi.denominator - be * hi.numerator < 0:
-            raise WallError("anti-canonical degree must stay nonnegative on the range")
+            raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ class QuinticStratumPoint:
         cs = tuple(rat(c) for c in self.coords)
         object.__setattr__(self, "coords", cs)
         if len(cs) not in (2, 4):
-            raise WallError("stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]")
+            raise WallError("field 'coords': stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]")
         if all(c == 0 for c in cs):
-            raise WallError("stratum point cannot be the zero vector")
+            raise WallError("field 'coords': stratum point cannot be the zero vector")
 
     @property
     def chart(self) -> str:
@@ -185,7 +185,7 @@ def first_wall(d: int) -> tuple[Fraction, str, WallReport]:
     d >= 4, so the report always has a wall.
     """
     if d < 4:
-        raise WallError("degrees below 4 are out of scope")
+        raise WallError("field 'degree': degrees below 4 are out of scope")
     from . import fixtures
 
     case = fixtures.first_wall_case(d)

@@ -439,9 +439,9 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
 def check_wall_range(alpha: Fraction, beta: Fraction, valid_range: Interval) -> None:
     """The range checks of a WallCase, on the Fraction degree alpha - beta c at both ends."""
     if alpha - beta * valid_range.lo <= 0:
-        raise WallError("anti-canonical degree must be positive at the low end of the range")
+        raise WallError("field 'alpha': anti-canonical degree must be positive at the low end of the range")
     if alpha - beta * valid_range.hi < 0:
-        raise WallError("anti-canonical degree must stay nonnegative on the range")
+        raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
 
 
 def margin(case: WallCase, c) -> Fraction:

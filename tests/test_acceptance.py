@@ -78,6 +78,14 @@ def test_criterion_2_fails_on_a_first_wall_case_with_a_wrong_s0(monkeypatch):
         acceptance.criterion_2()
 
 
+def test_criterion_8_fails_on_a_wrong_lct_annotation(monkeypatch):
+    # a3-germ is one of the germs the old hand-written list left out
+    fx = fixtures.LCT_FIXTURES["a3-germ"]
+    monkeypatch.setitem(fixtures.LCT_FIXTURES, "a3-germ", dataclasses.replace(fx, expected=F(2, 3)))
+    with pytest.raises(acceptance.CheckFailed, match=r"^a3-germ: lct = 3/4, annotated 2/3$"):
+        acceptance.criterion_8()
+
+
 def test_criterion_9_fails_on_a_cm_degree_with_one_coefficient_changed(monkeypatch):
     real = acceptance.cm_degree
     # the c^2 coefficient -18d raised by 1

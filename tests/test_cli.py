@@ -10,7 +10,8 @@ import pytest
 
 from kwall import cli, fixtures, git, toric_kps, valuations, volumes, walls
 from kwall.exact import DegenerateInputError, KwallError, SingularSystemError, StructuralError, rat
-from kwall.volumes import TwoRayModel
+from kwall.valuations import SMOOTH_POINT, MonomialVal
+from kwall.volumes import ModelError
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -129,7 +130,7 @@ def test_scenario_two_ray_roundtrip(tmp_path):
     doc = json.loads(out)
     assert doc["S0"] == "17/5"
     # re-ingest the serialized document: identical report
-    kind, payload2, _ = cli.load_scenario(json.loads(text))
+    kind, payload2 = cli.load_scenario(json.loads(text))
     assert cli.run_scenario(kind, payload2) == json.loads(out)
 
 
@@ -183,7 +184,7 @@ def test_scenario_git_binary(tmp_path):
 ])
 def test_every_scenario_kind_roundtrips(kind, payload):
     text = scenario_json(kind, payload)
-    kind2, payload2, _ = cli.load_scenario(json.loads(text))
+    kind2, payload2 = cli.load_scenario(json.loads(text))
     assert (kind2, payload2) == (kind, payload)
     first = cli.run_scenario(kind, payload)
     second = cli.run_scenario(kind2, payload2)
@@ -258,8 +259,7 @@ def test_annotations_never_consulted(monkeypatch):
     base = run_cli("--json", "wall", "--fixture", "a12")[1]
     fx = fixtures.WALL_FIXTURES["a12"]
     monkeypatch.setitem(fixtures.WALL_FIXTURES, "a12", type(fx)(
-        name=fx.name, valuation=fx.valuation, curve_germ=fx.curve_germ,
-        volume=fx.volume, valid_range=fx.valid_range, provenance=fx.provenance,
+        name=fx.name, curve_germ=fx.curve_germ, volume=fx.volume, valid_range=fx.valid_range, provenance=fx.provenance,
         expected={},
     ))
     assert run_cli("--json", "wall", "--fixture", "a12")[1] == base
@@ -269,17 +269,22 @@ def test_corrupted_fixture_fails_verification(monkeypatch):
     from fractions import Fraction as F
     from kwall import acceptance
 
+    # the a12 blow-up with a wrong valuation: its (E^2) and Cbar are derived from it
     fx = fixtures.VOLUME_FIXTURES["a12"]
-    corrupted = type(fx)(
-        name=fx.name,
-        model=TwoRayModel(F(1), F(1, 25), F(0), (F(5), F(26))),  # wrong (E^2)
-        L=fx.L, moment=fx.moment, anti_k=fx.anti_k,
-        provenance=fx.provenance, expected=fx.expected,
-    )
-    monkeypatch.setitem(fixtures.VOLUME_FIXTURES, "a12", corrupted)
+
+    def blow_up(weights):
+        return fixtures._blow_up(fx.name, fixtures._P2, MonomialVal(SMOOTH_POINT, weights),
+                                 (5, fixtures._A12_QUINTIC), fx.expected["S0"], fx.provenance)
+
+    # weights (13, 3) give (E^2) = -1/39 and Cbar = 5H - 26E with (Cbar^2) > 0: refused as built
+    with pytest.raises(ModelError, match="field 'neg_curve'"):
+        blow_up((F(13), F(3)))
+    # weights (26, 4) give (E^2) = -1/104 and Cbar = 5H - 52E, a valid model with the wrong profile
+    monkeypatch.setitem(fixtures.VOLUME_FIXTURES, "a12", blow_up((F(26), F(4))))
     results = acceptance.run_all()
-    failed = [r for r in results if not r.passed]
-    assert failed, "corrupting a fixture must surface as a named failure"
+    failed = {r.cid: r.detail for r in results if not r.passed}
+    # criterion 3 reads the profile alone, not A0, so the derived model is what it catches
+    assert failed.get(3) == "CheckFailed: a12: two-ray profile differs from the printed formula"
 
 
 def test_verify_all_exit_code():
@@ -388,7 +393,7 @@ def test_decimal_and_malformed_rational_strings_rejected(tmp_path, capsys, text)
     # the file route
     path = tmp_path / "coeff.json"
     path.write_text(scenario_json("cm", {"n": 2, "degree": 5, "coeff": text}), encoding="utf-8")
-    kind, payload, _ = cli._read_scenario_file(str(path))
+    kind, payload = cli._read_scenario_file(str(path))
     with pytest.raises(cli.SchemaError, match="field 'coeff': malformed rational"):
         cli.run_scenario(kind, payload)
     # the library route: the same rule, without a field name

@@ -183,15 +183,17 @@ INVALID: list[tuple[list[str], object, str]] = [
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["1", "0"], ["0", "1"]], "w": ["0", "0"]}),
      "field 'w': valuation direction must be nonzero"),
     # walls
-    (["first-wall", "--degree", "3"], None, "degrees below 4 are out of scope"),
+    (["first-wall", "--degree", "3"], None, "field 'degree': degrees below 4 are out of scope"),
     (*_file("wall", "wall-case", {**_WALL, "range": ["1/2", "1/4"]}),
-     "range (1/2, 1/4) is inverted: its low end exceeds its high end"),
+     "field 'range': range (1/2, 1/4) is inverted: its low end exceeds its high end"),
     (*_file("wall", "wall-case", {**_WALL, "range": ["1/2", "1/2"]}), "field 'range': range (1/2, 1/2) is empty"),
     (*_file("wall", "wall-case", {**_WALL, "alpha": "0"}),
-     "anti-canonical degree must be positive at the low end of the range"),
-    (*_file("wall", "wall-case", {**_WALL, "alpha": "1"}), "anti-canonical degree must stay nonnegative on the range"),
-    (["stratum", "--coords", "1,2,3"], None, "stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]"),
-    (["stratum", "--coords", "0,0"], None, "stratum point cannot be the zero vector"),
+     "field 'alpha': anti-canonical degree must be positive at the low end of the range"),
+    (*_file("wall", "wall-case", {**_WALL, "alpha": "1"}),
+     "field 'alpha': anti-canonical degree must stay nonnegative on the range"),
+    (["stratum", "--coords", "1,2,3"], None,
+     "field 'coords': stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]"),
+    (["stratum", "--coords", "0,0"], None, "field 'coords': stratum point cannot be the zero vector"),
     # exact: rationals, and the vertex cycle of a moment polygon
     (*_file("volume", "two-ray", {**_A12, "h2": True}),
      "field 'h2': rationals must be 'p/q' strings or integers, got True"),

@@ -103,7 +103,7 @@ def test_mutated_scenarios_end_in_a_report_or_a_kwall_error(data):
     for _ in range(data.draw(st.integers(1, 3))):
         _mutate(data, doc)
     try:
-        report = cli.run_scenario(*cli.load_scenario(doc)[:2])
+        report = cli.run_scenario(*cli.load_scenario(doc))
     except KwallError:
         return
     assert isinstance(report, dict)
@@ -113,7 +113,7 @@ def test_mutated_scenarios_end_in_a_report_or_a_kwall_error(data):
 @pytest.mark.parametrize("kind,payload", VALID, ids=[f"{k}-{i}" for i, (k, _) in enumerate(VALID)])
 def test_fuzz_seeds_are_valid_documents(kind, payload):
     # the fuzz starts from documents that run, so a rejection is the mutation's doing
-    assert isinstance(cli.run_scenario(*cli.load_scenario({"kind": kind, "payload": payload})[:2]), dict)
+    assert isinstance(cli.run_scenario(*cli.load_scenario({"kind": kind, "payload": payload})), dict)
 
 
 @pytest.mark.parametrize("kind,payload", NON_LATTICE_GENERATORS, ids=["doubled", "halved"])

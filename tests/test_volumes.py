@@ -60,6 +60,33 @@ def test_volume_at_zero_is_selfintersection():
         assert prof(0) == vf.model.pair((cH, cE), (cH, cE)), name
 
 
+# (h2, e2, cross, neg_curve) and anti_k of each two-ray fixture, as the model stores them; every L is H
+_TWO_RAY_MODELS = {
+    "a12": ((1, F(1, 26), 0, (5, 26)), (3, 5)),
+    "a11red": ((1, F(1, 6), 0, (2, 6)), (3, 5)),
+    "a11irr": ((1, F(1, 6), 0, (2, 5)), (3, 5)),
+    "a10": ((1, F(1, 22), 0, (2, 10)), (3, 5)),
+    "x26": ((F(1, 25), F(25, 26), 0, (1, F(26, 25))), (15, 25)),
+    # no declared curve: the isotropic ray R = 16H - 4E
+    "p114-quot": ((F(1, 4), 4, 0, (16, 4)), (6, 10)),
+    "p114-w31": ((F(1, 4), F(1, 12), 0, (1, 3)), (6, 10)),
+    "p114-w51": ((F(1, 4), F(1, 20), 0, (1, 5)), (6, 10)),
+    "p1425-w11": ((F(1, 100), F(1, 4), 0, (1, 1)), (30, 50)),
+    "p1425-w13": ((F(1, 100), F(1, 12), 0, (1, 1)), (30, 50)),
+    "p1425-w15": ((F(1, 100), F(1, 20), 0, (1, 1)), (30, 50)),
+}
+
+
+def test_two_ray_fixtures_keep_their_models():
+    got = {name: vf for name, vf in fixtures.VOLUME_FIXTURES.items() if vf.model is not None}
+    assert sorted(got) == sorted(_TWO_RAY_MODELS)
+    for name, ((h2, e2, cross, neg_curve), anti_k) in _TWO_RAY_MODELS.items():
+        vf = got[name]
+        m = vf.model
+        assert (m.h2, m.e2, m.cross, m.neg_curve) == (h2, e2, cross, neg_curve), name
+        assert (vf.L, vf.anti_k) == ((1, 0), anti_k), name
+
+
 def test_toric_p114_weights31():
     vf = fixtures.VOLUME_FIXTURES["p114-w31"]
     prof = volume_toric(vf.moment)

@@ -136,17 +136,13 @@ def criterion_3() -> str:
 
 
 def criterion_4() -> str:
-    """S-invariants of the quintic cases and the degree-26 hypersurface."""
-    got = [fixtures.VOLUME_FIXTURES[n].s0() for n in ("a12", "a11red", "a11irr", "a10")]
-    if got != [F(17, 5), F(5, 3), F(49, 30), F(47, 15)]:
-        raise CheckFailed(str(got))
-    vf = fixtures.VOLUME_FIXTURES["x26"]
-    s0 = vf.s0()
-    if s0 != F(9, 25) or vf.anti_k != (F(15), F(25)):
-        raise CheckFailed(f"x26: S0 = {s0}, anti_k = {vf.anti_k}")
-    for c in (F(0), F(1, 5), F(8, 15)):
-        if (vf.anti_k[0] - vf.anti_k[1] * c) * s0 != F(9, 25) * (15 - 25 * c):
-            raise CheckFailed(f"x26: S({c}) differs")
+    """S-invariants: every volume fixture against its annotation; the toric engine against the barycenter."""
+    checked = []
+    for name, vf in fixtures.VOLUME_FIXTURES.items():
+        s0 = vf.s0()
+        if s0 != vf.expected["S0"]:
+            raise CheckFailed(f"{name}: S0 = {s0}, annotated {vf.expected['S0']}")
+        checked.append(f"{name} {s0}")
     # Blum-Jonsson: for a toric valuation S0 = <b, w> - min_P <., w> with b the barycenter of P, and
     # vol(L) = 2 area(P); this route shares no slice width and no integration with the toric profile
     toric = [(name, vf) for name, vf in fixtures.VOLUME_FIXTURES.items() if vf.moment is not None]
@@ -161,12 +157,11 @@ def criterion_4() -> str:
         s0 = v2_dot(b, w) - min(v2_dot(v, w) for v in polygon_.vertices)
         if s_invariant(profile) != s0:
             raise CheckFailed(f"{name}: toric S0 = {s_invariant(profile)}, barycenter S0 = {s0}")
-    return "S0 = 17/5, 5/3, 49/30, 47/15; S(c) = (9/25)(15 - 25c)"
+    return f"{len(checked)} S0 as annotated: " + ", ".join(checked)
 
 
 def criterion_5() -> str:
     """Centroid tests on all appendix cone fixtures."""
-    walls = {"a12": F(8, 15), "a11red": F(6, 11), "a11irr": F(63, 115), "a10": F(54, 95)}
     for name, cf in sorted(fixtures.CENTROID_FIXTURES.items()):
         verdict = solve_centroid_condition(cf.case)
         if verdict.verdict != "unique-c":
@@ -175,7 +170,7 @@ def criterion_5() -> str:
         if not (a > 0 and b > 0):
             raise CheckFailed(f"{name}: a = {a}, b = {b}")
         twin = fixtures.CENTROID_WALL_TWINS[name]
-        if c != walls[twin]:
+        if c != fixtures.WALL_FIXTURES[twin].expected["wall"]:
             raise CheckFailed(f"{name}: c = {c}")
         if c != solve_wall(fixtures.wall_case(twin)).wall:
             raise CheckFailed(f"{name}: valuative twin disagrees")

@@ -275,7 +275,11 @@ def run_scenario(kind: str, payload: dict) -> dict:
     if kind == "toric":
         verts = [_rat_vec(v, f"polygon[{i}]", 2) for i, v in enumerate(_as_list(_need(payload, "polygon"), "polygon"))]
         w = _rat_vec(_need(payload, "w"), "w", 2)
-        return _volume_report(_volume_input(payload, None, None, MomentPolygon(make_polygon(verts), w)))
+        try:
+            region = make_polygon(verts)
+        except StructuralError as exc:  # the vertex cycle is not simple and convex
+            raise SchemaError(f"field 'polygon': {exc}") from None
+        return _volume_report(_volume_input(payload, None, None, MomentPolygon(region, w)))
     if kind == "wall-case":
         rng = payload.get("range")
         lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)
@@ -353,12 +357,13 @@ def run_scenario(kind: str, payload: dict) -> dict:
         n = _as_int(_need(payload, "n"), "n")
         d = _as_int(_need(payload, "degree"), "degree")
         c = _as_rat(_need(payload, "coeff"), "coeff")
+        window = cm_positivity_window(n, d)  # refuses the degree and the dimension before the power is taken
         return {
             "n": str(n),
             "degree": str(d),
             "coeff": fmt(c),
             "cm degree": fmt(cm_degree(n, d, c)),
-            "positivity window": str(cm_positivity_window(n, d)),
+            "positivity window": str(window),
         }
     # kind == "stratum", the last kind in _FIELDS
     coords = tuple(_as_rat(v, f"coords[{i}]") for i, v in enumerate(_as_list(_need(payload, "coords"), "coords")))
@@ -481,19 +486,18 @@ def _cmd_walls() -> dict:
     }
 
 
-def _parse_pairs(text: str, what: str) -> frozenset[tuple[int, int]]:
-    mons = set()
+def _parse_pairs(text: str) -> list[list[int]]:
+    """The --germ monomials 'i,j i,j ...' as the [i, j] pairs of an lct payload's 'germ'."""
+    mons = []
     for chunk in text.replace(";", " ").split():
         parts = chunk.split(",")
         if len(parts) != 2:
-            raise SchemaError(f"field '{what}': expected 'i,j' pairs, got {chunk!r}")
+            raise SchemaError(f"field 'germ': expected 'i,j' pairs, got {chunk!r}")
         try:
-            mons.add((integer(parts[0]), integer(parts[1])))
+            mons.append([integer(parts[0]), integer(parts[1])])
         except ValueError as exc:
-            raise SchemaError(f"field '{what}': non-integer exponent in {chunk!r}") from exc
-    if not mons:
-        raise SchemaError(f"field '{what}': no monomials given")
-    return frozenset(mons)
+            raise SchemaError(f"field 'germ': non-integer exponent in {chunk!r}") from exc
+    return mons
 
 
 def _input_group(p: argparse.ArgumentParser, *inline: tuple[str, str]) -> None:
@@ -584,12 +588,12 @@ def _dispatch(args) -> tuple[dict, int]:
         }, 0
     if command == "lct":
         if args.germ is not None:
-            return _lct_report(GermSupport(_parse_pairs(args.germ, "germ"))), 0
+            return run_scenario("lct", {"germ": _parse_pairs(args.germ)}), 0
         try:
             w1, w2, degree = (integer(part) for part in args.quasihomog.split(","))
         except ValueError:
             raise SchemaError(f"field 'quasihomog': expected 'w1,w2,degree' integers, got {args.quasihomog!r}") from None
-        return _lct_report(QuasiHomogGerm(w1, w2, degree)), 0
+        return run_scenario("lct", {"quasihomog": [w1, w2, degree]}), 0
     if command == "index-bound":
         return run_scenario("index", {"degree": args.degree, "coeff": args.coeff}), 0
     if command == "cm":

@@ -25,11 +25,8 @@ class KwallError(ValueError):
 
 
 class StructuralError(KwallError):
-    """Malformed input (non-monotone breakpoints, invalid vertex list, ...)."""
-
-
-class DegenerateInputError(KwallError):
-    """An operation received a degenerate value it cannot handle (e.g. centroid of a segment)."""
+    """Malformed input: a rational or integer that does not parse, or a vertex cycle that is not
+    simple and convex."""
 
 
 class SingularSystemError(KwallError):
@@ -195,7 +192,9 @@ class PiecewiseQuadratic:
 
     ``breakpoints`` is a strictly increasing list t0 < t1 < ... < tk and
     ``pieces[i]`` is the polynomial on the closed-left interval [t_i, t_{i+1}).
-    Adjacent pieces must agree at interior breakpoints.  The name reflects the
+    Adjacent pieces agree at interior breakpoints.  The constructor takes both
+    lists as given: both volume engines build them so, and the tests check the
+    shape with ``oracles._check_profile``.  The name reflects the
     dominant use (volume profiles are quadratic per piece); higher degrees are
     accepted.
     """
@@ -203,23 +202,12 @@ class PiecewiseQuadratic:
     __slots__ = ("breakpoints", "pieces")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Poly]):
-        bps = [rat(b) for b in breakpoints]
-        if len(bps) != len(pieces) + 1:
-            raise StructuralError("need exactly one more breakpoint than pieces")
-        for a, b in zip(bps, bps[1:]):
-            if not a < b:
-                raise StructuralError("breakpoints must be strictly increasing")
-        for i in range(len(pieces) - 1):
-            t = bps[i + 1]
-            if pieces[i](t) != pieces[i + 1](t):
-                raise StructuralError(f"pieces disagree at breakpoint {fmt(t)}")
-        self.breakpoints = tuple(bps)
+        self.breakpoints = tuple(rat(b) for b in breakpoints)
         self.pieces = tuple(pieces)
 
     def __call__(self, t) -> Fraction:
+        """The value at t >= t0, where every caller evaluates."""
         t = rat(t)
-        if t < self.breakpoints[0]:
-            raise StructuralError(f"evaluation below domain start {fmt(self.breakpoints[0])}")
         for b, p in zip(self.breakpoints[1:], self.pieces):
             if t < b:
                 return p(t)
@@ -323,8 +311,6 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
     """
     offset = rat(offset)
     normal = (rat(normal[0]), rat(normal[1]))
-    if normal == (Fraction(0), Fraction(0)):
-        raise StructuralError("halfplane normal must be nonzero")
     if p.kind == "empty":
         return p
     if p.kind == "point":
@@ -356,9 +342,8 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
 
 
 def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
-    """Exact area (shoelace) and centroid (signed triangle fan) of a non-degenerate polygon."""
-    if p.is_degenerate:
-        raise DegenerateInputError(f"centroid undefined for degenerate polygon (kind={p.kind})")
+    """Exact area (shoelace) and centroid (signed triangle fan) of a non-degenerate polygon;
+    ``oracles.area_centroid`` refuses the degenerate ones."""
     nums, d = _cleared([c for v in p.vertices for c in v])
     xs, ys = nums[::2], nums[1::2]
     twice_area = cx = cy = 0
@@ -377,12 +362,6 @@ def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
 # ---------------------------------------------------------------------------
 
 Mat3 = tuple[Vec3, Vec3, Vec3]  # rows
-
-
-def mat3(rows: Sequence[Sequence]) -> Mat3:
-    if len(rows) != 3 or any(len(r) != 3 for r in rows):
-        raise StructuralError("mat3 needs three rows of three entries")
-    return tuple(vec3(*r) for r in rows)  # type: ignore[return-value]
 
 
 def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .exact import Mat3, PiecewiseQuadratic, Vec3, mat3, mat3_vec, polygon
+from .exact import PiecewiseQuadratic, Vec3, mat3_vec, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
 from .toric_kps import CentroidCase
 from .valuations import (
@@ -370,7 +370,7 @@ def delta_upper_bound(name: str) -> Fraction:
 @dataclass(frozen=True)
 class CentroidFixture:
     case: CentroidCase
-    printed_basis: Mat3  # maps internal dual coordinates to the printed ones
+    printed_basis: tuple[tuple[int, int, int], ...]  # integer rows: internal dual coordinates to printed ones
     provenance: str
     expected: dict = field(default_factory=dict)
     # normality of the degeneration's central fiber is assumed for these
@@ -400,7 +400,7 @@ def _add_centroid(
     )
     CENTROID_FIXTURES[name] = CentroidFixture(
         case=case,
-        printed_basis=mat3(printed_basis),
+        printed_basis=printed_basis,
         provenance=provenance,
         expected=expected,
     )

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .exact import KwallError, rat
+from .walls import Interval
 
 
 class GitError(KwallError):
@@ -31,12 +32,12 @@ class PlaneCurveSupport:
     def __post_init__(self):
         mons = frozenset((int(a), int(b), int(c)) for a, b, c in self.monomials)
         if not mons:
-            raise GitError("curve support must be nonempty")
+            raise GitError("field 'monomials': curve support must be nonempty")
         for m in mons:
             if any(e < 0 for e in m):
-                raise GitError("exponents must be nonnegative")
+                raise GitError("field 'monomials': exponents must be nonnegative")
             if sum(m) != self.degree:
-                raise GitError(f"monomial {m} does not have degree {self.degree}")
+                raise GitError(f"field 'monomials': monomial {m} does not have degree {self.degree}")
         object.__setattr__(self, "monomials", mons)
 
 
@@ -50,9 +51,9 @@ class OnePS:
         ws = tuple(int(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if all(w == 0 for w in ws):
-            raise GitError("one-parameter subgroup must be nontrivial")
+            raise GitError("field 'lambda': one-parameter subgroup must be nontrivial")
         if sum(ws) != 0:
-            raise GitError("torus weights must sum to zero")
+            raise GitError("field 'lambda': torus weights must sum to zero")
 
 
 def hm_weight_plane(curve: PlaneCurveSupport, lam: OnePS) -> Fraction:
@@ -89,33 +90,33 @@ class BinaryFormSystem:
 
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
-            raise GitError("parity must be 'even' or 'odd'")
+            raise GitError("field 'parity': parity must be 'even' or 'odd'")
         d = self.degree
         if self.parity == "even" and d % 2 != 0:
-            raise GitError("even-parity system needs even degree")
+            raise GitError("field 'degree': even-parity system needs even degree")
         if self.parity == "odd" and d % 2 != 1:
-            raise GitError("odd-parity system needs odd degree")
+            raise GitError("field 'degree': odd-parity system needs odd degree")
         forms = {int(j): frozenset((int(i), int(k)) for i, k in supp) for j, supp in self.forms.items()}
         if not any(forms.values()):
-            raise GitError("all-zero system is the excluded cone point")
+            raise GitError("field 'forms': all-zero system is the excluded cone point")
         for j, supp in forms.items():
             deg = self.block_degree(j)
             for i, k in supp:
                 if i < 0 or k < 0 or i + k != deg:
-                    raise GitError(f"monomial {(i, k)} invalid in block {j} of degree {deg}")
+                    raise GitError(f"field 'forms.{j}': monomial {(i, k)} invalid in block {j} of degree {deg}")
                 if self.parity == "odd" and j == 1 and (i, k) not in ((6, 0), (0, 6)):
-                    raise GitError("the odd degree-6 block only carries x^6 and y^6")
+                    raise GitError("field 'forms.1': the odd degree-6 block only carries x^6 and y^6")
         object.__setattr__(self, "forms", forms)
 
     def block_degree(self, j: int) -> int:
         if self.parity == "even":
             if not 2 <= j <= self.degree // 2:
-                raise GitError(f"even block index {j} out of range")
+                raise GitError(f"field 'forms.{j}': even block index {j} out of range")
             return 4 * j
         if j == 1:
             return 6
         if not 2 <= j <= (self.degree - 1) // 2:
-            raise GitError(f"odd block index {j} out of range")
+            raise GitError(f"field 'forms.{j}': odd block index {j} out of range")
         return 4 * j + 2
 
     def nonzero_blocks(self) -> list[int]:
@@ -220,7 +221,8 @@ def replay_certificate(system: BinaryFormSystem, cert: StabilityCertificate) -> 
 
 def cm_degree(n: int, d: int, c: Fraction) -> Fraction:
     """Degree (n+1) c (n+1 - cd)^n of the CM line bundle on the space of
-    degree-d hypersurfaces in P^n at coefficient c.
+    degree-d hypersurfaces in P^n at coefficient c, for the n and d that
+    ``cm_positivity_window`` accepts.
 
     A value with more digits than an int converts to text
     (``sys.get_int_max_str_digits()``, 0 for no limit) is refused before the
@@ -229,8 +231,6 @@ def cm_degree(n: int, d: int, c: Fraction) -> Fraction:
     and its denominator at least q^n / ((n+1)|a|) when a != 0, and
     2^(10k/3) > 10^k.
     """
-    if n < 1 or d < 1:
-        raise GitError("dimension and degree must be positive")
     c = rat(c)
     if c == 0:
         return c
@@ -246,10 +246,10 @@ def cm_degree(n: int, d: int, c: Fraction) -> Fraction:
     return (n + 1) * c * base ** n
 
 
-def cm_positivity_window(n: int, d: int):
-    """{c : cm_degree(n, d, c) > 0} = (0, (n+1)/d)."""
-    from .walls import Interval
-
+def cm_positivity_window(n: int, d: int) -> Interval:
+    """{c : cm_degree(n, d, c) > 0} = (0, (n+1)/d), for hypersurfaces of degree d >= 2 in P^n, n >= 1."""
     if d < 2:
-        raise GitError("degree must be at least 2")
+        raise GitError("field 'degree': degree must be at least 2")
+    if n < 1:
+        raise GitError("field 'n': dimension must be positive")
     return Interval(Fraction(0), Fraction(n + 1, d))

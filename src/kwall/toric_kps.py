@@ -30,7 +30,6 @@ from .exact import (
     _cleared,
     _idot3,
     fmt,
-    mat3,
     solve_linear3,
     vec3,
 )
@@ -119,9 +118,9 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     rays, det, _, _ = case._form
     u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
     u2 = reeb_cross_section_centroid(case)
-    m = mat3([[u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
+    rows = [(u0[i], -case.u1[i], case.eta0star[i]) for i in range(3)]
     try:
-        p, q, b = solve_linear3(m, u2)
+        p, q, b = solve_linear3(rows, u2)
     except SingularSystemError as exc:
         if all(x == 0 for x in case.u1):
             detail = "u1 = 0: the coefficient never enters the condition"
@@ -130,5 +129,5 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
         return CentroidVerdict(u0, u2, None, "indeterminate", detail)
     if p <= 0 or b <= 0:
         return CentroidVerdict(u0, u2, None, "no-solution", f"sign conditions fail: a = {p}, b = {b}")
-    # Cramer's rule is exact: m (p, q, b) = u2 needs no re-check
+    # Cramer's rule is exact: rows (p, q, b) = u2 needs no re-check
     return CentroidVerdict(u0, u2, (p, q / p, b), "unique-c")

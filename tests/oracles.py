@@ -46,6 +46,16 @@ command calls: the tests and the engines here build polynomials with them.
 reading the rank of a singular system off the 2x2 minors it already has; it is
 the reference for that rank.  ``sample_points`` are interior points at which
 the tests evaluate whole profiles.
+
+The library's kernels keep only the input checks a command can reach.  A
+``PiecewiseQuadratic`` takes its breakpoints and pieces as given, and
+evaluates at t >= its first breakpoint, where every caller evaluates; the
+library's area and centroid take a non-degenerate polygon, which is all the
+gate hands them; and the tests build their 3x3 matrices with ``mat3``.  Each
+contract is kept here: ``_check_profile`` asserts the shape of a volume
+profile on every profile built here, ``piecewise_eval`` refuses a point below
+the domain, ``area_centroid`` a degenerate polygon, and ``mat3`` a matrix that
+is not 3x3.
 """
 
 from __future__ import annotations
@@ -56,7 +66,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from kwall.exact import (
-    DegenerateInputError,
     Mat3,
     PiecewiseQuadratic,
     Poly,
@@ -66,7 +75,6 @@ from kwall.exact import (
     Vec2,
     Vec3,
     clip,
-    mat3,
     rat,
     vec3,
 )
@@ -148,6 +156,13 @@ def piecewise_eval(f: PiecewiseQuadratic, t) -> Fraction:
         if a <= t < b:
             return poly_eval(p, t)
     return Fraction(0)
+
+
+def mat3(rows: Sequence[Sequence]) -> Mat3:
+    """Three rows of three entries, each coerced to a Fraction."""
+    if len(rows) != 3 or any(len(r) != 3 for r in rows):
+        raise StructuralError("mat3 needs three rows of three entries")
+    return tuple(vec3(*r) for r in rows)  # type: ignore[return-value]
 
 
 def mat3_rank(m: Mat3) -> int:
@@ -283,7 +298,7 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
 def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
     """Shoelace and triangle fan summed over Fractions."""
     if p.is_degenerate:
-        raise DegenerateInputError(f"centroid undefined for degenerate polygon (kind={p.kind})")
+        raise StructuralError(f"centroid undefined for degenerate polygon (kind={p.kind})")
     verts = p.vertices
     n = len(verts)
     twice_area = Fraction(0)
@@ -318,12 +333,19 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _check_profile(profile: PiecewiseQuadratic) -> None:
-    """Non-increasing (each piece's derivative is <= 0 at both ends of its interval)
-    and zero at the last breakpoint; the library engines hold both by construction."""
-    for a, b, p in zip(profile.breakpoints, profile.breakpoints[1:], profile.pieces):
+    """The shape of a volume profile, which the library engines build by construction: one more
+    breakpoint than pieces, strictly increasing breakpoints, adjacent pieces agreeing at each
+    interior breakpoint, non-increasing (each piece's derivative is <= 0 at both ends of its
+    interval) and zero at the last breakpoint."""
+    bps, pieces = profile.breakpoints, profile.pieces
+    assert len(bps) == len(pieces) + 1, "need exactly one more breakpoint than pieces"
+    assert all(a < b for a, b in zip(bps, bps[1:])), "breakpoints must be strictly increasing"
+    for t, p, q in zip(bps[1:], pieces, pieces[1:]):
+        assert poly_eval(p, t) == poly_eval(q, t), f"pieces disagree at breakpoint {t}"
+    for a, b, p in zip(bps, bps[1:], pieces):
         dp = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
         assert poly_eval(dp, a) <= 0 and poly_eval(dp, b) <= 0, "a volume piece increases"
-    assert poly_eval(profile.pieces[-1], profile.breakpoints[-1]) == 0, "the volume does not vanish at t_max"
+    assert poly_eval(pieces[-1], bps[-1]) == 0, "the volume does not vanish at t_max"
 
 
 def volume_two_ray(h2: Fraction, e2: Fraction, cross: Fraction, neg_curve: tuple[Fraction, Fraction] | None,
@@ -583,4 +605,6 @@ def toric_profile(mp: MomentPolygon) -> PiecewiseQuadratic:
         _lagrange_quadratic([(t, _clipped_double_area(mp, m0 + t)) for t in (t0, (t0 + t1) / 2, t1)])
         for t0, t1 in zip(breaks, breaks[1:])
     ]
-    return PiecewiseQuadratic(breaks, pieces)
+    profile = PiecewiseQuadratic(breaks, pieces)
+    _check_profile(profile)
+    return profile

@@ -20,7 +20,7 @@ import kwall
 import oracles
 from kwall import acceptance, fixtures
 from kwall.acceptance import CRITERIA
-from kwall.exact import PiecewiseQuadratic, Poly, mat3, polygon
+from kwall.exact import PiecewiseQuadratic, Poly, polygon
 from kwall.toric_kps import CentroidCase
 from kwall.volumes import TwoRayModel, volume_toric, volume_two_ray
 
@@ -76,6 +76,27 @@ def test_criterion_2_fails_on_a_first_wall_case_with_a_wrong_s0(monkeypatch):
     monkeypatch.setattr(fixtures, "first_wall_case", lambda d: dataclasses.replace(real(d), S0=real(d).S0 + F(1, 8)))
     with pytest.raises(acceptance.CheckFailed, match="^d=4: "):
         acceptance.criterion_2()
+
+
+def test_criterion_4_fails_on_a_wrong_s0_annotation(monkeypatch):
+    # p114-quot's S0 is one of the annotations the old hand-written list left out
+    fx = fixtures.VOLUME_FIXTURES["p114-quot"]
+    monkeypatch.setitem(fixtures.VOLUME_FIXTURES, "p114-quot", dataclasses.replace(fx, expected={"S0": F(1, 5)}))
+    with pytest.raises(acceptance.CheckFailed, match=r"^p114-quot: S0 = 1/6, annotated 1/5$"):
+        acceptance.criterion_4()
+
+
+def test_criterion_5_fails_on_a_wrong_wall_annotation(monkeypatch):
+    fx = fixtures.WALL_FIXTURES["a12"]
+    monkeypatch.setitem(fixtures.WALL_FIXTURES, "a12", dataclasses.replace(fx, expected={**fx.expected, "wall": F(1, 2)}))
+    with pytest.raises(acceptance.CheckFailed, match=r"^centroid-a12-case1: c = 8/15$"):
+        acceptance.criterion_5()
+
+
+@pytest.mark.parametrize("name", sorted(acceptance._REFERENCE_PROFILES))
+def test_each_printed_formula_has_the_shape_of_a_volume_profile(name):
+    # PiecewiseQuadratic takes its breakpoints and pieces as given: the reference data are checked here
+    oracles._check_profile(acceptance._REFERENCE_PROFILES[name])
 
 
 def test_criterion_8_fails_on_a_wrong_lct_annotation(monkeypatch):
@@ -179,7 +200,7 @@ def _twin_by_fractions(tri, w):
 
 def _moved_by_fractions(case, g):
     """A cone moved by g through the Fraction matrix-vector product and the Fraction inverse."""
-    gf = mat3(g)
+    gf = oracles.mat3(g)
     ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(gf))
     return CentroidCase(
         name=case.name + "-moved",
@@ -218,13 +239,11 @@ def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_cons
 
 
 def _one_coefficient_changed(prof):
-    """The profile with the t^2 coefficient of its last piece raised by 1.  Changing one coefficient
-    breaks continuity at the breakpoint before it, so the piece is set past the constructor's check,
-    as an engine that wrote one wrong coefficient into its pieces would return it."""
-    bad = PiecewiseQuadratic(prof.breakpoints, prof.pieces)
+    """The profile with the t^2 coefficient of its last piece raised by 1, as an engine that wrote one
+    wrong coefficient into its pieces would return it (discontinuous at the breakpoint before it)."""
     last = prof.pieces[-1]
-    bad.pieces = prof.pieces[:-1] + (Poly([last.coeff(0), last.coeff(1), last.coeff(2) + 1]),)
-    return bad
+    pieces = prof.pieces[:-1] + (Poly([last.coeff(0), last.coeff(1), last.coeff(2) + 1]),)
+    return PiecewiseQuadratic(prof.breakpoints, pieces)
 
 
 @pytest.mark.parametrize("engine", ["volume_two_ray", "volume_toric"])
@@ -269,17 +288,17 @@ def test_criterion_11_fails_on_a_two_ray_twin_with_doubled_pieces(monkeypatch):
 
 def _unimodular_by_fractions(rng: random.Random):
     """The lattice move of criterion 11 composed through the rational 3x3 product."""
-    m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = oracles.mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for _ in range(6):
         i, j = rng.sample(range(3), 2)
         shear = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
         shear[i][j] = rng.randint(-2, 2)
-        m = oracles.mat3_mul(m, mat3(shear))
+        m = oracles.mat3_mul(m, oracles.mat3(shear))
     perm = list(range(3))
     rng.shuffle(perm)
     signs = [rng.choice((1, -1)) for _ in range(3)]
     pm = [[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]
-    return oracles.mat3_mul(m, mat3(pm))
+    return oracles.mat3_mul(m, oracles.mat3(pm))
 
 
 def test_integer_lattice_moves_match_the_rational_composition():

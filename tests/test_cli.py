@@ -9,7 +9,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from kwall import cli, fixtures, git, toric_kps, valuations, volumes, walls
-from kwall.exact import DegenerateInputError, KwallError, SingularSystemError, StructuralError, rat
+from kwall.exact import KwallError, SingularSystemError, StructuralError, rat
 from kwall.valuations import SMOOTH_POINT, MonomialVal
 from kwall.volumes import ModelError
 
@@ -420,7 +420,7 @@ def test_empty_flag_values_end_in_named_errors(capsys, argv, field):
 
 
 def test_every_input_error_is_a_kwall_error():
-    classes = (StructuralError, DegenerateInputError, SingularSystemError, volumes.ModelError,
+    classes = (StructuralError, SingularSystemError, volumes.ModelError,
                volumes.InvalidValuationError, valuations.DomainError, walls.WallError, toric_kps.ConeError,
                git.GitError, cli.SchemaError)
     assert all(issubclass(cls, KwallError) for cls in classes)

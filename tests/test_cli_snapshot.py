@@ -1,9 +1,9 @@
 """Replay of a recorded CLI output snapshot.
 
 ``tests/data/cli_snapshot.json`` holds stdout, stderr and the exit code of
-every registry name under its command (text and ``--json``), every README
-command, and the unknown-fixture error of every command that takes
-``--fixture``.  The replay requires byte-identical output.  The README
+every registry name under each command that takes it (text and ``--json``),
+every README command, and the unknown-fixture error of every command that
+takes ``--fixture``.  The replay requires byte-identical output.  The README
 commands are kept by hand here and in the CI workflow; a test parses the
 README's ``## Command line`` block and requires both copies to match it.
 
@@ -50,23 +50,22 @@ FIXTURE_COMMANDS = (
 )
 
 
-def registry_command(name: str) -> tuple[str, ...]:
-    """The command that takes ``--fixture name``."""
-    for table, command in (
+def registry_commands(name: str) -> list[tuple[str, ...]]:
+    """Every command that takes ``--fixture name``."""
+    commands = [command for table, command in (
         (fixtures.CENTROID_FIXTURES, ("centroid",)),
         (fixtures.VOLUME_FIXTURES, ("volume",)),
         (fixtures.LCT_FIXTURES, ("lct",)),
         ({**fixtures.BINARY_FIXTURES, "quartic-binary": None}, ("git", "binary")),
         (fixtures.PLANE_GIT_FIXTURES, ("git", "plane")),
         ({"quintic-strata": None}, ("stratum",)),
-    ):
-        if name in table:
-            return command
-    return ("wall",)
+        (fixtures.WALL_FIXTURES, ("wall",)),
+    ) if name in table]
+    return commands or [("wall",)]  # the first-wall aliases and the delta bounds
 
 
 def snapshot_argvs() -> list[list[str]]:
-    commands = [(*registry_command(n), "--fixture", n) for n in fixtures.REGISTRY_NAMES]
+    commands = [(*command, "--fixture", n) for n in fixtures.REGISTRY_NAMES for command in registry_commands(n)]
     commands += README_COMMANDS
     commands += [(*c, "--fixture", "no-such-fixture") for c in FIXTURE_COMMANDS]
     return [[*prefix, *c] for c in commands for prefix in ((), ("--json",))]

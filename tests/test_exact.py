@@ -11,12 +11,10 @@ from kwall.exact import (
     Poly,
     SingularSystemError,
     StructuralError,
-    DegenerateInputError,
     area_centroid,
     clip,
     integer,
     integrate,
-    mat3,
     poly,
     polygon,
     rat,
@@ -106,21 +104,25 @@ def test_integrate_from_domain_start():
     assert integrate(f) == F(1, 2)
 
 
-def test_piecewise_validation():
-    with pytest.raises(StructuralError):
-        PiecewiseQuadratic([0, 0], [poly(1)])
-    with pytest.raises(StructuralError):
-        PiecewiseQuadratic([1, 0], [poly(1)])
-    with pytest.raises(StructuralError):
-        PiecewiseQuadratic([0, 1, 2], [poly(1), poly(2)])  # jump at t = 1
+@pytest.mark.parametrize("breakpoints,pieces,message", [
+    ([0, 1, 2], [poly(1, -1)], "need exactly one more breakpoint than pieces"),
+    ([0, 0], [poly(0)], "breakpoints must be strictly increasing"),
+    ([1, 0], [poly(0)], "breakpoints must be strictly increasing"),
+    ([0, 1, 2], [poly(2, -1), poly(2, -2)], "pieces disagree at breakpoint 1"),  # a jump at t = 1
+], ids=["count", "repeated", "decreasing", "jump"])
+def test_the_reference_shape_of_a_profile_rejects_a_malformed_one(breakpoints, pieces, message):
+    # PiecewiseQuadratic takes its breakpoints and pieces as given: the engines build them well-formed
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        oracles._check_profile(PiecewiseQuadratic(breakpoints, pieces))
 
 
 def test_piecewise_eval_conventions():
     assert A12_PROFILE(5) == F(1, 26)
     assert A12_PROFILE(F(26, 5)) == 0
     assert A12_PROFILE(100) == 0
-    with pytest.raises(StructuralError):
-        A12_PROFILE(-1)
+    # every caller evaluates on the domain [0, oo); below it only the reference refuses
+    with pytest.raises(StructuralError, match="^evaluation below domain start$"):
+        oracles.piecewise_eval(A12_PROFILE, -1)
 
 
 def _random_continuous_piecewise(bps):
@@ -277,9 +279,10 @@ def test_area_centroid_examples():
     assert (a, c) == (F(1), (F(2, 3), F(1, 3)))
 
 
-def test_area_centroid_rejects_degenerate():
-    with pytest.raises(DegenerateInputError):
-        area_centroid(polygon([(0, 0), (1, 1)]))
+def test_the_reference_area_centroid_rejects_a_degenerate_polygon():
+    # the library's area_centroid takes only the non-degenerate polygons the gate hands it
+    with pytest.raises(StructuralError, match=r"^centroid undefined for degenerate polygon \(kind=segment\)$"):
+        oracles.area_centroid(polygon([(0, 0), (1, 1)]))
 
 
 def test_centroid_translation_and_unimodular_area():
@@ -295,17 +298,17 @@ def test_centroid_translation_and_unimodular_area():
 
 
 def test_solve_linear3_identity():
-    m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = oracles.mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert solve_linear3(m, (F(7), F(6), F(-1))) == (7, 6, -1)
 
 
 def test_solve_linear3_cone_system():
-    m = mat3([[0, 0, -1], [-1, 1, -2], [1, 0, 6]])
+    m = oracles.mat3([[0, 0, -1], [-1, 1, -2], [1, 0, 6]])
     assert solve_linear3(m, (F(1), F(1), F(1))) == (7, 6, -1)
 
 
 def test_solve_linear3_singular_rank():
-    m = mat3([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    m = oracles.mat3([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     with pytest.raises(SingularSystemError) as err:
         solve_linear3(m, (F(0), F(0), F(0)))
     assert err.value.rank == 2

@@ -15,15 +15,16 @@ file; those a dataclass generates do not, and ``__repr__`` is left out, because
 a failing assertion prints it.
 
 A ``raise`` statement counts as reached when a line of its span ran.  Every
-module is in scope but two: the ``CheckFailed`` raises of ``acceptance`` are the
-gate itself, which the mutant tests of ``test_acceptance.py`` reach, and the
-raises of ``exact`` are the kernels' input contracts, which the kernel property
-tests compare raise for raise with ``tests/oracles.py``.  No raise is exempt.
+module is in scope but one: the ``CheckFailed`` raises of ``acceptance`` are the
+gate itself, which the mutant tests of ``test_acceptance.py`` reach.  The exact
+kernels are in scope too: a kernel contract that no command can break is kept
+in ``tests/oracles.py``, not in the library.  No raise is exempt.
 
 ``INVALID`` holds an invocation for each reachable raise in scope, with the
 exact error line it prints; the CLI snapshot pins those of the unknown-fixture
-raises.  It also pins the lines of the ``exact`` raises that a scenario file
-reaches through a rational field or a moment polygon.
+raises.  Every line names the input field at fault, except two kinds that
+name no one field: a scenario file that cannot be read, and a value too large
+to print.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ PACKAGE = ROOT / "src" / "kwall"
 EXEMPT = {"exact.clip", "exact.v2_add", "exact.v2_scale"}
 
 # the modules whose raise statements are not in scope, and why: see the module docstring
-RAISE_SCOPE_EXCLUDED = {"acceptance.py", "exact.py"}
+RAISE_SCOPE_EXCLUDED = {"acceptance.py"}
 
 # the command whose --file reads each scenario kind
 _FILE_COMMAND = {
@@ -72,6 +73,8 @@ _OCTIC = {"parity": "even", "degree": 4, "forms": {"2": [[5, 3]]}}
 _QUINTIC = {"parity": "odd", "degree": 5}
 _PLANE = {"degree": 5, "monomials": [[1, 4, 0]], "lambda": [-1, 2, -1]}
 _DIGITS = sys.get_int_max_str_digits()
+# a triangle with legs 1/p and 1/q has volume 1/(pq): a denominator of more digits than str() converts
+_P, _Q = 10**2200 + 1, 10**2200 + 3
 
 # (argv, --file document or None, error line): an invocation for each reachable raise in scope but the
 # unknown-fixture ones, whose lines the CLI snapshot pins; a document given as bytes is written as is
@@ -112,31 +115,31 @@ INVALID: list[tuple[list[str], object, str]] = [
     # cli: inline flags
     (["lct", "--germ", "1,2,3"], None, "field 'germ': expected 'i,j' pairs, got '1,2,3'"),
     (["lct", "--germ", "a,b"], None, "field 'germ': non-integer exponent in 'a,b'"),
-    (["lct", "--germ", ""], None, "field 'germ': no monomials given"),
+    (["lct", "--germ", ""], None, "field 'germ': germ support must be nonempty"),
     (["lct", "--quasihomog", "a,b,c"], None, "field 'quasihomog': expected 'w1,w2,degree' integers, got 'a,b,c'"),
     # git
-    (["cm", "--n", "0", "--degree", "5", "--coeff", "1/5"], None, "dimension and degree must be positive"),
-    (["cm", "--n", "2", "--degree", "1", "--coeff", "1/5"], None, "degree must be at least 2"),
+    (["cm", "--n", "0", "--degree", "5", "--coeff", "1/5"], None, "field 'n': dimension must be positive"),
+    (["cm", "--n", "2", "--degree", "1", "--coeff", "1/5"], None, "field 'degree': degree must be at least 2"),
     # decided from bit lengths, before the power (n + 1 - cd)^n is taken: the base 10^9, then 1/2
     (["cm", "--n", "1000000000", "--degree", "5", "--coeff", "1/5"], None,
      f"value too large to print: its numerator has more than {_DIGITS} digits"),
     (["cm", "--n", "1000000000", "--degree", "5", "--coeff", "2000000001/10"], None,
      f"value too large to print: its denominator has more than {_DIGITS} digits"),
-    (*_file("git plane", "git-plane", {**_PLANE, "monomials": []}), "curve support must be nonempty"),
-    (*_file("git plane", "git-plane", {**_PLANE, "monomials": [[-1, 6, 0]]}), "exponents must be nonnegative"),
-    (*_file("git plane", "git-plane", {**_PLANE, "monomials": [[1, 1, 1]]}), "monomial (1, 1, 1) does not have degree 5"),
-    (*_file("git plane", "git-plane", {**_PLANE, "lambda": [0, 0, 0]}), "one-parameter subgroup must be nontrivial"),
-    (*_file("git plane", "git-plane", {**_PLANE, "lambda": [1, 0, 0]}), "torus weights must sum to zero"),
-    (*_file("git binary", "git-binary", {**_OCTIC, "parity": "none"}), "parity must be 'even' or 'odd'"),
-    (*_file("git binary", "git-binary", {**_OCTIC, "degree": 5}), "even-parity system needs even degree"),
-    (*_file("git binary", "git-binary", {**_OCTIC, "parity": "odd"}), "odd-parity system needs odd degree"),
-    (*_file("git binary", "git-binary", {**_OCTIC, "forms": {}}), "all-zero system is the excluded cone point"),
-    (*_file("git binary", "git-binary", {**_OCTIC, "forms": {"3": [[6, 6]]}}), "even block index 3 out of range"),
-    (*_file("git binary", "git-binary", {**_QUINTIC, "forms": {"3": [[7, 7]]}}), "odd block index 3 out of range"),
+    (*_file("git plane", "git-plane", {**_PLANE, "monomials": []}), "field 'monomials': curve support must be nonempty"),
+    (*_file("git plane", "git-plane", {**_PLANE, "monomials": [[-1, 6, 0]]}), "field 'monomials': exponents must be nonnegative"),
+    (*_file("git plane", "git-plane", {**_PLANE, "monomials": [[1, 1, 1]]}), "field 'monomials': monomial (1, 1, 1) does not have degree 5"),
+    (*_file("git plane", "git-plane", {**_PLANE, "lambda": [0, 0, 0]}), "field 'lambda': one-parameter subgroup must be nontrivial"),
+    (*_file("git plane", "git-plane", {**_PLANE, "lambda": [1, 0, 0]}), "field 'lambda': torus weights must sum to zero"),
+    (*_file("git binary", "git-binary", {**_OCTIC, "parity": "none"}), "field 'parity': parity must be 'even' or 'odd'"),
+    (*_file("git binary", "git-binary", {**_OCTIC, "degree": 5}), "field 'degree': even-parity system needs even degree"),
+    (*_file("git binary", "git-binary", {**_OCTIC, "parity": "odd"}), "field 'degree': odd-parity system needs odd degree"),
+    (*_file("git binary", "git-binary", {**_OCTIC, "forms": {}}), "field 'forms': all-zero system is the excluded cone point"),
+    (*_file("git binary", "git-binary", {**_OCTIC, "forms": {"3": [[6, 6]]}}), "field 'forms.3': even block index 3 out of range"),
+    (*_file("git binary", "git-binary", {**_QUINTIC, "forms": {"3": [[7, 7]]}}), "field 'forms.3': odd block index 3 out of range"),
     (*_file("git binary", "git-binary", {**_OCTIC, "forms": {"2": [[1, 1]]}}),
-     "monomial (1, 1) invalid in block 2 of degree 8"),
+     "field 'forms.2': monomial (1, 1) invalid in block 2 of degree 8"),
     (*_file("git binary", "git-binary", {**_QUINTIC, "forms": {"1": [[3, 3]]}}),
-     "the odd degree-6 block only carries x^6 and y^6"),
+     "field 'forms.1': the odd degree-6 block only carries x^6 and y^6"),
     # toric_kps
     (*_file("centroid", "centroid", {**_CONE, "generators": [["0", "0", "-2"], *_CONE["generators"][1:]]}),
      "field 'generators[0]': (0, 0, -2) is not a primitive integer vector"),
@@ -194,19 +197,24 @@ INVALID: list[tuple[list[str], object, str]] = [
     (["stratum", "--coords", "1,2,3"], None,
      "field 'coords': stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]"),
     (["stratum", "--coords", "0,0"], None, "field 'coords': stratum point cannot be the zero vector"),
-    # exact: rationals, and the vertex cycle of a moment polygon
+    # exact: rationals, the vertex cycle of a moment polygon, and a value too large to print
     (*_file("volume", "two-ray", {**_A12, "h2": True}),
      "field 'h2': rationals must be 'p/q' strings or integers, got True"),
     (*_file("volume", "two-ray", {**_A12, "h2": ["1"]}), "field 'h2': expected a rational, got list"),
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["4", "0"], ["2", "0"], ["4", "4"], ["0", "4"]],
                                 "w": ["1", "2"]}),
-     "vertex cycle is not simple: it turns back on itself"),
+     "field 'polygon': vertex cycle is not simple: it turns back on itself"),
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["4", "0"], ["1", "1"], ["0", "4"]], "w": ["1", "2"]}),
-     "vertex list is not strictly convex"),
+     "field 'polygon': vertex list is not strictly convex"),
     (*_file("volume", "toric", {"polygon": [["0", "0"], ["2", "4"], ["4", "16"], ["1", "1"], ["3", "9"]],
                                 "w": ["1", "2"]}),
-     "vertex cycle is not simple: its edges wind around more than once"),
+     "field 'polygon': vertex cycle is not simple: its edges wind around more than once"),
+    (*_file("volume", "toric", {"polygon": [["0", "0"], [f"1/{_P}", "0"], ["0", f"1/{_Q}"]], "w": ["1", "0"]}),
+     "value too large to print: 1-bit numerator, 14617-bit denominator"),
 ]
+
+# the lines that name no one input: a file that cannot be read, and a value too large to print
+_UNFIELDED = ("cannot read scenario file ", "value too large to print: ")
 
 _PROBE = """
 import io, json, sys
@@ -329,6 +337,12 @@ def test_every_definition_and_raise_is_reached_by_a_command_or_the_gate(tmp_path
         if ran.get(path.resolve(), set()).isdisjoint(range(node.lineno, node.end_lineno + 1))
     ]
     assert unraised == [], "a raise in src/kwall that no command reaches"
+
+
+def test_every_invalid_line_names_its_field_but_an_unreadable_file_and_an_unprintable_value():
+    unfielded = [message for _, _, message in INVALID if not message.startswith("field '")]
+    kinds = [next((p for p in _UNFIELDED if m.startswith(p)), m) for m in unfielded]
+    assert kinds == [_UNFIELDED[0]] + [_UNFIELDED[1]] * 3
 
 
 @pytest.mark.parametrize("argv,doc,message", INVALID, ids=[message for _, _, message in INVALID])

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from kwall import fixtures
 from kwall.exact import (
     area_centroid,
-    mat3,
     mat3_vec,
     v2_add,
     v2_scale,
@@ -165,12 +164,12 @@ def test_centroid_against_subdivision_oracle():
 
 
 def _unimodular(shears, perm, signs):
-    m = mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = oracles.mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for (i, j), k in shears:
         shear = [[int(r == c) for c in range(3)] for r in range(3)]
         shear[i][j] = k
-        m = oracles.mat3_mul(m, mat3(shear))
-    return oracles.mat3_mul(m, mat3([[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]))
+        m = oracles.mat3_mul(m, oracles.mat3(shear))
+    return oracles.mat3_mul(m, oracles.mat3([[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]))
 
 
 _OFF_DIAGONAL = [(i, j) for i in range(3) for j in range(3) if i != j]
@@ -248,7 +247,7 @@ def test_centroid_of_a_drawn_cone_matches_the_plane_basis_oracle(case):
     if verdict.verdict == "unique-c":
         # the decomposition u2 = a (u0 - c u1) + b eta0* the solve reports
         a, c, b = verdict.solution
-        m = mat3([[verdict.u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
+        m = oracles.mat3([[verdict.u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
         assert mat3_vec(m, (a, c * a, b)) == u2
 
 

@@ -139,7 +139,7 @@ def criterion_4() -> str:
     """S-invariants: every volume fixture against its annotation; the toric engine against the barycenter."""
     checked = []
     for name, vf in fixtures.VOLUME_FIXTURES.items():
-        s0 = vf.s0()
+        s0 = vf.s0
         if s0 != vf.expected["S0"]:
             raise CheckFailed(f"{name}: S0 = {s0}, annotated {vf.expected['S0']}")
         checked.append(f"{name} {s0}")

@@ -26,7 +26,7 @@ from .git import (
 )
 from .toric_kps import CentroidCase, solve_centroid_condition
 from .valuations import GermSupport, QuasiHomogGerm, index_bound, lct_newton
-from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric
+from .volumes import MomentPolygon, TwoRayModel, volume_toric
 from .walls import (
     Interval,
     QuinticStratumPoint,
@@ -159,7 +159,7 @@ def _profile_rows(profile) -> list[str]:
 def _volume_report(vf: fixtures.VolumeFixture) -> dict:
     """Profile by the primary engine, S0 from that profile, and the toric
     cross-check when both engines apply."""
-    profile = vf.profile()
+    profile = vf.profile
     # the toric engine breaks a profile at 0, then the nef threshold; a two-ray L is nef when it meets
     # E and Cbar nonnegatively, and its nef threshold is then where L - tE meets Cbar
     nef = fmt(profile.breakpoints[1])
@@ -176,7 +176,7 @@ def _volume_report(vf: fixtures.VolumeFixture) -> dict:
         "pieces": _profile_rows(profile),
     }
     if vf.anti_k is not None:
-        out["S0"] = fmt(s_invariant(profile))
+        out["S0"] = fmt(vf.s0)
     if vf.model is not None and vf.moment is not None:
         same = volume_toric(vf.moment) == profile
         out["toric cross-check"] = "identical profile" if same else "DISAGREES"

@@ -3,9 +3,9 @@ and convex polygon primitives.
 
 Every scalar in the toolkit is a ``fractions.Fraction`` (arbitrary-precision,
 always reduced, positive denominator).  Nothing here ever rounds.  Polynomial
-evaluation, the polygon kernels, the 3x3 solve and the matrix-vector product clear
-denominators and work over Python ``int``; each value they return is one
-reduced Fraction.
+evaluation, the integral of a piecewise polynomial, the polygon kernels, the 3x3
+solve and the matrix-vector product clear denominators and work over Python
+``int``; each value they return is one reduced Fraction.
 """
 
 from __future__ import annotations
@@ -164,13 +164,6 @@ class Poly:
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def antiderivative(self) -> "Poly":
-        return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def integral(self, a, b) -> Fraction:
-        F = self.antiderivative()
-        return F(b) - F(a)
-
     def __repr__(self):
         if not self.coeffs:
             return "Poly(0)"
@@ -229,9 +222,25 @@ class PiecewiseQuadratic:
 
 
 def integrate(f: PiecewiseQuadratic) -> Fraction:
-    """Exact integral of f over its domain [t0, oo); finite because support is bounded."""
-    pieces = zip(f.breakpoints, f.breakpoints[1:], f.pieces)
-    return sum((p.integral(a, b) for a, b, p in pieces), Fraction(0))
+    """Exact integral of f over its domain [t0, oo); finite because support is bounded.
+
+    With the breakpoints cleared as B_j / D and piece j as sum_i (n_i / d_j) t^i, its integral is
+    sum_i n_i (B_(j+1)^(i+1) - B_j^(i+1)) / ((i + 1) d_j D^(i+1)): every term over the one common
+    denominator k s D^m, where m is the most coefficients of a piece, k = lcm(1..m) and
+    s = lcm of the d_j."""
+    bs, D = _cleared(f.breakpoints)
+    m = max((len(p._nums) for p in f.pieces), default=0)
+    k = math.lcm(*range(1, m + 1))
+    s = math.lcm(*(p._den for p in f.pieces))
+    scales = [k // (i + 1) * D ** (m - 1 - i) for i in range(m)]
+    total = 0
+    for a, b, p in zip(bs, bs[1:], f.pieces):
+        acc, ai, bi = 0, a, b
+        for n, c in zip(p._nums, scales):
+            acc += n * c * (bi - ai)
+            ai, bi = ai * a, bi * b
+        total += acc * (s // p._den)
+    return Fraction(total, k * s * D ** m)
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,17 @@ at a 1/n point, and one curve C of degree deg(C) by its germ.  Then
 -(E^2) = n/(w1 w2 s^2), and the strict transform Cbar = deg(C) H - v(C) E
 spans the second ray; a blow-up without a curve takes its isotropic ray.
 Wall fixtures read A0 and ord(D) from their volume fixture's valuation.
+
+A volume fixture derives its profile and S0 once, on first use, and keeps
+them on the record outside its compared fields; ``dataclasses.replace`` makes
+a new record, which derives its own.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -57,14 +62,16 @@ class VolumeFixture:
     expected: dict = field(default_factory=dict)
     valuation: Optional[MonomialVal] = None  # a blow-up's valuation, read by its wall fixtures
 
+    @cached_property
     def profile(self) -> PiecewiseQuadratic:
         """Primary engine: two-ray when present, else toric."""
         if self.model is not None:
             return volume_two_ray(self.model, self.L)
         return volume_toric(self.moment)
 
+    @cached_property
     def s0(self) -> Fraction:
-        return s_invariant(self.profile())
+        return s_invariant(self.profile)
 
 
 # each surface as a row ((H^2), anti_k), with -(K + cD) = (alpha - beta c) H for anti_k = (alpha, beta)
@@ -191,7 +198,7 @@ class WallFixture:
             name=self.name,
             A0=A0,
             ordD=ordD,
-            S0=vf.s0(),
+            S0=vf.s0,
             alpha=vf.anti_k[0],
             beta=vf.anti_k[1],
             valid_range=self.valid_range,
@@ -323,7 +330,7 @@ def first_wall_case(d: int) -> WallCase:
         name=f"firstwall-{_PARITY[d % 2]}-d{d}",
         A0=log_discrepancy(vf.valuation),
         ordD=ordD,
-        S0=vf.s0(),
+        S0=vf.s0,
         alpha=vf.anti_k[0],
         beta=F(2 * d),
         valid_range=Interval(F(0), F(3, d)),
@@ -351,10 +358,10 @@ def delta_ratios(name: str) -> dict[str, Fraction]:
     list, keyed by the valuation's label."""
     if name == "x26-delta":
         vf = VOLUME_FIXTURES["x26"]
-        return {"x26": delta_upper(log_discrepancy(vf.valuation), vf.s0(), vf.anti_k)}
+        return {"x26": delta_upper(log_discrepancy(vf.valuation), vf.s0, vf.anti_k)}
     # name == "p1425-delta", the other surface: its toric boundary rays, with A = 1
     rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
-    return {ray: delta_upper(F(1), vf.s0(), vf.anti_k) for ray, vf in rays.items()}
+    return {ray: delta_upper(F(1), vf.s0, vf.anti_k) for ray, vf in rays.items()}
 
 
 def delta_upper_bound(name: str) -> Fraction:

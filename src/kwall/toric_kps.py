@@ -48,8 +48,9 @@ class CentroidCase:
     xi0: Vec3
     eta0star: Vec3
     u1: Vec3
-    # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, and with xi0
-    # cleared as xi / xs the pairings p_k = <r_k, xi>, as (rays, det, xs, p): what u0 and u2 read
+    # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
+    # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
+    # what u0, u2 and the centroid condition read
     _form: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -59,12 +60,14 @@ class CentroidCase:
         object.__setattr__(self, "eta0star", vec3(*self.eta0star))
         object.__setattr__(self, "u1", vec3(*self.u1))
         # the toric setting: each generator is the primitive lattice vector on its ray
+        rows = []
         for i, n in enumerate(gens):
-            if any(x.denominator != 1 for x in n) or math.gcd(*(x.numerator for x in n)) != 1:
+            row, s = _cleared(n)
+            if s != 1 or math.gcd(*row) != 1:
                 raise ConeError(
                     f"field 'generators[{i}]': ({', '.join(fmt(x) for x in n)}) is not a primitive integer vector"
                 )
-        rows = [[x.numerator for x in n] for n in gens]
+            rows.append(row)
         rays = _adjugate_columns(rows)
         det = _idot3(rows[0], rays[0])
         if det == 0:
@@ -74,9 +77,10 @@ class CentroidCase:
         p = tuple(_idot3(r, xi) for r in rays)
         if any(pk * det <= 0 for pk in p):
             raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
-        if _idot3(_cleared(self.eta0star)[0], xi) != 0:
+        eta = _cleared(self.eta0star)
+        if _idot3(eta[0], xi) != 0:
             raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
-        object.__setattr__(self, "_form", (rays, det, xs, p))
+        object.__setattr__(self, "_form", (rays, det, xs, p, _cleared(self.u1), eta))
 
 
 @dataclass(frozen=True)
@@ -101,7 +105,7 @@ def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
     they are the vertices of a triangle, whose area centroid is their average
     and lies on the plane with them.  No check is left.
     """
-    rays, _, xs, (p0, p1, p2) = case._form
+    rays, _, xs, (p0, p1, p2), _, _ = case._form
     # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
     weights = (p1 * p2, p0 * p2, p0 * p1)
     total = [sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
@@ -114,15 +118,21 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     Substituting p = a and q = ac makes the condition the linear system
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
-    # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 pairs to 1 with each generator
-    rays, det, _, _ = case._form
-    u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
+    # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 = n / det pairs to 1 with each generator
+    rays, det, _, (p0, p1, p2), (v, us), (eta, es) = case._form
+    n = [sum(r[i] for r in rays) for i in range(3)]
+    u0 = tuple(Fraction(x, det) for x in n)
     u2 = reeb_cross_section_centroid(case)
-    rows = [(u0[i], -case.u1[i], case.eta0star[i]) for i in range(3)]
+    # row i times det us es 3 p0 p1 p2, which every denominator of u0, u1, eta0* and u2 divides: an
+    # integer system with the same solution
+    t = 3 * p0 * p1 * p2
+    scale = det * us * es * t
+    rows = [(n[i] * us * es * t, -v[i] * det * es * t, eta[i] * det * us * t) for i in range(3)]
+    rhs = [x.numerator * (scale // x.denominator) for x in u2]
     try:
-        p, q, b = solve_linear3(rows, u2)
+        p, q, b = solve_linear3(rows, rhs)
     except SingularSystemError as exc:
-        if all(x == 0 for x in case.u1):
+        if not any(v):
             detail = "u1 = 0: the coefficient never enters the condition"
         else:
             detail = f"dependent system (rank {exc.rank}): coefficient not determined"

@@ -74,9 +74,9 @@ class TwoRayModel:
             object.__setattr__(self, "neg_curve", (rat(a), rat(b)))
         (h, x, e), k = _cleared((self.h2, self.cross, self.e2))
         object.__setattr__(self, "_form", (h, x, e, k))
-        if self.h2 <= 0:
+        if h <= 0:
             raise ModelError("field 'h2': (H^2) must be positive")
-        if self.e2 <= 0:
+        if e <= 0:
             raise ModelError("field 'e2': -(E^2) must be positive")
         if self.neg_curve is None:
             r = math.isqrt(x * x + h * e)
@@ -84,14 +84,16 @@ class TwoRayModel:
                 raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
             object.__setattr__(self, "neg_curve", (Fraction(e), Fraction(r - x)))
         else:
-            a, b = self.neg_curve
-            if self.pair((a, -b), (a, -b)) > 0:
+            # with (a, b) cleared to (a, b) / m, (Cbar^2), H.Cbar and E.Cbar are k m^2 and k m (k, m > 0)
+            # times the integers below
+            (a, b), _ = _cleared(self.neg_curve)
+            if a * a * h - 2 * a * b * x - b * b * e > 0:
                 raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
             # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
             # polarization H nonnegatively and E positively, and is no multiple of E
-            if a * self.h2 - b * self.cross < 0:
+            if a * h - b * x < 0:
                 raise ModelError("field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective")
-            if a * self.cross + b * self.e2 <= 0:
+            if a * x + b * e <= 0:
                 raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
             if a == 0:
                 raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")

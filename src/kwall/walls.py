@@ -32,11 +32,10 @@ class Interval:
 
     def __contains__(self, c) -> bool:
         c = rat(c)
-        if c < self.lo or (c == self.lo and not self.lo_closed):
-            return False
-        if c > self.hi or (c == self.hi and not self.hi_closed):
-            return False
-        return True
+        # c - lo and hi - c times the positive product of their denominators
+        above = c.numerator * self.lo.denominator - self.lo.numerator * c.denominator
+        below = self.hi.numerator * c.denominator - c.numerator * self.hi.denominator
+        return (above > 0 or (above == 0 and self.lo_closed)) and (below > 0 or (below == 0 and self.hi_closed))
 
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("

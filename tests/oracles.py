@@ -26,11 +26,16 @@ monomials; ``quasihomog_support`` enumerates the whole segment, and
 ``lct_quasihomog`` is the closed form that holds on isolated germs only.
 
 The library's polynomial evaluation (and so each piece of a piecewise
-evaluation), 3x3 solve and matrix-vector product, polygon construction,
-shoelace area and centroid, and both volume engines clear denominators and work
-over integers.  The kernels and
-engines below are their ``Fraction``-arithmetic references: the tests require
-exact equality with them (or the same error and message), and the constructions
+evaluation), integral of a piecewise polynomial, 3x3 solve and matrix-vector
+product, polygon construction, shoelace area and centroid, both volume engines,
+the centroid condition, the two-ray model's checks of a declared curve and
+interval membership clear denominators and work over integers.  The kernels and
+engines below are their ``Fraction``-arithmetic references (``integrate`` and
+``s_invariant`` go through ``poly_antiderivative`` and ``poly_integral``, the
+route the library's ``Poly`` no longer keeps; ``solve_centroid_condition``,
+``check_two_ray_model`` and ``interval_contains``, which ``solve_wall`` here
+reads, compare Fractions): the tests require exact equality with them (or the
+same error and message), and the constructions
 here use them rather than the library's, together with the ``Fraction`` vector
 sum, difference and scaling defined here.  The dot product, determinant,
 transpose, inverse and anticanonical vector here have no library counterpart
@@ -145,6 +150,27 @@ def poly_eval(p: Poly, t) -> Fraction:
     for c in reversed(p.coeffs):
         acc = acc * t + c
     return acc
+
+
+def poly_antiderivative(p: Poly) -> Poly:
+    """The antiderivative with constant term 0."""
+    return Poly([Fraction(0)] + [c / (i + 1) for i, c in enumerate(p.coeffs)])
+
+
+def poly_integral(p: Poly, a, b) -> Fraction:
+    F = poly_antiderivative(p)
+    return poly_eval(F, b) - poly_eval(F, a)
+
+
+def integrate(f: PiecewiseQuadratic) -> Fraction:
+    """The sum of each piece's antiderivative difference over its interval."""
+    pieces = zip(f.breakpoints, f.breakpoints[1:], f.pieces)
+    return sum((poly_integral(p, a, b) for a, b, p in pieces), Fraction(0))
+
+
+def s_invariant(profile: PiecewiseQuadratic) -> Fraction:
+    """The integral of the profile over its value at 0, both over Fractions."""
+    return integrate(profile) / piecewise_eval(profile, 0)
 
 
 def piecewise_eval(f: PiecewiseQuadratic, t) -> Fraction:
@@ -321,6 +347,30 @@ def pair(form: tuple[Fraction, Fraction, Fraction], v: tuple[Fraction, Fraction]
     return v[0] * w[0] * h2 + (v[0] * w[1] + v[1] * w[0]) * cross - v[1] * w[1] * e2
 
 
+def check_two_ray_model(h2: Fraction, e2: Fraction, cross: Fraction,
+                        neg_curve: tuple[Fraction, Fraction] | None) -> None:
+    """The refusals of a TwoRayModel, in its order, on the Fraction pairing of the data as given."""
+    form = (h2, e2, cross)
+    if h2 <= 0:
+        raise ModelError("field 'h2': (H^2) must be positive")
+    if e2 <= 0:
+        raise ModelError("field 'e2': -(E^2) must be positive")
+    if neg_curve is None:
+        if rational_sqrt(cross * cross + h2 * e2) is None:
+            raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
+        return
+    a, b = neg_curve
+    cbar = (a, -b)
+    if pair(form, cbar, cbar) > 0:
+        raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
+    if pair(form, (Fraction(1), Fraction(0)), cbar) < 0:
+        raise ModelError("field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective")
+    if pair(form, (Fraction(0), Fraction(1)), cbar) <= 0:
+        raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
+    if a == 0:
+        raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")
+
+
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
@@ -466,6 +516,14 @@ def check_wall_range(alpha: Fraction, beta: Fraction, valid_range: Interval) -> 
         raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
 
 
+def interval_contains(interval: Interval, c) -> bool:
+    """Membership by Fraction comparisons with each end."""
+    c = Fraction(c)
+    if c < interval.lo or (c == interval.lo and not interval.lo_closed):
+        return False
+    return c < interval.hi or (c == interval.hi and interval.hi_closed)
+
+
 def margin(case: WallCase, c) -> Fraction:
     """A(c) - S(c) on the case's Fraction fields."""
     c = rat(c)
@@ -479,7 +537,7 @@ def solve_wall(case: WallCase) -> WallReport:
     slope = case.beta * case.S0 - case.ordD  # d(margin)/dc
     if slope == 0 and const == 0:
         return WallReport(case, None, False, False, degenerate=True)
-    if slope != 0 and (cstar := -const / slope) in case.valid_range:
+    if slope != 0 and interval_contains(case.valid_range, cstar := -const / slope):
         return WallReport(case, cstar, unstable_below=slope > 0, unstable_above=slope < 0)
     unstable = margin(case, (case.valid_range.lo + case.valid_range.hi) / 2) < 0
     return WallReport(case, None, unstable, unstable)
@@ -576,6 +634,23 @@ def cross_section(case: CentroidCase) -> tuple[Polygon2, Vec3]:
 def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:
     """The u0 with <u0, n_i> = 1 for each generator n_i, by a Fraction solve."""
     return solve_linear3(generators, (Fraction(1), Fraction(1), Fraction(1)))
+
+
+def solve_centroid_condition(case: CentroidCase) -> tuple:
+    """(u0, u2, solution, verdict, detail) of the centroid test over Fractions: u0 by a solve,
+    u2 from the clipped cross-section, and u2 = p u0 - q u1 + b eta0* by Cramer's rule."""
+    u0 = anticanonical_vector(case.generators)
+    u2 = cross_section(case)[1]
+    rows = tuple((u0[i], -case.u1[i], case.eta0star[i]) for i in range(3))
+    try:
+        p, q, b = solve_linear3(rows, u2)
+    except SingularSystemError as exc:
+        if all(x == 0 for x in case.u1):
+            return u0, u2, None, "indeterminate", "u1 = 0: the coefficient never enters the condition"
+        return u0, u2, None, "indeterminate", f"dependent system (rank {exc.rank}): coefficient not determined"
+    if p <= 0 or b <= 0:
+        return u0, u2, None, "no-solution", f"sign conditions fail: a = {p}, b = {b}"
+    return u0, u2, (p, q / p, b), "unique-c", ""
 
 
 def _clipped_double_area(mp: MomentPolygon, level: Fraction) -> Fraction:

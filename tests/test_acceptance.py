@@ -4,6 +4,7 @@ pass/fail line.  Every comparison is exact; there are no tolerances to tune."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import os
 import random
 import subprocess
@@ -174,6 +175,67 @@ def test_criterion_11_derives_each_base_case_once(monkeypatch):
     assert calls == {"wall_case": 6, "solve_wall": 6 + 200, "solve_centroid_condition": 8 + 100}
 
 
+_COUNT_DERIVATIONS = textwrap.dedent("""
+    import json
+    from collections import Counter
+    from kwall import acceptance, fixtures
+
+    # the engines under the names the record calls them by; criteria 3, 4 and 11 call them by their own
+    engines, s0_of = Counter(), []
+    for name in ("volume_two_ray", "volume_toric"):
+        def counted(*args, name=name, real=getattr(fixtures, name)):
+            engines[name] += 1
+            return real(*args)
+        setattr(fixtures, name, counted)
+    real_s0 = fixtures.s_invariant
+    fixtures.s_invariant = lambda profile: s0_of.append(profile) or real_s0(profile)
+    acceptance.run_all()
+    derived = dict(engines)
+    # each stored profile is the one its S0 was derived from
+    s0 = {name: sum(p is vf.profile for p in s0_of) for name, vf in fixtures.VOLUME_FIXTURES.items()}
+    print(json.dumps({"engines": derived, "s0": s0, "total": len(s0_of)}))
+""")
+
+
+def test_one_pass_derives_each_volume_fixture_once():
+    # a fresh interpreter, whose records have derived nothing yet: 14 S0 derivations, not 74
+    src = str(Path(kwall.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _COUNT_DERIVATIONS], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(proc.stdout)
+    assert got == {
+        "engines": {"volume_two_ray": 11, "volume_toric": 3},
+        "s0": {name: 1 for name in fixtures.VOLUME_FIXTURES},
+        "total": 14,
+    }
+
+
+def test_a_replaced_volume_fixture_derives_its_own_profile(monkeypatch):
+    fx = fixtures.VOLUME_FIXTURES["a12"]
+    assert fx.s0 == F(17, 5)
+    calls = []
+    monkeypatch.setattr(fixtures, "volume_two_ray", lambda model, L: calls.append(model) or volume_two_ray(model, L))
+    assert fx.s0 == F(17, 5) and calls == []  # kept on the record
+    same = dataclasses.replace(fx)
+    assert same.profile == fx.profile and calls == [fx.model]
+    bad = TwoRayModel(F(1), F(1, 26), F(0), (F(5), F(27)))
+    other = dataclasses.replace(fx, model=bad)
+    assert other.profile == volume_two_ray(bad, fx.L) != fx.profile and calls == [fx.model, bad]
+    assert other.s0 != fx.s0
+
+
+def test_the_stored_profile_changes_neither_equality_nor_repr():
+    fx = fixtures.VOLUME_FIXTURES["p114-quot"]
+    fx.s0
+    fresh = dataclasses.replace(fx)
+    before = repr(fresh)
+    assert "profile" not in vars(fresh) and fresh == fx
+    assert fresh.s0 == F(1, 6) and {"profile", "s0"} <= set(vars(fresh))
+    assert repr(fresh) == before == repr(fx) and fresh == fx
+    assert "profile" not in before and "S0': Fraction(1, 6)" in before
+
+
 _CRITERION_11_DETAIL = "200 wall rescalings, 60 random engine-agreement fixtures, 100 lattice moves: all exact"
 
 
@@ -257,7 +319,7 @@ def test_criterion_3_fails_on_an_engine_that_changes_one_coefficient(monkeypatch
 @pytest.mark.parametrize("name", sorted(acceptance._REFERENCE_PROFILES))
 def test_criterion_3_profiles_agree_with_the_printed_formulas_inside_their_support(name):
     # criterion 3 compares breakpoints and pieces; equal profiles then agree at every sample point
-    got = fixtures.VOLUME_FIXTURES[name].profile()
+    got = fixtures.VOLUME_FIXTURES[name].profile
     ref = acceptance._REFERENCE_PROFILES[name]
     samples = oracles.sample_points(ref.breakpoints[-1])
     assert [oracles.piecewise_eval(got, t) for t in samples] == [oracles.piecewise_eval(ref, t) for t in samples]
@@ -267,7 +329,7 @@ def test_samples_can_miss_a_piece_that_the_comparison_of_pieces_sees():
     # no sample of a11irr falls in its last piece [12/5, 5/2): the one-coefficient mutant agrees with
     # the printed formula at all 20 samples, and criterion 3 still fails on it
     ref = acceptance._REFERENCE_PROFILES["a11irr"]
-    bad = _one_coefficient_changed(fixtures.VOLUME_FIXTURES["a11irr"].profile())
+    bad = _one_coefficient_changed(fixtures.VOLUME_FIXTURES["a11irr"].profile)
     samples = oracles.sample_points(ref.breakpoints[-1])
     assert [oracles.piecewise_eval(bad, t) for t in samples] == [oracles.piecewise_eval(ref, t) for t in samples]
     assert bad != ref

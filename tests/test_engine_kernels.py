@@ -1,9 +1,12 @@
-"""The integer volume engines of kwall.volumes against their Fraction references
-in tests/oracles.py: equal profiles, or the same ModelError with the same
-message; and the barycenter form of the toric S-invariant."""
+"""The integer volume engines of kwall.volumes, the two-ray model's checks of a
+declared curve and the integer centroid condition of kwall.toric_kps against
+their Fraction references in tests/oracles.py: equal profiles and verdicts, or
+the same ModelError with the same message; and the barycenter form of the
+toric S-invariant."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
 
 import oracles
@@ -12,10 +15,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_volumes import toric_valuations
 
+from kwall import fixtures
 from kwall.exact import area_centroid, v2_dot
+from kwall.toric_kps import CentroidCase, solve_centroid_condition
 from kwall.volumes import ModelError, MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
 
 _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+
+_BIG = 10**6
+# rationals with denominators up to 10^6 and both signs, and positive ones
+rationals = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)
+positives = st.fractions(min_value=F(1, _BIG), max_value=_BIG, max_denominator=_BIG)
 
 moment_polygons = st.integers(3, 64).flatmap(toric_valuations).map(lambda pw: MomentPolygon(*pw))
 
@@ -189,3 +199,90 @@ def test_the_model_squares_the_declared_curve_cbar():
     profile = volume_two_ray(model, (F(1), F(0)))
     assert len(profile.pieces) == 2
     assert profile == oracles.volume_two_ray(F(1), F(1, 2), F(1), (F(1), F(1, 2)), (F(1), F(0)))
+
+
+@st.composite
+def declared_curves(draw):
+    """(h2, e2, cross, neg_curve) on a refusal boundary of a declared curve Cbar = aH - bE:
+    (Cbar^2) = 0, H.Cbar = 0, E.Cbar = 0 or a = 0; else every entry drawn freely, or no curve."""
+    h2, e2, cross, a, b = draw(positives), draw(positives), draw(rationals), draw(rationals), draw(rationals)
+    kind = draw(st.sampled_from(("square", "h", "e", "a", "free", "none")))
+    if kind == "square" and a != 0:
+        h2 = (2 * a * b * cross + b * b * e2) / (a * a)  # a^2 h2 - 2 a b cross - b^2 e2 = 0
+    elif kind == "h" and b != 0:
+        cross = a * h2 / b  # a h2 - b cross = 0
+    elif kind == "e":
+        b = -a * cross / e2  # a cross + b e2 = 0
+    elif kind == "a":
+        a = F(0)
+    elif kind == "free":
+        h2, e2 = draw(rationals), draw(rationals)
+    return h2, e2, cross, None if kind == "none" else (a, b)
+
+
+@_PROPERTY
+@given(args=declared_curves())
+@example(args=(F(1), F(1), F(0), (F(1), F(1))))  # (Cbar^2) = 0: accepted
+@example(args=(F(1), F(1), F(1), (F(1), F(1))))  # H.Cbar = 0: accepted
+@example(args=(F(1), F(1), F(-1), (F(1), F(1))))  # E.Cbar = 0, which makes (Cbar^2) > 0
+@example(args=(F(1), F(1), F(0), (F(0), F(1))))  # a = 0
+@example(args=(F(1), F(1), F(0), (F(0), F(0))))  # a = b = 0: E.Cbar = 0 with (Cbar^2) = 0
+@example(args=(F(0), F(1), F(0), (F(1), F(1))))  # (H^2) = 0
+@example(args=(F(1), F(0), F(0), None))  # -(E^2) = 0
+@example(args=(F(1), F(1), F(0), (F(-1), F(3))))  # H.Cbar < 0
+@example(args=(F(1, 999983), F(1), F(0), (F(1), F(-1))))  # E.Cbar < 0
+def test_the_model_refuses_a_declared_curve_as_its_fraction_checks_do(args):
+    h2, e2, cross, neg = args
+    try:
+        oracles.check_two_ray_model(h2, e2, cross, neg)
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            TwoRayModel(h2, e2, cross, neg)
+        assert str(got.value) == str(exc)
+    else:
+        TwoRayModel(h2, e2, cross, neg)
+
+
+_primitive = st.tuples(*[st.integers(-_BIG, _BIG)] * 3).filter(lambda v: math.gcd(*v) == 1)
+_generators = st.tuples(_primitive, _primitive, _primitive).filter(lambda g: oracles.det3(g) != 0)
+_vectors = st.tuples(rationals, rationals, rationals)
+
+
+@st.composite
+def centroid_conditions(draw):
+    """A valid cone with xi0 a positive combination of its generators and eta0* = xi0 x w, and
+    a u1 for every verdict: drawn freely (unique-c or no-solution), zero, or in the span of u0
+    and eta0* (a dependent system); w = xi0 makes eta0* = 0, and then rank 1 with u1 along u0."""
+    gens = draw(_generators)
+    lams = draw(st.tuples(positives, positives, positives))
+    xi0 = tuple(sum(lam * n[i] for lam, n in zip(lams, gens)) for i in range(3))
+    kind = draw(st.sampled_from(("free", "free", "zero", "dependent", "flat")))
+    eta = oracles.v3_cross(xi0, xi0 if kind == "flat" else draw(_vectors))
+    if kind == "zero":
+        u1 = (F(0), F(0), F(0))
+    elif kind == "free":
+        u1 = draw(_vectors)
+    else:
+        u0, s, t = oracles.anticanonical_vector(oracles.mat3(gens)), draw(rationals), draw(rationals)
+        u1 = tuple(s * u0[i] + t * eta[i] for i in range(3))
+    return CentroidCase("drawn", gens, xi0, eta, u1)
+
+
+def _with_u1(name, u1, eta0star=None):
+    case = fixtures.CENTROID_FIXTURES[name].case
+    return CentroidCase(name, case.generators, case.xi0, eta0star or case.eta0star, u1)
+
+
+@_PROPERTY
+@given(case=centroid_conditions())
+@example(case=fixtures.CENTROID_FIXTURES["centroid-a10-case1"].case)  # unique-c
+@example(case=_with_u1("centroid-a10-case1", (F(22), F(50), F(-11)), (F(0), F(0), F(-1))))  # no-solution: b < 0
+@example(case=_with_u1("centroid-a11red-case1", (F(0), F(0), F(0))))  # u1 = 0
+@example(case=_with_u1("centroid-a11red-case1", (F(21), F(18), F(-3))))  # u1 = 3 u0: rank 2
+@example(case=_with_u1("centroid-a11red-case1", (F(7), F(6), F(-1)), (F(0), F(0), F(0))))  # rank 1
+def test_centroid_condition_equals_its_reference(case):
+    got = solve_centroid_condition(case)
+    ref = oracles.solve_centroid_condition(case)
+    assert (got.u0, got.u2, got.solution, got.verdict, got.detail) == ref
+    for x in (*got.u0, *got.u2, *(got.solution or ())):
+        assert type(x) is F

@@ -74,8 +74,9 @@ def test_poly_eval_and_arith():
 
 def test_poly_integral():
     p = poly(0, 0, 3)  # 3t^2
-    assert p.integral(0, 2) == 8
-    assert p.antiderivative()(1) == 1
+    assert oracles.poly_integral(p, 0, 2) == 8
+    assert oracles.poly_antiderivative(p)(1) == 1
+    assert integrate(PiecewiseQuadratic([0, 2], [p])) == 8
 
 
 A12_PROFILE = PiecewiseQuadratic(

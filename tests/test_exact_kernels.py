@@ -1,6 +1,6 @@
-"""The integer kernels of kwall.exact against their Fraction references in
-tests/oracles.py: equal values, each returned as a reduced Fraction, or the
-same error with the same message."""
+"""The integer kernels of kwall.exact, and the S-invariant built on its
+integral, against their Fraction references in tests/oracles.py: equal values,
+each returned as a reduced Fraction, or the same error with the same message."""
 
 from __future__ import annotations
 
@@ -18,10 +18,12 @@ from kwall.exact import (
     SingularSystemError,
     StructuralError,
     area_centroid,
+    integrate,
     mat3_vec,
     polygon,
     solve_linear3,
 )
+from kwall.volumes import s_invariant
 
 _BIG = 10**6
 # rationals with denominators up to 10^6 and both signs, integer-valued Fractions and plain ints
@@ -123,7 +125,7 @@ def test_every_constructor_path_keeps_the_cleared_form(a, b, s, t):
     # a Poly evaluates from its cleared integer form; the reference reads its Fraction coefficients
     p, q = Poly(a), Poly(b)
     for r in (p, oracles.poly_add(p, q), oracles.poly_sub(p, q), oracles.poly_mul(p, q), oracles.poly_mul(p, s),
-              p.antiderivative()):
+              oracles.poly_antiderivative(p)):
         _same(r(t), oracles.poly_eval(r, F(t)))
 
 
@@ -152,6 +154,35 @@ def test_piecewise_call_equals_its_reference(case):
     if t < f.breakpoints[0]:
         return  # below the domain, where no caller evaluates: only the reference refuses
     _same(f(t), oracles.piecewise_eval(f, t))
+
+
+@st.composite
+def profiles(draw, start=None):
+    """Up to five pieces of up to four coefficients (the zero polynomial among them) on drawn
+    breakpoints, from ``start`` when given; a single breakpoint makes a profile with no piece."""
+    bps = {F(x) for x in draw(st.lists(scalars, min_size=1, max_size=6))}
+    if start is not None:
+        bps = {start} | {start + abs(b) for b in bps}
+    bps = sorted(bps)
+    return PiecewiseQuadratic(bps, [Poly(draw(st.lists(scalars, max_size=4))) for _ in bps[1:]])
+
+
+@_PROPERTY
+@given(f=profiles())
+@example(f=PiecewiseQuadratic([F(-7, 3)], []))  # one breakpoint, no piece
+@example(f=PiecewiseQuadratic([F(-1, 999983), 0, F(5, 2)], [Poly([]), Poly([0, 0])]))  # zero pieces
+@example(f=PiecewiseQuadratic([F(1, 2), F(3, 4)], [Poly([F(-5, 999983), 7, F(1, 3), -2])]))  # a cubic
+def test_integrate_equals_its_reference(f):
+    _same(integrate(f), oracles.integrate(f))
+
+
+@_PROPERTY
+@given(f=profiles(start=F(0)))
+@example(f=PiecewiseQuadratic([0], []))  # vol(L) = 0: both divide by zero
+@example(f=PiecewiseQuadratic([0, F(1, 999983)], [Poly([F(-3, 2), 0, 7])]))
+def test_s_invariant_equals_its_reference(f):
+    got = _same_or_same_error(lambda: s_invariant(f), lambda: oracles.s_invariant(f), ZeroDivisionError)
+    assert got is None or type(got) is F
 
 
 @st.composite

@@ -10,9 +10,10 @@ and every invocation of ``INVALID``.  The hook records the code objects called
 and the lines run in ``src/kwall``.
 
 A definition whose code never ran fails the test, unless it is listed in
-``EXEMPT``.  Dunder methods count when their code is written in the module's own
-file; those a dataclass generates do not, and ``__repr__`` is left out, because
-a failing assertion prints it.
+``EXEMPT``; a property or a cached property counts by the functions it wraps.
+Dunder methods count when their code is written in the module's own file;
+those a dataclass generates do not, and ``__repr__`` is left out, because a
+failing assertion prints it.
 
 A ``raise`` statement counts as reached when a line of its span ran.  Every
 module is in scope but one: the ``CheckFailed`` raises of ``acceptance`` are the
@@ -217,7 +218,7 @@ INVALID: list[tuple[list[str], object, str]] = [
 _UNFIELDED = ("cannot read scenario file ", "value too large to print: ")
 
 _PROBE = """
-import io, json, sys
+import functools, io, json, sys
 from contextlib import redirect_stderr, redirect_stdout
 
 package = sys.argv[1]
@@ -248,6 +249,8 @@ sys.settrace(None)
 
 
 def codes(member):
+    if isinstance(member, functools.cached_property):
+        return [member.func.__code__]
     if isinstance(member, property):
         return [f.__code__ for f in (member.fget, member.fset, member.fdel) if f is not None]
     code = getattr(getattr(member, "__func__", member), "__code__", None)
@@ -345,7 +348,27 @@ def test_every_invalid_line_names_its_field_but_an_unreadable_file_and_an_unprin
     assert kinds == [_UNFIELDED[0]] + [_UNFIELDED[1]] * 3
 
 
-@pytest.mark.parametrize("argv,doc,message", INVALID, ids=[message for _, _, message in INVALID])
+def _invalid_ids() -> list[str]:
+    """Each entry's command, its input mode and the field its line names, as 'wall-file:range', so
+    that rewording a line renames no test; a repeated id is numbered from its second entry on."""
+    ids, seen = [], {}
+    for argv, _, message in INVALID:
+        command = "-".join(argv[:2]) if argv[0] == "git" else argv[0]
+        mode = "file" if "--file" in argv else "flag"
+        field = message.split("'")[1] if message.startswith("field '") else (
+            "unreadable" if message.startswith(_UNFIELDED[0]) else "unprintable")
+        base = f"{command}-{mode}:{field}"
+        seen[base] = seen.get(base, 0) + 1
+        ids.append(base if seen[base] == 1 else f"{base}#{seen[base]}")
+    return ids
+
+
+def test_the_invalid_ids_are_unique():
+    ids = _invalid_ids()
+    assert len(set(ids)) == len(ids) == len(INVALID)
+
+
+@pytest.mark.parametrize("argv,doc,message", INVALID, ids=_invalid_ids())
 def test_each_invalid_invocation_ends_in_its_error_line(tmp_path, monkeypatch, argv, doc, message):
     monkeypatch.chdir(tmp_path)  # where no-such-scenario.json is missing
     out, err = io.StringIO(), io.StringIO()

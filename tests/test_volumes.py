@@ -128,7 +128,7 @@ def test_engine_agreement_on_builtin_fixtures():
 
 def test_profile_monotone_on_random_samples():
     for name, vf in fixtures.VOLUME_FIXTURES.items():
-        prof = vf.profile()
+        prof = vf.profile
         t_max = prof.breakpoints[-1]
         for _ in range(20):
             t1 = t_max * F(rng.randint(0, 100), 100)
@@ -236,8 +236,8 @@ def test_invalid_valuation_direction():
 
 
 def test_s_invariant_examples():
-    assert fixtures.VOLUME_FIXTURES["a12"].s0() == F(17, 5)
-    assert fixtures.VOLUME_FIXTURES["x26"].s0() == F(9, 25)
+    assert fixtures.VOLUME_FIXTURES["a12"].s0 == F(17, 5)
+    assert fixtures.VOLUME_FIXTURES["x26"].s0 == F(9, 25)
     tent = PiecewiseQuadratic([0, 1], [poly(1, -1)])
     assert s_invariant(tent) == F(1, 2)
 
@@ -245,7 +245,7 @@ def test_s_invariant_examples():
 @pytest.mark.parametrize("name", sorted(fixtures.VOLUME_FIXTURES))
 def test_every_volume_fixture_reproduces_its_annotated_s0(name):
     vf = fixtures.VOLUME_FIXTURES[name]
-    assert vf.s0() == vf.expected["S0"]
+    assert vf.s0 == vf.expected["S0"]
 
 
 def test_a_volume_scenario_rejects_a_nonpositive_anti_canonical_scale():

@@ -122,6 +122,33 @@ def test_integer_wall_solver_equals_its_reference(args):
     assert solve_wall(case) == oracles.solve_wall(case)
 
 
+_PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
+_BIG = 10**6
+_ends = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)
+
+
+@st.composite
+def interval_points(draw):
+    """An interval with each end open or closed and a point drawn freely, on an end, or off an
+    end by less than 1 / (k D) for the product D of the ends' denominators."""
+    lo, hi = sorted((draw(_ends), draw(_ends)))
+    interval = Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+    eps = F(1, draw(st.integers(1, 9)) * lo.denominator * hi.denominator)
+    return interval, draw(st.sampled_from((lo, hi, lo - eps, lo + eps, hi - eps, hi + eps)) | _ends)
+
+
+@_PROPERTY
+@given(case=interval_points())
+@example(case=(Interval(F(1, 3), F(1, 3), True, True), F(1, 3)))  # a closed point
+@example(case=(Interval(F(1, 3), F(1, 3), True, False), F(1, 3)))  # half open, so empty
+@example(case=(Interval(F(-2, 999983), F(5, 7)), F(-2, 999983)))  # on the open low end
+@example(case=(Interval(F(-2, 999983), F(5, 7), True, False), F(-2, 999983)))  # on the closed low end
+@example(case=(Interval(F(-2, 999983), F(5, 7), False, True), F(5, 7)))  # on the closed high end
+def test_interval_membership_equals_its_reference(case):
+    interval, c = case
+    assert (c in interval) == oracles.interval_contains(interval, c)
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.WALL_FIXTURES))
 def test_wall_fixture_annotations_are_the_solved_walls(name):
     # 'above' and 'below' name the unstable side of the wall; 'everywhere' is no wall in the range

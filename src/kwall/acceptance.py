@@ -301,7 +301,7 @@ def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
     # and t1 e = (mid - lo) e / den
     cross = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
     pairs = (levels[k - 2] - lo) * (levels[k - 1] - lo)
-    h2 = 2 * area_centroid(tri)[0]
+    h2 = Fraction(cross, den * den)  # twice the area: cross is twice that of the den-scaled triangle
     return TwoRayModel(h2, Fraction(cross, pairs), Fraction(0), (Fraction((mid - lo) * cross, den * pairs), h2))
 
 
@@ -312,11 +312,13 @@ def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
 
 def _moved_case(name: str, cone: tuple[tuple[list[int], int], ...], g, ginv_t) -> CentroidCase:
     """The cleared cone moved by the lattice automorphism g: its generators and xi0 by g,
-    eta0* and u1 by (g^-1)^T, each an integer row times a cleared vector."""
+    eta0* and u1 by (g^-1)^T, each an integer row times a cleared vector, as ints when integral."""
     *gens, xi0, eta0star, u1 = cone
 
     def apply(m, cleared):
         nums, s = cleared
+        if s == 1:
+            return tuple(_idot3(row, nums) for row in m)
         return tuple(Fraction(_idot3(row, nums), s) for row in m)
 
     return CentroidCase(

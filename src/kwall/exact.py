@@ -2,7 +2,8 @@
 and convex polygon primitives.
 
 Every scalar in the toolkit is a ``fractions.Fraction`` (arbitrary-precision,
-always reduced, positive denominator).  Nothing here ever rounds.  Polynomial
+always reduced, positive denominator).  Nothing here ever rounds.  A polynomial
+is kept cleared, as integer numerators over one canonical denominator.  Polynomial
 evaluation, the integral of a piecewise polynomial, the polygon kernels, the 3x3
 solve and the matrix-vector product clear denominators and work over Python
 ``int``; each value they return is one reduced Fraction.
@@ -130,23 +131,40 @@ def _icross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
 class Poly:
     """Polynomial with exact rational coefficients, lowest degree first.
 
-    Trailing zero coefficients are stripped; the zero polynomial has no
-    coefficients.  No degree cap is imposed.
+    A Poly is integer numerators over one denominator, coefficient i being
+    ``_nums[i] / _den``, in one canonical form: no trailing zero numerator,
+    ``_den > 0`` and gcd(_nums, _den) = 1.  So the zero polynomial is
+    ``((), 1)``, and two polynomials are equal exactly when their forms are.
+    No degree cap is imposed.
     """
 
-    __slots__ = ("coeffs", "_nums", "_den")
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-        # the cleared form, coeffs[i] = _nums[i] / _den, is what evaluation reads
-        nums, self._den = _cleared(cs)
-        self._nums = tuple(nums)
+    def __new__(cls, coeffs: Iterable = ()):
+        return cls.from_cleared(*_cleared([rat(c) for c in coeffs]))
+
+    @classmethod
+    def from_cleared(cls, nums: Iterable[int], den: int) -> Poly:
+        """The polynomial with coefficients nums[i] / den, for integers nums and den != 0."""
+        ns = list(nums)
+        while ns and ns[-1] == 0:
+            ns.pop()
+        g = math.gcd(den, *ns)
+        if den < 0:
+            g = -g
+        p = object.__new__(cls)
+        p._nums = tuple([n // g for n in ns] if g != 1 else ns)
+        p._den = den // g
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced Fractions, derived on each read."""
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        cs = self.coeffs
+        return cs[k] if 0 <= k < len(cs) else Fraction(0)
 
     def __call__(self, t) -> Fraction:
         t = rat(t)
@@ -162,10 +180,10 @@ class Poly:
         return Fraction(acc, self._den * qk)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self._nums == other._nums and self._den == other._den
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._nums:
             return "Poly(0)"
         terms = [f"{fmt(c)}*t^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "Poly(" + " + ".join(terms) + ")"

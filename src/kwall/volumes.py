@@ -126,6 +126,12 @@ class MomentPolygon:
             raise InvalidValuationError("field 'w': valuation direction must be nonzero")
 
 
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n / d in lowest terms, for d > 0."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> PiecewiseQuadratic:
     """Profile of vol(L - tE) = (P^2), P the Zariski positive part, on a two-ray surface.
 
@@ -157,7 +163,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
     if n1 > 0:
         # L.E < 0: the slope -2 (L - tE).E vanishes at t_E = n1 / (2 l e)
         breaks.append(Fraction(n1, 2 * l * e))
-        pieces.append(Poly([Fraction(4 * e * n0 + n1 * n1, 4 * e * k * l * l)]))
+        pieces.append(Poly.from_cleared([4 * e * n0 + n1 * n1], 4 * e * k * l * l))
     # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2),
     # and q1 = -k m E.Cbar < 0
     q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
@@ -165,7 +171,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
     t_nef = Fraction(-q0, l * q1)
     if t_nef > 0:
         breaks.append(t_nef)
-        pieces.append(Poly([Fraction(n0, k * l * l), Fraction(n1, k * l), Fraction(-e, k)]))
+        pieces.append(Poly.from_cleared([n0, n1 * l, -e * l * l], k * l * l))
     c2 = a * a * h - 2 * a * b * x - b * b * e
     if c2 != 0:
         # the positive part (L - tE)^2 - B(L - tE, Cbar)^2 / (Cbar^2) = (p0 / l^2 + p1 / l t + p2 t^2) / (k c2)
@@ -173,7 +179,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
         p1 = n1 * c2 - 2 * q0 * q1
         p2 = -(e * c2 + q1 * q1)
         breaks.append(Fraction(lh * b + le * a, a * l))
-        pieces.append(Poly([Fraction(p0, k * c2 * l * l), Fraction(p1, k * c2 * l), Fraction(p2, k * c2)]))
+        pieces.append(Poly.from_cleared([p0, p1 * l, p2 * l * l], k * c2 * l * l))
     return PiecewiseQuadratic(breaks, pieces)
 
 
@@ -210,24 +216,24 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     upper = chain(next(i for i in range(n) if hs[i] == m0 and hs[i - 1] != m0), -1)
     # true width (s_upper - s_lower) / |w|^2 = (su - sl) e / (d (w0^2 + w1^2)), and true t = T / u
     scale = d * (w0 * w0 + w1 * w1)
-    g = [Fraction((pu * ql - pl * qu) * e, qu * ql * scale) for (pu, qu), (pl, ql) in zip(upper, lower)]
+    g = [_reduced((pu * ql - pl * qu) * e, qu * ql * scale) for (pu, qu), (pl, ql) in zip(upper, lower)]
     u = d * e
     ts = [h - m0 for h in levels]
     # width g1 - m (t1 - t) on [t0, t1], rest = area past t1: vol = 2 (rest + g1 (t1 - t)) - m (t1 - t)^2;
-    # with g = a / b and t = T / u every coefficient is one integer fraction
+    # with g = a / b, twice the rest rn / rd and t = T / u, a piece is integers over rd b0 b1 dt u
     pieces: list[Poly] = []
-    twice_rest = Fraction(0)
+    rn, rd = 0, 1
     for k in range(len(ts) - 2, -1, -1):
-        a0, b0, a1, b1 = g[k].numerator, g[k].denominator, g[k + 1].numerator, g[k + 1].denominator
+        (a0, b0), (a1, b1) = g[k], g[k + 1]
         t1, dt = ts[k + 1], ts[k + 1] - ts[k]
         dg = a1 * b0 - a0 * b1  # (g1 - g0) b0 b1
         den = b0 * b1 * dt
-        pieces.append(Poly([
-            twice_rest + Fraction((2 * a1 * b0 * dt - dg * t1) * t1, den * u),
-            Fraction(2 * (dg * t1 - a1 * b0 * dt), den),
-            Fraction(-dg * u, den),
-        ]))
-        twice_rest += Fraction((a0 * b1 + a1 * b0) * dt, b0 * b1 * u)
+        pieces.append(Poly.from_cleared([
+            rn * den * u + (2 * a1 * b0 * dt - dg * t1) * t1 * rd,
+            2 * (dg * t1 - a1 * b0 * dt) * rd * u,
+            -dg * rd * u * u,
+        ], rd * den * u))
+        rn, rd = _reduced(rn * b0 * b1 * u + (a0 * b1 + a1 * b0) * dt * rd, rd * b0 * b1 * u)
     breaks = [Fraction(t, u) for t in ts]
     # vol' = -2 (slice width) <= 0 and the top piece is 2 rest = 0 at its end: the profile needs no
     # check; its nef threshold is the first breakpoint past 0, where the cut is a corner

@@ -129,6 +129,49 @@ def test_every_constructor_path_keeps_the_cleared_form(a, b, s, t):
         _same(r(t), oracles.poly_eval(r, F(t)))
 
 
+def _form(p):
+    return p._nums, p._den
+
+
+def test_from_cleared_is_canonical():
+    assert Poly.from_cleared([6, 4, 0], 12) == Poly([F(1, 2), F(1, 3)])
+    assert _form(Poly.from_cleared([6, 4, 0], 12)) == ((3, 2), 6)  # content and trailing zero gone
+    assert Poly.from_cleared([-3], -6) == Poly([F(1, 2)])
+    assert _form(Poly.from_cleared([-3], -6)) == ((1,), 2)  # positive denominator
+    for zero in (Poly([]), Poly([0, F(0, 5)]), Poly.from_cleared([], 1), Poly.from_cleared([0, 0], -7)):
+        assert _form(zero) == ((), 1)
+        assert zero.coeffs == ()
+
+
+numerator_lists = st.lists(st.integers(-_BIG, _BIG), max_size=5)
+denominators = st.integers(-_BIG, _BIG).filter(bool)
+factors = st.integers(1, _BIG)
+
+
+def _stripped(nums, den):
+    """The coefficients nums[i] / den as Fractions, trailing zeros stripped."""
+    cs = [F(n, den) for n in nums]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+@_PROPERTY
+@given(nums=numerator_lists, den=denominators, k=factors, other=numerator_lists, other_den=denominators)
+@example(nums=[], den=-1, k=7, other=[0, 0], other_den=3)  # two zero polynomials
+@example(nums=[2, -4, 0], den=6, k=1, other=[-1, 2], other_den=-3)  # equal after sign and content
+@example(nums=[2, -4], den=6, k=5, other=[1, -2, 1], other_den=3)  # one more coefficient
+def test_from_cleared_is_the_form_of_its_fractions(nums, den, k, other, other_den):
+    # a common factor k and the sign of den change nothing: the form is that of Poly of the Fractions
+    p = Poly.from_cleared([n * k for n in nums], den * k)
+    ref = Poly([F(n, den) for n in nums])
+    assert _form(p) == _form(ref) and p == ref
+    assert p.coeffs == ref.coeffs == _stripped(nums, den)
+    assert p._den > 0 and math.gcd(p._den, *p._nums) == 1 and (not p._nums or p._nums[-1] != 0)
+    q = Poly.from_cleared(other, other_den)
+    assert (p == q) == (_stripped(nums, den) == _stripped(other, other_den))
+
+
 @st.composite
 def piecewise_and_points(draw):
     """Pieces base + i (t - b_i)(t - b_(i+1)) agree at every breakpoint and differ inside;

@@ -169,10 +169,9 @@ def criterion_5() -> str:
         a, c, b = verdict.solution
         if not (a > 0 and b > 0):
             raise CheckFailed(f"{name}: a = {a}, b = {b}")
-        twin = fixtures.CENTROID_WALL_TWINS[name]
-        if c != fixtures.WALL_FIXTURES[twin].expected["wall"]:
+        if c != fixtures.WALL_FIXTURES[cf.twin].expected["wall"]:
             raise CheckFailed(f"{name}: c = {c}")
-        if c != solve_wall(fixtures.wall_case(twin)).wall:
+        if c != solve_wall(fixtures.wall_case(cf.twin)).wall:
             raise CheckFailed(f"{name}: valuative twin disagrees")
         printed = (cf.to_printed(verdict.u0), cf.to_printed(verdict.u2))
         if printed != (cf.expected["u0_printed"], cf.expected["u2_printed"]):
@@ -184,16 +183,16 @@ def criterion_5() -> str:
 
 def criterion_6() -> str:
     """Stability-threshold bounds and the admissibility window."""
-    bounds = (fixtures.delta_upper_bound("x26-delta"), fixtures.delta_upper_bound("p1425-delta"))
+    bounds = x26, p1425 = fixtures.delta_upper_bound("x26-delta"), fixtures.delta_upper_bound("p1425-delta")
     if bounds != (F(1, 9), F(1, 10)):
         raise CheckFailed(f"delta bounds {bounds}")
     for d in (4, 5, 7, 10, 13):
-        win = admissibility_window("X26", d)
+        win = admissibility_window(d, x26)
         if (win.lo, win.hi, win.lo_closed, win.hi_closed) != (F(8, 3 * d), F(3, d), True, False):
             raise CheckFailed(f"X26 window for d={d}")
-        if admissibility_window("P1425", d).lo != F(27, 10 * d):
+        if admissibility_window(d, p1425).lo != F(27, 10 * d):
             raise CheckFailed(f"P1425 window for d={d}")
-        win = admissibility_window("P2", d)
+        win = admissibility_window(d)
         if (win.lo, win.hi) != (F(0), F(3, d)):
             raise CheckFailed(f"P2 window for d={d}")
     return "delta bounds 1/9 and 1/10; X26 window [8/(3d), 3/d)"

@@ -156,9 +156,10 @@ def _profile_rows(profile) -> list[str]:
     return rows
 
 
-def _volume_report(vf: fixtures.VolumeFixture) -> dict:
-    """Profile by the primary engine, S0 from that profile, and the toric
-    cross-check when both engines apply."""
+def _volume_report(vf: fixtures.VolumeFixture, with_s0: bool = True) -> dict:
+    """Profile by the primary engine, S0 from that profile (for a fixture, and
+    for a scenario that gives anti_k), and the toric cross-check when both
+    engines apply."""
     profile = vf.profile
     # the toric engine breaks a profile at 0, then the nef threshold; a two-ray L is nef when it meets
     # E and Cbar nonnegatively, and its nef threshold is then where L - tE meets Cbar
@@ -175,7 +176,7 @@ def _volume_report(vf: fixtures.VolumeFixture) -> dict:
         "pseudoeffective threshold": fmt(profile.breakpoints[-1]),
         "pieces": _profile_rows(profile),
     }
-    if vf.anti_k is not None:
+    if with_s0:
         out["S0"] = fmt(vf.s0)
     if vf.model is not None and vf.moment is not None:
         same = volume_toric(vf.moment) == profile
@@ -251,13 +252,14 @@ def _stratum_report(coords: tuple[Fraction, ...]) -> dict:
 # scenario runner: a payload resolves to its kind's engine input
 # ---------------------------------------------------------------------------
 
-def _volume_input(payload: dict, model: TwoRayModel | None, L, moment: MomentPolygon | None) -> fixtures.VolumeFixture:
+def _volume_scenario(payload: dict, model: TwoRayModel | None, L, moment: MomentPolygon | None) -> dict:
+    """The volume report of a scenario: its anti_k, when given, is checked and decides whether S0 prints."""
     anti = payload.get("anti_k")
     anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
     if anti_k is not None and anti_k[0] <= 0:
         raise SchemaError("field 'anti_k': anti-canonical scale must be positive at c = 0")
-    return fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment,
-                                  anti_k=anti_k, provenance="")
+    vf = fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment, surface=None, provenance="")
+    return _volume_report(vf, with_s0=anti_k is not None)
 
 
 def run_scenario(kind: str, payload: dict) -> dict:
@@ -271,7 +273,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
         neg = payload.get("neg_curve")
         neg_curve = None if neg is None else tuple(_rat_vec(neg, "neg_curve", 2))
         L = _rat_vec(_need(payload, "L"), "L", 2)
-        return _volume_report(_volume_input(payload, TwoRayModel(h2, e2, cross, neg_curve), L, None))
+        return _volume_scenario(payload, TwoRayModel(h2, e2, cross, neg_curve), L, None)
     if kind == "toric":
         verts = [_rat_vec(v, f"polygon[{i}]", 2) for i, v in enumerate(_as_list(_need(payload, "polygon"), "polygon"))]
         w = _rat_vec(_need(payload, "w"), "w", 2)
@@ -279,7 +281,7 @@ def run_scenario(kind: str, payload: dict) -> dict:
             region = make_polygon(verts)
         except StructuralError as exc:  # the vertex cycle is not simple and convex
             raise SchemaError(f"field 'polygon': {exc}") from None
-        return _volume_report(_volume_input(payload, None, None, MomentPolygon(region, w)))
+        return _volume_scenario(payload, None, None, MomentPolygon(region, w))
     if kind == "wall-case":
         rng = payload.get("range")
         lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)

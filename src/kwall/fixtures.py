@@ -7,12 +7,16 @@ compare the annotations with engine output, and criteria 5 and 8 of the
 verification checklist read the printed centroid vectors and the lct values;
 no annotation is ever returned as an answer.
 
+Each surface is typed once, as a ``Surface``: (H^2), -K = alpha H and D = k d H
+for a degree-d curve, so -(K + cD) = (alpha - k d c) H.  P(1, b^2, c^2) with
+1 + b^2 + c^2 = 3bc comes from (b, c), moment triangle included; X_26 is a row.
+
 A two-ray model is derived, never typed: a weighted blow-up fixture declares
-its surface ((H^2) and anti_k), its valuation of weights (w1, w2) and scale s
-at a 1/n point, and one curve C of degree deg(C) by its germ.  Then
--(E^2) = n/(w1 w2 s^2), and the strict transform Cbar = deg(C) H - v(C) E
-spans the second ray; a blow-up without a curve takes its isotropic ray.
-Wall fixtures read A0 and ord(D) from their volume fixture's valuation.
+its surface, its valuation of weights (w1, w2) and scale s at a 1/n point,
+and one curve C of degree deg(C) by its germ.  Then -(E^2) = n/(w1 w2 s^2),
+and the strict transform Cbar = deg(C) H - v(C) E spans the second ray; a
+blow-up without a curve takes its isotropic ray.  Wall fixtures read A0 and
+ord(D) from their volume fixture's valuation, alpha and beta from its surface.
 
 A volume fixture derives its profile and S0 once, on first use, and keeps
 them on the record outside its compared fields; ``dataclasses.replace`` makes
@@ -27,7 +31,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .exact import PiecewiseQuadratic, Vec3, mat3_vec, polygon
+from .exact import PiecewiseQuadratic, Polygon2, Vec3, mat3_vec, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
 from .toric_kps import CentroidCase
 from .valuations import (
@@ -52,12 +56,37 @@ F = Fraction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class Surface:
+    """A degeneration of the plane with H = O(1): -(K + cD) = (alpha - k d c) H for
+    degree-d curves D, so anti_k(d) = (alpha, k d); a toric one keeps the moment triangle of H."""
+
+    h2: Fraction
+    alpha: Fraction
+    k: Fraction
+    triangle: Optional[Polygon2] = None
+
+    def anti_k(self, d: int) -> tuple[Fraction, Fraction]:
+        return self.alpha, self.k * d
+
+
+def _manetti(b: int, c: int) -> Surface:
+    """P(1, b^2, c^2), with 1 + b^2 + c^2 = 3bc: (H^2) = 1/(bc)^2, -K = 3bc H, D = bc d H,
+    and the moment triangle (0,0), (1/b^2, 0), (0, 1/c^2)."""
+    return Surface(F(1, (b * c) ** 2), F(3 * b * c), F(b * c),
+                   polygon([(F(0), F(0)), (F(1, b * b), F(0)), (F(0), F(1, c * c))]))
+
+
+_P2, _P114, _P1425 = _manetti(1, 1), _manetti(1, 2), _manetti(2, 5)
+_X26 = Surface(F(1, 25), F(15), F(5))
+
+
+@dataclass(frozen=True)
 class VolumeFixture:
     name: str
     model: Optional[TwoRayModel]
     L: tuple[Fraction, Fraction]
     moment: Optional[MomentPolygon]
-    anti_k: Optional[tuple[Fraction, Fraction]]  # None (a scenario without anti_k): no S0
+    surface: Optional[Surface]  # None for a scenario, which has no surface
     provenance: str
     expected: dict = field(default_factory=dict)
     valuation: Optional[MonomialVal] = None  # a blow-up's valuation, read by its wall fixtures
@@ -74,34 +103,21 @@ class VolumeFixture:
         return s_invariant(self.profile)
 
 
-# each surface as a row ((H^2), anti_k), with -(K + cD) = (alpha - beta c) H for anti_k = (alpha, beta)
-_P2 = (F(1), (F(3), F(5)))
-_P114 = (F(1, 4), (F(6), F(10)))
-_P1425 = (F(1, 100), (F(30), F(50)))
-_X26 = (F(1, 25), (F(15), F(25)))
-
 _ORDER4_POINT = CyclicQuot(4, 1, 1)
 _A11_VAL = MonomialVal(SMOOTH_POINT, (F(6), F(1)))
 _A12_QUINTIC = germ((2, 0), (0, 13))
 _AXIS = germ((1, 0))  # the curve x = 0 through the point
 
 
-def _blow_up(name, surface, valuation, curve, s0, provenance, moment=None) -> VolumeFixture:
+def _blow_up(name, surface, valuation, curve, s0, provenance, w=None) -> VolumeFixture:
     """The weighted blow-up of ``surface`` by ``valuation``, with L = H and curve = (degree, germ)
-    or None, as the module docstring derives it."""
-    h2, anti_k = surface
+    or None, as the module docstring derives it; a toric one also keeps its moment triangle with
+    the valuation's direction w."""
     (w1, w2), s = valuation.weights, valuation.scale
     neg_curve = None if curve is None else (F(curve[0]), ord_on_germ(valuation, curve[1]))
-    model = TwoRayModel(h2, valuation.point.n / (w1 * w2 * s * s), F(0), neg_curve)
-    return VolumeFixture(name, model, (F(1), F(0)), moment, anti_k, provenance, {"S0": s0}, valuation)
-
-
-def _p114_polygon():
-    return polygon([(F(0), F(0)), (F(1), F(0)), (F(0), F(1, 4))])
-
-
-def _p1425_polygon():
-    return polygon([(F(0), F(0)), (F(1, 4), F(0)), (F(0), F(1, 25))])
+    model = TwoRayModel(surface.h2, valuation.point.n / (w1 * w2 * s * s), F(0), neg_curve)
+    moment = None if w is None else MomentPolygon(surface.triangle, w)
+    return VolumeFixture(name, model, (F(1), F(0)), moment, surface, provenance, {"S0": s0}, valuation)
 
 
 VOLUME_FIXTURES: dict[str, VolumeFixture] = {}
@@ -138,27 +154,27 @@ _add_volume(_blow_up(
 _add_volume(_blow_up(
     "p114-w31", _P114, MonomialVal(_ORDER4_POINT, (F(3), F(1)), scale=F(4)), (1, _AXIS), F(4, 3),
     "weights (3,1) at the order-4 point of the quadric cone, pushforward scale 4",
-    MomentPolygon(_p114_polygon(), (F(-2), F(-12))),
+    w=(F(-2), F(-12)),
 ))
 _add_volume(_blow_up(
     "p114-w51", _P114, MonomialVal(_ORDER4_POINT, (F(5), F(1)), scale=F(4)), (1, _AXIS), F(2),
     "weights (5,1) at the order-4 point of the quadric cone, pushforward scale 4",
-    MomentPolygon(_p114_polygon(), (F(-4), F(-20))),
+    w=(F(-4), F(-20)),
 ))
 _add_volume(_blow_up(
     "p1425-w11", _P1425, MonomialVal(_ORDER4_POINT, (F(1), F(1)), scale=F(4)), (1, _AXIS), F(26, 75),
     "weights (1,1) at the order-4 point of P(1,4,25), pushforward scale 4",
-    MomentPolygon(_p1425_polygon(), (F(-4), F(-24))),
+    w=(F(-4), F(-24)),
 ))
 _add_volume(_blow_up(
     "p1425-w13", _P1425, MonomialVal(_ORDER4_POINT, (F(1), F(3)), scale=F(4)), (1, _AXIS), F(28, 75),
     "weights (1,3) at the order-4 point of P(1,4,25), pushforward scale 4",
-    MomentPolygon(_p1425_polygon(), (F(-4), F(-22))),
+    w=(F(-4), F(-22)),
 ))
 _add_volume(_blow_up(
     "p1425-w15", _P1425, MonomialVal(_ORDER4_POINT, (F(1), F(5)), scale=F(4)), (1, _AXIS), F(2, 5),
     "weights (1,5) at the order-4 point of P(1,4,25), pushforward scale 4",
-    MomentPolygon(_p1425_polygon(), (F(-4), F(-20))),
+    w=(F(-4), F(-20)),
 ))
 
 for _ray, _w, _s0 in (
@@ -170,8 +186,8 @@ for _ray, _w, _s0 in (
         name=f"p1425-ray-{_ray}",
         model=None,
         L=(F(1), F(0)),
-        moment=MomentPolygon(_p1425_polygon(), _w),
-        anti_k=_P1425[1],
+        moment=MomentPolygon(_P1425.triangle, _w),
+        surface=_P1425,
         provenance=f"toric boundary ray ({_ray}-divisor) of P(1,4,25)",
         expected={"S0": _s0},
     ))
@@ -186,26 +202,23 @@ class WallFixture:
     name: str
     curve_germ: Optional[GermSupport]
     volume: str  # key into VOLUME_FIXTURES: its valuation gives A0 and ord(D), its profile S0
-    valid_range: Interval
     provenance: str
     expected: dict = field(default_factory=dict)
+    degree: int = 5  # of the plane curves: alpha and beta from the surface, and the range (0, 3/degree)
 
     def case(self) -> WallCase:
         vf = VOLUME_FIXTURES[self.volume]
-        A0 = log_discrepancy(vf.valuation)
-        ordD = ord_on_germ(vf.valuation, self.curve_germ) if self.curve_germ else F(0)
+        alpha, beta = vf.surface.anti_k(self.degree)
         return WallCase(
             name=self.name,
-            A0=A0,
-            ordD=ordD,
+            A0=log_discrepancy(vf.valuation),
+            ordD=ord_on_germ(vf.valuation, self.curve_germ) if self.curve_germ else F(0),
             S0=vf.s0,
-            alpha=vf.anti_k[0],
-            beta=vf.anti_k[1],
-            valid_range=self.valid_range,
+            alpha=alpha,
+            beta=beta,
+            valid_range=Interval(F(0), F(3, self.degree)),
         )
 
-
-_QUINTIC_RANGE = Interval(F(0), F(3, 5))
 
 WALL_FIXTURES: dict[str, WallFixture] = {}
 
@@ -218,7 +231,6 @@ _add_wall(WallFixture(
     name="a12",
     curve_germ=_A12_QUINTIC,
     volume="a12",
-    valid_range=_QUINTIC_RANGE,
     provenance="A12 plane quintic: A = 15 - 26c against S = (17/5)(3 - 5c)",
     expected={"A0": F(15), "ordD": F(26), "wall": F(8, 15), "unstable": "above"},
 ))
@@ -227,7 +239,6 @@ _add_wall(WallFixture(
     name="a11red",
     curve_germ=germ((2, 0), (0, 12)),
     volume="a11red",
-    valid_range=_QUINTIC_RANGE,
     provenance="reducible A11 quintic: A = 7 - 12c against S = (5/3)(3 - 5c)",
     expected={"A0": F(7), "ordD": F(12), "wall": F(6, 11), "unstable": "above"},
 ))
@@ -236,7 +247,6 @@ _add_wall(WallFixture(
     name="a11irr",
     curve_germ=germ((2, 0), (0, 12)),
     volume="a11irr",
-    valid_range=_QUINTIC_RANGE,
     provenance="irreducible A11 quintic: A = 7 - 12c against S = (49/30)(3 - 5c)",
     expected={"A0": F(7), "ordD": F(12), "wall": F(63, 115), "unstable": "above"},
 ))
@@ -245,7 +255,6 @@ _add_wall(WallFixture(
     name="a10",
     curve_germ=germ((2, 0), (0, 11)),
     volume="a10",
-    valid_range=_QUINTIC_RANGE,
     provenance="A10 quintic: A = 13 - 22c against S = (47/15)(3 - 5c)",
     expected={"A0": F(13), "ordD": F(22), "wall": F(54, 95), "unstable": "above"},
 ))
@@ -254,7 +263,6 @@ _add_wall(WallFixture(
     name="x26",
     curve_germ=None,
     volume="x26",
-    valid_range=_QUINTIC_RANGE,
     provenance="quotient-point valuation on the degree-26 hypersurface, curve missing the point",
     expected={"A0": F(3, 5), "wall": F(8, 15), "unstable": "below"},
 ))
@@ -263,7 +271,6 @@ _add_wall(WallFixture(
     name="x26-through-sing",
     curve_germ=germ((6, 1), (25, 0), (12, 2)),
     volume="x26",
-    valid_range=_QUINTIC_RANGE,
     provenance="degree-25 curve through the quotient point: f(x,y)z + g(x,y) pulls back with order 25",
     expected={"ordD": F(1), "unstable": "everywhere"},
 ))
@@ -272,7 +279,6 @@ _add_wall(WallFixture(
     name="p114-deg",
     curve_germ=germ((2, 0), (0, 6), (10, 0), (0, 10)),
     volume="p114-w31",
-    valid_range=_QUINTIC_RANGE,
     provenance="degenerate z^2-coefficient on the quadric cone: x^2 z^2 + y^6 z + g(x, y)",
     expected={"A0": F(4), "ordD": F(6), "wall": F(6, 11), "unstable": "below"},
 ))
@@ -281,7 +287,6 @@ _add_wall(WallFixture(
     name="p114-nondeg",
     curve_germ=germ((2, 0), (1, 5), (0, 10)),
     volume="p114-w51",
-    valid_range=_QUINTIC_RANGE,
     provenance="x^2 z^2 + a x y^5 z + g(x, y) on the quadric cone: unstable on the whole range",
     expected={"A0": F(6), "ordD": F(10), "unstable": "everywhere"},
 ))
@@ -290,7 +295,6 @@ _add_wall(WallFixture(
     name="p1425-case1",
     curve_germ=germ((2, 0), (1, 1), (0, 2)),
     volume="p1425-w11",
-    valid_range=_QUINTIC_RANGE,
     provenance="z^2 + x^2 y^12 + x^6 g(x,y) on P(1,4,25) at the order-4 point",
     expected={"A0": F(2), "ordD": F(2), "wall": F(63, 115), "unstable": "below"},
 ))
@@ -299,7 +303,6 @@ _add_wall(WallFixture(
     name="p1425-case2",
     curve_germ=germ((6, 0), (10, 0), (0, 2)),
     volume="p1425-w13",
-    valid_range=_QUINTIC_RANGE,
     provenance="z^2 + x^6 y^11 + x^10 g(x,y) on P(1,4,25) at the order-4 point",
     expected={"A0": F(4), "ordD": F(6), "wall": F(54, 95), "unstable": "below"},
 ))
@@ -308,7 +311,6 @@ _add_wall(WallFixture(
     name="p1425-case3",
     curve_germ=germ((10, 0), (0, 2)),
     volume="p1425-w15",
-    valid_range=_QUINTIC_RANGE,
     provenance="z^2 + x^10 g(x,y) on P(1,4,25): unstable on the whole range",
     expected={"A0": F(6), "ordD": F(10), "unstable": "everywhere"},
 ))
@@ -324,17 +326,13 @@ _FIRST_WALL_NAME = re.compile(r"firstwall-(even|odd)-d([1-9][0-9]{0,8})")
 def first_wall_case(d: int) -> WallCase:
     """Wall case for the degree-d first wall: the quotient point of the quadric cone
     against the conic degeneration, ord(D) = 0 for even d and 1/2 for odd d."""
-    vf = VOLUME_FIXTURES["p114-quot"]
-    ordD = F(0) if d % 2 == 0 else ord_on_germ(vf.valuation, germ((1, 1)))
-    return WallCase(
+    return WallFixture(
         name=f"firstwall-{_PARITY[d % 2]}-d{d}",
-        A0=log_discrepancy(vf.valuation),
-        ordD=ordD,
-        S0=vf.s0,
-        alpha=vf.anti_k[0],
-        beta=F(2 * d),
-        valid_range=Interval(F(0), F(3, d)),
-    )
+        curve_germ=None if d % 2 == 0 else germ((1, 1)),
+        volume="p114-quot",
+        provenance="degree-d curve on the quadric cone: z^(d/2), or x y z^((d-1)/2) through the point",
+        degree=d,
+    ).case()
 
 
 def wall_case(name: str) -> WallCase:
@@ -358,10 +356,10 @@ def delta_ratios(name: str) -> dict[str, Fraction]:
     list, keyed by the valuation's label."""
     if name == "x26-delta":
         vf = VOLUME_FIXTURES["x26"]
-        return {"x26": delta_upper(log_discrepancy(vf.valuation), vf.s0, vf.anti_k)}
+        return {"x26": delta_upper(log_discrepancy(vf.valuation), vf.s0, vf.surface.alpha)}
     # name == "p1425-delta", the other surface: its toric boundary rays, with A = 1
     rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
-    return {ray: delta_upper(F(1), vf.s0, vf.anti_k) for ray, vf in rays.items()}
+    return {ray: delta_upper(F(1), vf.s0, vf.surface.alpha) for ray, vf in rays.items()}
 
 
 def delta_upper_bound(name: str) -> Fraction:
@@ -378,6 +376,7 @@ def delta_upper_bound(name: str) -> Fraction:
 class CentroidFixture:
     case: CentroidCase
     printed_basis: tuple[tuple[int, int, int], ...]  # integer rows: internal dual coordinates to printed ones
+    twin: str  # the wall fixture whose valuative wall the centroid solve must meet
     provenance: str
     expected: dict = field(default_factory=dict)
     # normality of the degeneration's central fiber is assumed for these
@@ -390,27 +389,9 @@ class CentroidFixture:
 CENTROID_FIXTURES: dict[str, CentroidFixture] = {}
 
 
-def _add_centroid(
-    name: str,
-    generators,
-    u1,
-    printed_basis,
-    provenance: str,
-    expected: dict,
-) -> None:
-    case = CentroidCase(
-        name=name,
-        generators=tuple(generators),
-        xi0=(F(0), F(1), F(0)),
-        eta0star=(F(0), F(0), F(1)),
-        u1=tuple(u1),
-    )
-    CENTROID_FIXTURES[name] = CentroidFixture(
-        case=case,
-        printed_basis=printed_basis,
-        provenance=provenance,
-        expected=expected,
-    )
+def _add_centroid(name: str, generators, u1, printed_basis, twin: str, provenance: str, expected: dict) -> None:
+    case = CentroidCase(name, tuple(generators), xi0=(F(0), F(1), F(0)), eta0star=(F(0), F(0), F(1)), u1=tuple(u1))
+    CENTROID_FIXTURES[name] = CentroidFixture(case, printed_basis, twin, provenance, expected)
 
 
 _IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -423,6 +404,7 @@ _add_centroid(
     generators=((6, -6, -13), (-1, 1, 2), (1, 1, 2)),
     u1=(-1, 25, -12),
     printed_basis=_X26_BASIS,
+    twin="a12",
     provenance="A12 degeneration, degeneration parameter at the order-13 vertex",
     expected={
         "u0_printed": (F(15), F(15), F(-7)),
@@ -436,6 +418,7 @@ _add_centroid(
     generators=((-1, 1, -2), (6, -6, 13), (19, -6, 13)),
     u1=(-1, 25, 13),
     printed_basis=_X26_BASIS,
+    twin="a12",
     provenance="A12 degeneration, degeneration parameter at the order-2 vertex",
     expected={
         "u0_printed": (F(15), F(15), F(7)),
@@ -449,6 +432,7 @@ _add_centroid(
     generators=((0, 0, -1), (-1, 1, -2), (1, 0, 6)),
     u1=(12, 10, -1),
     printed_basis=_IDENTITY,
+    twin="a11red",
     provenance="reducible A11 degeneration to the quadric cone, first marked point",
     expected={
         "u0_printed": (F(7), F(6), F(-1)),
@@ -462,6 +446,7 @@ _add_centroid(
     generators=((0, 0, 1), (-1, 1, 2), (1, 0, -6)),
     u1=(12, 10, 2),
     printed_basis=_IDENTITY,
+    twin="a11red",
     provenance="reducible A11 degeneration to the quadric cone, second marked point",
     expected={
         "u0_printed": (F(7), F(6), F(1)),
@@ -475,6 +460,7 @@ _add_centroid(
     generators=((-4, 1, -1), (1, 0, -6), (0, 0, 1)),
     u1=(12, 50, 2),
     printed_basis=_IDENTITY,
+    twin="a11irr",
     provenance="irreducible A11 degeneration to P(1,4,25), marked point at infinity",
     expected={
         "u0_printed": (F(7), F(30), F(1)),
@@ -488,6 +474,7 @@ _add_centroid(
     generators=((-4, 1, 1), (1, 0, 6), (0, 0, -1)),
     u1=(12, 50, 0),
     printed_basis=_IDENTITY,
+    twin="a11irr",
     provenance="irreducible A11 degeneration to P(1,4,25), generic marked point",
     expected={
         "u0_printed": (F(7), F(30), F(-1)),
@@ -501,6 +488,7 @@ _add_centroid(
     generators=((-1, 0, -2), (1, 1, 6), (6, 0, 11)),
     u1=(22, 50, -11),
     printed_basis=_IDENTITY,
+    twin="a10",
     provenance="A10 degeneration to P(1,4,25), first marked point",
     expected={
         "u0_printed": (F(13), F(30), F(-7)),
@@ -514,6 +502,7 @@ _add_centroid(
     generators=((-1, 0, 2), (1, 1, -6), (6, 0, -11)),
     u1=(22, 50, 12),
     printed_basis=_IDENTITY,
+    twin="a10",
     provenance="A10 degeneration to P(1,4,25), second marked point",
     expected={
         "u0_printed": (F(13), F(30), F(7)),
@@ -521,17 +510,6 @@ _add_centroid(
         "a": F(19, 30), "c": F(54, 95), "b": F(1, 20),
     },
 )
-
-CENTROID_WALL_TWINS = {
-    "centroid-a12-case1": "a12",
-    "centroid-a12-case2": "a12",
-    "centroid-a11red-case1": "a11red",
-    "centroid-a11red-case2": "a11red",
-    "centroid-a11irr-case1": "a11irr",
-    "centroid-a11irr-case2": "a11irr",
-    "centroid-a10-case1": "a10",
-    "centroid-a10-case2": "a10",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +523,14 @@ class LctFixture:
     expected: Fraction
 
 
-def _line_support(*levels: int) -> GermSupport:
-    """All (a, b) with a + 4b equal to one of the given levels (chart of the
-    order-25 point of P(1,4,25))."""
-    mons = set()
-    for lvl in levels:
-        for b in range(lvl // 4 + 1):
-            mons.add((lvl - 4 * b, b))
-    return GermSupport(frozenset(mons))
+def _generic_germ(b: int, c: int, d: int) -> GermSupport:
+    """A generic degree-d curve at the order-c^2 point of P(1, b^2, c^2), in the chart of weights
+    (1, b^2): every (i, j) with i + b^2 j <= bcd and i + b^2 j = bcd mod c^2."""
+    top = b * c * d
+    return GermSupport(frozenset(
+        (i, j) for j in range(top // (b * b) + 1) for i in range(top - b * b * j + 1)
+        if (i + b * b * j - top) % (c * c) == 0
+    ))
 
 
 LCT_FIXTURES: dict[str, LctFixture] = {
@@ -575,16 +553,16 @@ LCT_FIXTURES: dict[str, LctFixture] = {
         germ((0, 3), (4, 1), (6, 0)),
         "z^3 + a(xy)^4 z + b(xy)^6 sextic germ", F(1, 2)),
     "p1425-d10": LctFixture(
-        _line_support(10),
+        _generic_germ(2, 5, 1),
         "degree-10 curve at the order-25 point", F(1, 2)),
     "p1425-d20": LctFixture(
-        _line_support(20),
+        _generic_germ(2, 5, 2),
         "degree-20 curve at the order-25 point", F(1, 4)),
     "p1425-d40": LctFixture(
-        _line_support(40, 15),
+        _generic_germ(2, 5, 4),
         "degree-40 curve at the order-25 point", F(1, 3)),
     "p1425-d70": LctFixture(
-        _line_support(70, 45, 20),
+        _generic_germ(2, 5, 7),
         "degree-70 curve at the order-25 point (degree-7 exclusion input)", F(1, 4)),
 }
 

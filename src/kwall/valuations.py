@@ -175,12 +175,11 @@ def index_bound(d: int, c: Fraction) -> int:
     return int(min(Fraction(3) / (3 - c * d), cap).__floor__())
 
 
-def delta_upper(A: Fraction, S0: Fraction, anti_k_scale: tuple[Fraction, Fraction]) -> Fraction:
+def delta_upper(A: Fraction, S0: Fraction, alpha: Fraction) -> Fraction:
     """Upper bound A/(alpha S0) for the stability threshold at c = 0.
 
     Only an upper bound: it uses one valuation (or, at fixture level, a
     declared finite list of them).
     """
-    A, S0 = rat(A), rat(S0)
-    alpha = rat(anti_k_scale[0])
+    A, S0, alpha = rat(A), rat(S0), rat(alpha)
     return A / (alpha * S0)

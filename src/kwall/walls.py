@@ -209,21 +209,14 @@ def quintic_wall_table() -> list[WallTableRow]:
     ]
 
 
-_DELTA_UPPER_TAGS = {"P2": None, "P114": None, "X26": "x26-delta", "P1425": "p1425-delta"}
+def admissibility_window(d: int, delta: Optional[Fraction] = None) -> Interval:
+    """Coefficient window outside of which a surface is provably excluded from
+    the degree-d moduli (a necessary condition).
 
-
-def admissibility_window(surface_tag: str, d: int) -> Interval:
-    """Coefficient window outside of which the surface is provably excluded
-    from the degree-d moduli (a necessary condition).
-
-    Lower bound (3/d)(1 - delta_upper(surface)); the full interval for the
-    surfaces with no exploitable threshold bound.
+    Lower bound (3/d)(1 - delta) for an upper bound delta on the surface's
+    stability threshold; the full interval with no such bound.
     """
     hi = Fraction(3, d)
-    fixture_name = _DELTA_UPPER_TAGS[surface_tag]
-    if fixture_name is None:
+    if delta is None:
         return Interval(Fraction(0), hi)
-    from . import fixtures
-
-    delta = fixtures.delta_upper_bound(fixture_name)
     return Interval(hi * (1 - delta), hi, lo_closed=True)

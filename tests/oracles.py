@@ -23,7 +23,10 @@ The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
 entry point.  A quasi-homogeneous germ keeps the two ends of its segment of
 monomials; ``quasihomog_support`` enumerates the whole segment, and
-``lct_quasihomog`` is the closed form that holds on isolated germs only.
+``lct_quasihomog`` is the closed form that holds on isolated germs only.  The
+library generates the germ of a generic curve at the order-c^2 point of
+P(1, b^2, c^2) from a congruence; ``line_support`` lists the level sets of
+the degree-10d curves on P(1,4,25) by hand, as the fixtures once typed them.
 
 The library's polynomial evaluation (and so each piece of a piecewise
 evaluation), integral of a piecewise polynomial, 3x3 solve and matrix-vector
@@ -575,6 +578,16 @@ def lct_newton_pairs(g: GermSupport) -> Fraction:
 def quasihomog_support(w1: int, w2: int, degree: int) -> frozenset[tuple[int, int]]:
     """Every monomial x^i y^j with w1 i + w2 j = degree, by trying each i."""
     return frozenset((i, (degree - w1 * i) // w2) for i in range(degree // w1 + 1) if (degree - w1 * i) % w2 == 0)
+
+
+def line_support(*levels: int) -> GermSupport:
+    """All (a, b) with a + 4b equal to one of the given levels (chart of the
+    order-25 point of P(1,4,25)): the hand-typed supports of the p1425-dN germs."""
+    mons = set()
+    for lvl in levels:
+        for b in range(lvl // 4 + 1):
+            mons.add((lvl - 4 * b, b))
+    return GermSupport(frozenset(mons))
 
 
 def lct_quasihomog(w1: int, w2: int, degree: int) -> Fraction:

@@ -259,7 +259,7 @@ def test_annotations_never_consulted(monkeypatch):
     base = run_cli("--json", "wall", "--fixture", "a12")[1]
     fx = fixtures.WALL_FIXTURES["a12"]
     monkeypatch.setitem(fixtures.WALL_FIXTURES, "a12", type(fx)(
-        name=fx.name, curve_germ=fx.curve_germ, volume=fx.volume, valid_range=fx.valid_range, provenance=fx.provenance,
+        name=fx.name, curve_germ=fx.curve_germ, volume=fx.volume, provenance=fx.provenance,
         expected={},
     ))
     assert run_cli("--json", "wall", "--fixture", "a12")[1] == base

@@ -116,8 +116,7 @@ def test_q_independence_at_each_wall():
 def test_cross_module_consistency_with_valuative_walls():
     for name, cf in fixtures.CENTROID_FIXTURES.items():
         c = solve_centroid_condition(cf.case).solution[1]
-        twin = fixtures.CENTROID_WALL_TWINS[name]
-        assert c == solve_wall(fixtures.wall_case(twin)).wall, name
+        assert c == solve_wall(fixtures.wall_case(cf.twin)).wall, name
 
 
 def _subdivision_centroid(poly, depth: int = 4):

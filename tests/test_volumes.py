@@ -84,7 +84,7 @@ def test_two_ray_fixtures_keep_their_models():
         vf = got[name]
         m = vf.model
         assert (m.h2, m.e2, m.cross, m.neg_curve) == (h2, e2, cross, neg_curve), name
-        assert (vf.L, vf.anti_k) == ((1, 0), anti_k), name
+        assert (vf.L, vf.surface.anti_k(5)) == ((1, 0), anti_k), name
 
 
 def test_toric_p114_weights31():

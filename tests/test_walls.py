@@ -213,14 +213,15 @@ def test_table_rows_equal_individual_solver_output():
 
 
 def test_admissibility_windows():
+    x26, p1425 = fixtures.delta_upper_bound("x26-delta"), fixtures.delta_upper_bound("p1425-delta")
     for d in (4, 5, 9):
-        win = admissibility_window("X26", d)
+        win = admissibility_window(d, x26)
         assert win.lo == F(8, 3 * d) and win.lo_closed
         assert win.hi == F(3, d) and not win.hi_closed
-        assert admissibility_window("P1425", d).lo == F(27, 10 * d)
-        p2 = admissibility_window("P2", d)
+        assert admissibility_window(d, p1425).lo == F(27, 10 * d)
+        p2 = admissibility_window(d)
         assert (p2.lo, p2.hi, p2.lo_closed) == (0, F(3, d), False)
-        assert admissibility_window("P114", d).lo == 0
+        assert admissibility_window(d).lo == 0
 
 
 def test_stratum_examples():

@@ -10,9 +10,8 @@ comparisons are exact (tolerance zero) because every target value is rational.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import fixtures
 from .exact import (
@@ -36,7 +35,7 @@ from .git import (
 from .toric_kps import CentroidCase, solve_centroid_condition
 from .valuations import index_bound, lct_newton
 from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
-from .walls import WallCase, admissibility_window, first_wall, quintic_wall_table, solve_wall
+from .walls import _QUINTIC_STRATA, WallCase, admissibility_window, first_wall, quintic_wall_table, solve_wall
 
 F = Fraction
 
@@ -47,8 +46,7 @@ class CheckFailed(AssertionError):
     """A verification criterion found a value that differs from its target."""
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     cid: int
     title: str
     passed: bool
@@ -101,11 +99,21 @@ _REFERENCE_PROFILES = {
 
 
 def criterion_1() -> str:
-    """Quintic wall table."""
+    """Quintic wall table; each wall from Sigma2 on is also reached from its replacement side."""
     walls = [r.wall for r in quintic_wall_table()]
     expect = [F(3, 7), F(8, 15), F(6, 11), F(63, 115), F(54, 95)]
     if walls != expect:
         raise CheckFailed(f"table {walls} != {expect}")
+    for _, plane, replacement, *_ in _QUINTIC_STRATA:
+        if replacement is None:
+            continue
+        # the P^2 pair is unstable above its wall, the replacement pair below the same wall
+        p2, rep = solve_wall(fixtures.wall_case(plane)), solve_wall(fixtures.wall_case(replacement))
+        if rep.wall != p2.wall or not (p2.unstable_above and rep.unstable_below):
+            raise CheckFailed(
+                f"{replacement}: wall {rep.wall}, unstable below {rep.unstable_below}; "
+                f"{plane}: wall {p2.wall}, unstable above {p2.unstable_above}"
+            )
     return "walls = " + ", ".join(str(w) for w in walls)
 
 

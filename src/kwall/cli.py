@@ -230,7 +230,7 @@ def _plane_report(curve: PlaneCurveSupport, lam: OnePS) -> dict:
     }
 
 
-def _lct_report(germ: GermSupport) -> dict:
+def _lct_report(germ: GermSupport | QuasiHomogGerm) -> dict:
     if isinstance(germ, QuasiHomogGerm):
         desc = f"quasi-homogeneous weights ({germ.w1}, {germ.w2}) degree {germ.degree}"
     else:
@@ -258,7 +258,8 @@ def _volume_scenario(payload: dict, model: TwoRayModel | None, L, moment: Moment
     anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
     if anti_k is not None and anti_k[0] <= 0:
         raise SchemaError("field 'anti_k': anti-canonical scale must be positive at c = 0")
-    vf = fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment, surface=None, provenance="")
+    vf = fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment, surface=None, provenance="",
+                                expected={})
     return _volume_report(vf, with_s0=anti_k is not None)
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec2 = tuple[Fraction, Fraction]
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -265,8 +264,7 @@ def integrate(f: PiecewiseQuadratic) -> Fraction:
 # convex polygons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Polygon2:
+class Polygon2(NamedTuple):
     """Convex region given by its CCW vertex list; may be empty, a point, or a segment.
 
     Construct through :func:`polygon`, which canonicalizes (dedups, strips

@@ -19,17 +19,16 @@ blow-up without a curve takes its isotropic ray.  Wall fixtures read A0 and
 ord(D) from their volume fixture's valuation, alpha and beta from its surface.
 
 A volume fixture derives its profile and S0 once, on first use, and keeps
-them on the record outside its compared fields; ``dataclasses.replace`` makes
-a new record, which derives its own.
+them in its instance dict, outside equality, hashing and repr; ``_replace``
+makes a new record, which derives its own.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import PiecewiseQuadratic, Polygon2, Vec3, mat3_vec, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
@@ -55,8 +54,7 @@ F = Fraction
 # volume fixtures: the weighted blow-ups and moment polygons of the named cases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     """A degeneration of the plane with H = O(1): -(K + cD) = (alpha - k d c) H for
     degree-d curves D, so anti_k(d) = (alpha, k d); a toric one keeps the moment triangle of H."""
 
@@ -80,16 +78,19 @@ _P2, _P114, _P1425 = _manetti(1, 1), _manetti(1, 2), _manetti(2, 5)
 _X26 = Surface(F(1, 25), F(15), F(5))
 
 
-@dataclass(frozen=True)
-class VolumeFixture:
+class _VolumeRecord(NamedTuple):
     name: str
     model: Optional[TwoRayModel]
     L: tuple[Fraction, Fraction]
     moment: Optional[MomentPolygon]
     surface: Optional[Surface]  # None for a scenario, which has no surface
     provenance: str
-    expected: dict = field(default_factory=dict)
+    expected: dict
     valuation: Optional[MonomialVal] = None  # a blow-up's valuation, read by its wall fixtures
+
+
+class VolumeFixture(_VolumeRecord):
+    # no __slots__: the instance dict keeps the profile and S0 that cached_property derives
 
     @cached_property
     def profile(self) -> PiecewiseQuadratic:
@@ -197,13 +198,12 @@ for _ray, _w, _s0 in (
 # wall-case fixtures: a curve germ on a volume fixture's blow-up, whose valuation gives A0
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WallFixture:
+class WallFixture(NamedTuple):
     name: str
     curve_germ: Optional[GermSupport]
     volume: str  # key into VOLUME_FIXTURES: its valuation gives A0 and ord(D), its profile S0
     provenance: str
-    expected: dict = field(default_factory=dict)
+    expected: dict
     degree: int = 5  # of the plane curves: alpha and beta from the surface, and the range (0, 3/degree)
 
     def case(self) -> WallCase:
@@ -331,6 +331,7 @@ def first_wall_case(d: int) -> WallCase:
         curve_germ=None if d % 2 == 0 else germ((1, 1)),
         volume="p114-quot",
         provenance="degree-d curve on the quadric cone: z^(d/2), or x y z^((d-1)/2) through the point",
+        expected={},
         degree=d,
     ).case()
 
@@ -372,13 +373,12 @@ def delta_upper_bound(name: str) -> Fraction:
 # centroid fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CentroidFixture:
+class CentroidFixture(NamedTuple):
     case: CentroidCase
     printed_basis: tuple[tuple[int, int, int], ...]  # integer rows: internal dual coordinates to printed ones
     twin: str  # the wall fixture whose valuative wall the centroid solve must meet
     provenance: str
-    expected: dict = field(default_factory=dict)
+    expected: dict
     # normality of the degeneration's central fiber is assumed for these
     # families, not checked here
 
@@ -516,9 +516,8 @@ _add_centroid(
 # lct (germ) fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LctFixture:
-    support: GermSupport  # a QuasiHomogGerm reports its weights and degree, not its monomials
+class LctFixture(NamedTuple):
+    support: GermSupport | QuasiHomogGerm  # a QuasiHomogGerm reports its weights and degree, not its monomials
     provenance: str
     expected: Fraction
 
@@ -571,8 +570,7 @@ LCT_FIXTURES: dict[str, LctFixture] = {
 # GIT fixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinaryFixture:
+class BinaryFixture(NamedTuple):
     system: BinaryFormSystem
     provenance: str
 
@@ -590,8 +588,7 @@ BINARY_FIXTURES: dict[str, BinaryFixture] = {
 }
 
 
-@dataclass(frozen=True)
-class PlaneGitFixture:
+class PlaneGitFixture(NamedTuple):
     curve: PlaneCurveSupport
     one_ps: OnePS
     provenance: str

@@ -10,9 +10,9 @@ nonpositive weight.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import KwallError, rat
 from .walls import Interval
@@ -22,38 +22,35 @@ class GitError(KwallError):
     pass
 
 
-@dataclass(frozen=True)
-class PlaneCurveSupport:
+class PlaneCurveSupport(namedtuple("PlaneCurveSupport", "degree monomials")):
     """Monomial support of a plane curve of the given degree."""
 
-    degree: int
-    monomials: frozenset[tuple[int, int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        mons = frozenset((int(a), int(b), int(c)) for a, b, c in self.monomials)
+    def __new__(cls, degree: int, monomials: frozenset[tuple[int, int, int]]):
+        mons = frozenset((int(a), int(b), int(c)) for a, b, c in monomials)
         if not mons:
             raise GitError("field 'monomials': curve support must be nonempty")
         for m in mons:
             if any(e < 0 for e in m):
                 raise GitError("field 'monomials': exponents must be nonnegative")
-            if sum(m) != self.degree:
-                raise GitError(f"field 'monomials': monomial {m} does not have degree {self.degree}")
-        object.__setattr__(self, "monomials", mons)
+            if sum(m) != degree:
+                raise GitError(f"field 'monomials': monomial {m} does not have degree {degree}")
+        return super().__new__(cls, degree, mons)
 
 
-@dataclass(frozen=True)
-class OnePS:
+class OnePS(namedtuple("OnePS", "weights")):
     """Diagonal one-parameter subgroup in chosen coordinates; weights sum to zero."""
 
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        ws = tuple(int(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
+    def __new__(cls, weights: tuple[int, ...]):
+        ws = tuple(int(w) for w in weights)
         if all(w == 0 for w in ws):
             raise GitError("field 'lambda': one-parameter subgroup must be nontrivial")
         if sum(ws) != 0:
             raise GitError("field 'lambda': torus weights must sum to zero")
+        return super().__new__(cls, ws)
 
 
 def hm_weight_plane(curve: PlaneCurveSupport, lam: OnePS) -> Fraction:
@@ -73,40 +70,38 @@ def hm_weight_plane(curve: PlaneCurveSupport, lam: OnePS) -> Fraction:
 # weighted systems of binary forms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinaryFormSystem:
+class BinaryFormSystem(namedtuple("BinaryFormSystem", "parity degree forms")):
     """Monomial supports of the form blocks of a curve on the degeneration surface.
 
     Even parity (degree-d curves, d even): blocks j = 2..d/2 of binary forms of
     degree 4j, scaling weight j.  Odd parity: the restricted degree-6 block
     (coordinates x^6, y^6 only) of weight 1 plus blocks j = 2..(d-1)/2 of
     degree 4j + 2 and weight j.  A monomial of degree n is recorded as the pair
-    (i, n - i).
+    (i, n - i).  ``parity`` is "even" or "odd", and ``forms`` maps each block
+    index j to its support.
     """
 
-    parity: str  # "even" | "odd"
-    degree: int
-    forms: dict[int, frozenset[tuple[int, int]]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.parity not in ("even", "odd"):
+    def __new__(cls, parity: str, degree: int, forms: dict[int, frozenset[tuple[int, int]]]):
+        if parity not in ("even", "odd"):
             raise GitError("field 'parity': parity must be 'even' or 'odd'")
-        d = self.degree
-        if self.parity == "even" and d % 2 != 0:
+        if parity == "even" and degree % 2 != 0:
             raise GitError("field 'degree': even-parity system needs even degree")
-        if self.parity == "odd" and d % 2 != 1:
+        if parity == "odd" and degree % 2 != 1:
             raise GitError("field 'degree': odd-parity system needs odd degree")
-        forms = {int(j): frozenset((int(i), int(k)) for i, k in supp) for j, supp in self.forms.items()}
+        forms = {int(j): frozenset((int(i), int(k)) for i, k in supp) for j, supp in forms.items()}
         if not any(forms.values()):
             raise GitError("field 'forms': all-zero system is the excluded cone point")
+        self = super().__new__(cls, parity, degree, forms)
         for j, supp in forms.items():
             deg = self.block_degree(j)
             for i, k in supp:
                 if i < 0 or k < 0 or i + k != deg:
                     raise GitError(f"field 'forms.{j}': monomial {(i, k)} invalid in block {j} of degree {deg}")
-                if self.parity == "odd" and j == 1 and (i, k) not in ((6, 0), (0, 6)):
+                if parity == "odd" and j == 1 and (i, k) not in ((6, 0), (0, 6)):
                     raise GitError("field 'forms.1': the odd degree-6 block only carries x^6 and y^6")
-        object.__setattr__(self, "forms", forms)
+        return self
 
     def block_degree(self, j: int) -> int:
         if self.parity == "even":
@@ -123,8 +118,7 @@ class BinaryFormSystem:
         return sorted(j for j, supp in self.forms.items() if supp)
 
 
-@dataclass(frozen=True)
-class StabilityCertificate:
+class StabilityCertificate(NamedTuple):
     """Destabilizing data: candidate root, 1-PS exponent pair (a on the root
     torus, r on the scaling torus), and the per-monomial weights it produces."""
 
@@ -134,8 +128,7 @@ class StabilityCertificate:
     weights: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     verdict: str  # "stable" | "strictly-semistable" | "unstable"
     certificate: Optional[StabilityCertificate] = None
     polystable: Optional[bool] = None  # decided only for torus-fixed limits

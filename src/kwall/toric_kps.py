@@ -18,9 +18,9 @@ cone names the scenario field at fault.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import (
     KwallError,
@@ -39,26 +39,14 @@ class ConeError(KwallError):
     pass
 
 
-@dataclass(frozen=True)
-class CentroidCase:
+class CentroidCase(namedtuple("CentroidCase", "name generators xi0 eta0star u1")):
     """One simplicial-cone scenario of the centroid test."""
 
-    name: str
-    generators: tuple[Vec3, Vec3, Vec3]
-    xi0: Vec3
-    eta0star: Vec3
-    u1: Vec3
-    # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
-    # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
-    # what u0, u2 and the centroid condition read
-    _form: tuple = field(init=False, repr=False, compare=False)
+    # no __slots__: the instance dict holds _form, outside equality, hashing and repr
 
-    def __post_init__(self):
-        gens = tuple(vec3(*g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "xi0", vec3(*self.xi0))
-        object.__setattr__(self, "eta0star", vec3(*self.eta0star))
-        object.__setattr__(self, "u1", vec3(*self.u1))
+    def __new__(cls, name: str, generators: tuple[Vec3, Vec3, Vec3], xi0: Vec3, eta0star: Vec3, u1: Vec3):
+        gens = tuple(vec3(*g) for g in generators)
+        self = super().__new__(cls, name, gens, vec3(*xi0), vec3(*eta0star), vec3(*u1))
         # the toric setting: each generator is the primitive lattice vector on its ray
         rows = []
         for i, n in enumerate(gens):
@@ -80,11 +68,14 @@ class CentroidCase:
         eta = _cleared(self.eta0star)
         if _idot3(eta[0], xi) != 0:
             raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
-        object.__setattr__(self, "_form", (rays, det, xs, p, _cleared(self.u1), eta))
+        # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
+        # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
+        # what u0, u2 and the centroid condition read
+        self._form = (rays, det, xs, p, _cleared(self.u1), eta)
+        return self
 
 
-@dataclass(frozen=True)
-class CentroidVerdict:
+class CentroidVerdict(NamedTuple):
     u0: Vec3
     u2: Vec3
     solution: Optional[tuple[Fraction, Fraction, Fraction]]  # (a, c, b)

@@ -16,8 +16,9 @@ O(n log n) integer operations for n monomials and builds one Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import KwallError, rat
 
@@ -26,8 +27,7 @@ class DomainError(KwallError):
     """Argument outside the documented domain (e.g. coefficient out of range)."""
 
 
-@dataclass(frozen=True)
-class CyclicQuot:
+class CyclicQuot(NamedTuple):
     """Cyclic quotient point of type 1/n(a, b); n = 1 is a smooth point.  Only
     n enters the valuations; a and b name the action."""
 
@@ -39,8 +39,7 @@ class CyclicQuot:
 SMOOTH_POINT = CyclicQuot(1)
 
 
-@dataclass(frozen=True)
-class MonomialVal:
+class MonomialVal(namedtuple("MonomialVal", "point weights scale")):
     """Monomial valuation of weights (w1, w2) on the covering chart of ``point``.
 
     ``scale`` absorbs the two normalizations in use: scale = 1 gives the
@@ -49,38 +48,33 @@ class MonomialVal:
     quantities (A, orders, S) are linear in scale.
     """
 
-    point: CyclicQuot
-    weights: tuple[Fraction, Fraction]
-    scale: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self):
-        w1, w2 = rat(self.weights[0]), rat(self.weights[1])
-        object.__setattr__(self, "weights", (w1, w2))
-        object.__setattr__(self, "scale", rat(self.scale))
+    def __new__(cls, point: CyclicQuot, weights: tuple[Fraction, Fraction], scale: Fraction = Fraction(1)):
+        w1, w2 = rat(weights[0]), rat(weights[1])
+        return super().__new__(cls, point, (w1, w2), rat(scale))
 
 
-@dataclass(frozen=True)
-class GermSupport:
+class GermSupport(namedtuple("GermSupport", "monomials")):
     """Support of a curve germ f(x, y) on the covering chart; coefficients are
     assumed generic (no cancellation)."""
 
-    monomials: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        mons = frozenset((int(i), int(j)) for i, j in self.monomials)
+    def __new__(cls, monomials: frozenset[tuple[int, int]]):
+        mons = frozenset((int(i), int(j)) for i, j in monomials)
         if not mons:
             raise DomainError("field 'germ': germ support must be nonempty")
         if any(i < 0 or j < 0 for i, j in mons):
             raise DomainError("field 'germ': exponents must be nonnegative")
-        object.__setattr__(self, "monomials", mons)
+        return super().__new__(cls, mons)
 
 
 def germ(*monomials: tuple[int, int]) -> GermSupport:
     return GermSupport(frozenset(monomials))
 
 
-@dataclass(frozen=True)
-class QuasiHomogGerm(GermSupport):
+class QuasiHomogGerm(namedtuple("QuasiHomogGerm", "monomials w1 w2 degree")):
     """Generic quasi-homogeneous germ: the sum of every monomial x^i y^j of
     weighted degree w1 i + w2 j = degree, with generic coefficients.
 
@@ -89,16 +83,15 @@ class QuasiHomogGerm(GermSupport):
     With g = gcd(w1, w2) there is no monomial unless g divides the degree.
     Otherwise, with (a, b) = (w1, w2)/g, the end with the least i has
     i = (degree/g) a^-1 mod b, and the end with the least j follows from it in
-    steps of (b, -a).  This is O(log) integer work at any degree.
+    steps of (b, -a).  This is O(log) integer work at any degree.  It is built
+    from (w1, w2, degree), and ``lct_newton`` reads its ``monomials`` as those
+    of a ``GermSupport``.
     """
 
-    monomials: frozenset[tuple[int, int]] = field(init=False)
-    w1: int
-    w2: int
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        w1, w2, d = self.w1, self.w2, self.degree
+    def __new__(cls, w1: int, w2: int, degree: int):
+        d = degree
         if w1 <= 0 or w2 <= 0 or d <= 0:
             raise DomainError("field 'quasihomog': weights and degree must be positive")
         g = math.gcd(w1, w2)
@@ -108,7 +101,7 @@ class QuasiHomogGerm(GermSupport):
         j = (d - w1 * i) // w2
         if d % g or j < 0:
             raise DomainError(f"field 'quasihomog': no monomial x^i y^j has {w1} i + {w2} j = {d}")
-        object.__setattr__(self, "monomials", frozenset({(i, j), (i + b * (j // a), j % a)}))
+        return super().__new__(cls, frozenset({(i, j), (i + b * (j // a), j % a)}), w1, w2, degree)
 
 
 def log_discrepancy(v: MonomialVal) -> Fraction:
@@ -121,7 +114,7 @@ def ord_on_germ(v: MonomialVal, g: GermSupport) -> Fraction:
     return v.scale * min(i * v.weights[0] + j * v.weights[1] for i, j in g.monomials) / v.point.n
 
 
-def lct_newton(g: GermSupport) -> Fraction:
+def lct_newton(g: GermSupport | QuasiHomogGerm) -> Fraction:
     """lct of a generic germ with the given Newton polygon: min(1, 1/t*) where
     (t*, t*) is the diagonal's entry point into conv(supp) + R^2_+.
 

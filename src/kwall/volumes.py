@@ -19,7 +19,7 @@ of an L with L.Cbar = 0, whose nef threshold is 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -43,8 +43,7 @@ class InvalidValuationError(KwallError):
     """Zero valuation direction handed to the toric engine."""
 
 
-@dataclass(frozen=True)
-class TwoRayModel:
+class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
     """Intersection numbers on a surface whose pseudoeffective cone is spanned by
     E and one other extremal class.
 
@@ -58,35 +57,28 @@ class TwoRayModel:
     A model whose R is irrational is refused.
     """
 
-    h2: Fraction
-    e2: Fraction
-    cross: Fraction = Fraction(0)
-    neg_curve: Optional[tuple[Fraction, Fraction]] = None
-    # (h2, cross, e2) cleared over one positive denominator k, as (h, x, e, k): what pair reads
-    _form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    # no __slots__: the instance dict holds _form, outside equality, hashing and repr
 
-    def __post_init__(self):
-        object.__setattr__(self, "h2", rat(self.h2))
-        object.__setattr__(self, "e2", rat(self.e2))
-        object.__setattr__(self, "cross", rat(self.cross))
-        if self.neg_curve is not None:
-            a, b = self.neg_curve
-            object.__setattr__(self, "neg_curve", (rat(a), rat(b)))
-        (h, x, e), k = _cleared((self.h2, self.cross, self.e2))
-        object.__setattr__(self, "_form", (h, x, e, k))
+    def __new__(cls, h2: Fraction, e2: Fraction, cross: Fraction = Fraction(0),
+                neg_curve: Optional[tuple[Fraction, Fraction]] = None):
+        h2, e2, cross = rat(h2), rat(e2), rat(cross)
+        if neg_curve is not None:
+            a, b = neg_curve
+            neg_curve = (rat(a), rat(b))
+        (h, x, e), k = _cleared((h2, cross, e2))
         if h <= 0:
             raise ModelError("field 'h2': (H^2) must be positive")
         if e <= 0:
             raise ModelError("field 'e2': -(E^2) must be positive")
-        if self.neg_curve is None:
+        if neg_curve is None:
             r = math.isqrt(x * x + h * e)
             if r * r != x * x + h * e:
                 raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
-            object.__setattr__(self, "neg_curve", (Fraction(e), Fraction(r - x)))
+            neg_curve = (Fraction(e), Fraction(r - x))
         else:
             # with (a, b) cleared to (a, b) / m, (Cbar^2), H.Cbar and E.Cbar are k m^2 and k m (k, m > 0)
             # times the integers below
-            (a, b), _ = _cleared(self.neg_curve)
+            (a, b), _ = _cleared(neg_curve)
             if a * a * h - 2 * a * b * x - b * b * e > 0:
                 raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
             # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
@@ -97,6 +89,10 @@ class TwoRayModel:
                 raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
             if a == 0:
                 raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")
+        self = super().__new__(cls, h2, e2, cross, neg_curve)
+        # (h2, cross, e2) cleared over one positive denominator k, as (h, x, e, k): what pair reads
+        self._form = (h, x, e, k)
+        return self
 
     def pair(self, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
         """Intersection pairing of xH + yE classes."""
@@ -106,24 +102,22 @@ class TwoRayModel:
         return Fraction(v0 * w0 * h + (v0 * w1 + v1 * w0) * x - v1 * w1 * e, k * s * t)
 
 
-@dataclass(frozen=True)
-class MomentPolygon:
+class MomentPolygon(namedtuple("MomentPolygon", "polygon valuation_direction")):
     """Moment polygon of a polarized toric surface with a toric valuation direction.
 
     vol(L) = 2 area(polygon).  ``valuation_direction`` is the vector w with
     v(section at lattice point u) = <u, w> - min_P <., w>.
     """
 
-    polygon: Polygon2
-    valuation_direction: Vec2
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = (rat(self.valuation_direction[0]), rat(self.valuation_direction[1]))
-        object.__setattr__(self, "valuation_direction", w)
-        if self.polygon.is_degenerate:
+    def __new__(cls, polygon: Polygon2, valuation_direction: Vec2):
+        w = (rat(valuation_direction[0]), rat(valuation_direction[1]))
+        if polygon.is_degenerate:
             raise ModelError("field 'polygon': moment polygon must be non-degenerate")
         if w == (Fraction(0), Fraction(0)):
             raise InvalidValuationError("field 'w': valuation direction must be nonzero")
+        return super().__new__(cls, polygon, w)
 
 
 def _reduced(n: int, d: int) -> tuple[int, int]:

@@ -8,9 +8,9 @@ for K-semistability and every report says so explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exact import KwallError, _cleared, rat, fmt
 
@@ -19,16 +19,14 @@ class WallError(KwallError):
     pass
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
-    lo_closed: bool = False
-    hi_closed: bool = False
+class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __new__(cls, lo: Fraction, hi: Fraction, lo_closed: bool = False, hi_closed: bool = False):
+        self = super().__new__(cls, lo, hi, lo_closed, hi_closed)
+        if lo > hi:
             raise WallError(f"field 'range': range {self} is inverted: its low end exceeds its high end")
+        return self
 
     def __contains__(self, c) -> bool:
         c = rat(c)
@@ -43,36 +41,29 @@ class Interval:
         return f"{left}{fmt(self.lo)}, {fmt(self.hi)}{right}"
 
 
-@dataclass(frozen=True)
-class WallCase:
+class WallCase(namedtuple("WallCase", "name A0 ordD S0 alpha beta valid_range")):
     """Valuative scenario with affine A(c) and S(c) on a coefficient range."""
 
-    name: str
-    A0: Fraction
-    ordD: Fraction
-    S0: Fraction
-    alpha: Fraction
-    beta: Fraction
-    valid_range: Interval
-    # (A0, ordD, S0, alpha, beta) cleared over one positive denominator s, as (a0, od, s0, al, be, s):
-    # what the range checks and solve_wall read
-    _form: tuple[int, int, int, int, int, int] = field(init=False, repr=False, compare=False)
+    # no __slots__: the instance dict holds _form, outside equality, hashing and repr
 
-    def __post_init__(self):
-        for f_ in ("A0", "ordD", "S0", "alpha", "beta"):
-            object.__setattr__(self, f_, rat(getattr(self, f_)))
-        (a0, od, s0, al, be), s = _cleared((self.A0, self.ordD, self.S0, self.alpha, self.beta))
-        object.__setattr__(self, "_form", (a0, od, s0, al, be, s))
+    def __new__(cls, name: str, A0: Fraction, ordD: Fraction, S0: Fraction, alpha: Fraction, beta: Fraction,
+                valid_range: Interval):
+        values = tuple(rat(v) for v in (A0, ordD, S0, alpha, beta))
+        self = super().__new__(cls, name, *values, valid_range)
+        (a0, od, s0, al, be), s = _cleared(values)
+        # (A0, ordD, S0, alpha, beta) cleared over one positive denominator s, as (a0, od, s0, al, be, s):
+        # what the range checks and solve_wall read
+        self._form = (a0, od, s0, al, be, s)
         # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
-        lo, hi = self.valid_range.lo, self.valid_range.hi
+        lo, hi = valid_range.lo, valid_range.hi
         if al * lo.denominator - be * lo.numerator <= 0:
             raise WallError("field 'alpha': anti-canonical degree must be positive at the low end of the range")
         if al * hi.denominator - be * hi.numerator < 0:
             raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
+        return self
 
 
-@dataclass(frozen=True)
-class WallReport:
+class WallReport(NamedTuple):
     """Solved wall data.  ``wall`` is the crossing inside the valid range, and
     unstable_below/above say whether A < S on each side of it; with no wall
     in the range A - S keeps one sign there, and both flags give it."""
@@ -103,45 +94,46 @@ def solve_wall(case: WallCase) -> WallReport:
     return WallReport(case, None, unstable, unstable)
 
 
-@dataclass(frozen=True)
-class QuinticStratumPoint:
+class QuinticStratumPoint(namedtuple("QuinticStratumPoint", "coords")):
     """Point of the quintic boundary parameter space: [s, r, h, u] on P(1,2,3,3)
     for the A>=9 double-point chart (h = p^2 - u), or [s1, s2] on P(1,2) for the
     two-tangent-conics chart."""
 
-    coords: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = tuple(rat(c) for c in self.coords)
-        object.__setattr__(self, "coords", cs)
+    def __new__(cls, coords: tuple[Fraction, ...]):
+        cs = tuple(rat(c) for c in coords)
         if len(cs) not in (2, 4):
             raise WallError("field 'coords': stratum point needs 4 coordinates [s,r,h,u] or 2 [s1,s2]")
         if all(c == 0 for c in cs):
             raise WallError("field 'coords': stratum point cannot be the zero vector")
+        return super().__new__(cls, cs)
 
     @property
     def chart(self) -> str:
         return "A9" if len(self.coords) == 4 else "D6"
 
 
-@dataclass(frozen=True)
-class StratumVerdict:
+class StratumVerdict(NamedTuple):
     stratum: str
     wall: Optional[Fraction]
     note: str
 
 
 # the quintic boundary strata that carry a wall, in wall order: stratum Sigma_i has the
-# i-th wall, solved from its wall case; then its note, the pairs below the wall and above it
+# i-th wall, solved from its wall case on the P^2 side; then the wall case on the replacement
+# side, which must reach the same wall (Sigma1's is the toric barycenter, not a wall case yet),
+# its note, the pairs below the wall and above it
 _QUINTIC_STRATA = (
-    ("Sigma1", "firstwall-d5", "double conic + transverse line",
+    ("Sigma1", "firstwall-d5", None, "double conic + transverse line",
      "(P^2, Q_5)", "(P(1,1,4), xyz^2+(ax^6+by^6)z+g(x,y))"),
-    ("Sigma2", "a12", "A12 quintic", "(P^2, A12-quintic)", "(X_26, w=g(x,y))"),
-    ("Sigma3", "a11red", "reducible A11 quintic",
+    ("Sigma2", "a12", "x26", "A12 quintic", "(P^2, A12-quintic)", "(X_26, w=g(x,y))"),
+    ("Sigma3", "a11red", "p114-deg", "reducible A11 quintic",
      "(P^2, A11-reducible quintics)", "(P(1,1,4), x^2z^2+y^6z+g(x,y))"),
-    ("Sigma4", "a11irr", "irreducible A11 quintic",
+    ("Sigma4", "a11irr", "p1425-case1", "irreducible A11 quintic",
      "(P^2, A11-irreducible quintics)", "(P(1,4,25), z^2+x^2y^12+x^10 g(x,y))"),
-    ("Sigma5", "a10", "A10 quintic", "(P^2, A10-quintics)", "(P(1,4,25), z^2+x^6y^11+x^14 g(x,y))"),
+    ("Sigma5", "a10", "p1425-case2", "A10 quintic",
+     "(P^2, A10-quintics)", "(P(1,4,25), z^2+x^6y^11+x^14 g(x,y))"),
 )
 
 _LC_BOUNDARY_NOTE = "lct = 3/5, no log Fano wall"
@@ -168,7 +160,7 @@ def classify_quintic_stratum(p: QuinticStratumPoint) -> StratumVerdict:
             stratum = "Sigma2" if s == 0 else "Sigma4"
         else:
             stratum = "Sigma5"
-    for name, case_name, note, _, _ in _QUINTIC_STRATA:
+    for name, case_name, _, note, _, _ in _QUINTIC_STRATA:
         if name == stratum:
             return StratumVerdict(stratum, _solved_wall(case_name), note)
     return StratumVerdict(stratum, None, _LC_BOUNDARY_NOTE)
@@ -193,8 +185,7 @@ def first_wall(d: int) -> tuple[Fraction, str, WallReport]:
     return report.wall, tag, report
 
 
-@dataclass(frozen=True)
-class WallTableRow:
+class WallTableRow(NamedTuple):
     index: int
     wall: Fraction
     below: str
@@ -205,7 +196,7 @@ def quintic_wall_table() -> list[WallTableRow]:
     """The five quintic walls, each re-derived through the wall solver."""
     return [
         WallTableRow(i, _solved_wall(case_name), below, above)
-        for i, (_, case_name, _, below, above) in enumerate(_QUINTIC_STRATA, start=1)
+        for i, (_, case_name, _, _, below, above) in enumerate(_QUINTIC_STRATA, start=1)
     ]
 
 

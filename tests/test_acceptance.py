@@ -3,7 +3,6 @@ pass/fail line.  Every comparison is exact; there are no tolerances to tune."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -24,6 +23,7 @@ from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, polygon
 from kwall.toric_kps import CentroidCase
 from kwall.volumes import TwoRayModel, volume_toric, volume_two_ray
+from kwall.walls import WallCase
 
 
 @pytest.mark.parametrize("cid,title,check", CRITERIA, ids=[f"criterion-{c[0]:02d}" for c in CRITERIA])
@@ -49,14 +49,14 @@ def test_run_all_reports_any_exception_as_a_named_failure(monkeypatch):
 
 
 _CORRUPT_A12 = textwrap.dedent("""
-    import dataclasses, sys
+    import sys
     from fractions import Fraction as F
     from kwall import cli, fixtures
     from kwall.volumes import TwoRayModel
 
     fx = fixtures.VOLUME_FIXTURES["a12"]
     bad = TwoRayModel(F(1), F(1, 26), F(0), (F(5), F(27)))
-    fixtures.VOLUME_FIXTURES["a12"] = dataclasses.replace(fx, model=bad)
+    fixtures.VOLUME_FIXTURES["a12"] = fx._replace(model=bad)
     sys.exit(cli.main(["verify-all"]))
 """)
 
@@ -71,10 +71,19 @@ def test_gate_fails_under_python_O_on_a_corrupted_fixture():
     assert "FAIL  criterion  3  volume profiles (both engines): CheckFailed: a12" in proc.stdout
 
 
+def test_criterion_1_fails_on_a_wrong_replacement_surface(monkeypatch):
+    # X26 with D = 4d H for 5d H: A12's replacement side no longer crosses at 8/15, while its P^2 side
+    # and every other criterion stay as they were
+    fx = fixtures.VOLUME_FIXTURES["x26"]
+    monkeypatch.setitem(fixtures.VOLUME_FIXTURES, "x26", fx._replace(surface=fx.surface._replace(k=F(4))))
+    with pytest.raises(acceptance.CheckFailed, match="^x26: wall None, unstable below "):
+        acceptance.criterion_1()
+
+
 def test_criterion_2_fails_on_a_first_wall_case_with_a_wrong_s0(monkeypatch):
     # walls.first_wall keeps no closed-form check of its own: criterion 2's comparison is the check
     real = fixtures.first_wall_case
-    monkeypatch.setattr(fixtures, "first_wall_case", lambda d: dataclasses.replace(real(d), S0=real(d).S0 + F(1, 8)))
+    monkeypatch.setattr(fixtures, "first_wall_case", lambda d: WallCase(*real(d)._replace(S0=real(d).S0 + F(1, 8))))
     with pytest.raises(acceptance.CheckFailed, match="^d=4: "):
         acceptance.criterion_2()
 
@@ -82,14 +91,14 @@ def test_criterion_2_fails_on_a_first_wall_case_with_a_wrong_s0(monkeypatch):
 def test_criterion_4_fails_on_a_wrong_s0_annotation(monkeypatch):
     # p114-quot's S0 is one of the annotations the old hand-written list left out
     fx = fixtures.VOLUME_FIXTURES["p114-quot"]
-    monkeypatch.setitem(fixtures.VOLUME_FIXTURES, "p114-quot", dataclasses.replace(fx, expected={"S0": F(1, 5)}))
+    monkeypatch.setitem(fixtures.VOLUME_FIXTURES, "p114-quot", fx._replace(expected={"S0": F(1, 5)}))
     with pytest.raises(acceptance.CheckFailed, match=r"^p114-quot: S0 = 1/6, annotated 1/5$"):
         acceptance.criterion_4()
 
 
 def test_criterion_5_fails_on_a_wrong_wall_annotation(monkeypatch):
     fx = fixtures.WALL_FIXTURES["a12"]
-    monkeypatch.setitem(fixtures.WALL_FIXTURES, "a12", dataclasses.replace(fx, expected={**fx.expected, "wall": F(1, 2)}))
+    monkeypatch.setitem(fixtures.WALL_FIXTURES, "a12", fx._replace(expected={**fx.expected, "wall": F(1, 2)}))
     with pytest.raises(acceptance.CheckFailed, match=r"^centroid-a12-case1: c = 8/15$"):
         acceptance.criterion_5()
 
@@ -103,7 +112,7 @@ def test_each_printed_formula_has_the_shape_of_a_volume_profile(name):
 def test_criterion_8_fails_on_a_wrong_lct_annotation(monkeypatch):
     # a3-germ is one of the germs the old hand-written list left out
     fx = fixtures.LCT_FIXTURES["a3-germ"]
-    monkeypatch.setitem(fixtures.LCT_FIXTURES, "a3-germ", dataclasses.replace(fx, expected=F(2, 3)))
+    monkeypatch.setitem(fixtures.LCT_FIXTURES, "a3-germ", fx._replace(expected=F(2, 3)))
     with pytest.raises(acceptance.CheckFailed, match=r"^a3-germ: lct = 3/4, annotated 2/3$"):
         acceptance.criterion_8()
 
@@ -143,7 +152,7 @@ def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypat
         if not case.name.endswith("-moved"):
             return verdict
         a, c, b = verdict.solution
-        return dataclasses.replace(verdict, solution=(a, c + 1, b))
+        return verdict._replace(solution=(a, c + 1, b))
 
     monkeypatch.setattr(acceptance, "solve_centroid_condition", shifted)
     with pytest.raises(acceptance.CheckFailed, match="-moved: unique-c"):
@@ -217,10 +226,10 @@ def test_a_replaced_volume_fixture_derives_its_own_profile(monkeypatch):
     calls = []
     monkeypatch.setattr(fixtures, "volume_two_ray", lambda model, L: calls.append(model) or volume_two_ray(model, L))
     assert fx.s0 == F(17, 5) and calls == []  # kept on the record
-    same = dataclasses.replace(fx)
+    same = fx._replace()
     assert same.profile == fx.profile and calls == [fx.model]
     bad = TwoRayModel(F(1), F(1, 26), F(0), (F(5), F(27)))
-    other = dataclasses.replace(fx, model=bad)
+    other = fx._replace(model=bad)
     assert other.profile == volume_two_ray(bad, fx.L) != fx.profile and calls == [fx.model, bad]
     assert other.s0 != fx.s0
 
@@ -228,7 +237,7 @@ def test_a_replaced_volume_fixture_derives_its_own_profile(monkeypatch):
 def test_the_stored_profile_changes_neither_equality_nor_repr():
     fx = fixtures.VOLUME_FIXTURES["p114-quot"]
     fx.s0
-    fresh = dataclasses.replace(fx)
+    fresh = fx._replace()
     before = repr(fresh)
     assert "profile" not in vars(fresh) and fresh == fx
     assert fresh.s0 == F(1, 6) and {"profile", "s0"} <= set(vars(fresh))

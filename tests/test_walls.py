@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import random
@@ -273,7 +272,7 @@ def test_stratum_walls_are_solved_not_returned(monkeypatch):
 
     def shifted(name):
         case = real(name)
-        return dataclasses.replace(case, S0=case.S0 + F(1, 15)) if name == "a10" else case
+        return WallCase(*case._replace(S0=case.S0 + F(1, 15))) if name == "a10" else case
 
     monkeypatch.setattr(fixtures, "wall_case", shifted)
     v = classify_quintic_stratum(QuinticStratumPoint(fixtures.STRATUM_REPRESENTATIVES["Sigma5"]))

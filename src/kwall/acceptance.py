@@ -250,23 +250,38 @@ def criterion_9() -> str:
     return "cm_degree(2, d, c) = 27c - 18dc^2 + 3d^2c^3 = 3c(3 - cd)^2; window (0, 3/d)"
 
 
+# each binary fixture's verdict and polystability, and each plane fixture's weight under its 1-PS: a weight
+# of either sign, so that a sign-flipped mu fails
+_BINARY_VERDICTS = {
+    "quartic-binary-unstable": ("unstable", None),
+    "quartic-binary-ss": ("strictly-semistable", True),
+    "quintic-binary-f6": ("stable", True),
+}
+_PLANE_WEIGHTS = {"q5-double-conic-line": F(0), "xy4-destabilized": F(-7)}
+
+
 def criterion_10() -> str:
-    """GIT verdicts with replayable certificates."""
-    fx = fixtures.BINARY_FIXTURES["quartic-binary-unstable"]
-    verdict = binary_system_stability(fx.system)
-    if verdict.verdict != "unstable":
-        raise CheckFailed(verdict.verdict)
-    replayed = replay_certificate(fx.system, verdict.certificate)
-    if not (replayed and all(w > 0 for w in replayed)):
-        raise CheckFailed(str(replayed))
-    fx = fixtures.BINARY_FIXTURES["quartic-binary-ss"]
-    verdict = binary_system_stability(fx.system)
-    if verdict.verdict != "strictly-semistable" or verdict.polystable is not True:
-        raise CheckFailed(verdict.verdict)
-    q5 = fixtures.PLANE_GIT_FIXTURES["q5-double-conic-line"]
-    if hm_weight_plane(q5.curve, q5.one_ps) != 0:
-        raise CheckFailed("mu(Q5) is not 0")
-    return "x^5 y^3 unstable (certificate replays positive); x^4 y^4 strictly semistable; mu(Q5) = 0"
+    """GIT verdicts with replayable certificates, and Hilbert-Mumford weights."""
+    checked = []
+    for name, want in _BINARY_VERDICTS.items():
+        system = fixtures.BINARY_FIXTURES[name].system
+        verdict = binary_system_stability(system)
+        if (verdict.verdict, verdict.polystable) != want:
+            raise CheckFailed(f"{name}: {verdict.verdict}, polystable {verdict.polystable}")
+        line = f"{name} {verdict.verdict}" + (", polystable" if verdict.polystable else "")
+        if verdict.verdict == "unstable":
+            replayed = replay_certificate(system, verdict.certificate)
+            if not (replayed and all(w > 0 for w in replayed)):
+                raise CheckFailed(f"{name}: certificate replays to {replayed}")
+            line += " (certificate replays positive)"
+        checked.append(line)
+    for name, want in _PLANE_WEIGHTS.items():
+        fx = fixtures.PLANE_GIT_FIXTURES[name]
+        mu = hm_weight_plane(fx.curve, fx.one_ps)
+        if mu != want:
+            raise CheckFailed(f"{name}: mu = {mu}, expected {want}")
+        checked.append(f"mu({name}) = {mu}")
+    return "; ".join(checked)
 
 
 def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, den: int = 12) -> Fraction:

@@ -50,6 +50,20 @@ class SchemaError(KwallError):
 # scenario ingestion: rationals are 'p/q' strings or integers, never floats
 # ---------------------------------------------------------------------------
 
+_REQUIRED = object()  # the default of a payload field that has none
+
+
+def _need(payload: dict, key: str, read=None, default: Any = _REQUIRED):
+    """``payload[key]``, through ``read`` when given; a missing key takes its default, if it has one."""
+    if key in payload:
+        return payload[key] if read is None else read(payload[key], key)
+    if default is _REQUIRED:
+        raise SchemaError(f"field '{key}': missing")
+    return default
+
+
+# readers: each takes a payload value and the name of its field, and returns the engine's value
+
 def _as_rat(value: Any, where: str) -> Fraction:
     try:
         return rat(value)
@@ -63,52 +77,69 @@ def _as_int(value: Any, where: str) -> int:
     return value
 
 
-def _as_list(value: Any, where: str, length: int | None = None) -> list:
-    if not isinstance(value, list):
-        raise SchemaError(f"field '{where}': expected a list")
-    if length is not None and len(value) != length:
-        raise SchemaError(f"field '{where}': expected {length} entries, got {len(value)}")
+def _as_str(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"field '{where}': expected a string, got {value!r}")
     return value
 
 
-def _rat_vec(value: Any, where: str, length: int) -> tuple[Fraction, ...]:
-    return tuple(_as_rat(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where, length)))
+def _vec(read, length: int | None = None):
+    """The reader of a list of ``length`` entries (of any length when None), each read by ``read``."""
+    def read_list(value: Any, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise SchemaError(f"field '{where}': expected a list")
+        if length is not None and len(value) != length:
+            raise SchemaError(f"field '{where}': expected {length} entries, got {len(value)}")
+        return tuple(read(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return read_list
 
 
-def _need(payload: dict, key: str):
-    if key not in payload:
-        raise SchemaError(f"field '{key}': missing")
-    return payload[key]
+_RAT2, _RAT3 = _vec(_as_rat, 2), _vec(_as_rat, 3)
+_PAIRS = _vec(_vec(_as_int, 2))  # monomials x^i y^j as [i, j]
 
 
-def _name(payload: dict) -> str:
-    name = payload.get("name", "scenario")
-    if not isinstance(name, str):
-        raise SchemaError(f"field 'name': expected a string, got {name!r}")
-    return name
+def _anti_k(value: Any, where: str) -> tuple[Fraction, ...]:
+    anti_k = _RAT2(value, where)
+    if anti_k[0] <= 0:
+        raise SchemaError(f"field '{where}': anti-canonical scale must be positive at c = 0")
+    return anti_k
 
 
-# scenario kind -> the payload fields its parser reads; 'name' only where the report prints it
-_FIELDS = {
-    "two-ray": {"name", "h2", "e2", "cross", "neg_curve", "L", "anti_k"},
-    "toric": {"name", "polygon", "w", "anti_k"},
-    "wall-case": {"name", "A0", "ordD", "S0", "alpha", "beta", "range"},
-    "centroid": {"name", "generators", "xi0", "eta0star", "u1"},
-    "git-binary": {"name", "parity", "degree", "forms"},
-    "git-plane": {"degree", "monomials", "lambda"},
-    "lct": {"germ", "quasihomog"},
-    "index": {"degree", "coeff"},
-    "cm": {"n", "degree", "coeff"},
-    "stratum": {"coords"},
-}
+def _range(value: Any, where: str) -> Interval:
+    lo, hi = _RAT2(value, where)
+    if lo == hi:  # a scenario range is open
+        raise SchemaError(f"field '{where}': range ({fmt(lo)}, {fmt(hi)}) is empty")
+    return Interval(lo, hi)
+
+
+def _region(value: Any, where: str):
+    try:
+        return make_polygon(_vec(_RAT2)(value, where))
+    except StructuralError as exc:  # the vertex cycle is not simple and convex
+        raise SchemaError(f"field '{where}': {exc}") from None
+
+
+def _forms(value: Any, where: str) -> dict[int, tuple]:
+    if not isinstance(value, dict):
+        raise SchemaError(f"field '{where}': expected an object mapping block index to monomials")
+    forms = {}
+    for key, mons in sorted(value.items()):
+        try:
+            j = integer(key)
+        except StructuralError:
+            j = -1
+        if j < 0 or str(j) != key:  # also a sign or leading zeros
+            raise SchemaError(f"field '{where}.{key}': block index must be an integer in canonical digits")
+        forms[j] = _PAIRS(mons, f"{where}.{key}")
+    return forms
 
 
 def load_scenario(doc: Any) -> tuple[str, dict]:
     if not isinstance(doc, dict):
         raise SchemaError("field '<root>': scenario document must be a JSON object")
     kind = _need(doc, "kind")
-    if not isinstance(kind, str) or kind not in _FIELDS:
-        raise SchemaError(f"field 'kind': unknown scenario kind {kind!r}; expected one of {sorted(_FIELDS)}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise SchemaError(f"field 'kind': unknown scenario kind {kind!r}; expected one of {sorted(_KINDS)}")
     payload = _need(doc, "payload")
     if not isinstance(payload, dict):
         raise SchemaError("field 'payload': expected a JSON object")
@@ -249,128 +280,75 @@ def _stratum_report(coords: tuple[Fraction, ...]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario runner: a payload resolves to its kind's engine input
+# scenario kinds: a payload resolves to its kind's engine input
 # ---------------------------------------------------------------------------
 
-def _volume_scenario(payload: dict, model: TwoRayModel | None, L, moment: MomentPolygon | None) -> dict:
-    """The volume report of a scenario: its anti_k, when given, is checked and decides whether S0 prints."""
-    anti = payload.get("anti_k")
-    anti_k = None if anti is None else _rat_vec(anti, "anti_k", 2)
-    if anti_k is not None and anti_k[0] <= 0:
-        raise SchemaError("field 'anti_k': anti-canonical scale must be positive at c = 0")
-    vf = fixtures.VolumeFixture(name=_name(payload), model=model, L=L, moment=moment, surface=None, provenance="",
-                                expected={})
-    return _volume_report(vf, with_s0=anti_k is not None)
+def _lct_scenario(germ, quasihomog) -> dict:
+    """The germ by its support or by its weights and degree: one of the two."""
+    if quasihomog is None:
+        if germ is None:
+            raise SchemaError("field 'germ': missing")
+        return _lct_report(GermSupport(germ))
+    if germ is not None:
+        raise SchemaError("field 'germ': give the germ as 'germ' or as 'quasihomog', not both")
+    return _lct_report(QuasiHomogGerm(*quasihomog))
+
+
+def _cm_report(n: int, d: int, c: Fraction) -> dict:
+    window = cm_positivity_window(n, d)  # refuses the degree and the dimension before the power is taken
+    return {"n": str(n), "degree": str(d), "coeff": fmt(c), "cm degree": fmt(cm_degree(n, d, c)),
+            "positivity window": str(window)}
+
+
+# scenario kind -> (the command whose --file reads it, None for a kind that only inline flags build;
+# its payload fields in reading order, each a reader and a default or _REQUIRED; the call that builds
+# its report from the fields' values, passed in that order).  'name' is a field only where the
+# report prints it.
+_KINDS: dict[str, tuple] = {
+    "two-ray": ("volume", {
+        "name": (_as_str, "scenario"), "h2": (_as_rat, _REQUIRED), "e2": (_as_rat, _REQUIRED),
+        "cross": (_as_rat, F(0)), "neg_curve": (_RAT2, None), "L": (_RAT2, _REQUIRED), "anti_k": (_anti_k, None),
+    }, lambda name, h2, e2, cross, neg_curve, L, anti_k: _volume_report(
+        fixtures.VolumeFixture(name, TwoRayModel(h2, e2, cross, neg_curve), L, None, None, "", {}),
+        with_s0=anti_k is not None)),
+    "toric": ("volume", {
+        "name": (_as_str, "scenario"), "polygon": (_region, _REQUIRED), "w": (_RAT2, _REQUIRED),
+        "anti_k": (_anti_k, None),
+    }, lambda name, region, w, anti_k: _volume_report(
+        fixtures.VolumeFixture(name, None, None, MomentPolygon(region, w), None, "", {}),
+        with_s0=anti_k is not None)),
+    "wall-case": ("wall", {
+        "name": (_as_str, "scenario"), "A0": (_as_rat, _REQUIRED), "ordD": (_as_rat, _REQUIRED),
+        "S0": (_as_rat, _REQUIRED), "alpha": (_as_rat, _REQUIRED), "beta": (_as_rat, _REQUIRED),
+        "range": (_range, Interval(F(0), F(3, 5))),
+    }, lambda *case: _wall_report(solve_wall(WallCase(*case)))),
+    "centroid": ("centroid", {
+        "name": (_as_str, "scenario"), "generators": (_vec(_RAT3, 3), _REQUIRED), "xi0": (_RAT3, _REQUIRED),
+        "eta0star": (_RAT3, _REQUIRED), "u1": (_RAT3, _REQUIRED),
+    }, lambda *case: _centroid_report(CentroidCase(*case))),
+    "git-binary": ("git-binary", {
+        "name": (_as_str, "scenario"), "parity": (lambda value, where: str(value), _REQUIRED),
+        "degree": (_as_int, _REQUIRED), "forms": (_forms, _REQUIRED),
+    }, lambda name, *system: _binary_report(name, BinaryFormSystem(*system))),
+    "git-plane": ("git-plane", {
+        "degree": (_as_int, _REQUIRED), "monomials": (_vec(_vec(_as_int, 3)), _REQUIRED),
+        "lambda": (_vec(_as_int, 3), _REQUIRED),
+    }, lambda degree, monomials, weights: _plane_report(PlaneCurveSupport(degree, monomials), OnePS(weights))),
+    "lct": ("lct", {"germ": (_PAIRS, None), "quasihomog": (_vec(_as_int, 3), None)}, _lct_scenario),
+    "index": (None, {"degree": (_as_int, _REQUIRED), "coeff": (_as_rat, _REQUIRED)},
+              lambda d, c: {"degree": str(d), "coeff": fmt(c), "max Gorenstein index": str(index_bound(d, c))}),
+    "cm": (None, {"n": (_as_int, _REQUIRED), "degree": (_as_int, _REQUIRED), "coeff": (_as_rat, _REQUIRED)},
+           _cm_report),
+    "stratum": (None, {"coords": (_vec(_as_rat), _REQUIRED)}, _stratum_report),
+}
 
 
 def run_scenario(kind: str, payload: dict) -> dict:
-    unknown = sorted(set(payload) - _FIELDS[kind])
+    _, fields, build = _KINDS[kind]
+    unknown = sorted(set(payload) - set(fields))
     if unknown:
-        raise SchemaError(f"field '{unknown[0]}': unknown field; kind {kind!r} reads {sorted(_FIELDS[kind])}")
-    if kind == "two-ray":
-        h2 = _as_rat(_need(payload, "h2"), "h2")
-        e2 = _as_rat(_need(payload, "e2"), "e2")
-        cross = _as_rat(payload.get("cross", 0), "cross")
-        neg = payload.get("neg_curve")
-        neg_curve = None if neg is None else tuple(_rat_vec(neg, "neg_curve", 2))
-        L = _rat_vec(_need(payload, "L"), "L", 2)
-        return _volume_scenario(payload, TwoRayModel(h2, e2, cross, neg_curve), L, None)
-    if kind == "toric":
-        verts = [_rat_vec(v, f"polygon[{i}]", 2) for i, v in enumerate(_as_list(_need(payload, "polygon"), "polygon"))]
-        w = _rat_vec(_need(payload, "w"), "w", 2)
-        try:
-            region = make_polygon(verts)
-        except StructuralError as exc:  # the vertex cycle is not simple and convex
-            raise SchemaError(f"field 'polygon': {exc}") from None
-        return _volume_scenario(payload, None, None, MomentPolygon(region, w))
-    if kind == "wall-case":
-        rng = payload.get("range")
-        lo, hi = (F(0), F(3, 5)) if rng is None else _rat_vec(rng, "range", 2)
-        if lo == hi:  # a scenario range is open
-            raise SchemaError(f"field 'range': range ({fmt(lo)}, {fmt(hi)}) is empty")
-        return _wall_report(solve_wall(WallCase(
-            name=_name(payload),
-            A0=_as_rat(_need(payload, "A0"), "A0"),
-            ordD=_as_rat(_need(payload, "ordD"), "ordD"),
-            S0=_as_rat(_need(payload, "S0"), "S0"),
-            alpha=_as_rat(_need(payload, "alpha"), "alpha"),
-            beta=_as_rat(_need(payload, "beta"), "beta"),
-            valid_range=Interval(lo, hi),
-        )))
-    if kind == "centroid":
-        gens = tuple(
-            _rat_vec(g, f"generators[{i}]", 3)
-            for i, g in enumerate(_as_list(_need(payload, "generators"), "generators", 3))
-        )
-        return _centroid_report(CentroidCase(
-            name=_name(payload),
-            generators=gens,  # type: ignore[arg-type]
-            xi0=_rat_vec(_need(payload, "xi0"), "xi0", 3),
-            eta0star=_rat_vec(_need(payload, "eta0star"), "eta0star", 3),
-            u1=_rat_vec(_need(payload, "u1"), "u1", 3),
-        ))
-    if kind == "git-binary":
-        forms_doc = _need(payload, "forms")
-        if not isinstance(forms_doc, dict):
-            raise SchemaError("field 'forms': expected an object mapping block index to monomials")
-        forms = {}
-        for key, mons in sorted(forms_doc.items()):
-            try:
-                j = integer(key)
-            except StructuralError:
-                j = -1
-            if j < 0 or str(j) != key:  # also a sign or leading zeros
-                raise SchemaError(f"field 'forms.{key}': block index must be an integer in canonical digits")
-            forms[j] = frozenset(
-                tuple(_as_int(e, f"forms.{key}[{i}][{k}]") for k, e in enumerate(_as_list(m, f"forms.{key}[{i}]", 2)))
-                for i, m in enumerate(_as_list(mons, f"forms.{key}"))
-            )
-        system = BinaryFormSystem(
-            parity=str(_need(payload, "parity")),
-            degree=_as_int(_need(payload, "degree"), "degree"),
-            forms=forms,
-        )
-        return _binary_report(_name(payload), system)
-    if kind == "git-plane":
-        curve = PlaneCurveSupport(
-            degree=_as_int(_need(payload, "degree"), "degree"),
-            monomials=frozenset(
-                tuple(_as_int(e, f"monomials[{i}][{k}]") for k, e in enumerate(_as_list(m, f"monomials[{i}]", 3)))
-                for i, m in enumerate(_as_list(_need(payload, "monomials"), "monomials"))
-            ),
-        )
-        lam = OnePS(tuple(_as_int(w, f"lambda[{i}]") for i, w in enumerate(_as_list(_need(payload, "lambda"), "lambda", 3))))
-        return _plane_report(curve, lam)
-    if kind == "lct":
-        if "quasihomog" in payload:
-            if "germ" in payload:
-                raise SchemaError("field 'germ': give the germ as 'germ' or as 'quasihomog', not both")
-            w1, w2, deg = (_as_int(v, f"quasihomog[{i}]") for i, v in enumerate(_as_list(payload["quasihomog"], "quasihomog", 3)))
-            return _lct_report(QuasiHomogGerm(w1, w2, deg))
-        mons = frozenset(
-            tuple(_as_int(e, f"germ[{i}][{k}]") for k, e in enumerate(_as_list(m, f"germ[{i}]", 2)))
-            for i, m in enumerate(_as_list(_need(payload, "germ"), "germ"))
-        )
-        return _lct_report(GermSupport(mons))
-    if kind == "index":
-        d = _as_int(_need(payload, "degree"), "degree")
-        c = _as_rat(_need(payload, "coeff"), "coeff")
-        return {"degree": str(d), "coeff": fmt(c), "max Gorenstein index": str(index_bound(d, c))}
-    if kind == "cm":
-        n = _as_int(_need(payload, "n"), "n")
-        d = _as_int(_need(payload, "degree"), "degree")
-        c = _as_rat(_need(payload, "coeff"), "coeff")
-        window = cm_positivity_window(n, d)  # refuses the degree and the dimension before the power is taken
-        return {
-            "n": str(n),
-            "degree": str(d),
-            "coeff": fmt(c),
-            "cm degree": fmt(cm_degree(n, d, c)),
-            "positivity window": str(window),
-        }
-    # kind == "stratum", the last kind in _FIELDS
-    coords = tuple(_as_rat(v, f"coords[{i}]") for i, v in enumerate(_as_list(_need(payload, "coords"), "coords")))
-    return _stratum_report(coords)
+        raise SchemaError(f"field '{unknown[0]}': unknown field; kind {kind!r} reads {sorted(fields)}")
+    return build(*(_need(payload, key, read, default) for key, (read, default) in fields.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -557,25 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# command -> the scenario kinds its --file accepts
-_FILE_KINDS = {
-    "wall": {"wall-case"},
-    "volume": {"two-ray", "toric"},
-    "centroid": {"centroid"},
-    "git-binary": {"git-binary"},
-    "git-plane": {"git-plane"},
-    "lct": {"lct"},
-}
-
-
 def _dispatch(args) -> tuple[dict, int]:
     command = f"git-{args.git_command}" if args.command == "git" else args.command
     if getattr(args, "fixture", None) is not None:
         return fixture_report(command, args.fixture), 0
     if getattr(args, "file", None) is not None:
         kind, payload = _read_scenario_file(args.file)
-        if kind not in _FILE_KINDS[command]:
-            raise SchemaError(f"field 'kind': command expects one of {sorted(_FILE_KINDS[command])}, got {kind!r}")
+        kinds = sorted(k for k, (reads, _, _) in _KINDS.items() if reads == command)
+        if kind not in kinds:
+            raise SchemaError(f"field 'kind': command expects one of {kinds}, got {kind!r}")
         return run_scenario(kind, payload), 0
     if command == "walls":
         return _cmd_walls(), 0

@@ -125,6 +125,14 @@ def test_criterion_9_fails_on_a_cm_degree_with_one_coefficient_changed(monkeypat
         acceptance.criterion_9()
 
 
+def test_criterion_10_fails_on_a_sign_flipped_hilbert_mumford_weight(monkeypatch):
+    # mu(Q5) = 0 keeps its value under the flip: only a fixture of nonzero weight can see it
+    real = acceptance.hm_weight_plane
+    monkeypatch.setattr(acceptance, "hm_weight_plane", lambda curve, lam: -real(curve, lam))
+    with pytest.raises(acceptance.CheckFailed, match=r"^xy4-destabilized: mu = 7, expected -7$"):
+        acceptance.criterion_10()
+
+
 def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
     # a "wall" that scales with S0: only the unscaled base case keeps its value
     monkeypatch.setattr(acceptance, "solve_wall", lambda case: SimpleNamespace(wall=case.S0))

@@ -12,6 +12,7 @@ from kwall import cli, fixtures, git, toric_kps, valuations, volumes, walls
 from kwall.exact import KwallError, SingularSystemError, StructuralError, rat
 from kwall.valuations import SMOOTH_POINT, MonomialVal
 from kwall.volumes import ModelError
+from test_scenario_fuzz import VALID
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -542,3 +543,33 @@ def test_cm_at_a_billion_decides_from_bit_lengths_before_taking_the_power():
     # c = 0: the value 0, without the power of (n + 1)^n
     code, out = run_cli("cm", "--n", "1000000000", "--degree", "5", "--coeff", "0")
     assert code == 0 and "cm degree        : 0\n" in out
+
+
+# the fields each file kind cannot do without, typed here rather than read from the CLI's own table;
+# 'quasihomog' is not among them: without it an lct document still needs its 'germ'
+REQUIRED_FIELDS = {
+    "two-ray": {"h2", "e2", "L"},
+    "toric": {"polygon", "w"},
+    "wall-case": {"A0", "ordD", "S0", "alpha", "beta"},
+    "centroid": {"generators", "xi0", "eta0star", "u1"},
+    "git-binary": {"parity", "degree", "forms"},
+    "git-plane": {"degree", "monomials", "lambda"},
+    "lct": {"germ"},
+}
+
+
+@pytest.mark.parametrize("kind,payload,key", [(kind, payload, key) for kind, payload in VALID for key in payload],
+                         ids=[f"{kind}:{key}" for kind, payload in VALID for key in payload])
+def test_dropping_a_field_is_missing_exactly_when_the_field_is_required(kind, payload, key):
+    doc = {"kind": kind, "payload": {k: v for k, v in payload.items() if k != key}}
+    try:
+        cli.run_scenario(*cli.load_scenario(doc))
+    except KwallError as exc:
+        message = str(exc)
+    else:
+        message = None
+    missing = f"field '{key}': missing"
+    if key in REQUIRED_FIELDS[kind]:
+        assert message == missing
+    else:
+        assert message != missing

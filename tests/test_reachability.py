@@ -26,6 +26,9 @@ exact error line it prints; the CLI snapshot pins those of the unknown-fixture
 raises.  Every line names the input field at fault, except two kinds that
 name no one field: a scenario file that cannot be read, and a value too large
 to print.
+
+A name that a module of ``src/kwall`` imports and never uses fails too: the
+trace sees definitions and raises, not imports left behind when a helper goes.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ RAISE_SCOPE_EXCLUDED = {"acceptance.py"}
 # the command whose --file reads each scenario kind
 _FILE_COMMAND = {
     kind: command.split("-", 1) if command.startswith("git-") else [command]
-    for command, kinds in cli._FILE_KINDS.items() for kind in kinds
+    for kind, (command, _, _) in cli._KINDS.items() if command is not None
 }
 
 
@@ -152,6 +155,8 @@ INVALID: list[tuple[list[str], object, str]] = [
     (["lct", "--germ", "0,0"], None, "field 'germ': lct undefined for a unit germ"),
     (*_file("lct", "lct", {"germ": []}), "field 'germ': germ support must be nonempty"),
     (*_file("lct", "lct", {"germ": [[-1, 2]]}), "field 'germ': exponents must be nonnegative"),
+    # neither form of the germ: 'germ' is required unless 'quasihomog' is given
+    (*_file("lct", "lct", {}), "field 'germ': missing"),
     (["lct", "--quasihomog", "0,1,5"], None, "field 'quasihomog': weights and degree must be positive"),
     # gcd(2, 2) does not divide 5, so no monomial has weighted degree 5
     (["lct", "--quasihomog", "2,2,5"], None, "field 'quasihomog': no monomial x^i y^j has 2 i + 2 j = 5"),
@@ -375,3 +380,20 @@ def test_each_invalid_invocation_ends_in_its_error_line(tmp_path, monkeypatch, a
     with redirect_stdout(out), redirect_stderr(err):
         code = cli.main(_argv(argv, doc, tmp_path / "scenario.json"))
     assert (code, out.getvalue(), err.getvalue()) == (1, "", f"error: {message}\n")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports (``from __future__`` aside) that no expression of it reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(((a.asname or a.name).split(".")[0], node.lineno) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update((a.asname or a.name, node.lineno) for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    assert [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _unused_imports(path)] == []

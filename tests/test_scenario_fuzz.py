@@ -2,10 +2,12 @@
 with fields dropped, retyped, misspelled or given out-of-range values must end
 in a report or in a ``KwallError``, never in any other exception.
 
-The documents are of the seven kinds a ``--file`` accepts (two-ray, toric,
-wall-case, centroid, git-binary, git-plane, lct).  ``index``, ``cm`` and
-``stratum`` are kinds that only the inline flags build, so no scenario file
-reaches them and they are left out.
+The first property fuzzes the seven kinds a ``--file`` accepts (two-ray,
+toric, wall-case, centroid, git-binary, git-plane, lct).  The second fuzzes
+``index``, ``cm`` and ``stratum``, the kinds that only inline flags build: no
+scenario file reaches them, but ``--coeff`` and ``--coords`` hand them the
+user's strings as they are typed, and ``--degree`` and ``--n`` the user's
+integers.
 """
 
 from __future__ import annotations
@@ -33,6 +35,14 @@ VALID = [
     ("git-plane", {"degree": 5, "monomials": [[1, 4, 0], [0, 0, 5]], "lambda": [-1, 2, -1]}),
     ("lct", {"germ": [[2, 0], [0, 10], [3, 3]]}),
     ("lct", {"quasihomog": [2, 1, 5]}),
+]
+
+# the payloads the inline flags build: index-bound, cm and stratum (both point forms)
+FLAG_VALID = [
+    ("index", {"degree": 5, "coeff": "57/100"}),
+    ("cm", {"n": 2, "degree": 5, "coeff": "1/5"}),
+    ("stratum", {"coords": ["0", "1", "0", "1"]}),
+    ("stratum", {"coords": ["1", "2"]}),
 ]
 
 # centroid-a12-case1 with its first generator (6, -6, -13) doubled and halved: the same rays,
@@ -110,7 +120,23 @@ def test_mutated_scenarios_end_in_a_report_or_a_kwall_error(data):
     json.dumps(report, sort_keys=True)
 
 
-@pytest.mark.parametrize("kind,payload", VALID, ids=[f"{k}-{i}" for i, (k, _) in enumerate(VALID)])
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_flag_payloads_end_in_a_report_or_a_kwall_error(data):
+    kind, payload = data.draw(st.sampled_from(FLAG_VALID))
+    doc = {"kind": kind, "payload": copy.deepcopy(payload), "provenance": "fuzz"}
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, doc)
+    try:
+        report = cli.run_scenario(*cli.load_scenario(doc))
+    except KwallError:
+        return
+    assert isinstance(report, dict)
+    json.dumps(report, sort_keys=True)
+
+
+@pytest.mark.parametrize("kind,payload", VALID + FLAG_VALID,
+                         ids=[f"{k}-{i}" for i, (k, _) in enumerate(VALID + FLAG_VALID)])
 def test_fuzz_seeds_are_valid_documents(kind, payload):
     # the fuzz starts from documents that run, so a rejection is the mutation's doing
     assert isinstance(cli.run_scenario(*cli.load_scenario({"kind": kind, "payload": payload})), dict)

@@ -9,6 +9,7 @@ comparisons are exact (tolerance zero) because every target value is rational.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -284,21 +285,39 @@ def criterion_10() -> str:
     return "; ".join(checked)
 
 
-def _random_fraction(rng: random.Random, lo: int = -6, hi: int = 6, den: int = 12) -> Fraction:
-    return F(rng.randint(lo, hi), rng.randint(1, den))
+def _digits(code: int, radices: tuple[int, ...]) -> list[int]:
+    """The mixed-radix digits of code, least significant first: range(prod(radices)) maps
+    one-to-one onto the product of the range(r), so a uniform code has independent uniform digits."""
+    digits = []
+    for r in radices:
+        code, d = divmod(code, r)
+        digits.append(d)
+    return digits
 
 
-def _random_unimodular(rng: random.Random):
-    """Six random shears times a signed permutation, as integer column operations."""
+# criterion 11's draws, one digit per value a trial reads: (a) a base wall and lambda = (p + 1)/(q + 1)
+# with p, q in range(400); (b) three vertices of coordinates p/(q + 1), p in range(9), q in range(12),
+# and a direction w in range(11)^2 shifted by -5; (c) after the centroid fixture, six shears (an ordered
+# pair and k + 2 in range(5)), a permutation and three sign bits
+_BASE_WALLS = ("a12", "a11red", "a11irr", "a10", "p1425-case1", "p1425-case2")
+_RESCALE_RADICES = (len(_BASE_WALLS), 400, 400)
+_TRIANGLE_RADICES = (9, 12) * 6 + (11, 11)
+_PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))  # the ordered pairs i != j
+_PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_MOVE_RADICES = (len(_PAIRS), 5) * 6 + (len(_PERMS), 2, 2, 2)
+
+
+def _random_unimodular(digits: list[int]):
+    """Six shears times a signed permutation, as integer column operations, from the digits
+    of _MOVE_RADICES: each shear's ordered pair and k + 2, the permutation, the sign bits."""
     m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for _ in range(6):
-        i, j = rng.sample(range(3), 2)
-        k = rng.randint(-2, 2)
+    for t in range(0, 12, 2):
+        i, j = _PAIRS[digits[t]]
+        k = digits[t + 1] - 2
         for row in m:  # times the shear I + k E_ij: column j += k column i
             row[j] += k * row[i]
-    perm = list(range(3))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(3)]
+    perm = _PERMS[digits[12]]
+    signs = [(1, -1)[b] for b in digits[13:]]
     # times the signed permutation with entry signs[s] at (s, perm[s]): column s moves to perm[s]
     source = [perm.index(c) for c in range(3)]
     return tuple(tuple(signs[s] * row[s] for s in source) for row in m)
@@ -334,13 +353,14 @@ def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
 
 def _moved_case(name: str, cone: tuple[tuple[list[int], int], ...], g, ginv_t) -> CentroidCase:
     """The cleared cone moved by the lattice automorphism g: its generators and xi0 by g,
-    eta0* and u1 by (g^-1)^T, each an integer row times a cleared vector, as ints when integral."""
+    eta0* and u1 by (g^-1)^T, each an integer row times a cleared vector, as Fractions: the record
+    then keeps them as they are."""
     *gens, xi0, eta0star, u1 = cone
 
     def apply(m, cleared):
         nums, s = cleared
         if s == 1:
-            return tuple(_idot3(row, nums) for row in m)
+            return tuple(Fraction(_idot3(row, nums)) for row in m)
         return tuple(Fraction(_idot3(row, nums), s) for row in m)
 
     return CentroidCase(
@@ -355,16 +375,17 @@ def _moved_case(name: str, cone: tuple[tuple[list[int], int], ...], g, ginv_t) -
 def criterion_11() -> str:
     """Exact property suites: wall scale-invariance, random-fixture engine
     agreement, centroid unimodular equivariance."""
-    rng = random.Random(_SEED)
+    rng = random.Random(_SEED)  # one randrange per trial attempt, decoded by _digits
 
     # (a) scale invariance of walls: 200 random rescalings
-    base_names = ("a12", "a11red", "a11irr", "a10", "p1425-case1", "p1425-case2")
-    base_cases = {name: fixtures.wall_case(name) for name in base_names}
+    base_cases = {name: fixtures.wall_case(name) for name in _BASE_WALLS}
     base_walls = {name: solve_wall(case).wall for name, case in base_cases.items()}
+    size = math.prod(_RESCALE_RADICES)
     for _ in range(200):
-        name = rng.choice(base_names)
+        b, p, q = _digits(rng.randrange(size), _RESCALE_RADICES)
+        name = _BASE_WALLS[b]
         case = base_cases[name]
-        lam = F(rng.randint(1, 400), rng.randint(1, 400))
+        lam = F(p + 1, q + 1)
         scaled = WallCase(
             case.name + "-scaled", case.A0 * lam, case.ordD * lam, case.S0 * lam,
             case.alpha, case.beta, case.valid_range,
@@ -373,16 +394,19 @@ def criterion_11() -> str:
             raise CheckFailed(f"{case.name}: wall moves under rescaling by {lam}")
 
     # (b) engine agreement on random triangle fixtures with random directions
+    size = math.prod(_TRIANGLE_RADICES)
     done = 0
     while done < 60:
-        verts = [(_random_fraction(rng, 0, 8), _random_fraction(rng, 0, 8)) for _ in range(3)]
+        d = _digits(rng.randrange(size), _TRIANGLE_RADICES)
+        coords = [F(p, q + 1) for p, q in zip(d[0:12:2], d[1:12:2])]
+        verts = list(zip(coords[0::2], coords[1::2]))
         try:
             tri = polygon(verts)
         except ValueError:
             continue
         if tri.kind != "polygon":
             continue
-        w = (rng.randint(-5, 5), rng.randint(-5, 5))
+        w = (d[12] - 5, d[13] - 5)
         if w == (0, 0):
             continue
         model = _two_ray_twin(tri, w)
@@ -400,10 +424,13 @@ def criterion_11() -> str:
     cases = {name: fixtures.CENTROID_FIXTURES[name].case for name in names}
     cones = {name: _cleared_cone(case) for name, case in cases.items()}
     base_verdicts = {name: solve_centroid_condition(case) for name, case in cases.items()}
+    radices = (len(names), *_MOVE_RADICES)
+    size = math.prod(radices)
     for _ in range(100):
-        name = rng.choice(names)
+        d = _digits(rng.randrange(size), radices)
+        name = names[d[0]]
         base = base_verdicts[name]
-        g = _random_unimodular(rng)
+        g = _random_unimodular(d[1:])
         # (g^-1)^T = adj(g)^T / det g: its rows are the columns of adj(g), and det g = +-1
         cof = _adjugate_columns(g)
         det = _idot3(g[0], cof[0])

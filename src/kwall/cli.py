@@ -364,8 +364,8 @@ _REGISTRIES = {
 }
 
 
-def _unknown_fixture(name: str) -> SchemaError:
-    listing = ", ".join(fixtures.REGISTRY_NAMES)
+def _unknown_fixture(command: str, name: str) -> SchemaError:
+    listing = ", ".join(fixtures.FIXTURE_NAMES[command])
     return SchemaError(f"unknown fixture {name!r}; available fixtures: {listing}")
 
 
@@ -397,11 +397,11 @@ def fixture_report(command: str, name: str) -> dict:
         try:
             case = fixtures.wall_case(name)
         except KeyError:
-            raise _unknown_fixture(name) from None
+            raise _unknown_fixture(command, name) from None
         return _wall_report(solve_wall(case))
     fx = _REGISTRIES.get(command, {}).get(name)
     if fx is None:
-        raise _unknown_fixture(name)
+        raise _unknown_fixture(command, name)
     if command == "volume":
         return _volume_report(fx)
     if command == "centroid":

@@ -626,15 +626,15 @@ STRATUM_REPRESENTATIVES: dict[str, tuple[Fraction, ...]] = {
 # top-level registry for the CLI
 # ---------------------------------------------------------------------------
 
-REGISTRY_NAMES = sorted(
-    set(WALL_FIXTURES)
-    | set(_FIRST_WALL_ALIASES)
-    | {"x26-delta", "p1425-delta"}
-    | set(CENTROID_FIXTURES)
-    | set(VOLUME_FIXTURES)
-    | set(LCT_FIXTURES)
-    | set(BINARY_FIXTURES)
-    | {"quartic-binary"}
-    | set(PLANE_GIT_FIXTURES)
-    | {"quintic-strata"}
-)
+# the names each command's --fixture reads (wall also reads the unlisted 'firstwall-{even,odd}-dN'),
+# keyed as cli.fixture_report names the commands
+FIXTURE_NAMES = {
+    "wall": sorted({*WALL_FIXTURES, *_FIRST_WALL_ALIASES, "x26-delta", "p1425-delta"}),
+    "volume": sorted(VOLUME_FIXTURES),
+    "centroid": sorted(CENTROID_FIXTURES),
+    "lct": sorted(LCT_FIXTURES),
+    "git-binary": sorted({*BINARY_FIXTURES, "quartic-binary"}),
+    "git-plane": sorted(PLANE_GIT_FIXTURES),
+    "stratum": ["quintic-strata"],
+}
+REGISTRY_NAMES = sorted({name for names in FIXTURE_NAMES.values() for name in names})

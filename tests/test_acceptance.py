@@ -3,7 +3,9 @@ pass/fail line.  Every comparison is exact; there are no tolerances to tune."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -365,26 +367,139 @@ def test_criterion_11_fails_on_a_two_ray_twin_with_doubled_pieces(monkeypatch):
         acceptance.criterion_11()
 
 
-def _unimodular_by_fractions(rng: random.Random):
-    """The lattice move of criterion 11 composed through the rational 3x3 product."""
+def _unimodular_by_fractions(digits):
+    """The lattice move of criterion 11 composed through the rational 3x3 product from the same digits."""
+    pairs = [(i, j) for i in range(3) for j in range(3) if i != j]
     m = oracles.mat3([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    for _ in range(6):
-        i, j = rng.sample(range(3), 2)
+    for t in range(6):
+        i, j = pairs[digits[2 * t]]
         shear = [[1 if r == c else 0 for c in range(3)] for r in range(3)]
-        shear[i][j] = rng.randint(-2, 2)
+        shear[i][j] = range(-2, 3)[digits[2 * t + 1]]
         m = oracles.mat3_mul(m, oracles.mat3(shear))
-    perm = list(range(3))
-    rng.shuffle(perm)
-    signs = [rng.choice((1, -1)) for _ in range(3)]
+    perm = list(itertools.permutations(range(3)))[digits[12]]
+    signs = [(1, -1)[b] for b in digits[13:16]]
     pm = [[signs[r] if perm[r] == c else 0 for c in range(3)] for r in range(3)]
     return oracles.mat3_mul(m, oracles.mat3(pm))
 
 
 def test_integer_lattice_moves_match_the_rational_composition():
-    fast, slow = random.Random(20191), random.Random(20191)
-    for _ in range(500):
-        assert acceptance._random_unimodular(fast) == _unimodular_by_fractions(slow)
-    assert fast.getstate() == slow.getstate()
+    size = math.prod(acceptance._MOVE_RADICES)
+    rng = random.Random(20191)
+    codes = [0, size - 1, *(rng.randrange(size) for _ in range(498))]
+    for code in codes:
+        digits = acceptance._digits(code, acceptance._MOVE_RADICES)
+        assert acceptance._random_unimodular(digits) == _unimodular_by_fractions(digits), code
+
+
+@pytest.mark.parametrize("radices", [(2, 3, 5), (5, 3, 2), (1, 4), (7,), (2, 2, 2, 2)])
+def test_digits_map_the_codes_one_to_one_onto_the_digit_ranges(radices):
+    size = math.prod(radices)
+    decoded = [tuple(acceptance._digits(code, radices)) for code in range(size)]
+    assert sorted(decoded) == sorted(itertools.product(*(range(r) for r in radices)))
+    # least significant first: code = d0 + r0 (d1 + r1 (d2 + ...)), so the codes count through the
+    # product with the first digit fastest (coprime radices alone would not see code % r for each digit)
+    assert decoded == [t[::-1] for t in itertools.product(*(range(r) for r in radices[::-1]))]
+
+
+def test_each_suite_draws_over_the_ranges_of_the_draws_it_replaced():
+    # (a) a choice of base wall and randint(1, 400) twice; (b) six randint(0, 8) / randint(1, 12)
+    # coordinates and two randint(-5, 5); (c) after a choice of centroid fixture, per shear a sample of
+    # two of range(3) and randint(-2, 2), then a shuffle of range(3) and three choices of (1, -1)
+    assert acceptance._BASE_WALLS == ("a12", "a11red", "a11irr", "a10", "p1425-case1", "p1425-case2")
+    assert acceptance._RESCALE_RADICES == (6, len(range(1, 401)), len(range(1, 401)))
+    assert acceptance._TRIANGLE_RADICES == (len(range(0, 9)), len(range(1, 13))) * 6 + (len(range(-5, 6)),) * 2
+    assert sorted(acceptance._PAIRS) == sorted(itertools.permutations(range(3), 2))
+    assert sorted(acceptance._PERMS) == sorted(itertools.permutations(range(3)))
+    assert acceptance._MOVE_RADICES == (6, len(range(-2, 3))) * 6 + (6, 2, 2, 2)
+
+
+def test_one_pass_at_the_seed_uses_every_value_of_every_digit(monkeypatch):
+    # every call that decodes a trial or reads one of its values, in order
+    events = []
+    for name in ("_digits", "solve_wall", "polygon", "_two_ray_twin", "_moved_case", "_random_unimodular"):
+        def spy(*args, real=getattr(acceptance, name), name=name):
+            result = real(*args)
+            events.append((name, args, result))
+            return result
+        monkeypatch.setattr(acceptance, name, spy)
+    acceptance.criterion_11()
+
+    # each value a trial reads comes from its own digits, as documented next to the radices
+    names = sorted(fixtures.CENTROID_FIXTURES)
+    move_radices = (len(names), *acceptance._MOVE_RADICES)
+    suites = {acceptance._RESCALE_RADICES: [], acceptance._TRIANGLE_RADICES: [], move_radices: []}
+    d = None
+    for name, args, result in events:
+        if name == "_digits":
+            d = result
+            suites[args[1]].append(d)
+        elif d is None:  # the six base walls, solved before the first draw
+            assert name == "solve_wall" and args[0].name in acceptance._BASE_WALLS
+        elif name == "solve_wall":
+            wall = acceptance._BASE_WALLS[d[0]]
+            assert args[0].name == wall + "-scaled"
+            assert args[0].S0 == fixtures.wall_case(wall).S0 * F(d[1] + 1, d[2] + 1)
+        elif name == "polygon":
+            x0, y0, x1, y1, x2, y2 = (F(p, q + 1) for p, q in zip(d[0:12:2], d[1:12:2]))
+            assert args[0] == [(x0, y0), (x1, y1), (x2, y2)]
+        elif name == "_two_ray_twin":
+            assert args[1] == (d[12] - 5, d[13] - 5)
+        elif name == "_moved_case":
+            assert args[0] == names[d[0]] + "-moved"
+        else:
+            assert list(args[0]) == d[1:]
+    rescalings, triangles, moves = suites.values()
+    assert (len(rescalings), len(moves)) == (200, 100) and len(triangles) >= 60
+
+    # every base wall, numerator p and denominator q + 1 of a coordinate, component of w, centroid
+    # fixture, ordered pair, k, permutation and sign occurs; and no two digits of a radix always agree:
+    # a decoder that drops a digit pins it, one that reuses a digit ties two of them together
+    assert {r[0] for r in rescalings} == set(range(6))
+    assert {t[i] for t in triangles for i in range(0, 12, 2)} == set(range(9))
+    assert {t[i] for t in triangles for i in range(1, 12, 2)} == set(range(12))
+    assert {t[12] for t in triangles} == {t[13] for t in triangles} == set(range(11))
+    for pos, radix in enumerate(move_radices):
+        assert {m[pos] for m in moves} == set(range(radix)), pos
+    for radices, drawn in suites.items():
+        for a, b in itertools.combinations(range(len(radices)), 2):
+            if radices[a] == radices[b]:
+                assert any(t[a] != t[b] for t in drawn), (radices, a, b)
+
+
+class _CountingRandom(random.Random):
+    """A Random that counts its randrange calls and refuses the wrappers criterion 11 once drew with."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.randranges = 0
+
+    def randrange(self, *args):
+        self.randranges += 1
+        return super().randrange(*args)
+
+    def _refused(self, *args, **kwargs):
+        raise AssertionError("criterion 11 draws only with randrange")
+
+    randint = choice = choices = sample = shuffle = _refused
+
+
+def test_criterion_11_draws_one_randrange_per_trial_attempt(monkeypatch):
+    rngs, attempts = [], Counter()
+    real_polygon = acceptance.polygon
+
+    def counting(seed):
+        rngs.append(_CountingRandom(seed))
+        return rngs[-1]
+
+    def polygon(verts):  # called once per attempt of part (b), before any of its rejections
+        attempts["triangle"] += 1
+        return real_polygon(verts)
+
+    monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=counting))
+    monkeypatch.setattr(acceptance, "polygon", polygon)
+    assert acceptance.criterion_11() == _CRITERION_11_DETAIL
+    assert len(rngs) == 1 and attempts["triangle"] >= 60
+    assert rngs[0].randranges == 200 + attempts["triangle"] + 100
 
 
 def _doubled_widths(mp):

@@ -52,8 +52,18 @@ def test_unknown_fixture_lists_available(capsys):
     code = cli.main(["wall", "--fixture", "nope"])
     captured = capsys.readouterr()
     assert code == 1
-    assert "unknown fixture" in captured.err
-    assert "a11red" in captured.err  # the listing is printed
+    assert captured.err.startswith("error: unknown fixture 'nope'; available fixtures: a10, a11irr, a11red, a12,")
+    listed = captured.err.split("available fixtures: ", 1)[1].strip().split(", ")
+    assert listed == fixtures.FIXTURE_NAMES["wall"]  # only the names wall reads
+    assert "x26-delta" in listed and "centroid-a10-case1" not in listed
+
+
+def test_a_fixture_of_another_command_is_not_listed_as_available(capsys):
+    code = cli.main(["git", "binary", "--fixture", "a12"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == ("error: unknown fixture 'a12'; available fixtures: "
+                            "quartic-binary, quartic-binary-ss, quartic-binary-unstable, quintic-binary-f6\n")
 
 
 def test_json_output_is_exact_rationals():
@@ -311,6 +321,20 @@ def test_every_registry_name_is_reachable():
     for name, argv in sorted(commands.items()):
         code, out = run_cli(*argv, name)
         assert code == 0 and out.strip(), name
+
+
+@pytest.mark.parametrize("command", sorted(fixtures.FIXTURE_NAMES))
+def test_each_command_reads_exactly_the_names_it_lists(capsys, command):
+    argv = command.split("-")  # git-binary is git binary
+    names = fixtures.FIXTURE_NAMES[command]
+    for name in fixtures.REGISTRY_NAMES:
+        code = cli.main([*argv, "--fixture", name])
+        captured = capsys.readouterr()
+        if name in names:
+            assert code == 0 and captured.out.strip(), name
+        else:
+            assert (code, captured.out) == (1, ""), name
+            assert captured.err == f"error: unknown fixture {name!r}; available fixtures: {', '.join(names)}\n"
 
 
 @pytest.mark.parametrize("name", [

@@ -302,6 +302,7 @@ def _digits(code: int, radices: tuple[int, ...]) -> list[int]:
 _BASE_WALLS = ("a12", "a11red", "a11irr", "a10", "p1425-case1", "p1425-case2")
 _RESCALE_RADICES = (len(_BASE_WALLS), 400, 400)
 _TRIANGLE_RADICES = (9, 12) * 6 + (11, 11)
+_TRIANGLE_ATTEMPTS = 300  # part (b) accepts about 97 draws in 100, and at _SEED the first 60
 _PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))  # the ordered pairs i != j
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 _MOVE_RADICES = (len(_PAIRS), 5) * 6 + (len(_PERMS), 2, 2, 2)
@@ -321,6 +322,12 @@ def _random_unimodular(digits: list[int]):
     # times the signed permutation with entry signs[s] at (s, perm[s]): column s moves to perm[s]
     source = [perm.index(c) for c in range(3)]
     return tuple(tuple(signs[s] * row[s] for s in source) for row in m)
+
+
+def _rescaled(case: WallCase, p: int, q: int) -> WallCase:
+    """The wall case with A0, ordD and S0 times lambda = p/q, each built as one Fraction."""
+    a0, od, s0 = (F(x.numerator * p, x.denominator * q) for x in (case.A0, case.ordD, case.S0))
+    return WallCase(case.name + "-scaled", a0, od, s0, case.alpha, case.beta, case.valid_range)
 
 
 def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
@@ -352,24 +359,11 @@ def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
 
 
 def _moved_case(name: str, cone: tuple[tuple[list[int], int], ...], g, ginv_t) -> CentroidCase:
-    """The cleared cone moved by the lattice automorphism g: its generators and xi0 by g,
-    eta0* and u1 by (g^-1)^T, each an integer row times a cleared vector, as Fractions: the record
-    then keeps them as they are."""
-    *gens, xi0, eta0star, u1 = cone
-
-    def apply(m, cleared):
-        nums, s = cleared
-        if s == 1:
-            return tuple(Fraction(_idot3(row, nums)) for row in m)
-        return tuple(Fraction(_idot3(row, nums), s) for row in m)
-
-    return CentroidCase(
-        name=name,
-        generators=tuple(apply(g, n) for n in gens),
-        xi0=apply(g, xi0),
-        eta0star=apply(ginv_t, eta0star),
-        u1=apply(ginv_t, u1),
-    )
+    """The cleared cone moved by the lattice automorphism g: its generators and xi0 by g, eta0* and u1
+    by (g^-1)^T, each an integer row times the numerators over the same denominator.  A unimodular map
+    keeps the gcd of a vector's entries, so each moved vector is still cleared."""
+    moved = [([_idot3(row, nums) for row in m], s) for m, (nums, s) in zip((g, g, g, g, ginv_t, ginv_t), cone)]
+    return CentroidCase.from_cleared(name, *moved)
 
 
 def criterion_11() -> str:
@@ -385,18 +379,13 @@ def criterion_11() -> str:
         b, p, q = _digits(rng.randrange(size), _RESCALE_RADICES)
         name = _BASE_WALLS[b]
         case = base_cases[name]
-        lam = F(p + 1, q + 1)
-        scaled = WallCase(
-            case.name + "-scaled", case.A0 * lam, case.ordD * lam, case.S0 * lam,
-            case.alpha, case.beta, case.valid_range,
-        )
-        if solve_wall(scaled).wall != base_walls[name]:
-            raise CheckFailed(f"{case.name}: wall moves under rescaling by {lam}")
+        if solve_wall(_rescaled(case, p + 1, q + 1)).wall != base_walls[name]:
+            raise CheckFailed(f"{case.name}: wall moves under rescaling by {F(p + 1, q + 1)}")
 
     # (b) engine agreement on random triangle fixtures with random directions
     size = math.prod(_TRIANGLE_RADICES)
     done = 0
-    while done < 60:
+    for _ in range(_TRIANGLE_ATTEMPTS):
         d = _digits(rng.randrange(size), _TRIANGLE_RADICES)
         coords = [F(p, q + 1) for p, q in zip(d[0:12:2], d[1:12:2])]
         verts = list(zip(coords[0::2], coords[1::2]))
@@ -418,6 +407,10 @@ def criterion_11() -> str:
         if two != toric:
             raise CheckFailed(f"twin mismatch for {verts} {w}")
         done += 1
+        if done == 60:
+            break
+    else:  # a decoder or engine fault that refuses every draw fails here rather than looping forever
+        raise CheckFailed(f"only {done} of 60 triangles in {_TRIANGLE_ATTEMPTS} attempts")
 
     # (c) unimodular equivariance of the centroid test: 100 trials
     names = sorted(fixtures.CENTROID_FIXTURES)

@@ -111,6 +111,11 @@ def _cleared(v: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (s // d) for x, d in zip(v, dens)], s
 
 
+def _fractions(nums: Sequence[int], s: int) -> tuple[Fraction, ...]:
+    """The rationals nums[i] / s: a cleared vector as Fractions."""
+    return tuple(map(Fraction, nums)) if s == 1 else tuple(Fraction(x, s) for x in nums)
+
+
 def _idot3(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
@@ -400,19 +405,25 @@ def _adjugate_columns(a: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int],
     return _icross(a[1], a[2]), _icross(a[2], a[0]), _icross(a[0], a[1])
 
 
+def _cramer3(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int]:
+    """Integer rows a and right-hand side b: the numerators of the unique solution of a x = b over
+    det(a), and det(a); raises SingularSystemError(rank) when det(a) = 0."""
+    adj = _adjugate_columns(a)
+    d = _idot3(a[0], adj[0])
+    if d == 0:
+        # adj(a) holds every 2x2 minor of a
+        raise SingularSystemError(2 if any(any(c) for c in adj) else 1 if any(any(r) for r in a) else 0)
+    # Cramer's rule: x = adj(a) b / det(a)
+    return [_idot3(row, b) for row in zip(*adj)], d
+
+
 def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
     """Unique solution of m x = rhs; raises SingularSystemError(rank) when det = 0."""
-    # each equation scaled with its right-hand side: an integer system with the same solution
+    # each equation scaled with its right-hand side: an integer system with the same solution, and the
+    # same rank, since scaling a row keeps it
     rows, _ = _int_rows([(*r, b) for r, b in zip(m, rhs)])
-    adj = _adjugate_columns(rows)
-    d = _idot3(rows[0], adj[0])
-    if d == 0:
-        # adj(a) holds every 2x2 minor of the coefficient rows, and scaling a row keeps the rank
-        rank = 2 if any(any(c) for c in adj) else 1 if any(any(r[:3]) for r in rows) else 0
-        raise SingularSystemError(rank)
-    # Cramer's rule: x = adj(a) b / det(a)
-    b = [r[3] for r in rows]
-    return tuple(Fraction(_idot3(row, b), d) for row in zip(*adj))  # type: ignore[return-value]
+    nums, d = _cramer3([r[:3] for r in rows], [r[3] for r in rows])
+    return tuple(Fraction(x, d) for x in nums)  # type: ignore[return-value]
 
 
 def mat3_vec(m: Mat3, v: Vec3) -> Vec3:

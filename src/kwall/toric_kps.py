@@ -28,9 +28,10 @@ from .exact import (
     Vec3,
     _adjugate_columns,
     _cleared,
+    _cramer3,
+    _fractions,
     _idot3,
     fmt,
-    solve_linear3,
     vec3,
 )
 
@@ -45,33 +46,35 @@ class CentroidCase(namedtuple("CentroidCase", "name generators xi0 eta0star u1")
     # no __slots__: the instance dict holds _form, outside equality, hashing and repr
 
     def __new__(cls, name: str, generators: tuple[Vec3, Vec3, Vec3], xi0: Vec3, eta0star: Vec3, u1: Vec3):
-        gens = tuple(vec3(*g) for g in generators)
-        self = super().__new__(cls, name, gens, vec3(*xi0), vec3(*eta0star), vec3(*u1))
+        vectors = (*(vec3(*g) for g in generators), vec3(*xi0), vec3(*eta0star), vec3(*u1))
+        return cls.from_cleared(name, *map(_cleared, vectors))
+
+    @classmethod
+    def from_cleared(cls, name: str, *cleared: tuple[list[int], int]) -> CentroidCase:
+        """The case whose three generators, xi0, eta0* and u1 are given cleared, each as integer numerators
+        over a positive denominator in lowest terms (what _cleared returns); the one path that checks a cone."""
+        g0, g1, g2, (xi, xs), eta, u1 = cleared
         # the toric setting: each generator is the primitive lattice vector on its ray
-        rows = []
-        for i, n in enumerate(gens):
-            row, s = _cleared(n)
+        for i, (row, s) in enumerate((g0, g1, g2)):
             if s != 1 or math.gcd(*row) != 1:
-                raise ConeError(
-                    f"field 'generators[{i}]': ({', '.join(fmt(x) for x in n)}) is not a primitive integer vector"
-                )
-            rows.append(row)
-        rays = _adjugate_columns(rows)
-        det = _idot3(rows[0], rays[0])
+                n = ", ".join(fmt(x) for x in _fractions(row, s))
+                raise ConeError(f"field 'generators[{i}]': ({n}) is not a primitive integer vector")
+        rays = _adjugate_columns((g0[0], g1[0], g2[0]))
+        det = _idot3(g0[0], rays[0])
         if det == 0:
             raise ConeError("field 'generators': cone generators are linearly dependent")
         # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
-        xi, xs = _cleared(self.xi0)
         p = tuple(_idot3(r, xi) for r in rays)
         if any(pk * det <= 0 for pk in p):
             raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
-        eta = _cleared(self.eta0star)
         if _idot3(eta[0], xi) != 0:
             raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
+        self = super().__new__(cls, name, (_fractions(*g0), _fractions(*g1), _fractions(*g2)),
+                               _fractions(xi, xs), _fractions(*eta), _fractions(*u1))
         # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
         # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
         # what u0, u2 and the centroid condition read
-        self._form = (rays, det, xs, p, _cleared(self.u1), eta)
+        self._form = (rays, det, xs, p, u1, eta)
         return self
 
 
@@ -110,25 +113,25 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
     # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 = n / det pairs to 1 with each generator
-    rays, det, _, (p0, p1, p2), (v, us), (eta, es) = case._form
+    rays, det, _, _, (v, us), (eta, es) = case._form
     n = [sum(r[i] for r in rays) for i in range(3)]
     u0 = tuple(Fraction(x, det) for x in n)
     u2 = reeb_cross_section_centroid(case)
-    # row i times det us es 3 p0 p1 p2, which every denominator of u0, u1, eta0* and u2 divides: an
-    # integer system with the same solution
-    t = 3 * p0 * p1 * p2
-    scale = det * us * es * t
-    rows = [(n[i] * us * es * t, -v[i] * det * es * t, eta[i] * det * us * t) for i in range(3)]
-    rhs = [x.numerator * (scale // x.denominator) for x in u2]
+    # with u0 = n / det, u1 = v / us, eta0* = eta / es and u2 = w / s cleared, the integer system
+    # (n, -v, eta) z = w is the condition in z = s (p / det, q / us, b / es): its columns are those of
+    # the condition scaled by nonzero numbers, so it has the same rank
+    w, s = _cleared(u2)
     try:
-        p, q, b = solve_linear3(rows, rhs)
+        (z0, z1, z2), d = _cramer3([(n[i], -v[i], eta[i]) for i in range(3)], w)
     except SingularSystemError as exc:
         if not any(v):
             detail = "u1 = 0: the coefficient never enters the condition"
         else:
             detail = f"dependent system (rank {exc.rank}): coefficient not determined"
         return CentroidVerdict(u0, u2, None, "indeterminate", detail)
-    if p <= 0 or b <= 0:
-        return CentroidVerdict(u0, u2, None, "no-solution", f"sign conditions fail: a = {p}, b = {b}")
-    # Cramer's rule is exact: rows (p, q, b) = u2 needs no re-check
-    return CentroidVerdict(u0, u2, (p, q / p, b), "unique-c")
+    # z = (z0, z1, z2) / d, so a = p = det z0 / (d s) and b = es z2 / (d s), with s, es > 0
+    a, b = Fraction(det * z0, d * s), Fraction(es * z2, d * s)
+    if det * z0 * d <= 0 or z2 * d <= 0:
+        return CentroidVerdict(u0, u2, None, "no-solution", f"sign conditions fail: a = {a}, b = {b}")
+    # Cramer's rule is exact: rows (p, q, b) = u2 needs no re-check, and c = q / p = us z1 / (det z0)
+    return CentroidVerdict(u0, u2, (a, Fraction(us * z1, det * z0), b), "unique-c")

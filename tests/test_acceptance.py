@@ -23,7 +23,7 @@ import oracles
 from kwall import acceptance, fixtures
 from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, polygon
-from kwall.toric_kps import CentroidCase
+from kwall.toric_kps import CentroidCase, ConeError
 from kwall.volumes import TwoRayModel, volume_toric, volume_two_ray
 from kwall.walls import WallCase
 
@@ -175,6 +175,59 @@ def test_criterion_11_skips_ties_among_its_random_directions(monkeypatch):
     unit = polygon([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
     monkeypatch.setattr(acceptance, "polygon", lambda verts: unit)
     assert acceptance.criterion_11().startswith("200 wall rescalings, 60 random engine-agreement fixtures")
+
+
+def test_criterion_11_fails_within_its_attempt_cap_when_every_triangle_is_degenerate(monkeypatch):
+    # a decoder that forgets to divide gives every coordinate of a triangle the same value, so part (b)
+    # refuses every draw: the criterion must fail after its cap, not loop forever
+    attempts = Counter()
+    real_polygon = acceptance.polygon
+
+    def polygon(verts):
+        attempts["triangle"] += 1
+        return real_polygon(verts)
+
+    monkeypatch.setattr(acceptance, "_digits", lambda code, radices: [code % r for r in radices])
+    monkeypatch.setattr(acceptance, "polygon", polygon)
+    with pytest.raises(acceptance.CheckFailed, match=r"^only 0 of 60 triangles in 300 attempts$"):
+        acceptance.criterion_11()
+    assert attempts["triangle"] == acceptance._TRIANGLE_ATTEMPTS == 300
+
+
+# each corruption of a cleared cone (g0, g1, g2, xi0, eta0*, u1), and the error every cone moved from it meets
+_CORRUPTED_CONES = {
+    "non-integer generator": (lambda g0, g1, g2, xi, eta, u1: ((g0[0], 2), g1, g2, xi, eta, u1),
+                              r"^field 'generators\[0\]': .* is not a primitive integer vector$"),
+    "non-primitive generator": (lambda g0, g1, g2, xi, eta, u1: (([2 * x for x in g0[0]], 1), g1, g2, xi, eta, u1),
+                                r"^field 'generators\[0\]': .* is not a primitive integer vector$"),
+    "dependent generators": (lambda g0, g1, g2, xi, eta, u1: (g0, g1, g0, xi, eta, u1),
+                             "^field 'generators': cone generators are linearly dependent$"),
+    "xi0 outside the cone": (lambda g0, g1, g2, xi, eta, u1: (g0, g1, g2, ([-x for x in xi[0]], xi[1]), eta, u1),
+                             "^field 'xi0': Reeb vector must lie in the interior of the cone$"),
+    "eta0* not orthogonal to xi0": (lambda g0, g1, g2, xi, eta, u1: (g0, g1, g2, xi, xi, u1),
+                                    r"^field 'eta0star': eta0\* must pair to zero with the Reeb vector$"),
+}
+
+
+@pytest.mark.parametrize("corrupt, message", _CORRUPTED_CONES.values(), ids=_CORRUPTED_CONES)
+def test_criterion_11_checks_every_cone_it_moves(monkeypatch, corrupt, message):
+    # the base cones stay valid and only the cleared copies the moves start from are corrupted: each moved
+    # cone is refused only if the record it becomes runs every check of a CentroidCase
+    real = acceptance._cleared_cone
+    monkeypatch.setattr(acceptance, "_cleared_cone", lambda case: corrupt(*real(case)))
+    with pytest.raises(ConeError, match=message):
+        acceptance.criterion_11()
+
+
+@pytest.mark.parametrize("lam", [F(1, 400), F(1), F(400)])
+@pytest.mark.parametrize("name", acceptance._BASE_WALLS)
+def test_each_rescaled_wall_case_is_the_one_the_fraction_products_build(name, lam):
+    case = fixtures.wall_case(name)
+    got = acceptance._rescaled(case, lam.numerator, lam.denominator)
+    want = WallCase(case.name + "-scaled", case.A0 * lam, case.ordD * lam, case.S0 * lam,
+                    case.alpha, case.beta, case.valid_range)
+    assert got == want and got._form == want._form
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_criterion_11_derives_each_base_case_once(monkeypatch):
@@ -389,6 +442,26 @@ def test_integer_lattice_moves_match_the_rational_composition():
     for code in codes:
         digits = acceptance._digits(code, acceptance._MOVE_RADICES)
         assert acceptance._random_unimodular(digits) == _unimodular_by_fractions(digits), code
+
+
+def test_moved_cones_are_the_ones_the_fraction_composition_builds():
+    # every digit string of part (c) at codes 0, N - 1 and a fixed sample: the integer rows of g and of
+    # (g^-1)^T applied to the cleared cone give the record, and its cleared form, that the rational
+    # product of the shears and the signed permutation and its inverse give through the constructor
+    names = sorted(fixtures.CENTROID_FIXTURES)
+    radices = (len(names), *acceptance._MOVE_RADICES)
+    size = math.prod(radices)
+    rng = random.Random(4576)
+    for code in [0, size - 1, *(rng.randrange(size) for _ in range(198))]:
+        d = acceptance._digits(code, radices)
+        base = fixtures.CENTROID_FIXTURES[names[d[0]]].case
+        gf = _unimodular_by_fractions(d[1:])
+        ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(gf))
+        assert all(x.denominator == 1 for row in (*gf, *ginv_t) for x in row)  # g is unimodular
+        g, h = (tuple(tuple(x.numerator for x in row) for row in m) for m in (gf, ginv_t))
+        got = acceptance._moved_case(base.name + "-moved", acceptance._cleared_cone(base), g, h)
+        want = _moved_by_fractions(base, gf)
+        assert got == want and got._form == want._form, code
 
 
 @pytest.mark.parametrize("radices", [(2, 3, 5), (5, 3, 2), (1, 4), (7,), (2, 2, 2, 2)])

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from kwall import fixtures
 from kwall.exact import (
+    _cleared,
     area_centroid,
     mat3_vec,
     v2_add,
     v2_scale,
+    vec3,
 )
 from kwall.toric_kps import (
     CentroidCase,
@@ -34,6 +36,64 @@ _OCTANT = CentroidCase(
     eta0star=(F(1), F(-1), F(0)),
     u1=(F(0), F(0), F(1)),
 )
+
+
+def _from_cleared(name, generators, xi0, eta0star, u1):
+    """The case built through CentroidCase.from_cleared from the same rationals, cleared by the test."""
+    return CentroidCase.from_cleared(name, *(_cleared(vec3(*v)) for v in (*generators, xi0, eta0star, u1)))
+
+
+_RATIONAL_OCTANT = dict(
+    name="rational-octant",
+    generators=((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))),
+    xi0=(F(1, 2), F(1, 3), F(1)),
+    eta0star=(F(2, 3), F(-1), F(0)),
+    u1=(F(0), F(-5, 4), F(7, 6)),
+)
+
+
+@pytest.mark.parametrize("fields", [
+    *(cf.case._asdict() for cf in fixtures.CENTROID_FIXTURES.values()), _OCTANT._asdict(), _RATIONAL_OCTANT,
+], ids=lambda fields: fields["name"])
+def test_both_entry_points_build_the_same_case(fields):
+    got, want = _from_cleared(**fields), CentroidCase(**fields)
+    assert got == want and got._form == want._form and repr(got) == repr(want)
+    assert solve_centroid_condition(got) == solve_centroid_condition(want)
+
+
+_OCTANT_GENERATORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+# one cone of each invalid class, and the one error line both entry points give it
+_INVALID_CONES = {
+    "non-integer generator": (
+        dict(generators=((1, 0, 0), (F(1, 2), 1, 0), (0, 0, 1)), xi0=(1, 1, 1), eta0star=(1, -1, 0)),
+        "field 'generators[1]': (1/2, 1, 0) is not a primitive integer vector",
+    ),
+    "non-primitive generator": (
+        dict(generators=((1, 0, 0), (0, 2, 0), (0, 0, 1)), xi0=(1, 1, 1), eta0star=(1, -1, 0)),
+        "field 'generators[1]': (0, 2, 0) is not a primitive integer vector",
+    ),
+    "dependent generators": (
+        dict(generators=((1, 0, 0), (0, 1, 0), (1, 1, 0)), xi0=(1, 1, 0), eta0star=(0, 0, 1)),
+        "field 'generators': cone generators are linearly dependent",
+    ),
+    "xi0 outside the cone": (
+        dict(generators=_OCTANT_GENERATORS, xi0=(1, -1, 1), eta0star=(1, 1, 0)),
+        "field 'xi0': Reeb vector must lie in the interior of the cone",
+    ),
+    "eta0* not orthogonal to xi0": (
+        dict(generators=_OCTANT_GENERATORS, xi0=(1, 1, 1), eta0star=(1, 0, 0)),
+        "field 'eta0star': eta0* must pair to zero with the Reeb vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("fields, message", _INVALID_CONES.values(), ids=_INVALID_CONES)
+def test_both_entry_points_refuse_each_invalid_cone_alike(fields, message):
+    fields = dict(fields, name="bad", u1=(0, 0, 1))
+    for build in (CentroidCase, _from_cleared):
+        with pytest.raises(ConeError) as exc:
+            build(**fields)
+        assert type(exc.value) is ConeError and str(exc.value) == message, build
 
 
 def test_anticanonical_identity_basis():

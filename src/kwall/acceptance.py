@@ -325,9 +325,11 @@ def _random_unimodular(digits: list[int]):
 
 
 def _rescaled(case: WallCase, p: int, q: int) -> WallCase:
-    """The wall case with A0, ordD and S0 times lambda = p/q, each built as one Fraction."""
-    a0, od, s0 = (F(x.numerator * p, x.denominator * q) for x in (case.A0, case.ordD, case.S0))
-    return WallCase(case.name + "-scaled", a0, od, s0, case.alpha, case.beta, case.valid_range)
+    """The wall case with A0, ordD and S0 times lambda = p/q, built from the base case's cleared values."""
+    a0, od, s0, al, be, s = case._form
+    values = (F(a0 * p, s * q), F(od * p, s * q), F(s0 * p, s * q), case.alpha, case.beta)
+    return WallCase.from_cleared(case.name + "-scaled", values, (a0 * p, od * p, s0 * p, al * q, be * q), s * q,
+                                 case.valid_range)
 
 
 def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
@@ -337,7 +339,7 @@ def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
     The twin comes from the triangle, not from the toric profile it is checked against:
     h2 = 2 area, e from the edges at the lowest vertex, t1 = the second vertex level.
     """
-    nums, den = _cleared([c for v in tri.vertices for c in v])
+    nums, den = tri.cleared
     vs = list(zip(nums[::2], nums[1::2]))  # den times the vertices
     levels = [x * w[0] + y * w[1] for x, y in vs]  # den times their levels
     lo, mid, _ = sorted(levels)
@@ -349,8 +351,9 @@ def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
     # and t1 e = (mid - lo) e / den
     cross = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
     pairs = (levels[k - 2] - lo) * (levels[k - 1] - lo)
-    h2 = Fraction(cross, den * den)  # twice the area: cross is twice that of the den-scaled triangle
-    return TwoRayModel(h2, Fraction(cross, pairs), Fraction(0), (Fraction((mid - lo) * cross, den * pairs), h2))
+    # over den^2 pairs: h2 = cross / den^2 (twice the area), e2 = e and Cbar = t1 e H - h2 E
+    return TwoRayModel.from_cleared(([cross * pairs, 0, cross * den * den], den * den * pairs),
+                                    ([(mid - lo) * cross * den, cross * pairs], den * den * pairs))
 
 
 def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
@@ -371,16 +374,21 @@ def criterion_11() -> str:
     agreement, centroid unimodular equivariance."""
     rng = random.Random(_SEED)  # one randrange per trial attempt, decoded by _digits
 
-    # (a) scale invariance of walls: 200 random rescalings
+    # (a) scale invariance of walls: 200 random rescalings, each keeping all of the report but its case (the
+    # wall, both unstable sides, degeneracy); a base case without a wall, which any rescaling keeps, is refused
     base_cases = {name: fixtures.wall_case(name) for name in _BASE_WALLS}
-    base_walls = {name: solve_wall(case).wall for name, case in base_cases.items()}
+    base_reports = {name: solve_wall(case)[1:] for name, case in base_cases.items()}
+    if missing := [name for name, report in base_reports.items() if report[0] is None]:
+        raise CheckFailed(f"{missing[0]}: no wall in range to rescale")
     size = math.prod(_RESCALE_RADICES)
     for _ in range(200):
         b, p, q = _digits(rng.randrange(size), _RESCALE_RADICES)
         name = _BASE_WALLS[b]
         case = base_cases[name]
-        if solve_wall(_rescaled(case, p + 1, q + 1)).wall != base_walls[name]:
-            raise CheckFailed(f"{case.name}: wall moves under rescaling by {F(p + 1, q + 1)}")
+        got = solve_wall(_rescaled(case, p + 1, q + 1))[1:]
+        if got != base_reports[name]:
+            what = "wall moves" if got[0] != base_reports[name][0] else "unstable sides change"
+            raise CheckFailed(f"{case.name}: {what} under rescaling by {F(p + 1, q + 1)}")
 
     # (b) engine agreement on random triangle fixtures with random directions
     size = math.prod(_TRIANGLE_RADICES)

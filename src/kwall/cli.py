@@ -355,63 +355,61 @@ def run_scenario(kind: str, payload: dict) -> dict:
 # engine inputs from registry names
 # ---------------------------------------------------------------------------
 
-_REGISTRIES = {
-    "volume": fixtures.VOLUME_FIXTURES,
-    "centroid": fixtures.CENTROID_FIXTURES,
-    "lct": fixtures.LCT_FIXTURES,
-    "git-binary": fixtures.BINARY_FIXTURES,
-    "git-plane": fixtures.PLANE_GIT_FIXTURES,
-}
-
-
 def _unknown_fixture(command: str, name: str) -> SchemaError:
     listing = ", ".join(fixtures.FIXTURE_NAMES[command])
     return SchemaError(f"unknown fixture {name!r}; available fixtures: {listing}")
 
 
+def _delta_report(name: str, case_name: str | None) -> dict:
+    """A surface's delta bound, on the report of the wall case it extends or by the ratio of each valuation."""
+    if case_name is not None:
+        bound = fmt(fixtures.delta_upper_bound(name))
+        return {**_wall_report(solve_wall(fixtures.wall_case(case_name))), "delta upper bound (c = 0)": bound}
+    ratios = fixtures.delta_ratios(name)
+    return {
+        "case": name,
+        "ray ratios A/S": ", ".join(f"{ray}: {fmt(v)}" for ray, v in sorted(ratios.items())),
+        "delta upper bound (c = 0)": fmt(min(ratios.values())),
+    }
+
+
+def _binary_listing(name: str, members: tuple[str, ...]) -> dict:
+    reps = [_binary_report(sub, fixtures.BINARY_FIXTURES[sub].system) for sub in members]
+    return {"system": name, "verdicts": [f"{r['system']}: {r['verdict']} ({r['detail']})" for r in reps]}
+
+
+def _strata_listing(name: str, representatives: dict[str, tuple[Fraction, ...]]) -> dict:
+    rows = []
+    for rep, coords in representatives.items():
+        r = _stratum_report(coords)
+        rows.append(f"{rep:<10} {r['coords']:<16} -> {r['stratum']:<7} wall {r['wall']:<7} {r['note']}")
+    return {"representatives": rows}
+
+
+# each command's report of a fixture and of a composite name's members, as fixtures.FIXTURE_REGISTRIES declares
+# them; git-plane and lct reports carry no name of their own, so the fixture adds its name
+_FIXTURE_REPORTS = {
+    "wall": (lambda name, case: _wall_report(solve_wall(case)), _delta_report),
+    "volume": (lambda name, vf: _volume_report(vf), None),
+    "centroid": (lambda name, cf: _centroid_report(cf.case, display=cf), None),
+    "lct": (lambda name, fx: {"fixture": name, **_lct_report(fx.support)}, None),
+    "git-binary": (lambda name, fx: _binary_report(name, fx.system), _binary_listing),
+    "git-plane": (lambda name, fx: {"fixture": name, **_plane_report(fx.curve, fx.one_ps)}, None),
+    "stratum": (None, _strata_listing),
+}
+
+
 def fixture_report(command: str, name: str) -> dict:
-    """The report of a registry name: its kind's builder on the fixture's
-    engine input, or a composite listing of several such reports."""
-    if (command, name) == ("wall", "x26-delta"):
-        out = _wall_report(solve_wall(fixtures.wall_case("x26")))
-        out["delta upper bound (c = 0)"] = fmt(fixtures.delta_upper_bound(name))
-        return out
-    if (command, name) == ("wall", "p1425-delta"):
-        ratios = fixtures.delta_ratios(name)
-        return {
-            "case": name,
-            "ray ratios A/S": ", ".join(f"{ray}: {fmt(v)}" for ray, v in sorted(ratios.items())),
-            "delta upper bound (c = 0)": fmt(min(ratios.values())),
-        }
-    if (command, name) == ("git-binary", "quartic-binary"):
-        reps = [_binary_report(sub, fixtures.BINARY_FIXTURES[sub].system)
-                for sub in ("quartic-binary-unstable", "quartic-binary-ss")]
-        return {"system": name, "verdicts": [f"{r['system']}: {r['verdict']} ({r['detail']})" for r in reps]}
-    if (command, name) == ("stratum", "quintic-strata"):
-        rows = []
-        for rep, coords in fixtures.STRATUM_REPRESENTATIVES.items():
-            r = _stratum_report(coords)
-            rows.append(f"{rep:<10} {r['coords']:<16} -> {r['stratum']:<7} wall {r['wall']:<7} {r['note']}")
-        return {"representatives": rows}
-    if command == "wall":
-        try:
-            case = fixtures.wall_case(name)
-        except KeyError:
-            raise _unknown_fixture(command, name) from None
-        return _wall_report(solve_wall(case))
-    fx = _REGISTRIES.get(command, {}).get(name)
-    if fx is None:
-        raise _unknown_fixture(command, name)
-    if command == "volume":
-        return _volume_report(fx)
-    if command == "centroid":
-        return _centroid_report(fx.case, display=fx)
-    if command == "git-binary":
-        return _binary_report(name, fx.system)
-    # these reports carry no name of their own: the fixture adds its name
-    if command == "git-plane":
-        return {"fixture": name, **_plane_report(fx.curve, fx.one_ps)}
-    return {"fixture": name, **_lct_report(fx.support)}
+    """The report of a registry name: its command's builder on the fixture, or on the members of a
+    composite name, each as fixtures.FIXTURE_REGISTRIES declares the name."""
+    (registry, composites), (single, composite) = fixtures.FIXTURE_REGISTRIES[command], _FIXTURE_REPORTS[command]
+    if name in composites:
+        return composite(name, composites[name])
+    try:
+        fx = fixtures.wall_case(name) if command == "wall" else registry[name]
+    except KeyError:
+        raise _unknown_fixture(command, name) from None
+    return single(name, fx)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 Vec2 = tuple[Fraction, Fraction]
 Vec3 = tuple[Fraction, Fraction, Fraction]
@@ -269,19 +270,25 @@ def integrate(f: PiecewiseQuadratic) -> Fraction:
 # convex polygons
 # ---------------------------------------------------------------------------
 
-class Polygon2(NamedTuple):
-    """Convex region given by its CCW vertex list; may be empty, a point, or a segment.
+class Polygon2(namedtuple("Polygon2", "vertices kind")):
+    """Convex region given by its CCW vertex list, of kind "polygon"; or "empty", a "point", or a "segment".
 
     Construct through :func:`polygon`, which canonicalizes (dedups, strips
     collinear vertices, classifies degeneracies, checks convexity).
     """
 
-    vertices: tuple[Vec2, ...]
-    kind: str  # "empty" | "point" | "segment" | "polygon"
+    # no __slots__: the instance dict keeps the cleared vertices, outside equality, hashing and repr
 
     @property
     def is_degenerate(self) -> bool:
         return self.kind != "polygon"
+
+    @property
+    def cleared(self) -> tuple[list[int], int]:
+        """Vertex coordinates x0, y0, x1, y1, ... over a positive denominator: polygon()'s, or cleared on first read."""
+        if "_form" not in self.__dict__:
+            self._form = _cleared([c for v in self.vertices for c in v])
+        return self._form
 
 
 def polygon(points: Sequence[Vec2]) -> Polygon2:
@@ -293,7 +300,7 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
     """
     pts = [(rat(p[0]), rat(p[1])) for p in points]
     # every test reads the points cleared over one positive denominator, which keeps each sign and each zero
-    nums, _ = _cleared([c for p in pts for c in p])
+    nums, den = _cleared([c for p in pts for c in p])
     cycle: list[tuple[tuple[int, int], Vec2]] = []  # (cleared point, the caller's point)
     for q, p in zip(zip(nums[::2], nums[1::2]), pts):
         if not cycle or q != cycle[-1][0]:
@@ -331,7 +338,9 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
     upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in edges]
     if sum(x != y for x, y in zip(upper, upper[1:] + upper[:1])) != 2:
         raise StructuralError("vertex cycle is not simple: its edges wind around more than once")
-    return Polygon2(tuple(p for _, p in kept), "polygon")
+    out = Polygon2(tuple(p for _, p in kept), "polygon")
+    out._form = [c for q in qs for c in q], den  # den times the kept vertices
+    return out
 
 
 def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
@@ -374,7 +383,7 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
 def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
     """Exact area (shoelace) and centroid (signed triangle fan) of a non-degenerate polygon;
     ``oracles.area_centroid`` refuses the degenerate ones."""
-    nums, d = _cleared([c for v in p.vertices for c in v])
+    nums, d = p.cleared
     xs, ys = nums[::2], nums[1::2]
     twice_area = cx = cy = 0
     for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):

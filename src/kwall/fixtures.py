@@ -626,15 +626,17 @@ STRATUM_REPRESENTATIVES: dict[str, tuple[Fraction, ...]] = {
 # top-level registry for the CLI
 # ---------------------------------------------------------------------------
 
-# the names each command's --fixture reads (wall also reads the unlisted 'firstwall-{even,odd}-dN'),
-# keyed as cli.fixture_report names the commands
-FIXTURE_NAMES = {
-    "wall": sorted({*WALL_FIXTURES, *_FIRST_WALL_ALIASES, "x26-delta", "p1425-delta"}),
-    "volume": sorted(VOLUME_FIXTURES),
-    "centroid": sorted(CENTROID_FIXTURES),
-    "lct": sorted(LCT_FIXTURES),
-    "git-binary": sorted({*BINARY_FIXTURES, "quartic-binary"}),
-    "git-plane": sorted(PLANE_GIT_FIXTURES),
-    "stratum": ["quintic-strata"],
+# what each command's --fixture reads, keyed as cli.fixture_report names the commands, and so what it lists: its
+# registry (wall's names resolve through wall_case, which also reads the unlisted 'firstwall-{even,odd}-dN'), and
+# its composite names with their members: the wall case a delta bound extends, the fixtures or representatives it lists
+FIXTURE_REGISTRIES = {
+    "wall": ({*WALL_FIXTURES, *_FIRST_WALL_ALIASES}, {"x26-delta": "x26", "p1425-delta": None}),
+    "volume": (VOLUME_FIXTURES, {}),
+    "centroid": (CENTROID_FIXTURES, {}),
+    "lct": (LCT_FIXTURES, {}),
+    "git-binary": (BINARY_FIXTURES, {"quartic-binary": ("quartic-binary-unstable", "quartic-binary-ss")}),
+    "git-plane": (PLANE_GIT_FIXTURES, {}),
+    "stratum": ({}, {"quintic-strata": STRATUM_REPRESENTATIVES}),
 }
+FIXTURE_NAMES = {cmd: sorted({*registry, *composites}) for cmd, (registry, composites) in FIXTURE_REGISTRIES.items()}
 REGISTRY_NAMES = sorted({name for names in FIXTURE_NAMES.values() for name in names})

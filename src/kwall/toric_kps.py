@@ -99,11 +99,18 @@ def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
     they are the vertices of a triangle, whose area centroid is their average
     and lies on the plane with them.  No check is left.
     """
+    return _fractions(*_cleared_centroid(case))  # type: ignore[return-value]
+
+
+def _cleared_centroid(case: CentroidCase) -> tuple[list[int], int]:
+    """The numerators of reeb_cross_section_centroid over their reduced positive denominator."""
     rays, _, xs, (p0, p1, p2), _, _ = case._form
     # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
     weights = (p1 * p2, p0 * p2, p0 * p1)
-    total = [sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
-    return tuple(Fraction(xs * x, 3 * p0 * p1 * p2) for x in total)  # type: ignore[return-value]
+    total = [xs * sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
+    den = 3 * p0 * p1 * p2
+    g = math.gcd(den, *total) if den > 0 else -math.gcd(den, *total)
+    return [x // g for x in total], den // g
 
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
@@ -116,11 +123,11 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     rays, det, _, _, (v, us), (eta, es) = case._form
     n = [sum(r[i] for r in rays) for i in range(3)]
     u0 = tuple(Fraction(x, det) for x in n)
-    u2 = reeb_cross_section_centroid(case)
-    # with u0 = n / det, u1 = v / us, eta0* = eta / es and u2 = w / s cleared, the integer system
+    w, s = _cleared_centroid(case)
+    u2 = _fractions(w, s)
+    # with u0 = n / det, u1 = v / us, eta0* = eta / es and u2 = w / s, the integer system
     # (n, -v, eta) z = w is the condition in z = s (p / det, q / us, b / es): its columns are those of
     # the condition scaled by nonzero numbers, so it has the same rank
-    w, s = _cleared(u2)
     try:
         (z0, z1, z2), d = _cramer3([(n[i], -v[i], eta[i]) for i in range(3)], w)
     except SingularSystemError as exc:

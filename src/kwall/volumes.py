@@ -61,24 +61,31 @@ class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
 
     def __new__(cls, h2: Fraction, e2: Fraction, cross: Fraction = Fraction(0),
                 neg_curve: Optional[tuple[Fraction, Fraction]] = None):
-        h2, e2, cross = rat(h2), rat(e2), rat(cross)
-        if neg_curve is not None:
-            a, b = neg_curve
-            neg_curve = (rat(a), rat(b))
-        (h, x, e), k = _cleared((h2, cross, e2))
+        curve = None if neg_curve is None else _cleared((rat(neg_curve[0]), rat(neg_curve[1])))
+        return cls.from_cleared(_cleared((rat(h2), rat(cross), rat(e2))), curve)
+
+    @classmethod
+    def from_cleared(cls, hxe: tuple[list[int], int], curve: Optional[tuple[list[int], int]] = None) -> TwoRayModel:
+        """The model whose (h2, cross, e2) and declared curve (a, b) are given cleared, each as integer
+        numerators over a positive denominator in any common scale; the one path that checks a model."""
+        (h, x, e), k = hxe
+        g = math.gcd(h, x, e, k)
+        h, x, e, k = h // g, x // g, e // g, k // g
         if h <= 0:
             raise ModelError("field 'h2': (H^2) must be positive")
         if e <= 0:
             raise ModelError("field 'e2': -(E^2) must be positive")
-        if neg_curve is None:
+        if curve is None:
             r = math.isqrt(x * x + h * e)
             if r * r != x * x + h * e:
                 raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
-            neg_curve = (Fraction(e), Fraction(r - x))
+            a, b, m = e, r - x, 1
         else:
             # with (a, b) cleared to (a, b) / m, (Cbar^2), H.Cbar and E.Cbar are k m^2 and k m (k, m > 0)
             # times the integers below
-            (a, b), _ = _cleared(neg_curve)
+            (a, b), m = curve
+            g = math.gcd(a, b, m)
+            a, b, m = a // g, b // g, m // g
             if a * a * h - 2 * a * b * x - b * b * e > 0:
                 raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
             # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
@@ -89,14 +96,15 @@ class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
                 raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
             if a == 0:
                 raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")
-        self = super().__new__(cls, h2, e2, cross, neg_curve)
-        # (h2, cross, e2) cleared over one positive denominator k, as (h, x, e, k): what pair reads
-        self._form = (h, x, e, k)
+        self = super().__new__(cls, Fraction(h, k), Fraction(e, k), Fraction(x, k), (Fraction(a, m), Fraction(b, m)))
+        # (h2, cross, e2) over their least common denominator k and Cbar = (a H - b E) / m, as
+        # (h, x, e, k, a, b, m): what pair and volume_two_ray read
+        self._form = (h, x, e, k, a, b, m)
         return self
 
     def pair(self, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
         """Intersection pairing of xH + yE classes."""
-        h, x, e, k = self._form
+        h, x, e, k = self._form[:4]
         (v0, v1), s = _cleared(v)
         (w0, w1), t = _cleared(w)
         return Fraction(v0 * w0 * h + (v0 * w1 + v1 * w0) * x - v1 * w1 * e, k * s * t)
@@ -115,7 +123,7 @@ class MomentPolygon(namedtuple("MomentPolygon", "polygon valuation_direction")):
         w = (rat(valuation_direction[0]), rat(valuation_direction[1]))
         if polygon.is_degenerate:
             raise ModelError("field 'polygon': moment polygon must be non-degenerate")
-        if w == (Fraction(0), Fraction(0)):
+        if not (w[0] or w[1]):
             raise InvalidValuationError("field 'w': valuation direction must be nonzero")
         return super().__new__(cls, polygon, w)
 
@@ -144,8 +152,7 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
     negatively (the Gram determinant of E and Cbar would be positive): t_E < t_nef.
     """
     (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
-    h, x, e, k = model._form
-    (a, b), m = _cleared(model.neg_curve)
+    h, x, e, k, a, b, _ = model._form
     # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
     # lambda = (lh b + le a) / (a l)
     if lh * a <= 0 or (lh * b + le * a) * a <= 0:
@@ -184,7 +191,7 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     width g = (s_upper - s_lower) / |w|^2, which is linear between vertex
     levels: one exact slice per level fixes a closed-form quadratic per piece.
     """
-    nums, d = _cleared([c for v in mp.polygon.vertices for c in v])
+    nums, d = mp.polygon.cleared
     (w0, w1), e = _cleared(mp.valuation_direction)
     # h and s of the cleared vertices and direction: d e times the true values
     hs = [x * w0 + y * w1 for x, y in zip(nums[::2], nums[1::2])]

@@ -8,6 +8,7 @@ for K-semistability and every report says so explicitly.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -49,17 +50,25 @@ class WallCase(namedtuple("WallCase", "name A0 ordD S0 alpha beta valid_range"))
     def __new__(cls, name: str, A0: Fraction, ordD: Fraction, S0: Fraction, alpha: Fraction, beta: Fraction,
                 valid_range: Interval):
         values = tuple(rat(v) for v in (A0, ordD, S0, alpha, beta))
-        self = super().__new__(cls, name, *values, valid_range)
-        (a0, od, s0, al, be), s = _cleared(values)
-        # (A0, ordD, S0, alpha, beta) cleared over one positive denominator s, as (a0, od, s0, al, be, s):
-        # what the range checks and solve_wall read
-        self._form = (a0, od, s0, al, be, s)
+        return cls.from_cleared(name, values, *_cleared(values), valid_range)
+
+    @classmethod
+    def from_cleared(cls, name: str, values: tuple[Fraction, ...], nums: tuple[int, ...], s: int,
+                     valid_range: Interval) -> WallCase:
+        """The case whose (A0, ordD, S0, alpha, beta) are the Fractions ``values``, also given cleared as the
+        integers nums over a positive denominator s in any common scale; the one path that checks a case."""
+        g = math.gcd(s, *nums)
+        a0, od, s0, al, be, s = (n // g for n in (*nums, s))
         # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
         lo, hi = valid_range.lo, valid_range.hi
         if al * lo.denominator - be * lo.numerator <= 0:
             raise WallError("field 'alpha': anti-canonical degree must be positive at the low end of the range")
         if al * hi.denominator - be * hi.numerator < 0:
             raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
+        self = super().__new__(cls, name, *values, valid_range)
+        # (A0, ordD, S0, alpha, beta) cleared over their least common denominator s, as (a0, od, s0, al, be, s):
+        # what solve_wall reads
+        self._form = (a0, od, s0, al, be, s)
         return self
 
 

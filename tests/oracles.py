@@ -50,7 +50,9 @@ difference and cross product: criterion 11 builds its two-ray twins from the
 cleared integer vertices of each triangle.  Nor have the polynomial sum,
 difference and product (``poly_add``, ``poly_sub``, ``poly_mul``), which no
 command calls: the tests and the engines here build polynomials with them.
-``mat3_rank`` is the Fraction elimination that the library's solve replaced by
+``cleared_over`` writes rationals as integers over a common denominator of any
+scale, which the ``from_cleared`` builders of ``WallCase`` and ``TwoRayModel``
+take.  ``mat3_rank`` is the Fraction elimination that the library's solve replaced by
 reading the rank of a singular system off the 2x2 minors it already has; it is
 the reference for that rank.  ``sample_points`` are interior points at which
 the tests evaluate whole profiles.
@@ -348,6 +350,13 @@ def pair(form: tuple[Fraction, Fraction, Fraction], v: tuple[Fraction, Fraction]
     """The intersection pairing of xH + yE classes over Fractions, for the form (h2, e2, cross)."""
     h2, e2, cross = form
     return v[0] * w[0] * h2 + (v[0] * w[1] + v[1] * w[0]) * cross - v[1] * w[1] * e2
+
+
+def cleared_over(values: Sequence[Fraction], k: int) -> tuple[list[int], int]:
+    """The values as integer numerators over k times their least common denominator: in lowest terms
+    exactly when k = 1."""
+    s = k * math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (s // v.denominator) for v in values], s
 
 
 def check_two_ray_model(h2: Fraction, e2: Fraction, cross: Fraction,

@@ -136,21 +136,47 @@ def test_criterion_10_fails_on_a_sign_flipped_hilbert_mumford_weight(monkeypatch
 
 
 def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
-    # a "wall" that scales with S0: only the unscaled base case keeps its value
-    monkeypatch.setattr(acceptance, "solve_wall", lambda case: SimpleNamespace(wall=case.S0))
+    # a "wall" that scales with S0, on the real report's sides: only the unscaled base case keeps its value
+    real = acceptance.solve_wall
+    monkeypatch.setattr(acceptance, "solve_wall", lambda case: real(case)._replace(wall=case.S0))
     with pytest.raises(acceptance.CheckFailed, match="wall moves under rescaling"):
         acceptance.criterion_11()
 
 
 def test_criterion_11_fails_on_a_wall_solver_that_misreads_the_cleared_scale(monkeypatch):
     # the cleared margin is (a0 s - al s0 + (be s0 - od s) c) / s^2: a solver that drops the
-    # factors of s agrees with the true wall only while s = 1
+    # factors of s agrees with the true wall only while s = 1; the sides are the real report's
+    real = acceptance.solve_wall
+
     def unscaled(case):
         a0, od, s0, al, be, _ = case._form
-        return SimpleNamespace(wall=F(-(a0 - al * s0), be * s0 - od))
+        return real(case)._replace(wall=F(-(a0 - al * s0), be * s0 - od))
 
     monkeypatch.setattr(acceptance, "solve_wall", unscaled)
     with pytest.raises(acceptance.CheckFailed, match="wall moves under rescaling"):
+        acceptance.criterion_11()
+
+
+def test_criterion_11_fails_when_rescaling_flips_an_unstable_side(monkeypatch):
+    # the wall stays put and only the side below it flips, on the rescaled cases alone: comparing the
+    # walls alone passes this solver
+    real = acceptance.solve_wall
+
+    def flipped(case):
+        report = real(case)
+        return report._replace(unstable_below=not report.unstable_below) if case.name.endswith("-scaled") else report
+
+    monkeypatch.setattr(acceptance, "solve_wall", flipped)
+    with pytest.raises(acceptance.CheckFailed, match=r"^[\w-]+: unstable sides change under rescaling by \d+(/\d+)?$"):
+        acceptance.criterion_11()
+
+
+def test_criterion_11_refuses_a_base_wall_case_without_a_wall(monkeypatch):
+    # with no wall in range, "no wall" would stay "no wall" under every rescaling and prove nothing
+    real = acceptance.solve_wall
+    monkeypatch.setattr(acceptance, "solve_wall",
+                        lambda case: real(case)._replace(wall=None) if case.name == "a11irr" else real(case))
+    with pytest.raises(acceptance.CheckFailed, match="^a11irr: no wall in range to rescale$"):
         acceptance.criterion_11()
 
 
@@ -366,7 +392,8 @@ def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_cons
     acceptance.criterion_11()
     assert sum(model is not None for _, _, model in twins) == 60 and len(moves) == 100
     for tri, w, model in twins:
-        assert model == _twin_by_fractions(tri, w), (tri, w)
+        want = _twin_by_fractions(tri, w)
+        assert model == want and (model is None or model._form == want._form), (tri, w)
     for name, g, case in moves:
         base = fixtures.CENTROID_FIXTURES[name.removesuffix("-moved")].case
         assert case == _moved_by_fractions(base, g), name

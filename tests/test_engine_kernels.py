@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from test_volumes import toric_valuations
 
 from kwall import fixtures
-from kwall.exact import area_centroid, v2_dot
+from kwall.exact import Polygon2, area_centroid, polygon, v2_dot
 from kwall.toric_kps import CentroidCase, solve_centroid_condition
 from kwall.volumes import ModelError, MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
 
@@ -51,6 +51,29 @@ def test_toric_s0_is_the_barycenter_form(mp):
     profile = volume_toric(mp)
     assert profile(0) == 2 * area
     assert s_invariant(profile) == v2_dot(b, w) - min(v2_dot(v, w) for v in mp.polygon.vertices)
+
+
+# vertex cycles whose dropped points carry a denominator that no kept vertex has: a collinear midpoint
+# over 7, collinear points over 3 and 5 on two edges, and repeated points beside a collinear one over 11
+_DROPPED_DENOMINATORS = {
+    "midpoint over 7": ([(0, 0), (1, 0), (F(3, 7), F(4, 7)), (0, 1)], 7),
+    "edge points over 3 and 5": ([(0, 0), (F(2, 3), 0), (2, 0), (2, 2), (0, 2), (0, F(6, 5))], 15),
+    "repeats": ([(0, 0), (0, 0), (F(4, 11), 0), (2, 0), (2, 0), (0, 2), (0, 0)], 11),
+}
+
+
+@pytest.mark.parametrize("points, den", _DROPPED_DENOMINATORS.values(), ids=_DROPPED_DENOMINATORS)
+@pytest.mark.parametrize("w", [(F(1), F(0)), (F(1), F(1)), (F(-2), F(3)), (F(0), F(-1))])
+def test_a_polygon_kept_over_the_denominator_of_its_dropped_points_reads_as_its_own(points, den, w):
+    # polygon() keeps its vertices over the denominator of every point it was given; a Polygon2 built
+    # from its fields clears its own vertices; the engines and the oracles agree on both
+    p = polygon(points)
+    rebuilt = Polygon2(*p)
+    assert p.cleared[1] == den and rebuilt == p and rebuilt.cleared[1] < den
+    assert p.cleared == ([den * c for c in rebuilt.cleared[0]], den * rebuilt.cleared[1])
+    mp, rebuilt_mp = MomentPolygon(p, w), MomentPolygon(rebuilt, w)
+    assert volume_toric(mp) == volume_toric(rebuilt_mp) == oracles.volume_toric(mp)
+    assert area_centroid(p) == area_centroid(rebuilt) == oracles.area_centroid(p)
 
 
 small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
@@ -241,6 +264,40 @@ def test_the_model_refuses_a_declared_curve_as_its_fraction_checks_do(args):
         assert str(got.value) == str(exc)
     else:
         TwoRayModel(h2, e2, cross, neg)
+
+
+@_PROPERTY
+@given(args=declared_curves(), k=st.integers(1, 30), j=st.integers(1, 30))
+@example(args=(F(1), F(1, 26), F(0), (F(5), F(26))), k=7, j=3)  # the a12 model, zero cross term
+@example(args=(F(-1, 2), F(1), F(0), None), k=2, j=1)  # (H^2) < 0
+@example(args=(F(1), F(-3, 4), F(0), None), k=3, j=1)  # -(E^2) < 0
+@example(args=(F(2), F(1, 2), F(-1), (F(-3, 2), F(-3))), k=5, j=4)  # (Cbar^2) > 0
+@example(args=(F(1), F(1), F(0), (F(-1), F(3))), k=2, j=6)  # H.Cbar < 0
+@example(args=(F(1, 7), F(1), F(0), (F(1), F(-1, 2))), k=1, j=5)  # E.Cbar < 0
+@example(args=(F(1), F(1), F(0), (F(0), F(1, 3))), k=4, j=9)  # a = 0
+@example(args=(F(1), F(3, 4), F(0), None), k=8, j=1)  # irrational isotropic ray
+def test_from_cleared_builds_the_model_its_constructor_builds(args, k, j):
+    # (h2, cross, e2) over k times their least common denominator and the curve over j times its own: the
+    # same record with the same cleared form, in lowest terms, or the same refusal
+    h2, e2, cross, neg = args
+    hxe = oracles.cleared_over((h2, cross, e2), k)
+    curve = None if neg is None else oracles.cleared_over(neg, j)
+    builds = (lambda: TwoRayModel(h2, e2, cross, neg), lambda: TwoRayModel.from_cleared(hxe, curve))
+    try:
+        oracles.check_two_ray_model(h2, e2, cross, neg)
+    except ModelError as exc:
+        for build in builds:
+            with pytest.raises(ModelError) as got:
+                build()
+            assert type(got.value) is ModelError and str(got.value) == str(exc)
+        return
+    want, got = (build() for build in builds)
+    assert got == want and got._form == want._form
+    (h, x, e), lcd = oracles.cleared_over((h2, cross, e2), 1)
+    assert got._form[:4] == (h, x, e, lcd)
+    if neg is not None:
+        (a, b), m = oracles.cleared_over(neg, 1)
+        assert got._form[4:] == (a, b, m)
 
 
 _primitive = st.tuples(*[st.integers(-_BIG, _BIG)] * 3).filter(lambda v: math.gcd(*v) == 1)

@@ -121,6 +121,31 @@ def test_integer_wall_solver_equals_its_reference(args):
     assert solve_wall(case) == oracles.solve_wall(case)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=wall_inputs(), k=st.integers(1, 30))
+@example(args=(F(1), F(0), F(1), F(-1, 3), F(1), QUINTIC_RANGE), k=6)  # alpha - beta lo < 0
+@example(args=(F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE), k=1)  # alpha - beta hi < 0
+@example(args=(F(-7, 2), F(0), F(-49, 30), F(3), F(5), QUINTIC_RANGE), k=4)  # negative numerators, a zero
+def test_from_cleared_builds_the_case_its_constructor_builds(args, k):
+    # the five values over k times their least common denominator: the same record with the same cleared
+    # form, in lowest terms, or the same refusal
+    *values, valid_range = args
+    nums, s = oracles.cleared_over(values, k)
+    builds = (lambda: WallCase("drawn", *values, valid_range),
+              lambda: WallCase.from_cleared("drawn", tuple(values), nums, s, valid_range))
+    try:
+        oracles.check_wall_range(values[3], values[4], valid_range)
+    except WallError as exc:
+        for build in builds:
+            with pytest.raises(WallError) as got:
+                build()
+            assert type(got.value) is WallError and str(got.value) == str(exc)
+        return
+    want, got = (build() for build in builds)
+    lowest, lcd = oracles.cleared_over(values, 1)
+    assert got == want and got._form == want._form == (*lowest, lcd)
+
+
 _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 _BIG = 10**6
 _ends = st.fractions(min_value=-_BIG, max_value=_BIG, max_denominator=_BIG)

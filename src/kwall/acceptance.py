@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from . import fixtures
 from .exact import (
@@ -33,10 +34,19 @@ from .git import (
     binary_system_stability,
     replay_certificate,
 )
-from .toric_kps import CentroidCase, solve_centroid_condition
+from .toric_kps import CentroidCase, _cone_form, _solve_cone_form, solve_centroid_condition
 from .valuations import index_bound, lct_newton
 from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
-from .walls import _QUINTIC_STRATA, WallCase, admissibility_window, first_wall, quintic_wall_table, solve_wall
+from .walls import (
+    _QUINTIC_STRATA,
+    WallCase,
+    _solve_wall_form,
+    _wall_form,
+    admissibility_window,
+    first_wall,
+    quintic_wall_table,
+    solve_wall,
+)
 
 F = Fraction
 
@@ -47,11 +57,10 @@ class CheckFailed(AssertionError):
     """A verification criterion found a value that differs from its target."""
 
 
-class CriterionResult(NamedTuple):
-    cid: int
-    title: str
-    passed: bool
-    detail: str
+class CriterionResult(namedtuple("CriterionResult", "cid title passed detail")):
+    """One criterion's line: its number, title, whether it passed, and its detail or failure reason."""
+
+    __slots__ = ()
 
 
 # the printed piecewise volume formulas, frozen verbatim as reference data
@@ -324,12 +333,10 @@ def _random_unimodular(digits: list[int]):
     return tuple(tuple(signs[s] * row[s] for s in source) for row in m)
 
 
-def _rescaled(case: WallCase, p: int, q: int) -> WallCase:
-    """The wall case with A0, ordD and S0 times lambda = p/q, built from the base case's cleared values."""
+def _rescaled_form(case: WallCase, p: int, q: int) -> tuple[int, ...]:
+    """The checked form of the wall case with A0, ordD and S0 times lambda = p/q, from the base case's form."""
     a0, od, s0, al, be, s = case._form
-    values = (F(a0 * p, s * q), F(od * p, s * q), F(s0 * p, s * q), case.alpha, case.beta)
-    return WallCase.from_cleared(case.name + "-scaled", values, (a0 * p, od * p, s0 * p, al * q, be * q), s * q,
-                                 case.valid_range)
+    return _wall_form((a0 * p, od * p, s0 * p, al * q, be * q), s * q, case.valid_range)
 
 
 def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
@@ -357,16 +364,16 @@ def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
 
 
 def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
-    """The generators, xi0, eta0* and u1 of a case, each cleared: what _moved_case reads."""
+    """The generators, xi0, eta0* and u1 of a case, each cleared: what _moved_form reads."""
     return tuple(_cleared(v) for v in (*case.generators, case.xi0, case.eta0star, case.u1))
 
 
-def _moved_case(name: str, cone: tuple[tuple[list[int], int], ...], g, ginv_t) -> CentroidCase:
-    """The cleared cone moved by the lattice automorphism g: its generators and xi0 by g, eta0* and u1
-    by (g^-1)^T, each an integer row times the numerators over the same denominator.  A unimodular map
-    keeps the gcd of a vector's entries, so each moved vector is still cleared."""
-    moved = [([_idot3(row, nums) for row in m], s) for m, (nums, s) in zip((g, g, g, g, ginv_t, ginv_t), cone)]
-    return CentroidCase.from_cleared(name, *moved)
+def _moved_form(cone: tuple[tuple[list[int], int], ...], g, ginv_t):
+    """The checked form of the cleared cone moved by the lattice automorphism g: its generators and xi0 by g,
+    eta0* and u1 by (g^-1)^T, each an integer row times the numerators over the same denominator.  A
+    unimodular map keeps the gcd of a vector's entries, so each moved vector is still cleared."""
+    return _cone_form(*(([_idot3(row, nums) for row in m], s)
+                        for m, (nums, s) in zip((g, g, g, g, ginv_t, ginv_t), cone)))
 
 
 def criterion_11() -> str:
@@ -375,9 +382,10 @@ def criterion_11() -> str:
     rng = random.Random(_SEED)  # one randrange per trial attempt, decoded by _digits
 
     # (a) scale invariance of walls: 200 random rescalings, each keeping all of the report but its case (the
-    # wall, both unstable sides, degeneracy); a base case without a wall, which any rescaling keeps, is refused
+    # wall, both unstable sides, degeneracy); a base case without a wall, which any rescaling keeps, is refused.
+    # Each rescaled case is checked and solved on its form alone, as WallCase.from_cleared and solve_wall do
     base_cases = {name: fixtures.wall_case(name) for name in _BASE_WALLS}
-    base_reports = {name: solve_wall(case)[1:] for name, case in base_cases.items()}
+    base_reports = {name: _solve_wall_form(case._form, case.valid_range) for name, case in base_cases.items()}
     if missing := [name for name, report in base_reports.items() if report[0] is None]:
         raise CheckFailed(f"{missing[0]}: no wall in range to rescale")
     size = math.prod(_RESCALE_RADICES)
@@ -385,7 +393,7 @@ def criterion_11() -> str:
         b, p, q = _digits(rng.randrange(size), _RESCALE_RADICES)
         name = _BASE_WALLS[b]
         case = base_cases[name]
-        got = solve_wall(_rescaled(case, p + 1, q + 1))[1:]
+        got = _solve_wall_form(_rescaled_form(case, p + 1, q + 1), case.valid_range)
         if got != base_reports[name]:
             what = "wall moves" if got[0] != base_reports[name][0] else "unstable sides change"
             raise CheckFailed(f"{case.name}: {what} under rescaling by {F(p + 1, q + 1)}")
@@ -420,17 +428,17 @@ def criterion_11() -> str:
     else:  # a decoder or engine fault that refuses every draw fails here rather than looping forever
         raise CheckFailed(f"only {done} of 60 triangles in {_TRIANGLE_ATTEMPTS} attempts")
 
-    # (c) unimodular equivariance of the centroid test: 100 trials
+    # (c) unimodular equivariance of the centroid test: 100 trials, each moved cone checked and solved on its
+    # form alone, as CentroidCase.from_cleared and solve_centroid_condition do
     names = sorted(fixtures.CENTROID_FIXTURES)
     cases = {name: fixtures.CENTROID_FIXTURES[name].case for name in names}
     cones = {name: _cleared_cone(case) for name, case in cases.items()}
-    base_verdicts = {name: solve_centroid_condition(case) for name, case in cases.items()}
+    base_solutions = {name: _solve_cone_form(case._form)[1] for name, case in cases.items()}
     radices = (len(names), *_MOVE_RADICES)
     size = math.prod(radices)
     for _ in range(100):
         d = _digits(rng.randrange(size), radices)
         name = names[d[0]]
-        base = base_verdicts[name]
         g = _random_unimodular(d[1:])
         # (g^-1)^T = adj(g)^T / det g: its rows are the columns of adj(g), and det g = +-1
         cof = _adjugate_columns(g)
@@ -438,10 +446,9 @@ def criterion_11() -> str:
         if det not in (1, -1):
             raise CheckFailed("random lattice move is not unimodular")
         ginv_t = tuple(tuple(det * x for x in row) for row in cof)
-        moved = _moved_case(cases[name].name + "-moved", cones[name], g, ginv_t)
-        res = solve_centroid_condition(moved)
-        if (res.verdict, res.solution) != ("unique-c", base.solution):
-            raise CheckFailed(f"{moved.name}: {res.verdict} {res.solution} != unique-c {base.solution}")
+        verdict, solution, _ = _solve_cone_form(_moved_form(cones[name], g, ginv_t))
+        if (verdict, solution) != ("unique-c", base_solutions[name]):
+            raise CheckFailed(f"{cases[name].name}-moved: {verdict} {solution} != unique-c {base_solutions[name]}")
     return "200 wall rescalings, 60 random engine-agreement fixtures, 100 lattice moves: all exact"
 
 

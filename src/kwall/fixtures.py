@@ -26,11 +26,11 @@ makes a new record, which derives its own.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
-from .exact import PiecewiseQuadratic, Polygon2, Vec3, mat3_vec, polygon
+from .exact import PiecewiseQuadratic, Vec3, mat3_vec, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
 from .toric_kps import CentroidCase
 from .valuations import (
@@ -54,14 +54,12 @@ F = Fraction
 # volume fixtures: the weighted blow-ups and moment polygons of the named cases
 # ---------------------------------------------------------------------------
 
-class Surface(NamedTuple):
+class Surface(namedtuple("Surface", "h2 alpha k triangle", defaults=(None,))):
     """A degeneration of the plane with H = O(1): -(K + cD) = (alpha - k d c) H for
-    degree-d curves D, so anti_k(d) = (alpha, k d); a toric one keeps the moment triangle of H."""
+    degree-d curves D, so anti_k(d) = (alpha, k d); a toric one keeps the moment triangle of H
+    (a Polygon2), a non-toric one None."""
 
-    h2: Fraction
-    alpha: Fraction
-    k: Fraction
-    triangle: Optional[Polygon2] = None
+    __slots__ = ()
 
     def anti_k(self, d: int) -> tuple[Fraction, Fraction]:
         return self.alpha, self.k * d
@@ -78,15 +76,13 @@ _P2, _P114, _P1425 = _manetti(1, 1), _manetti(1, 2), _manetti(2, 5)
 _X26 = Surface(F(1, 25), F(15), F(5))
 
 
-class _VolumeRecord(NamedTuple):
-    name: str
-    model: Optional[TwoRayModel]
-    L: tuple[Fraction, Fraction]
-    moment: Optional[MomentPolygon]
-    surface: Optional[Surface]  # None for a scenario, which has no surface
-    provenance: str
-    expected: dict
-    valuation: Optional[MonomialVal] = None  # a blow-up's valuation, read by its wall fixtures
+class _VolumeRecord(namedtuple("_VolumeRecord", "name model L moment surface provenance expected valuation",
+                               defaults=(None,))):
+    """The fields of a VolumeFixture: its TwoRayModel or None, the class L, its MomentPolygon or None, its
+    Surface (None for a scenario, which has no surface), and the MonomialVal of a blow-up, read by its wall
+    fixtures (else None)."""
+
+    __slots__ = ()
 
 
 class VolumeFixture(_VolumeRecord):
@@ -198,13 +194,12 @@ for _ray, _w, _s0 in (
 # wall-case fixtures: a curve germ on a volume fixture's blow-up, whose valuation gives A0
 # ---------------------------------------------------------------------------
 
-class WallFixture(NamedTuple):
-    name: str
-    curve_germ: Optional[GermSupport]
-    volume: str  # key into VOLUME_FIXTURES: its valuation gives A0 and ord(D), its profile S0
-    provenance: str
-    expected: dict
-    degree: int = 5  # of the plane curves: alpha and beta from the surface, and the range (0, 3/degree)
+class WallFixture(namedtuple("WallFixture", "name curve_germ volume provenance expected degree", defaults=(5,))):
+    """A curve germ (a GermSupport, or None for ord(D) = 0) on the volume fixture named ``volume``, whose
+    valuation gives A0 and ord(D) and whose profile S0; ``degree`` is that of the plane curves, which gives
+    alpha and beta from the surface, and the range (0, 3/degree)."""
+
+    __slots__ = ()
 
     def case(self) -> WallCase:
         vf = VOLUME_FIXTURES[self.volume]
@@ -373,12 +368,11 @@ def delta_upper_bound(name: str) -> Fraction:
 # centroid fixtures
 # ---------------------------------------------------------------------------
 
-class CentroidFixture(NamedTuple):
-    case: CentroidCase
-    printed_basis: tuple[tuple[int, int, int], ...]  # integer rows: internal dual coordinates to printed ones
-    twin: str  # the wall fixture whose valuative wall the centroid solve must meet
-    provenance: str
-    expected: dict
+class CentroidFixture(namedtuple("CentroidFixture", "case printed_basis twin provenance expected")):
+    """A CentroidCase, the integer rows that take internal dual coordinates to printed ones, and its twin:
+    the wall fixture whose valuative wall the centroid solve must meet."""
+
+    __slots__ = ()
     # normality of the degeneration's central fiber is assumed for these
     # families, not checked here
 
@@ -516,10 +510,11 @@ _add_centroid(
 # lct (germ) fixtures
 # ---------------------------------------------------------------------------
 
-class LctFixture(NamedTuple):
-    support: GermSupport | QuasiHomogGerm  # a QuasiHomogGerm reports its weights and degree, not its monomials
-    provenance: str
-    expected: Fraction
+class LctFixture(namedtuple("LctFixture", "support provenance expected")):
+    """A germ (a GermSupport, or a QuasiHomogGerm, which reports its weights and degree, not its monomials)
+    and its expected lct."""
+
+    __slots__ = ()
 
 
 def _generic_germ(b: int, c: int, d: int) -> GermSupport:
@@ -570,9 +565,10 @@ LCT_FIXTURES: dict[str, LctFixture] = {
 # GIT fixtures
 # ---------------------------------------------------------------------------
 
-class BinaryFixture(NamedTuple):
-    system: BinaryFormSystem
-    provenance: str
+class BinaryFixture(namedtuple("BinaryFixture", "system provenance")):
+    """A BinaryFormSystem and its provenance."""
+
+    __slots__ = ()
 
 
 BINARY_FIXTURES: dict[str, BinaryFixture] = {
@@ -588,10 +584,10 @@ BINARY_FIXTURES: dict[str, BinaryFixture] = {
 }
 
 
-class PlaneGitFixture(NamedTuple):
-    curve: PlaneCurveSupport
-    one_ps: OnePS
-    provenance: str
+class PlaneGitFixture(namedtuple("PlaneGitFixture", "curve one_ps provenance")):
+    """A PlaneCurveSupport, the OnePS it is tested against, and its provenance."""
+
+    __slots__ = ()
 
 
 PLANE_GIT_FIXTURES: dict[str, PlaneGitFixture] = {

@@ -12,7 +12,6 @@ from __future__ import annotations
 import sys
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
 from .exact import KwallError, rat
 from .walls import Interval
@@ -118,21 +117,19 @@ class BinaryFormSystem(namedtuple("BinaryFormSystem", "parity degree forms")):
         return sorted(j for j, supp in self.forms.items() if supp)
 
 
-class StabilityCertificate(NamedTuple):
+class StabilityCertificate(namedtuple("StabilityCertificate", "candidate a r weights")):
     """Destabilizing data: candidate root, 1-PS exponent pair (a on the root
     torus, r on the scaling torus), and the per-monomial weights it produces."""
 
-    candidate: str
-    a: int
-    r: int
-    weights: tuple[Fraction, ...]
+    __slots__ = ()
 
 
-class StabilityVerdict(NamedTuple):
-    verdict: str  # "stable" | "strictly-semistable" | "unstable"
-    certificate: Optional[StabilityCertificate] = None
-    polystable: Optional[bool] = None  # decided only for torus-fixed limits
-    detail: str = ""
+class StabilityVerdict(namedtuple("StabilityVerdict", "verdict certificate polystable detail",
+                                   defaults=(None, None, ""))):
+    """The verdict ("stable", "strictly-semistable" or "unstable"), its StabilityCertificate or None,
+    polystability (decided only for torus-fixed limits, else None) and its detail."""
+
+    __slots__ = ()
 
 
 def _candidate_orders(system: BinaryFormSystem) -> list[tuple[str, dict[int, list[tuple[int, int]]]]]:

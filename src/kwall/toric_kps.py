@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .exact import (
     KwallError,
@@ -52,38 +52,44 @@ class CentroidCase(namedtuple("CentroidCase", "name generators xi0 eta0star u1")
     @classmethod
     def from_cleared(cls, name: str, *cleared: tuple[list[int], int]) -> CentroidCase:
         """The case whose three generators, xi0, eta0* and u1 are given cleared, each as integer numerators
-        over a positive denominator in lowest terms (what _cleared returns); the one path that checks a cone."""
-        g0, g1, g2, (xi, xs), eta, u1 = cleared
-        # the toric setting: each generator is the primitive lattice vector on its ray
-        for i, (row, s) in enumerate((g0, g1, g2)):
-            if s != 1 or math.gcd(*row) != 1:
-                n = ", ".join(fmt(x) for x in _fractions(row, s))
-                raise ConeError(f"field 'generators[{i}]': ({n}) is not a primitive integer vector")
-        rays = _adjugate_columns((g0[0], g1[0], g2[0]))
-        det = _idot3(g0[0], rays[0])
-        if det == 0:
-            raise ConeError("field 'generators': cone generators are linearly dependent")
-        # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
-        p = tuple(_idot3(r, xi) for r in rays)
-        if any(pk * det <= 0 for pk in p):
-            raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
-        if _idot3(eta[0], xi) != 0:
-            raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
-        self = super().__new__(cls, name, (_fractions(*g0), _fractions(*g1), _fractions(*g2)),
-                               _fractions(xi, xs), _fractions(*eta), _fractions(*u1))
-        # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
-        # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
-        # what u0, u2 and the centroid condition read
-        self._form = (rays, det, xs, p, u1, eta)
+        over a positive denominator in lowest terms (what _cleared returns): _cone_form, then the fields."""
+        form = _cone_form(*cleared)
+        self = super().__new__(cls, name, tuple(_fractions(*g) for g in cleared[:3]),
+                               *(_fractions(*v) for v in cleared[3:]))
+        self._form = form
         return self
 
 
-class CentroidVerdict(NamedTuple):
-    u0: Vec3
-    u2: Vec3
-    solution: Optional[tuple[Fraction, Fraction, Fraction]]  # (a, c, b)
-    verdict: str  # "unique-c" | "no-solution" | "indeterminate"
-    detail: str = ""
+def _cone_form(*cleared: tuple[list[int], int]):
+    """The cleared form of the cone whose generators, xi0, eta0* and u1 are given as CentroidCase.from_cleared
+    takes them; the one path that checks a cone."""
+    g0, g1, g2, (xi, xs), eta, u1 = cleared
+    # the toric setting: each generator is the primitive lattice vector on its ray
+    for i, (row, s) in enumerate((g0, g1, g2)):
+        if s != 1 or math.gcd(*row) != 1:
+            n = ", ".join(fmt(x) for x in _fractions(row, s))
+            raise ConeError(f"field 'generators[{i}]': ({n}) is not a primitive integer vector")
+    rays = _adjugate_columns((g0[0], g1[0], g2[0]))
+    det = _idot3(g0[0], rays[0])
+    if det == 0:
+        raise ConeError("field 'generators': cone generators are linearly dependent")
+    # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
+    p = tuple(_idot3(r, xi) for r in rays)
+    if any(pk * det <= 0 for pk in p):
+        raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
+    if _idot3(eta[0], xi) != 0:
+        raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
+    # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
+    # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
+    # what u0, u2 and the centroid condition read
+    return rays, det, xs, p, u1, eta
+
+
+class CentroidVerdict(namedtuple("CentroidVerdict", "u0 u2 solution verdict detail", defaults=("",))):
+    """The centroid test's verdict: u0, u2, the solution (a, c, b) or None, the verdict ("unique-c",
+    "no-solution" or "indeterminate") and its detail."""
+
+    __slots__ = ()
 
 
 def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
@@ -99,12 +105,12 @@ def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
     they are the vertices of a triangle, whose area centroid is their average
     and lies on the plane with them.  No check is left.
     """
-    return _fractions(*_cleared_centroid(case))  # type: ignore[return-value]
+    return _fractions(*_cleared_centroid(case._form))  # type: ignore[return-value]
 
 
-def _cleared_centroid(case: CentroidCase) -> tuple[list[int], int]:
-    """The numerators of reeb_cross_section_centroid over their reduced positive denominator."""
-    rays, _, xs, (p0, p1, p2), _, _ = case._form
+def _cleared_centroid(form) -> tuple[list[int], int]:
+    """The numerators of reeb_cross_section_centroid over their reduced positive denominator, from a cone form."""
+    rays, _, xs, (p0, p1, p2), _, _ = form
     # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
     weights = (p1 * p2, p0 * p2, p0 * p1)
     total = [xs * sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
@@ -114,17 +120,24 @@ def _cleared_centroid(case: CentroidCase) -> tuple[list[int], int]:
 
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
-    """Decide whether the centroid decomposes as a(u0 - c u1) + b eta0* with a, b > 0.
+    """Decide whether the centroid decomposes as a(u0 - c u1) + b eta0* with a, b > 0:
+    _solve_cone_form, then u0 and u2 as Fractions."""
+    # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 = n / det pairs to 1 with each generator
+    rays, det = case._form[:2]
+    u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
+    verdict, solution, detail = _solve_cone_form(case._form)
+    return CentroidVerdict(u0, _fractions(*_cleared_centroid(case._form)), solution, verdict, detail)
+
+
+def _solve_cone_form(form) -> tuple[str, Optional[tuple[Fraction, Fraction, Fraction]], str]:
+    """(verdict, solution, detail) of the centroid condition on a cone form; the one path that solves it.
 
     Substituting p = a and q = ac makes the condition the linear system
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
-    # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 = n / det pairs to 1 with each generator
-    rays, det, _, _, (v, us), (eta, es) = case._form
-    n = [sum(r[i] for r in rays) for i in range(3)]
-    u0 = tuple(Fraction(x, det) for x in n)
-    w, s = _cleared_centroid(case)
-    u2 = _fractions(w, s)
+    rays, det, _, _, (v, us), (eta, es) = form
+    n = [sum(r[i] for r in rays) for i in range(3)]  # det times u0
+    w, s = _cleared_centroid(form)
     # with u0 = n / det, u1 = v / us, eta0* = eta / es and u2 = w / s, the integer system
     # (n, -v, eta) z = w is the condition in z = s (p / det, q / us, b / es): its columns are those of
     # the condition scaled by nonzero numbers, so it has the same rank
@@ -132,13 +145,11 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
         (z0, z1, z2), d = _cramer3([(n[i], -v[i], eta[i]) for i in range(3)], w)
     except SingularSystemError as exc:
         if not any(v):
-            detail = "u1 = 0: the coefficient never enters the condition"
-        else:
-            detail = f"dependent system (rank {exc.rank}): coefficient not determined"
-        return CentroidVerdict(u0, u2, None, "indeterminate", detail)
+            return "indeterminate", None, "u1 = 0: the coefficient never enters the condition"
+        return "indeterminate", None, f"dependent system (rank {exc.rank}): coefficient not determined"
     # z = (z0, z1, z2) / d, so a = p = det z0 / (d s) and b = es z2 / (d s), with s, es > 0
     a, b = Fraction(det * z0, d * s), Fraction(es * z2, d * s)
     if det * z0 * d <= 0 or z2 * d <= 0:
-        return CentroidVerdict(u0, u2, None, "no-solution", f"sign conditions fail: a = {a}, b = {b}")
+        return "no-solution", None, f"sign conditions fail: a = {a}, b = {b}"
     # Cramer's rule is exact: rows (p, q, b) = u2 needs no re-check, and c = q / p = us z1 / (det z0)
-    return CentroidVerdict(u0, u2, (a, Fraction(us * z1, det * z0), b), "unique-c")
+    return "unique-c", (a, Fraction(us * z1, det * z0), b), ""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exact import KwallError, rat
 
@@ -27,13 +26,11 @@ class DomainError(KwallError):
     """Argument outside the documented domain (e.g. coefficient out of range)."""
 
 
-class CyclicQuot(NamedTuple):
+class CyclicQuot(namedtuple("CyclicQuot", "n a b", defaults=(1, 1))):
     """Cyclic quotient point of type 1/n(a, b); n = 1 is a smooth point.  Only
     n enters the valuations; a and b name the action."""
 
-    n: int
-    a: int = 1
-    b: int = 1
+    __slots__ = ()
 
 
 SMOOTH_POINT = CyclicQuot(1)

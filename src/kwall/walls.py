@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .exact import KwallError, _cleared, rat, fmt
 
@@ -56,51 +56,59 @@ class WallCase(namedtuple("WallCase", "name A0 ordD S0 alpha beta valid_range"))
     def from_cleared(cls, name: str, values: tuple[Fraction, ...], nums: tuple[int, ...], s: int,
                      valid_range: Interval) -> WallCase:
         """The case whose (A0, ordD, S0, alpha, beta) are the Fractions ``values``, also given cleared as the
-        integers nums over a positive denominator s in any common scale; the one path that checks a case."""
-        g = math.gcd(s, *nums)
-        a0, od, s0, al, be, s = (n // g for n in (*nums, s))
-        # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
-        lo, hi = valid_range.lo, valid_range.hi
-        if al * lo.denominator - be * lo.numerator <= 0:
-            raise WallError("field 'alpha': anti-canonical degree must be positive at the low end of the range")
-        if al * hi.denominator - be * hi.numerator < 0:
-            raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
+        integers nums over a positive denominator s in any common scale: _wall_form, then the fields."""
+        form = _wall_form(nums, s, valid_range)
         self = super().__new__(cls, name, *values, valid_range)
-        # (A0, ordD, S0, alpha, beta) cleared over their least common denominator s, as (a0, od, s0, al, be, s):
-        # what solve_wall reads
-        self._form = (a0, od, s0, al, be, s)
+        self._form = form
         return self
 
 
-class WallReport(NamedTuple):
+def _wall_form(nums: tuple[int, ...], s: int, valid_range: Interval) -> tuple[int, ...]:
+    """The cleared form of (A0, ordD, S0, alpha, beta) = nums / s, for a positive s in any common scale, on
+    valid_range; the one path that checks a wall case."""
+    g = math.gcd(s, *nums)
+    a0, od, s0, al, be, s = (n // g for n in (*nums, s))
+    # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
+    lo, hi = valid_range.lo, valid_range.hi
+    if al * lo.denominator - be * lo.numerator <= 0:
+        raise WallError("field 'alpha': anti-canonical degree must be positive at the low end of the range")
+    if al * hi.denominator - be * hi.numerator < 0:
+        raise WallError("field 'alpha': anti-canonical degree must stay nonnegative on the range")
+    # (A0, ordD, S0, alpha, beta) cleared over their least common denominator s, as (a0, od, s0, al, be, s):
+    # what the wall solver reads
+    return a0, od, s0, al, be, s
+
+
+class WallReport(namedtuple("WallReport", "case wall unstable_below unstable_above degenerate", defaults=(False,))):
     """Solved wall data.  ``wall`` is the crossing inside the valid range, and
     unstable_below/above say whether A < S on each side of it; with no wall
     in the range A - S keeps one sign there, and both flags give it."""
 
-    case: WallCase
-    wall: Optional[Fraction]
-    unstable_below: bool
-    unstable_above: bool
-    degenerate: bool = False
+    __slots__ = ()
 
 
 def solve_wall(case: WallCase) -> WallReport:
-    """Solve A(c) = S(c) exactly and classify each side by the sign of A - S.
+    """Solve A(c) = S(c) exactly and classify each side by the sign of A - S: _solve_wall_form, then the report."""
+    return WallReport(case, *_solve_wall_form(case._form, case.valid_range))
+
+
+def _solve_wall_form(form: tuple[int, ...], valid_range: Interval) -> tuple[Optional[Fraction], bool, bool, bool]:
+    """(wall, unstable_below, unstable_above, degenerate) of a wall form on its range; the one path that solves it.
 
     On the cleared form the margin A - S is (const + slope c) / s^2 with integer
     const and slope, so its signs and its root are theirs.
     """
-    a0, od, s0, al, be, s = case._form
+    a0, od, s0, al, be, s = form
     const = a0 * s - al * s0  # s^2 times the margin at c = 0
     slope = be * s0 - od * s  # s^2 times d(margin)/dc
     if slope == 0 and const == 0:
-        return WallReport(case, None, False, False, degenerate=True)
-    if slope != 0 and (cstar := Fraction(-const, slope)) in case.valid_range:
-        return WallReport(case, cstar, unstable_below=slope > 0, unstable_above=slope < 0)
+        return None, False, False, True
+    if slope != 0 and (cstar := Fraction(-const, slope)) in valid_range:
+        return cstar, slope > 0, slope < 0, False
     # no root in the range: the margin keeps the sign it has at the midpoint p / q, (const q + slope p) / (q s^2)
-    mid = (case.valid_range.lo + case.valid_range.hi) / 2
+    mid = (valid_range.lo + valid_range.hi) / 2
     unstable = const * mid.denominator + slope * mid.numerator < 0
-    return WallReport(case, None, unstable, unstable)
+    return None, unstable, unstable, False
 
 
 class QuinticStratumPoint(namedtuple("QuinticStratumPoint", "coords")):
@@ -123,10 +131,10 @@ class QuinticStratumPoint(namedtuple("QuinticStratumPoint", "coords")):
         return "A9" if len(self.coords) == 4 else "D6"
 
 
-class StratumVerdict(NamedTuple):
-    stratum: str
-    wall: Optional[Fraction]
-    note: str
+class StratumVerdict(namedtuple("StratumVerdict", "stratum wall note")):
+    """A quintic boundary stratum, its wall (None on the log canonical boundary) and its note."""
+
+    __slots__ = ()
 
 
 # the quintic boundary strata that carry a wall, in wall order: stratum Sigma_i has the
@@ -194,11 +202,10 @@ def first_wall(d: int) -> tuple[Fraction, str, WallReport]:
     return report.wall, tag, report
 
 
-class WallTableRow(NamedTuple):
-    index: int
-    wall: Fraction
-    below: str
-    above: str
+class WallTableRow(namedtuple("WallTableRow", "index wall below above")):
+    """The index-th quintic wall and the pairs below and above it."""
+
+    __slots__ = ()
 
 
 def quintic_wall_table() -> list[WallTableRow]:

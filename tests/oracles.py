@@ -10,7 +10,10 @@ three times per piece and fitting the quadratic through the samples.
 The library's wall solver reads the sign and the root of A - S off a
 ``WallCase`` cleared over one denominator; ``solve_wall`` and
 ``check_wall_range`` here are its ``Fraction`` references, and ``margin`` is
-A - S at one coefficient, which the wall tests read.
+A - S at one coefficient, which the wall tests read.  ``check_cone`` is the
+``Fraction`` reference for the checks a ``CentroidCase`` runs on integers: the
+coordinates of xi0 in the generators by a Fraction solve, not the pairings of
+the cleared dual rays.
 
 The library's two-ray model takes the isotropic class as its second ray when
 no curve is declared; ``volume_two_ray`` here reads the surface data as given
@@ -85,6 +88,7 @@ from kwall.exact import (
     Vec2,
     Vec3,
     clip,
+    fmt,
     rat,
     vec3,
 )
@@ -651,6 +655,21 @@ def cross_section(case: CentroidCase) -> tuple[Polygon2, Vec3]:
             raise ConeError("cross-section vertices violate the dual-cone halfplanes")
     _, (cs, ct) = area_centroid(poly)
     return poly, v3_add(base, v3_add(v3_scale(cs, e1), v3_scale(ct, e2)))
+
+
+def check_cone(generators: tuple[Vec3, Vec3, Vec3], xi0: Vec3, eta0star: Vec3) -> None:
+    """The checks of a CentroidCase, with its classes and messages, over Fractions."""
+    generators, xi0, eta0star = tuple(vec3(*g) for g in generators), vec3(*xi0), vec3(*eta0star)
+    for i, g in enumerate(generators):
+        if any(x.denominator != 1 for x in g) or math.gcd(*(x.numerator for x in g)) != 1:
+            raise ConeError(f"field 'generators[{i}]': ({', '.join(map(fmt, g))}) is not a primitive integer vector")
+    if det3(generators) == 0:
+        raise ConeError("field 'generators': cone generators are linearly dependent")
+    # xi0 = sum lambda_k n_k: the columns of the solve are the generators
+    if any(lam <= 0 for lam in solve_linear3(mat3_transpose(generators), xi0)):
+        raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
+    if v3_dot(eta0star, xi0) != 0:
+        raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
 
 
 def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:

@@ -23,7 +23,7 @@ import oracles
 from kwall import acceptance, fixtures
 from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, polygon
-from kwall.toric_kps import CentroidCase, ConeError
+from kwall.toric_kps import CentroidCase, ConeError, solve_centroid_condition
 from kwall.volumes import TwoRayModel, volume_toric, volume_two_ray
 from kwall.walls import WallCase
 
@@ -135,10 +135,17 @@ def test_criterion_10_fails_on_a_sign_flipped_hilbert_mumford_weight(monkeypatch
         acceptance.criterion_10()
 
 
+# the cleared forms of criterion 11's base cases: its solvers' mutants below tell the base cases from the
+# rescaled and moved ones by them (a rescaling by 1 gives the base form back)
+_BASE_WALL_FORMS = [fixtures.wall_case(name)._form for name in acceptance._BASE_WALLS]
+_BASE_CONE_FORMS = [cf.case._form for cf in fixtures.CENTROID_FIXTURES.values()]
+
+
 def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
     # a "wall" that scales with S0, on the real report's sides: only the unscaled base case keeps its value
-    real = acceptance.solve_wall
-    monkeypatch.setattr(acceptance, "solve_wall", lambda case: real(case)._replace(wall=case.S0))
+    real = acceptance._solve_wall_form
+    monkeypatch.setattr(acceptance, "_solve_wall_form",
+                        lambda form, valid_range: (F(form[2], form[5]), *real(form, valid_range)[1:]))
     with pytest.raises(acceptance.CheckFailed, match="wall moves under rescaling"):
         acceptance.criterion_11()
 
@@ -146,13 +153,13 @@ def test_criterion_11_fails_when_a_wall_moves_under_rescaling(monkeypatch):
 def test_criterion_11_fails_on_a_wall_solver_that_misreads_the_cleared_scale(monkeypatch):
     # the cleared margin is (a0 s - al s0 + (be s0 - od s) c) / s^2: a solver that drops the
     # factors of s agrees with the true wall only while s = 1; the sides are the real report's
-    real = acceptance.solve_wall
+    real = acceptance._solve_wall_form
 
-    def unscaled(case):
-        a0, od, s0, al, be, _ = case._form
-        return real(case)._replace(wall=F(-(a0 - al * s0), be * s0 - od))
+    def unscaled(form, valid_range):
+        a0, od, s0, al, be, _ = form
+        return (F(-(a0 - al * s0), be * s0 - od), *real(form, valid_range)[1:])
 
-    monkeypatch.setattr(acceptance, "solve_wall", unscaled)
+    monkeypatch.setattr(acceptance, "_solve_wall_form", unscaled)
     with pytest.raises(acceptance.CheckFailed, match="wall moves under rescaling"):
         acceptance.criterion_11()
 
@@ -160,37 +167,37 @@ def test_criterion_11_fails_on_a_wall_solver_that_misreads_the_cleared_scale(mon
 def test_criterion_11_fails_when_rescaling_flips_an_unstable_side(monkeypatch):
     # the wall stays put and only the side below it flips, on the rescaled cases alone: comparing the
     # walls alone passes this solver
-    real = acceptance.solve_wall
+    real = acceptance._solve_wall_form
 
-    def flipped(case):
-        report = real(case)
-        return report._replace(unstable_below=not report.unstable_below) if case.name.endswith("-scaled") else report
+    def flipped(form, valid_range):
+        wall, below, above, degenerate = real(form, valid_range)
+        return (wall, below, above, degenerate) if form in _BASE_WALL_FORMS else (wall, not below, above, degenerate)
 
-    monkeypatch.setattr(acceptance, "solve_wall", flipped)
+    monkeypatch.setattr(acceptance, "_solve_wall_form", flipped)
     with pytest.raises(acceptance.CheckFailed, match=r"^[\w-]+: unstable sides change under rescaling by \d+(/\d+)?$"):
         acceptance.criterion_11()
 
 
 def test_criterion_11_refuses_a_base_wall_case_without_a_wall(monkeypatch):
     # with no wall in range, "no wall" would stay "no wall" under every rescaling and prove nothing
-    real = acceptance.solve_wall
-    monkeypatch.setattr(acceptance, "solve_wall",
-                        lambda case: real(case)._replace(wall=None) if case.name == "a11irr" else real(case))
+    real, a11irr = acceptance._solve_wall_form, fixtures.wall_case("a11irr")._form
+    monkeypatch.setattr(acceptance, "_solve_wall_form", lambda form, valid_range: (
+        (None, *real(form, valid_range)[1:]) if form == a11irr else real(form, valid_range)))
     with pytest.raises(acceptance.CheckFailed, match="^a11irr: no wall in range to rescale$"):
         acceptance.criterion_11()
 
 
 def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypatch):
-    real = acceptance.solve_centroid_condition
+    real = acceptance._solve_cone_form
 
-    def shifted(case):
-        verdict = real(case)
-        if not case.name.endswith("-moved"):
-            return verdict
-        a, c, b = verdict.solution
-        return verdict._replace(solution=(a, c + 1, b))
+    def shifted(form):
+        verdict, solution, detail = real(form)
+        if form in _BASE_CONE_FORMS:
+            return verdict, solution, detail
+        a, c, b = solution
+        return verdict, (a, c + 1, b), detail
 
-    monkeypatch.setattr(acceptance, "solve_centroid_condition", shifted)
+    monkeypatch.setattr(acceptance, "_solve_cone_form", shifted)
     with pytest.raises(acceptance.CheckFailed, match="-moved: unique-c"):
         acceptance.criterion_11()
 
@@ -249,11 +256,10 @@ def test_criterion_11_checks_every_cone_it_moves(monkeypatch, corrupt, message):
 @pytest.mark.parametrize("name", acceptance._BASE_WALLS)
 def test_each_rescaled_wall_case_is_the_one_the_fraction_products_build(name, lam):
     case = fixtures.wall_case(name)
-    got = acceptance._rescaled(case, lam.numerator, lam.denominator)
+    got = acceptance._rescaled_form(case, lam.numerator, lam.denominator)
     want = WallCase(case.name + "-scaled", case.A0 * lam, case.ordD * lam, case.S0 * lam,
                     case.alpha, case.beta, case.valid_range)
-    assert got == want and got._form == want._form
-    assert [type(x) for x in got] == [type(x) for x in want]
+    assert got == want._form and all(type(x) is int for x in got)
 
 
 def test_criterion_11_derives_each_base_case_once(monkeypatch):
@@ -265,12 +271,25 @@ def test_criterion_11_derives_each_base_case_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("solve_wall", "solve_centroid_condition"):
+    for name in ("_solve_wall_form", "_solve_cone_form", "solve_wall", "solve_centroid_condition"):
         monkeypatch.setattr(acceptance, name, counted(name, getattr(acceptance, name)))
     monkeypatch.setattr(acceptance.fixtures, "wall_case", counted("wall_case", acceptance.fixtures.wall_case))
     acceptance.criterion_11()
-    # 6 base walls, 8 base cone verdicts; the 200 rescalings and 100 lattice moves still run
-    assert calls == {"wall_case": 6, "solve_wall": 6 + 200, "solve_centroid_condition": 8 + 100}
+    # 6 base walls, 8 base cone verdicts; the 200 rescalings and 100 lattice moves still run, each on its form
+    assert calls == {"wall_case": 6, "_solve_wall_form": 6 + 200, "_solve_cone_form": 8 + 100}
+
+
+def test_criterion_11_builds_no_record_per_trial(monkeypatch):
+    # every record a criterion-11 trial could build passes through its class's from_cleared: only the six
+    # base wall cases are built, and no centroid case
+    built = Counter()
+    for cls in (CentroidCase, WallCase):
+        def counted(cls, name, *args, real=cls.from_cleared.__func__):
+            built[cls.__name__, name] += 1
+            return real(cls, name, *args)
+        monkeypatch.setattr(cls, "from_cleared", classmethod(counted))
+    acceptance.criterion_11()
+    assert built == Counter({("WallCase", name): 1 for name in acceptance._BASE_WALLS})
 
 
 _COUNT_DERIVATIONS = textwrap.dedent("""
@@ -376,27 +395,28 @@ def _moved_by_fractions(case, g):
 def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_constructions(monkeypatch, seed):
     # every twin and moved cone the criterion builds at this seed, ties among the directions included
     twins, moves = [], []
-    real_twin, real_moved = acceptance._two_ray_twin, acceptance._moved_case
+    real_twin, real_moved = acceptance._two_ray_twin, acceptance._moved_form
 
     def twin(tri, w):
         twins.append((tri, w, real_twin(tri, w)))
         return twins[-1][2]
 
-    def moved(name, cone, g, ginv_t):
-        moves.append((name, g, real_moved(name, cone, g, ginv_t)))
+    def moved(cone, g, ginv_t):
+        moves.append((cone, g, real_moved(cone, g, ginv_t)))
         return moves[-1][2]
 
     monkeypatch.setattr(acceptance, "_SEED", seed)
     monkeypatch.setattr(acceptance, "_two_ray_twin", twin)
-    monkeypatch.setattr(acceptance, "_moved_case", moved)
+    monkeypatch.setattr(acceptance, "_moved_form", moved)
     acceptance.criterion_11()
     assert sum(model is not None for _, _, model in twins) == 60 and len(moves) == 100
     for tri, w, model in twins:
         want = _twin_by_fractions(tri, w)
         assert model == want and (model is None or model._form == want._form), (tri, w)
-    for name, g, case in moves:
-        base = fixtures.CENTROID_FIXTURES[name.removesuffix("-moved")].case
-        assert case == _moved_by_fractions(base, g), name
+    bases = {name: cf.case for name, cf in fixtures.CENTROID_FIXTURES.items()}
+    for cone, g, form in moves:
+        base = next(case for case in bases.values() if acceptance._cleared_cone(case) == cone)
+        assert form == _moved_by_fractions(base, g)._form, base.name
 
 
 def _one_coefficient_changed(prof):
@@ -473,8 +493,9 @@ def test_integer_lattice_moves_match_the_rational_composition():
 
 def test_moved_cones_are_the_ones_the_fraction_composition_builds():
     # every digit string of part (c) at codes 0, N - 1 and a fixed sample: the integer rows of g and of
-    # (g^-1)^T applied to the cleared cone give the record, and its cleared form, that the rational
-    # product of the shears and the signed permutation and its inverse give through the constructor
+    # (g^-1)^T applied to the cleared cone give the cleared form that the rational product of the shears
+    # and the signed permutation and its inverse give through the constructor, and the form-level solve
+    # gives the verdict, solution and detail of the record's solve and of the Fraction oracle
     names = sorted(fixtures.CENTROID_FIXTURES)
     radices = (len(names), *acceptance._MOVE_RADICES)
     size = math.prod(radices)
@@ -486,9 +507,12 @@ def test_moved_cones_are_the_ones_the_fraction_composition_builds():
         ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(gf))
         assert all(x.denominator == 1 for row in (*gf, *ginv_t) for x in row)  # g is unimodular
         g, h = (tuple(tuple(x.numerator for x in row) for row in m) for m in (gf, ginv_t))
-        got = acceptance._moved_case(base.name + "-moved", acceptance._cleared_cone(base), g, h)
+        got = acceptance._moved_form(acceptance._cleared_cone(base), g, h)
         want = _moved_by_fractions(base, gf)
-        assert got == want and got._form == want._form, code
+        assert got == want._form, code
+        u0, u2, solution, verdict, detail = solve_centroid_condition(want)
+        assert acceptance._solve_cone_form(got) == (verdict, solution, detail), code
+        assert oracles.solve_centroid_condition(want) == (u0, u2, solution, verdict, detail), code
 
 
 @pytest.mark.parametrize("radices", [(2, 3, 5), (5, 3, 2), (1, 4), (7,), (2, 2, 2, 2)])
@@ -516,7 +540,7 @@ def test_each_suite_draws_over_the_ranges_of_the_draws_it_replaced():
 def test_one_pass_at_the_seed_uses_every_value_of_every_digit(monkeypatch):
     # every call that decodes a trial or reads one of its values, in order
     events = []
-    for name in ("_digits", "solve_wall", "polygon", "_two_ray_twin", "_moved_case", "_random_unimodular"):
+    for name in ("_digits", "_solve_wall_form", "polygon", "_two_ray_twin", "_moved_form", "_random_unimodular"):
         def spy(*args, real=getattr(acceptance, name), name=name):
             result = real(*args)
             events.append((name, args, result))
@@ -534,18 +558,19 @@ def test_one_pass_at_the_seed_uses_every_value_of_every_digit(monkeypatch):
             d = result
             suites[args[1]].append(d)
         elif d is None:  # the six base walls, solved before the first draw
-            assert name == "solve_wall" and args[0].name in acceptance._BASE_WALLS
-        elif name == "solve_wall":
-            wall = acceptance._BASE_WALLS[d[0]]
-            assert args[0].name == wall + "-scaled"
-            assert args[0].S0 == fixtures.wall_case(wall).S0 * F(d[1] + 1, d[2] + 1)
+            assert name == "_solve_wall_form" and args[0] in _BASE_WALL_FORMS
+        elif name == "_solve_wall_form":
+            base, lam = fixtures.wall_case(acceptance._BASE_WALLS[d[0]]), F(d[1] + 1, d[2] + 1)
+            *nums, s = args[0]
+            assert [F(n, s) for n in nums] == [base.A0 * lam, base.ordD * lam, base.S0 * lam, base.alpha, base.beta]
+            assert args[1] == base.valid_range
         elif name == "polygon":
             x0, y0, x1, y1, x2, y2 = (F(p, q + 1) for p, q in zip(d[0:12:2], d[1:12:2]))
             assert args[0] == [(x0, y0), (x1, y1), (x2, y2)]
         elif name == "_two_ray_twin":
             assert args[1] == (d[12] - 5, d[13] - 5)
-        elif name == "_moved_case":
-            assert args[0] == names[d[0]] + "-moved"
+        elif name == "_moved_form":
+            assert args[0] == acceptance._cleared_cone(fixtures.CENTROID_FIXTURES[names[d[0]]].case)
         else:
             assert list(args[0]) == d[1:]
     rescalings, triangles, moves = suites.values()

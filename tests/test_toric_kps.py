@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kwall import fixtures
@@ -21,6 +21,8 @@ from kwall.exact import (
 from kwall.toric_kps import (
     CentroidCase,
     ConeError,
+    _cone_form,
+    _solve_cone_form,
     reeb_cross_section_centroid,
     solve_centroid_condition,
 )
@@ -308,6 +310,78 @@ def test_centroid_of_a_drawn_cone_matches_the_plane_basis_oracle(case):
         a, c, b = verdict.solution
         m = oracles.mat3([[verdict.u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
         assert mat3_vec(m, (a, c * a, b)) == u2
+
+
+@st.composite
+def cone_fields(draw):
+    """The fields of a cone, valid (half of the draws) or broken in one of the ways a cone is refused: a
+    generator divided or multiplied by 2..4 (or zeroed), one generator a combination of the other two, xi0
+    with a coefficient <= 0 on a generator, or eta0* off the plane orthogonal to xi0.  u1 is free, zero, or
+    a combination of u0 and eta0*, which leaves the coefficient undetermined."""
+    kind = draw(st.one_of(st.just("valid"), st.sampled_from(tuple(_INVALID_CONES))))
+    gens, i = list(draw(_generators)), draw(st.integers(0, 2))
+    lams = list(draw(st.tuples(_positive, _positive, _positive)))
+    if kind == "non-integer generator":
+        gens[i] = tuple(x / draw(st.integers(2, 4)) for x in gens[i])
+    elif kind == "non-primitive generator":
+        gens[i] = tuple(x * draw(st.integers(0, 4).filter(lambda m: m != 1)) for x in gens[i])
+    elif kind == "dependent generators":
+        v = _combination((draw(_icoord), draw(_icoord)), (gens[i - 1], gens[i - 2]))
+        g = math.gcd(*(x.numerator for x in v))
+        gens[i] = tuple(x / g for x in v) if g else v
+    elif kind == "xi0 outside the cone":
+        lams[i] = draw(st.fractions(min_value=-4, max_value=0, max_denominator=4))
+    xi0 = _combination(lams, gens)
+    eta0star = oracles.v3_cross(xi0, draw(_vec))
+    if kind == "eta0* not orthogonal to xi0":
+        eta0star = oracles.v3_add(eta0star, oracles.v3_scale(draw(_positive), xi0))
+    u1 = draw(st.sampled_from(("free", "zero", "dependent")))
+    if u1 == "free":
+        u1 = draw(_vec)
+    elif u1 == "zero":
+        u1 = (F(0), F(0), F(0))
+    else:
+        u0 = oracles.anticanonical_vector(gens) if oracles.det3(gens) != 0 else gens[0]
+        u1 = oracles.v3_add(oracles.v3_scale(draw(_coord), u0), oracles.v3_scale(draw(_coord), eta0star))
+    return dict(generators=tuple(gens), xi0=xi0, eta0star=eta0star, u1=u1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(fields=cone_fields())
+@example(fields=dict(_OCTANT._asdict(), name=None))
+@example(fields=dict(_RATIONAL_OCTANT, name=None))
+@example(fields=dict(_INVALID_CONES["non-integer generator"][0], u1=(0, 0, 1)))
+@example(fields=dict(_INVALID_CONES["non-primitive generator"][0], u1=(0, 0, 1)))
+@example(fields=dict(_INVALID_CONES["dependent generators"][0], u1=(0, 0, 1)))
+@example(fields=dict(_INVALID_CONES["xi0 outside the cone"][0], u1=(0, 0, 1)))
+@example(fields=dict(_INVALID_CONES["eta0* not orthogonal to xi0"][0], u1=(0, 0, 1)))
+def test_the_cone_form_and_its_solve_are_the_records(fields):
+    # the check and the solve that criterion 11 runs on a bare form: the record's form, and the verdict of the
+    # record's solve and of the Fraction oracle; or the refusal of the record and of the Fraction checks
+    fields = dict(fields, name="drawn")
+    cleared = [_cleared(vec3(*v)) for v in (*fields["generators"], fields["xi0"], fields["eta0star"], fields["u1"])]
+    try:
+        oracles.check_cone(fields["generators"], fields["xi0"], fields["eta0star"])
+    except ConeError as exc:
+        for build in (lambda: CentroidCase(**fields), lambda: _cone_form(*cleared)):
+            with pytest.raises(ConeError) as got:
+                build()
+            assert type(got.value) is ConeError and str(got.value) == str(exc)
+        return
+    case, form = CentroidCase(**fields), _cone_form(*cleared)
+    assert form == case._form
+    u0, u2, solution, verdict, detail = oracles.solve_centroid_condition(case)
+    assert _solve_cone_form(form) == (verdict, solution, detail)
+    assert solve_centroid_condition(case) == (u0, u2, solution, verdict, detail)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.CENTROID_FIXTURES))
+def test_each_centroid_fixture_solves_alike_on_its_form(name):
+    case = fixtures.CENTROID_FIXTURES[name].case
+    assert _cone_form(*(_cleared(v) for v in (*case.generators, case.xi0, case.eta0star, case.u1))) == case._form
+    u0, u2, solution, verdict, detail = solve_centroid_condition(case)
+    assert _solve_cone_form(case._form) == (verdict, solution, detail)
+    assert oracles.solve_centroid_condition(case) == (u0, u2, solution, verdict, detail)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

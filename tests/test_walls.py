@@ -17,6 +17,8 @@ from kwall.walls import (
     QuinticStratumPoint,
     WallCase,
     WallError,
+    _solve_wall_form,
+    _wall_form,
     admissibility_window,
     classify_quintic_stratum,
     first_wall,
@@ -144,6 +146,38 @@ def test_from_cleared_builds_the_case_its_constructor_builds(args, k):
     want, got = (build() for build in builds)
     lowest, lcd = oracles.cleared_over(values, 1)
     assert got == want and got._form == want._form == (*lowest, lcd)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=wall_inputs(), k=st.integers(1, 30))
+@example(args=(F(1), F(0), F(1), F(-1, 3), F(1), QUINTIC_RANGE), k=6)  # alpha - beta lo < 0
+@example(args=(F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE), k=1)  # alpha - beta hi < 0
+@example(args=(F(2), F(1), F(1), F(2), F(1), QUINTIC_RANGE), k=3)  # const = slope = 0
+@example(args=(F(7), F(12), F(49, 30), F(3), F(5), Interval(F(63, 115), F(3, 5))), k=2)  # wall at an open end
+def test_the_wall_form_and_its_solve_are_the_records(args, k):
+    # the check and the solve that criterion 11 runs on a bare form, whatever the scale the values come over:
+    # the record's form, and the report of the record's solve and of the Fraction oracle; or the refusal of
+    # the record and of the Fraction checks
+    *values, valid_range = args
+    nums, s = oracles.cleared_over(values, k)
+    try:
+        oracles.check_wall_range(values[3], values[4], valid_range)
+    except WallError as exc:
+        for build in (lambda: WallCase("drawn", *values, valid_range), lambda: _wall_form(nums, s, valid_range)):
+            with pytest.raises(WallError) as got:
+                build()
+            assert type(got.value) is WallError and str(got.value) == str(exc)
+        return
+    case, form = WallCase("drawn", *values, valid_range), _wall_form(nums, s, valid_range)
+    assert form == case._form
+    assert _solve_wall_form(form, valid_range) == oracles.solve_wall(case)[1:] == solve_wall(case)[1:]
+
+
+@pytest.mark.parametrize("case", [*map(fixtures.wall_case, fixtures.WALL_FIXTURES),
+                                  *map(fixtures.first_wall_case, range(4, 12))], ids=lambda case: case.name)
+def test_each_wall_fixture_solves_alike_on_its_form(case):
+    assert _wall_form(case._form[:5], case._form[5], case.valid_range) == case._form
+    assert _solve_wall_form(case._form, case.valid_range) == solve_wall(case)[1:] == oracles.solve_wall(case)[1:]
 
 
 _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)

@@ -383,7 +383,7 @@ def criterion_11() -> str:
 
     # (a) scale invariance of walls: 200 random rescalings, each keeping all of the report but its case (the
     # wall, both unstable sides, degeneracy); a base case without a wall, which any rescaling keeps, is refused.
-    # Each rescaled case is checked and solved on its form alone, as WallCase.from_cleared and solve_wall do
+    # Each rescaled case is checked and solved on its form alone, as the WallCase constructor and solve_wall do
     base_cases = {name: fixtures.wall_case(name) for name in _BASE_WALLS}
     base_reports = {name: _solve_wall_form(case._form, case.valid_range) for name, case in base_cases.items()}
     if missing := [name for name, report in base_reports.items() if report[0] is None]:
@@ -429,7 +429,7 @@ def criterion_11() -> str:
         raise CheckFailed(f"only {done} of 60 triangles in {_TRIANGLE_ATTEMPTS} attempts")
 
     # (c) unimodular equivariance of the centroid test: 100 trials, each moved cone checked and solved on its
-    # form alone, as CentroidCase.from_cleared and solve_centroid_condition do
+    # form alone, as the CentroidCase constructor and solve_centroid_condition do
     names = sorted(fixtures.CENTROID_FIXTURES)
     cases = {name: fixtures.CENTROID_FIXTURES[name].case for name in names}
     cones = {name: _cleared_cone(case) for name, case in cases.items()}

@@ -76,16 +76,11 @@ _P2, _P114, _P1425 = _manetti(1, 1), _manetti(1, 2), _manetti(2, 5)
 _X26 = Surface(F(1, 25), F(15), F(5))
 
 
-class _VolumeRecord(namedtuple("_VolumeRecord", "name model L moment surface provenance expected valuation",
+class VolumeFixture(namedtuple("VolumeFixture", "name model L moment surface provenance expected valuation",
                                defaults=(None,))):
-    """The fields of a VolumeFixture: its TwoRayModel or None, the class L, its MomentPolygon or None, its
-    Surface (None for a scenario, which has no surface), and the MonomialVal of a blow-up, read by its wall
-    fixtures (else None)."""
+    """A volume fixture: its TwoRayModel or None, the class L, its MomentPolygon or None, its Surface (None for
+    a scenario, which has no surface), and the MonomialVal of a blow-up, read by its wall fixtures (else None)."""
 
-    __slots__ = ()
-
-
-class VolumeFixture(_VolumeRecord):
     # no __slots__: the instance dict keeps the profile and S0 that cached_property derives
 
     @cached_property

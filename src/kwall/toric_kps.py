@@ -46,23 +46,27 @@ class CentroidCase(namedtuple("CentroidCase", "name generators xi0 eta0star u1")
     # no __slots__: the instance dict holds _form, outside equality, hashing and repr
 
     def __new__(cls, name: str, generators: tuple[Vec3, Vec3, Vec3], xi0: Vec3, eta0star: Vec3, u1: Vec3):
-        vectors = (*(vec3(*g) for g in generators), vec3(*xi0), vec3(*eta0star), vec3(*u1))
-        return cls.from_cleared(name, *map(_cleared, vectors))
-
-    @classmethod
-    def from_cleared(cls, name: str, *cleared: tuple[list[int], int]) -> CentroidCase:
-        """The case whose three generators, xi0, eta0* and u1 are given cleared, each as integer numerators
-        over a positive denominator in lowest terms (what _cleared returns): _cone_form, then the fields."""
-        form = _cone_form(*cleared)
-        self = super().__new__(cls, name, tuple(_fractions(*g) for g in cleared[:3]),
-                               *(_fractions(*v) for v in cleared[3:]))
+        generators = tuple(vec3(*g) for g in generators)
+        xi0, eta0star, u1 = vec3(*xi0), vec3(*eta0star), vec3(*u1)
+        form = _cone_form(*map(_cleared, (*generators, xi0, eta0star, u1)))
+        self = super().__new__(cls, name, generators, xi0, eta0star, u1)
         self._form = form
         return self
 
 
 def _cone_form(*cleared: tuple[list[int], int]):
-    """The cleared form of the cone whose generators, xi0, eta0* and u1 are given as CentroidCase.from_cleared
-    takes them; the one path that checks a cone."""
+    """The cleared form of the cone whose generators, xi0, eta0* and u1 are given cleared, each as integer
+    numerators over a positive denominator in lowest terms (what _cleared returns); the one path that checks
+    a cone.
+
+    With r_k = n_(k+1) x n_(k+2) (indices mod 3) and G the generator matrix, <r_k, n_j> is det G for j = k
+    and 0 otherwise, so u0 = (r_0 + r_1 + r_2) / det G pairs to 1 with each generator.  The dual cone
+    tau^v = {u : <u, n_j> >= 0} is spanned by the rays sign(det G) r_k.  A checked cone has det G != 0 and
+    xi0 = sum lambda_j n_j with every lambda_j > 0, so <r_k, xi0> = lambda_k det G != 0 and
+    v_k = r_k / <r_k, xi0> is that ray scaled onto the plane <., xi0> = 1, whatever the sign of det G.  The
+    v_k lie in every halfplane, and det(r_0, r_1, r_2) = (det G)^2 != 0, so they are the vertices of a
+    triangle, the cross-section, whose area centroid u2 is their average and lies on the plane with them.
+    """
     g0, g1, g2, (xi, xs), eta, u1 = cleared
     # the toric setting: each generator is the primitive lattice vector on its ray
     for i, (row, s) in enumerate((g0, g1, g2)):
@@ -74,15 +78,19 @@ def _cone_form(*cleared: tuple[list[int], int]):
     if det == 0:
         raise ConeError("field 'generators': cone generators are linearly dependent")
     # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
-    p = tuple(_idot3(r, xi) for r in rays)
+    p0, p1, p2 = p = tuple(_idot3(r, xi) for r in rays)
     if any(pk * det <= 0 for pk in p):
         raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
     if _idot3(eta[0], xi) != 0:
         raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
-    # the dual rays r_k = n_(k+1) x n_(k+2) (indices mod 3), det G = <n_0, r_0>, with xi0 cleared as
-    # xi / xs the pairings p_k = <r_k, xi>, and u1 and eta0* cleared, as (rays, det, xs, p, u1, eta0*):
-    # what u0, u2 and the centroid condition read
-    return rays, det, xs, p, u1, eta
+    # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2, reduced
+    weights = (p1 * p2, p0 * p2, p0 * p1)
+    total = [xs * sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
+    den = 3 * p0 * p1 * p2
+    g = math.gcd(den, *total) if den > 0 else -math.gcd(den, *total)
+    # (n, det, u2, u1, eta0*) with n = det G u0, det = det G and u2, u1 and eta0* cleared: what the
+    # centroid condition reads
+    return [sum(r[i] for r in rays) for i in range(3)], det, ([x // g for x in total], den // g), u1, eta
 
 
 class CentroidVerdict(namedtuple("CentroidVerdict", "u0 u2 solution verdict detail", defaults=("",))):
@@ -93,40 +101,17 @@ class CentroidVerdict(namedtuple("CentroidVerdict", "u0 u2 solution verdict deta
 
 
 def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
-    """Exact area centroid of the cross-section of the dual cone by the Reeb hyperplane.
-
-    With r_k = n_(k+1) x n_(k+2) (indices mod 3) and G the generator matrix,
-    <r_k, n_j> is det G for j = k and 0 otherwise, so the dual cone
-    tau^v = {u : <u, n_j> >= 0} is spanned by the rays sign(det G) r_k.  A
-    validated case has det G != 0 and xi0 = sum lambda_j n_j with every
-    lambda_j > 0, so <r_k, xi0> = lambda_k det G != 0 and v_k = r_k / <r_k, xi0>
-    is that ray scaled onto the plane <., xi0> = 1, whatever the sign of det G.
-    The v_k lie in every halfplane, and det(r_0, r_1, r_2) = (det G)^2 != 0, so
-    they are the vertices of a triangle, whose area centroid is their average
-    and lies on the plane with them.  No check is left.
-    """
-    return _fractions(*_cleared_centroid(case._form))  # type: ignore[return-value]
-
-
-def _cleared_centroid(form) -> tuple[list[int], int]:
-    """The numerators of reeb_cross_section_centroid over their reduced positive denominator, from a cone form."""
-    rays, _, xs, (p0, p1, p2), _, _ = form
-    # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2
-    weights = (p1 * p2, p0 * p2, p0 * p1)
-    total = [xs * sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
-    den = 3 * p0 * p1 * p2
-    g = math.gcd(den, *total) if den > 0 else -math.gcd(den, *total)
-    return [x // g for x in total], den // g
+    """Exact area centroid u2 of the cross-section of the dual cone by the Reeb hyperplane, which
+    _cone_form derives."""
+    return _fractions(*case._form[2])  # type: ignore[return-value]
 
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     """Decide whether the centroid decomposes as a(u0 - c u1) + b eta0* with a, b > 0:
     _solve_cone_form, then u0 and u2 as Fractions."""
-    # <r_k, n_j> is det G for j = k and 0 otherwise: this u0 = n / det pairs to 1 with each generator
-    rays, det = case._form[:2]
-    u0 = tuple(Fraction(sum(r[i] for r in rays), det) for i in range(3))
+    n, det, u2 = case._form[:3]
     verdict, solution, detail = _solve_cone_form(case._form)
-    return CentroidVerdict(u0, _fractions(*_cleared_centroid(case._form)), solution, verdict, detail)
+    return CentroidVerdict(tuple(Fraction(x, det) for x in n), _fractions(*u2), solution, verdict, detail)
 
 
 def _solve_cone_form(form) -> tuple[str, Optional[tuple[Fraction, Fraction, Fraction]], str]:
@@ -135,9 +120,7 @@ def _solve_cone_form(form) -> tuple[str, Optional[tuple[Fraction, Fraction, Frac
     Substituting p = a and q = ac makes the condition the linear system
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
     """
-    rays, det, _, _, (v, us), (eta, es) = form
-    n = [sum(r[i] for r in rays) for i in range(3)]  # det times u0
-    w, s = _cleared_centroid(form)
+    n, det, (w, s), (v, us), (eta, es) = form
     # with u0 = n / det, u1 = v / us, eta0* = eta / es and u2 = w / s, the integer system
     # (n, -v, eta) z = w is the condition in z = s (p / det, q / us, b / es): its columns are those of
     # the condition scaled by nonzero numbers, so it has the same rank

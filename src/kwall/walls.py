@@ -50,14 +50,7 @@ class WallCase(namedtuple("WallCase", "name A0 ordD S0 alpha beta valid_range"))
     def __new__(cls, name: str, A0: Fraction, ordD: Fraction, S0: Fraction, alpha: Fraction, beta: Fraction,
                 valid_range: Interval):
         values = tuple(rat(v) for v in (A0, ordD, S0, alpha, beta))
-        return cls.from_cleared(name, values, *_cleared(values), valid_range)
-
-    @classmethod
-    def from_cleared(cls, name: str, values: tuple[Fraction, ...], nums: tuple[int, ...], s: int,
-                     valid_range: Interval) -> WallCase:
-        """The case whose (A0, ordD, S0, alpha, beta) are the Fractions ``values``, also given cleared as the
-        integers nums over a positive denominator s in any common scale: _wall_form, then the fields."""
-        form = _wall_form(nums, s, valid_range)
+        form = _wall_form(*_cleared(values), valid_range)
         self = super().__new__(cls, name, *values, valid_range)
         self._form = form
         return self

@@ -280,14 +280,15 @@ def test_criterion_11_derives_each_base_case_once(monkeypatch):
 
 
 def test_criterion_11_builds_no_record_per_trial(monkeypatch):
-    # every record a criterion-11 trial could build passes through its class's from_cleared: only the six
+    # every record a criterion-11 trial could build passes through its class's constructor: only the six
     # base wall cases are built, and no centroid case
     built = Counter()
     for cls in (CentroidCase, WallCase):
-        def counted(cls, name, *args, real=cls.from_cleared.__func__):
-            built[cls.__name__, name] += 1
-            return real(cls, name, *args)
-        monkeypatch.setattr(cls, "from_cleared", classmethod(counted))
+        def counted(cls, *args, real=cls.__new__, **kwargs):
+            record = real(cls, *args, **kwargs)
+            built[cls.__name__, record.name] += 1
+            return record
+        monkeypatch.setattr(cls, "__new__", counted)
     acceptance.criterion_11()
     assert built == Counter({("WallCase", name): 1 for name in acceptance._BASE_WALLS})
 

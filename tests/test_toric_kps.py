@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from kwall import fixtures
 from kwall.exact import (
     _cleared,
+    _fractions,
     area_centroid,
     mat3_vec,
     v2_add,
@@ -40,11 +41,6 @@ _OCTANT = CentroidCase(
 )
 
 
-def _from_cleared(name, generators, xi0, eta0star, u1):
-    """The case built through CentroidCase.from_cleared from the same rationals, cleared by the test."""
-    return CentroidCase.from_cleared(name, *(_cleared(vec3(*v)) for v in (*generators, xi0, eta0star, u1)))
-
-
 _RATIONAL_OCTANT = dict(
     name="rational-octant",
     generators=((F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))),
@@ -58,13 +54,19 @@ _RATIONAL_OCTANT = dict(
     *(cf.case._asdict() for cf in fixtures.CENTROID_FIXTURES.values()), _OCTANT._asdict(), _RATIONAL_OCTANT,
 ], ids=lambda fields: fields["name"])
 def test_both_entry_points_build_the_same_case(fields):
-    got, want = _from_cleared(**fields), CentroidCase(**fields)
-    assert got == want and got._form == want._form and repr(got) == repr(want)
+    # the constructor, given the fields or each vector cleared and read back as Fractions, builds one record
+    # that keeps Fraction fields; _cone_form on the cleared vectors builds that record's form
+    cleared = [_cleared(vec3(*v)) for v in (*fields["generators"], fields["xi0"], fields["eta0star"], fields["u1"])]
+    want = CentroidCase(**fields)
+    gens, (xi0, eta0star, u1) = [_fractions(*c) for c in cleared[:3]], [_fractions(*c) for c in cleared[3:]]
+    got = CentroidCase(fields["name"], gens, xi0, eta0star, u1)
+    assert got == want and got._form == want._form == _cone_form(*cleared) and repr(got) == repr(want)
+    assert all(type(x) is F for v in (*got.generators, got.xi0, got.eta0star, got.u1) for x in v)
     assert solve_centroid_condition(got) == solve_centroid_condition(want)
 
 
 _OCTANT_GENERATORS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-# one cone of each invalid class, and the one error line both entry points give it
+# one cone of each invalid class, and the one error line the constructor and the form function give it
 _INVALID_CONES = {
     "non-integer generator": (
         dict(generators=((1, 0, 0), (F(1, 2), 1, 0), (0, 0, 1)), xi0=(1, 1, 1), eta0star=(1, -1, 0)),
@@ -92,10 +94,11 @@ _INVALID_CONES = {
 @pytest.mark.parametrize("fields, message", _INVALID_CONES.values(), ids=_INVALID_CONES)
 def test_both_entry_points_refuse_each_invalid_cone_alike(fields, message):
     fields = dict(fields, name="bad", u1=(0, 0, 1))
-    for build in (CentroidCase, _from_cleared):
+    cleared = [_cleared(vec3(*v)) for v in (*fields["generators"], fields["xi0"], fields["eta0star"], fields["u1"])]
+    for build in (lambda: CentroidCase(**fields), lambda: _cone_form(*cleared)):
         with pytest.raises(ConeError) as exc:
-            build(**fields)
-        assert type(exc.value) is ConeError and str(exc.value) == message, build
+            build()
+        assert type(exc.value) is ConeError and str(exc.value) == message
 
 
 def test_anticanonical_identity_basis():

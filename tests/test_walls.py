@@ -128,36 +128,12 @@ def test_integer_wall_solver_equals_its_reference(args):
 @example(args=(F(1), F(0), F(1), F(-1, 3), F(1), QUINTIC_RANGE), k=6)  # alpha - beta lo < 0
 @example(args=(F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE), k=1)  # alpha - beta hi < 0
 @example(args=(F(-7, 2), F(0), F(-49, 30), F(3), F(5), QUINTIC_RANGE), k=4)  # negative numerators, a zero
-def test_from_cleared_builds_the_case_its_constructor_builds(args, k):
-    # the five values over k times their least common denominator: the same record with the same cleared
-    # form, in lowest terms, or the same refusal
-    *values, valid_range = args
-    nums, s = oracles.cleared_over(values, k)
-    builds = (lambda: WallCase("drawn", *values, valid_range),
-              lambda: WallCase.from_cleared("drawn", tuple(values), nums, s, valid_range))
-    try:
-        oracles.check_wall_range(values[3], values[4], valid_range)
-    except WallError as exc:
-        for build in builds:
-            with pytest.raises(WallError) as got:
-                build()
-            assert type(got.value) is WallError and str(got.value) == str(exc)
-        return
-    want, got = (build() for build in builds)
-    lowest, lcd = oracles.cleared_over(values, 1)
-    assert got == want and got._form == want._form == (*lowest, lcd)
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(args=wall_inputs(), k=st.integers(1, 30))
-@example(args=(F(1), F(0), F(1), F(-1, 3), F(1), QUINTIC_RANGE), k=6)  # alpha - beta lo < 0
-@example(args=(F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE), k=1)  # alpha - beta hi < 0
 @example(args=(F(2), F(1), F(1), F(2), F(1), QUINTIC_RANGE), k=3)  # const = slope = 0
 @example(args=(F(7), F(12), F(49, 30), F(3), F(5), Interval(F(63, 115), F(3, 5))), k=2)  # wall at an open end
 def test_the_wall_form_and_its_solve_are_the_records(args, k):
     # the check and the solve that criterion 11 runs on a bare form, whatever the scale the values come over:
-    # the record's form, and the report of the record's solve and of the Fraction oracle; or the refusal of
-    # the record and of the Fraction checks
+    # the record's form, in lowest terms, and the report of the record's solve and of the Fraction oracle; or
+    # the refusal of the record and of the Fraction checks
     *values, valid_range = args
     nums, s = oracles.cleared_over(values, k)
     try:
@@ -169,8 +145,32 @@ def test_the_wall_form_and_its_solve_are_the_records(args, k):
             assert type(got.value) is WallError and str(got.value) == str(exc)
         return
     case, form = WallCase("drawn", *values, valid_range), _wall_form(nums, s, valid_range)
-    assert form == case._form
+    lowest, lcd = oracles.cleared_over(values, 1)
+    assert form == case._form == (*lowest, lcd)
     assert _solve_wall_form(form, valid_range) == oracles.solve_wall(case)[1:] == solve_wall(case)[1:]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(args=wall_inputs())
+@example(args=(F(-7, 2), F(0), F(-49, 30), F(3), F(5), QUINTIC_RANGE))  # negative numerators, a zero
+@example(args=(F(1), F(0), F(1), F(1), F(5), QUINTIC_RANGE))  # alpha - beta hi < 0
+def test_the_constructor_builds_one_record_from_any_writing_of_its_values(args):
+    # the values as Fractions, as 'p/q' strings and as the record's own fields: one record, with one form,
+    # that keeps the Fractions given; or one refusal
+    *values, valid_range = args
+    writings = (tuple(values), tuple(map(str, values)))
+    try:
+        oracles.check_wall_range(values[3], values[4], valid_range)
+    except WallError as exc:
+        for written in writings:
+            with pytest.raises(WallError) as got:
+                WallCase("drawn", *written, valid_range)
+            assert type(got.value) is WallError and str(got.value) == str(exc)
+        return
+    case, from_text = (WallCase("drawn", *written, valid_range) for written in writings)
+    for other in (from_text, WallCase(*case)):
+        assert other == case and other._form == case._form and repr(other) == repr(case)
+    assert case[1:6] == tuple(values) and all(type(v) is F for v in case[1:6])
 
 
 @pytest.mark.parametrize("case", [*map(fixtures.wall_case, fixtures.WALL_FIXTURES),

@@ -280,9 +280,15 @@ def criterion_10() -> str:
             raise CheckFailed(f"{name}: {verdict.verdict}, polystable {verdict.polystable}")
         line = f"{name} {verdict.verdict}" + (", polystable" if verdict.polystable else "")
         if verdict.verdict == "unstable":
-            replayed = replay_certificate(system, verdict.certificate)
+            # the replay reads the raw monomials, not the verdict's weight table: its weights must be positive
+            # and be the ones the certificate prints
+            cert = verdict.certificate
+            replayed = replay_certificate(system, cert)
             if not (replayed and all(w > 0 for w in replayed)):
                 raise CheckFailed(f"{name}: certificate replays to {replayed}")
+            if tuple(replayed) != cert.weights:
+                raise CheckFailed(f"{name}: certificate replays to {replayed}, "
+                                  f"but prints weights {', '.join(map(str, cert.weights))}")
             line += " (certificate replays positive)"
         checked.append(line)
     for name, want in _PLANE_WEIGHTS.items():

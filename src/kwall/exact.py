@@ -4,9 +4,10 @@ and convex polygon primitives.
 Every scalar in the toolkit is a ``fractions.Fraction`` (arbitrary-precision,
 always reduced, positive denominator).  Nothing here ever rounds.  A polynomial
 is kept cleared, as integer numerators over one canonical denominator.  Polynomial
-evaluation, the integral of a piecewise polynomial, the polygon kernels, the 3x3
-solve and the matrix-vector product clear denominators and work over Python
-``int``; each value they return is one reduced Fraction.
+evaluation, the integral of a piecewise polynomial, the polygon kernels and the
+3x3 solve clear denominators and work over Python ``int``; each value they
+return is one reduced Fraction.  The kernels keep only the input checks a
+command can reach; the tests' Fraction references keep the other contracts.
 """
 
 from __future__ import annotations
@@ -88,15 +89,6 @@ def fmt(q: Fraction) -> str:
 
 def vec3(x, y, z) -> Vec3:
     return (rat(x), rat(y), rat(z))
-
-
-def v2_add(a: Vec2, b: Vec2) -> Vec2:
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def v2_scale(s, a: Vec2) -> Vec2:
-    s = rat(s)
-    return (s * a[0], s * a[1])
 
 
 def v2_dot(a: Vec2, b: Vec2) -> Fraction:
@@ -362,7 +354,7 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
         if fa >= 0 and fb >= 0:
             return p
         t = fa / (fa - fb)  # crossing parameter on [a, b]
-        cut = v2_add(a, v2_scale(t, (b[0] - a[0], b[1] - a[1])))
+        cut = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
         kept = a if fa >= 0 else b
         return polygon([kept, cut])
     out: list[Vec2] = []
@@ -376,7 +368,7 @@ def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:
             out.append(cur)
         if (fc > 0 and fn < 0) or (fc < 0 and fn > 0):
             t = fc / (fc - fn)
-            out.append(v2_add(cur, v2_scale(t, (nxt[0] - cur[0], nxt[1] - cur[1]))))
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
     return polygon(out)
 
 
@@ -403,12 +395,6 @@ def area_centroid(p: Polygon2) -> tuple[Fraction, Vec2]:
 Mat3 = tuple[Vec3, Vec3, Vec3]  # rows
 
 
-def _int_rows(m: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """Each row times the lcm of its denominators: the integer rows and their scales."""
-    cleared = [_cleared(r) for r in m]
-    return [r for r, _ in cleared], [s for _, s in cleared]
-
-
 def _adjugate_columns(a: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], ...]:
     """Columns of adj(a) = det(a) a^-1 for integer rows a: each a cross product of two rows."""
     return _icross(a[1], a[2]), _icross(a[2], a[0]), _icross(a[0], a[1])
@@ -430,12 +416,6 @@ def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
     """Unique solution of m x = rhs; raises SingularSystemError(rank) when det = 0."""
     # each equation scaled with its right-hand side: an integer system with the same solution, and the
     # same rank, since scaling a row keeps it
-    rows, _ = _int_rows([(*r, b) for r, b in zip(m, rhs)])
+    rows = [_cleared((*r, b))[0] for r, b in zip(m, rhs)]
     nums, d = _cramer3([r[:3] for r in rows], [r[3] for r in rows])
     return tuple(Fraction(x, d) for x in nums)  # type: ignore[return-value]
-
-
-def mat3_vec(m: Mat3, v: Vec3) -> Vec3:
-    a, s = _int_rows(m)
-    iv, t = _cleared(v)
-    return tuple(Fraction(_idot3(r, iv), sr * t) for r, sr in zip(a, s))  # type: ignore[return-value]

@@ -3,9 +3,11 @@
 Every fixture stores raw input data (surfaces, moment polygons, valuation
 weights, germ supports, cone data) plus *annotations*: the values the
 computation is expected to reproduce, with a provenance note.  The tests
-compare the annotations with engine output, and criteria 5 and 8 of the
-verification checklist read the printed centroid vectors and the lct values;
-no annotation is ever returned as an answer.
+compare the annotations with engine output, and so does the verification
+checklist: criterion 4 reads the S0 of every volume fixture, criterion 5 the
+printed centroid vectors and the wall annotated on each centroid fixture's
+twin, and criterion 8 the lct values.  No annotation is ever returned as an
+answer.
 
 Each surface is typed once, as a ``Surface``: (H^2), -K = alpha H and D = k d H
 for a degree-d curve, so -(K + cD) = (alpha - k d c) H.  P(1, b^2, c^2) with
@@ -30,7 +32,7 @@ from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
-from .exact import PiecewiseQuadratic, Vec3, mat3_vec, polygon
+from .exact import PiecewiseQuadratic, Vec3, _cleared, _idot3, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
 from .toric_kps import CentroidCase
 from .valuations import (
@@ -372,7 +374,8 @@ class CentroidFixture(namedtuple("CentroidFixture", "case printed_basis twin pro
     # families, not checked here
 
     def to_printed(self, u: Vec3) -> Vec3:
-        return mat3_vec(self.printed_basis, u)
+        nums, d = _cleared(u)  # integer rows: each printed coordinate is one integer over d
+        return tuple(Fraction(_idot3(row, nums), d) for row in self.printed_basis)  # type: ignore[return-value]
 
 
 CENTROID_FIXTURES: dict[str, CentroidFixture] = {}

@@ -59,10 +59,8 @@ def hm_weight_plane(curve: PlaneCurveSupport, lam: OnePS) -> Fraction:
     along lambda is zero and the curve is destabilized; any monomial of
     nonpositive weight blocks the direction.
     """
-    return -min(
-        sum(Fraction(e) * w for e, w in zip(mon, lam.weights))
-        for mon in sorted(curve.monomials)
-    )
+    w0, w1, w2 = lam.weights
+    return Fraction(-min(a * w0 + b * w1 + c * w2 for a, b, c in curve.monomials))
 
 
 # ---------------------------------------------------------------------------
@@ -132,26 +130,12 @@ class StabilityVerdict(namedtuple("StabilityVerdict", "verdict certificate polys
     __slots__ = ()
 
 
-def _candidate_orders(system: BinaryFormSystem) -> list[tuple[str, dict[int, list[tuple[int, int]]]]]:
-    """Per candidate root: for each nonzero block the list of (order at root, block degree)
-    over its nonzero monomials."""
-    out = []
-    for name, ordsel in (("x=0", lambda i, k: i), ("y=0", lambda i, k: k)):
-        per_block: dict[int, list[tuple[int, int]]] = {}
-        for j in system.nonzero_blocks():
-            deg = system.block_degree(j)
-            per_block[j] = [(ordsel(i, k), deg) for i, k in sorted(system.forms[j])]
-        out.append((name, per_block))
-    return out
-
-
-def _normalized_weights(per_block: dict[int, list[tuple[int, int]]]) -> list[tuple[Fraction, int]]:
-    """Weight vectors (2 ord - degree, block scaling weight) over nonzero monomials."""
-    vecs = []
-    for j, entries in per_block.items():
-        for order, deg in entries:
-            vecs.append((Fraction(2 * order - deg), j))
-    return vecs
+def _weight_table(system: BinaryFormSystem) -> list[tuple[str, list[tuple[int, int]]]]:
+    """Per candidate root, x=0 then y=0: the integer pair (2 ord - degree, block scaling weight j)
+    of every nonzero monomial, blocks by increasing j and monomials in sorted order."""
+    blocks = [(j, system.block_degree(j), sorted(system.forms[j])) for j in system.nonzero_blocks()]
+    return [(name, [(2 * mon[at] - deg, j) for j, deg, mons in blocks for mon in mons])
+            for name, at in (("x=0", 0), ("y=0", 1))]
 
 
 def binary_system_stability(system: BinaryFormSystem) -> StabilityVerdict:
@@ -163,28 +147,20 @@ def binary_system_stability(system: BinaryFormSystem) -> StabilityVerdict:
     nonnegative on all pairs, which happens iff every normalized weight is
     strictly positive.  Certificates carry integer 1-PS data whose replayed
     combined weights are all strictly positive.
+
+    The roots are read in one pass: i + k is the block degree, so the weights
+    at y=0 are those at x=0 negated, and a root whose weights are all
+    nonnegative but not all positive leaves the other root a zero weight, so
+    no later root can be destabilizing.
     """
-    candidates = _candidate_orders(system)
-    max_j = max(system.nonzero_blocks())
-
-    for name, per_block in candidates:
-        vecs = _normalized_weights(per_block)
-        if all(w > 0 for w, _ in vecs):
-            a = max_j + 1
-            cert = StabilityCertificate(
-                candidate=name,
-                a=a,
-                r=-1,
-                weights=tuple(a * w - j for w, j in vecs),
-            )
+    a = max(system.nonzero_blocks()) + 1
+    for name, pairs in _weight_table(system):
+        if all(w > 0 for w, _ in pairs):
+            cert = StabilityCertificate(name, a, -1, tuple(Fraction(a * w - j) for w, j in pairs))
             return StabilityVerdict("unstable", cert, detail=f"destabilized at {name}")
-
-    for name, per_block in candidates:
-        vecs = _normalized_weights(per_block)
-        if all(w >= 0 for w, _ in vecs):
-            torus_fixed = all(w == 0 for w, _ in vecs)
-            cert = StabilityCertificate(candidate=name, a=1, r=0, weights=tuple(w for w, _ in vecs))
-            if torus_fixed:
+        if all(w >= 0 for w, _ in pairs):
+            cert = StabilityCertificate(name, 1, 0, tuple(Fraction(w) for w, _ in pairs))
+            if not any(w for w, _ in pairs):
                 return StabilityVerdict(
                     "strictly-semistable", cert, polystable=True,
                     detail=f"fixed by the boundary torus at {name}; orbit closed",
@@ -198,11 +174,16 @@ def binary_system_stability(system: BinaryFormSystem) -> StabilityVerdict:
     return StabilityVerdict("stable", None, polystable=True, detail=f"no destabilizing direction for {sym}")
 
 
-def replay_certificate(system: BinaryFormSystem, cert: StabilityCertificate) -> list[Fraction]:
-    """Recompute the combined weights a(2 ord - deg) + r j of an unstable certificate
-    directly from the raw monomial data."""
-    per_block = dict(_candidate_orders(system))[cert.candidate]
-    return [cert.a * (2 * order - deg) + cert.r * j for j, entries in per_block.items() for order, deg in entries]
+def replay_certificate(system: BinaryFormSystem, cert: StabilityCertificate) -> list[int]:
+    """Recompute the combined weights a(2 ord - deg) + r j of a certificate directly from the raw
+    monomial data, in the certificate's order: blocks by increasing j, monomials sorted."""
+    out = []
+    for j in system.nonzero_blocks():
+        deg = system.block_degree(j)
+        for i, k in sorted(system.forms[j]):
+            order = i if cert.candidate == "x=0" else k
+            out.append(cert.a * (2 * order - deg) + cert.r * j)
+    return out
 
 
 # ---------------------------------------------------------------------------

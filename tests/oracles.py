@@ -32,32 +32,41 @@ P(1, b^2, c^2) from a congruence; ``line_support`` lists the level sets of
 the degree-10d curves on P(1,4,25) by hand, as the fixtures once typed them.
 
 The library's polynomial evaluation (and so each piece of a piecewise
-evaluation), integral of a piecewise polynomial, 3x3 solve and matrix-vector
-product, polygon construction, shoelace area and centroid, both volume engines,
-the centroid condition, the two-ray model's checks of a declared curve and
-interval membership clear denominators and work over integers.  The kernels and
-engines below are their ``Fraction``-arithmetic references (``integrate`` and
+evaluation), integral of a piecewise polynomial, 3x3 solve, polygon
+construction, shoelace area and centroid, both volume engines, the centroid
+condition, the two-ray model's checks of a declared curve and interval
+membership clear denominators and work over integers.  The kernels and engines
+below are their ``Fraction``-arithmetic references (``integrate`` and
 ``s_invariant`` go through ``poly_antiderivative`` and ``poly_integral``, the
 route the library's ``Poly`` no longer keeps; ``solve_centroid_condition``,
 ``check_two_ray_model`` and ``interval_contains``, which ``solve_wall`` here
 reads, compare Fractions): the tests require exact equality with them (or the
-same error and message), and the constructions
-here use them rather than the library's, together with the ``Fraction`` vector
-sum, difference and scaling defined here.  The dot product, determinant,
-transpose, inverse and anticanonical vector here have no library counterpart
-any more: the centroid test reads its dual rays, det G and u0 off the cleared
-cone of a ``CentroidCase``, and criterion 11 inverts its unimodular moves by
-integer cofactors.  The tests build their moved and drawn cones with them and
-check the library's u0 against ``anticanonical_vector``.  Nor have the planar
-difference and cross product: criterion 11 builds its two-ray twins from the
-cleared integer vertices of each triangle.  Nor have the polynomial sum,
-difference and product (``poly_add``, ``poly_sub``, ``poly_mul``), which no
-command calls: the tests and the engines here build polynomials with them.
-``cleared_over`` writes rationals as integers over a common denominator of any
-scale, which ``walls._wall_form`` and ``TwoRayModel.from_cleared`` take.  ``mat3_rank`` is the Fraction elimination that the library's solve replaced by
-reading the rank of a singular system off the 2x2 minors it already has; it is
-the reference for that rank.  ``sample_points`` are interior points at which
-the tests evaluate whole profiles.
+same error and message), and the constructions here use them rather than the
+library's, together with the ``Fraction`` vector sum, difference and scaling
+defined here.  The dot product, matrix-vector product, determinant, transpose,
+inverse and anticanonical vector here have no library counterpart any more:
+the centroid test reads its dual rays, det G and u0 off the cleared cone of a
+``CentroidCase``, criterion 11 inverts its unimodular moves by integer
+cofactors, and a centroid fixture sums the products of its integer basis rows.
+The tests build their moved and drawn cones with them and check the library's
+u0 against ``anticanonical_vector``.  Nor have the planar sum, difference,
+scaling and cross product: criterion 11 builds its two-ray twins from the
+cleared integer vertices of each triangle, and ``clip`` writes its crossing
+points out.  Nor have the polynomial sum, difference and product
+(``poly_add``, ``poly_sub``, ``poly_mul``), which no command calls: the tests
+and the engines here build polynomials with them.  ``cleared_over`` writes
+rationals as integers over a common denominator of any scale, which
+``walls._wall_form`` and ``TwoRayModel.from_cleared`` take.  ``mat3_rank`` is
+the Fraction elimination that the library's solve replaced by reading the rank
+of a singular system off the 2x2 minors it already has; it is the reference
+for that rank.  ``sample_points`` are interior points at which the tests
+evaluate whole profiles.
+
+``binary_system_stability`` is the classification of a weighted binary-form
+system as the library once wrote it: a Fraction weight vector per root rebuilt
+in each of two loops, every root tried for a destabilizing direction before
+any for a semistable one.  The library reads one integer weight table in one
+loop.
 
 The library's kernels keep only the input checks a command can reach.  A
 ``PiecewiseQuadratic`` takes its breakpoints and pieces as given, and
@@ -91,6 +100,7 @@ from kwall.exact import (
     rat,
     vec3,
 )
+from kwall.git import BinaryFormSystem, StabilityCertificate, StabilityVerdict
 from kwall.toric_kps import CentroidCase, ConeError
 from kwall.valuations import DomainError, GermSupport
 from kwall.walls import Interval, WallCase, WallError, WallReport
@@ -268,8 +278,17 @@ def mat3_inverse(m: Mat3) -> Mat3:
     return mat3_transpose(mat3(cof))
 
 
+def v2_add(a: Vec2, b: Vec2) -> Vec2:
+    return (a[0] + b[0], a[1] + b[1])
+
+
 def v2_sub(a: Vec2, b: Vec2) -> Vec2:
     return (a[0] - b[0], a[1] - b[1])
+
+
+def v2_scale(s, a: Vec2) -> Vec2:
+    s = rat(s)
+    return (s * a[0], s * a[1])
 
 
 def v2_dot(a: Vec2, b: Vec2) -> Fraction:
@@ -723,3 +742,60 @@ def toric_profile(mp: MomentPolygon) -> PiecewiseQuadratic:
     profile = PiecewiseQuadratic(breaks, pieces)
     _check_profile(profile)
     return profile
+
+
+# ---------------------------------------------------------------------------
+# weighted binary-form systems: the classification in two loops over Fraction weights
+# ---------------------------------------------------------------------------
+
+def _candidate_orders(system: BinaryFormSystem) -> list[tuple[str, dict[int, list[tuple[int, int]]]]]:
+    """Per candidate root: for each nonzero block the list of (order at root, block degree)
+    over its nonzero monomials."""
+    out = []
+    for name, ordsel in (("x=0", lambda i, k: i), ("y=0", lambda i, k: k)):
+        per_block: dict[int, list[tuple[int, int]]] = {}
+        for j in system.nonzero_blocks():
+            deg = system.block_degree(j)
+            per_block[j] = [(ordsel(i, k), deg) for i, k in sorted(system.forms[j])]
+        out.append((name, per_block))
+    return out
+
+
+def _normalized_weights(per_block: dict[int, list[tuple[int, int]]]) -> list[tuple[Fraction, int]]:
+    """Weight vectors (2 ord - degree, block scaling weight) over nonzero monomials."""
+    vecs = []
+    for j, entries in per_block.items():
+        for order, deg in entries:
+            vecs.append((Fraction(2 * order - deg), j))
+    return vecs
+
+
+def binary_system_stability(system: BinaryFormSystem) -> StabilityVerdict:
+    """Every root tried for a destabilizing direction first, then every root for a semistable one."""
+    candidates = _candidate_orders(system)
+    max_j = max(system.nonzero_blocks())
+
+    for name, per_block in candidates:
+        vecs = _normalized_weights(per_block)
+        if all(w > 0 for w, _ in vecs):
+            a = max_j + 1
+            cert = StabilityCertificate(candidate=name, a=a, r=-1, weights=tuple(a * w - j for w, j in vecs))
+            return StabilityVerdict("unstable", cert, detail=f"destabilized at {name}")
+
+    for name, per_block in candidates:
+        vecs = _normalized_weights(per_block)
+        if all(w >= 0 for w, _ in vecs):
+            torus_fixed = all(w == 0 for w, _ in vecs)
+            cert = StabilityCertificate(candidate=name, a=1, r=0, weights=tuple(w for w, _ in vecs))
+            if torus_fixed:
+                return StabilityVerdict(
+                    "strictly-semistable", cert, polystable=True,
+                    detail=f"fixed by the boundary torus at {name}; orbit closed",
+                )
+            return StabilityVerdict(
+                "strictly-semistable", cert, polystable=None,
+                detail=f"degenerates along the zero-weight direction at {name}; polystability undetermined",
+            )
+
+    sym = "SL(2)" if system.parity == "even" else "sigma'-torus (x<->y swap not quotiented)"
+    return StabilityVerdict("stable", None, polystable=True, detail=f"no destabilizing direction for {sym}")

@@ -20,7 +20,7 @@ import pytest
 
 import kwall
 import oracles
-from kwall import acceptance, fixtures
+from kwall import acceptance, fixtures, git
 from kwall.acceptance import CRITERIA
 from kwall.exact import PiecewiseQuadratic, Poly, polygon
 from kwall.toric_kps import CentroidCase, ConeError, solve_centroid_condition
@@ -132,6 +132,16 @@ def test_criterion_10_fails_on_a_sign_flipped_hilbert_mumford_weight(monkeypatch
     real = acceptance.hm_weight_plane
     monkeypatch.setattr(acceptance, "hm_weight_plane", lambda curve, lam: -real(curve, lam))
     with pytest.raises(acceptance.CheckFailed, match=r"^xy4-destabilized: mu = 7, expected -7$"):
+        acceptance.criterion_10()
+
+
+def test_criterion_10_fails_on_a_weight_table_that_drops_the_scaling_weight(monkeypatch):
+    # weights a w instead of a w - j: still positive, so only the comparison with the replay sees them
+    real = git._weight_table
+    monkeypatch.setattr(git, "_weight_table", lambda system: [
+        (name, [(w, 0) for w, _ in pairs]) for name, pairs in real(system)])
+    with pytest.raises(acceptance.CheckFailed,
+                       match=r"^quartic-binary-unstable: certificate replays to \[4\], but prints weights 6$"):
         acceptance.criterion_10()
 
 

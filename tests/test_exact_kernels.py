@@ -19,7 +19,6 @@ from kwall.exact import (
     StructuralError,
     area_centroid,
     integrate,
-    mat3_vec,
     polygon,
     solve_linear3,
 )
@@ -62,12 +61,6 @@ def _same(got, ref):
 
 
 _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
-
-
-@_PROPERTY
-@given(m=mat3s, v=vec3s)
-def test_mat3_vec_equals_its_reference(m, v):
-    _same(mat3_vec(m, v), oracles.mat3_vec(_as_fractions(m), _as_fractions(v)))
 
 
 @_PROPERTY

@@ -6,7 +6,10 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from kwall import fixtures
 from kwall.exact import KwallError, fmt
 from kwall.git import (
@@ -142,6 +145,51 @@ def test_instability_inherited_by_monomial_deletion():
             assert binary_system_stability(smaller).verdict == "unstable"
         else:
             assert rank[binary_system_stability(smaller).verdict] <= rank[verdict.verdict]
+
+
+@st.composite
+def binary_systems(draw) -> BinaryFormSystem:
+    """A system of either parity and degree 3..13, each block up to four of its monomials."""
+    degree = draw(st.integers(3, 13))
+    if degree % 2:
+        forms = {1: frozenset(draw(st.sets(st.sampled_from([(6, 0), (0, 6)]))))}
+        degrees = {j: 4 * j + 2 for j in range(2, (degree - 1) // 2 + 1)}
+    else:
+        forms, degrees = {}, {j: 4 * j for j in range(2, degree // 2 + 1)}
+    for j, deg in degrees.items():
+        forms[j] = frozenset((i, deg - i) for i in draw(st.sets(st.integers(0, deg), max_size=4)))
+    assume(any(forms.values()))
+    return BinaryFormSystem("odd" if degree % 2 else "even", degree, forms)
+
+
+# an explicit system for each (verdict, polystable) the classification returns
+_ONE_PER_VERDICT = {
+    ("unstable", None): BinaryFormSystem("even", 4, {2: frozenset({(5, 3)})}),
+    ("strictly-semistable", True): BinaryFormSystem("odd", 7, {2: frozenset({(5, 5)}), 3: frozenset({(7, 7)})}),
+    ("strictly-semistable", None): BinaryFormSystem("even", 6, {2: frozenset({(4, 4), (8, 0)}), 3: frozenset()}),
+    ("stable", True): BinaryFormSystem("odd", 9, {2: frozenset({(10, 0)}), 4: frozenset({(0, 18)})}),
+}
+
+
+def test_each_explicit_example_has_its_verdict():
+    for want, system in _ONE_PER_VERDICT.items():
+        verdict = binary_system_stability(system)
+        assert (verdict.verdict, verdict.polystable) == want
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(binary_systems())
+@example(_ONE_PER_VERDICT["unstable", None])
+@example(_ONE_PER_VERDICT["strictly-semistable", True])
+@example(_ONE_PER_VERDICT["strictly-semistable", None])
+@example(_ONE_PER_VERDICT["stable", True])
+def test_one_pass_over_the_weight_table_classifies_as_the_two_loop_reference(system):
+    got, want = binary_system_stability(system), oracles.binary_system_stability(system)
+    assert got == want
+    if got.certificate is not None:
+        assert all(type(w) is F for w in got.certificate.weights)
+        # a certificate replays to its own weights from the raw monomials
+        assert replay_certificate(system, got.certificate) == list(got.certificate.weights)
 
 
 def test_cm_degree_closed_form():

@@ -52,10 +52,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kwall"
 
 # bench/tracer.py looks exact.clip, exact.solve_linear3 and toric_kps.reeb_cross_section_centroid up by
-# name, and the two vector helpers serve only clip; the centroid solve runs the integer kernel under
-# solve_linear3 and the integer centroid under reeb_cross_section_centroid directly
-EXEMPT = {"exact.clip", "exact.solve_linear3", "exact.v2_add", "exact.v2_scale",
-          "toric_kps.reeb_cross_section_centroid"}
+# name; the centroid solve runs the integer kernel under solve_linear3 and the integer centroid under
+# reeb_cross_section_centroid directly
+EXEMPT = {"exact.clip", "exact.solve_linear3", "toric_kps.reeb_cross_section_centroid"}
 
 # the modules whose raise statements are not in scope, and why: see the module docstring
 RAISE_SCOPE_EXCLUDED = {"acceptance.py"}

@@ -14,9 +14,6 @@ from kwall.exact import (
     _cleared,
     _fractions,
     area_centroid,
-    mat3_vec,
-    v2_add,
-    v2_scale,
     vec3,
 )
 from kwall.toric_kps import (
@@ -187,6 +184,7 @@ def test_cross_module_consistency_with_valuative_walls():
 def _subdivision_centroid(poly, depth: int = 4):
     """Independent centroid: fan-triangulate, split each triangle into depth^2
     equal-area cells, and average the cell centroids weighted by fan areas."""
+    add, scale = oracles.v2_add, oracles.v2_scale
     verts = poly.vertices
     total_w = F(0)
     acc = (F(0), F(0))
@@ -198,25 +196,25 @@ def _subdivision_centroid(poly, depth: int = 4):
         cell_w = tri_area2 / (depth * depth)
         for i in range(depth):
             for j in range(depth - i):
-                corner = v2_add(tri[0], v2_add(v2_scale(F(i, depth), e1), v2_scale(F(j, depth), e2)))
+                corner = add(tri[0], add(scale(F(i, depth), e1), scale(F(j, depth), e2)))
                 up = (
                     corner,
-                    v2_add(corner, v2_scale(F(1, depth), e1)),
-                    v2_add(corner, v2_scale(F(1, depth), e2)),
+                    add(corner, scale(F(1, depth), e1)),
+                    add(corner, scale(F(1, depth), e2)),
                 )
-                cen = v2_scale(F(1, 3), v2_add(up[0], v2_add(up[1], up[2])))
-                acc = v2_add(acc, v2_scale(cell_w, cen))
+                cen = scale(F(1, 3), add(up[0], add(up[1], up[2])))
+                acc = add(acc, scale(cell_w, cen))
                 total_w += cell_w
                 if i + j < depth - 1:
                     down = (
-                        v2_add(corner, v2_scale(F(1, depth), e1)),
-                        v2_add(corner, v2_scale(F(1, depth), v2_add(e1, e2))),
-                        v2_add(corner, v2_scale(F(1, depth), e2)),
+                        add(corner, scale(F(1, depth), e1)),
+                        add(corner, scale(F(1, depth), add(e1, e2))),
+                        add(corner, scale(F(1, depth), e2)),
                     )
-                    cen = v2_scale(F(1, 3), v2_add(down[0], v2_add(down[1], down[2])))
-                    acc = v2_add(acc, v2_scale(cell_w, cen))
+                    cen = scale(F(1, 3), add(down[0], add(down[1], down[2])))
+                    acc = add(acc, scale(cell_w, cen))
                     total_w += cell_w
-    return v2_scale(1 / total_w, acc)
+    return scale(1 / total_w, acc)
 
 
 def test_centroid_against_subdivision_oracle():
@@ -253,10 +251,10 @@ def test_ray_average_centroid_matches_plane_basis_oracle(name, shears, perm, sig
     ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(g))
     moved = CentroidCase(
         name=case.name + "-moved",
-        generators=tuple(mat3_vec(g, n) for n in case.generators),
-        xi0=mat3_vec(g, case.xi0),
-        eta0star=mat3_vec(ginv_t, case.eta0star),
-        u1=mat3_vec(ginv_t, case.u1),
+        generators=tuple(oracles.mat3_vec(g, n) for n in case.generators),
+        xi0=oracles.mat3_vec(g, case.xi0),
+        eta0star=oracles.mat3_vec(ginv_t, case.eta0star),
+        u1=oracles.mat3_vec(ginv_t, case.u1),
     )
     poly, oracle_u2 = oracles.cross_section(moved)
     assert reeb_cross_section_centroid(moved) == oracle_u2
@@ -312,7 +310,7 @@ def test_centroid_of_a_drawn_cone_matches_the_plane_basis_oracle(case):
         # the decomposition u2 = a (u0 - c u1) + b eta0* the solve reports
         a, c, b = verdict.solution
         m = oracles.mat3([[verdict.u0[i], -case.u1[i], case.eta0star[i]] for i in range(3)])
-        assert mat3_vec(m, (a, c * a, b)) == u2
+        assert oracles.mat3_vec(m, (a, c * a, b)) == u2
 
 
 @st.composite

@@ -20,7 +20,6 @@ from .exact import (
     PiecewiseQuadratic,
     Polygon2,
     _adjugate_columns,
-    _cleared,
     _idot3,
     area_centroid,
     poly,
@@ -34,7 +33,7 @@ from .git import (
     binary_system_stability,
     replay_certificate,
 )
-from .toric_kps import CentroidCase, _cone_form, _solve_cone_form, solve_centroid_condition
+from .toric_kps import _cone_form, _solve_cone_form, solve_centroid_condition
 from .valuations import index_bound, lct_newton
 from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
 from .walls import (
@@ -265,6 +264,7 @@ def criterion_9() -> str:
 _BINARY_VERDICTS = {
     "quartic-binary-unstable": ("unstable", None),
     "quartic-binary-ss": ("strictly-semistable", True),
+    "quartic-binary-ss-x8": ("strictly-semistable", None),
     "quintic-binary-f6": ("stable", True),
 }
 _PLANE_WEIGHTS = {"q5-double-conic-line": F(0), "xy4-destabilized": F(-7)}
@@ -279,17 +279,19 @@ def criterion_10() -> str:
         if (verdict.verdict, verdict.polystable) != want:
             raise CheckFailed(f"{name}: {verdict.verdict}, polystable {verdict.polystable}")
         line = f"{name} {verdict.verdict}" + (", polystable" if verdict.polystable else "")
-        if verdict.verdict == "unstable":
-            # the replay reads the raw monomials, not the verdict's weight table: its weights must be positive
-            # and be the ones the certificate prints
-            cert = verdict.certificate
+        cert = verdict.certificate
+        if cert is not None:
+            # the replay reads the raw monomials, not the verdict's weight table: its weights must be the ones
+            # the certificate prints, all positive for a destabilizing direction, and all nonnegative with a
+            # zero for a semistable one
             replayed = replay_certificate(system, cert)
-            if not (replayed and all(w > 0 for w in replayed)):
+            unstable = verdict.verdict == "unstable"
+            if not (replayed and (min(replayed) > 0 if unstable else min(replayed) == 0)):
                 raise CheckFailed(f"{name}: certificate replays to {replayed}")
             if tuple(replayed) != cert.weights:
                 raise CheckFailed(f"{name}: certificate replays to {replayed}, "
                                   f"but prints weights {', '.join(map(str, cert.weights))}")
-            line += " (certificate replays positive)"
+            line += " (certificate replays positive)" if unstable else " (certificate replays nonnegative)"
         checked.append(line)
     for name, want in _PLANE_WEIGHTS.items():
         fx = fixtures.PLANE_GIT_FIXTURES[name]
@@ -369,15 +371,10 @@ def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
                                     ([(mid - lo) * cross * den, cross * pairs], den * den * pairs))
 
 
-def _cleared_cone(case: CentroidCase) -> tuple[tuple[list[int], int], ...]:
-    """The generators, xi0, eta0* and u1 of a case, each cleared: what _moved_form reads."""
-    return tuple(_cleared(v) for v in (*case.generators, case.xi0, case.eta0star, case.u1))
-
-
 def _moved_form(cone: tuple[tuple[list[int], int], ...], g, ginv_t):
-    """The checked form of the cleared cone moved by the lattice automorphism g: its generators and xi0 by g,
-    eta0* and u1 by (g^-1)^T, each an integer row times the numerators over the same denominator.  A
-    unimodular map keeps the gcd of a vector's entries, so each moved vector is still cleared."""
+    """The checked form of a case's cleared cone (its _cone) moved by the lattice automorphism g: its generators
+    and xi0 by g, eta0* and u1 by (g^-1)^T, each an integer row times the numerators over the same denominator.
+    A unimodular map keeps the gcd of a vector's entries, so each moved vector is still cleared."""
     return _cone_form(*(([_idot3(row, nums) for row in m], s)
                         for m, (nums, s) in zip((g, g, g, g, ginv_t, ginv_t), cone)))
 
@@ -404,8 +401,9 @@ def criterion_11() -> str:
             what = "wall moves" if got[0] != base_reports[name][0] else "unstable sides change"
             raise CheckFailed(f"{case.name}: {what} under rescaling by {F(p + 1, q + 1)}")
 
-    # (b) engine agreement on random triangle fixtures with random directions
+    # (b) engine agreement on random triangle fixtures with random directions, each twin along L = H
     size = math.prod(_TRIANGLE_RADICES)
+    L = (F(1), F(0))
     done = 0
     for _ in range(_TRIANGLE_ATTEMPTS):
         d = _digits(rng.randrange(size), _TRIANGLE_RADICES)
@@ -424,7 +422,7 @@ def criterion_11() -> str:
         if model is None:
             continue
         toric = volume_toric(MomentPolygon(tri, w))
-        two = volume_two_ray(model, (F(1), F(0)))
+        two = volume_two_ray(model, L)
         # equal breakpoints and pieces: two equal profiles cannot differ at any t
         if two != toric:
             raise CheckFailed(f"twin mismatch for {verts} {w}")
@@ -438,7 +436,6 @@ def criterion_11() -> str:
     # form alone, as the CentroidCase constructor and solve_centroid_condition do
     names = sorted(fixtures.CENTROID_FIXTURES)
     cases = {name: fixtures.CENTROID_FIXTURES[name].case for name in names}
-    cones = {name: _cleared_cone(case) for name, case in cases.items()}
     base_solutions = {name: _solve_cone_form(case._form)[1] for name, case in cases.items()}
     radices = (len(names), *_MOVE_RADICES)
     size = math.prod(radices)
@@ -452,7 +449,7 @@ def criterion_11() -> str:
         if det not in (1, -1):
             raise CheckFailed("random lattice move is not unimodular")
         ginv_t = tuple(tuple(det * x for x in row) for row in cof)
-        verdict, solution, _ = _solve_cone_form(_moved_form(cones[name], g, ginv_t))
+        verdict, solution, _ = _solve_cone_form(_moved_form(cases[name]._cone, g, ginv_t))
         if (verdict, solution) != ("unique-c", base_solutions[name]):
             raise CheckFailed(f"{cases[name].name}-moved: {verdict} {solution} != unique-c {base_solutions[name]}")
     return "200 wall rescalings, 60 random engine-agreement fixtures, 100 lattice moves: all exact"

@@ -3,11 +3,16 @@ and convex polygon primitives.
 
 Every scalar in the toolkit is a ``fractions.Fraction`` (arbitrary-precision,
 always reduced, positive denominator).  Nothing here ever rounds.  A polynomial
-is kept cleared, as integer numerators over one canonical denominator.  Polynomial
-evaluation, the integral of a piecewise polynomial, the polygon kernels and the
-3x3 solve clear denominators and work over Python ``int``; each value they
-return is one reduced Fraction.  The kernels keep only the input checks a
-command can reach; the tests' Fraction references keep the other contracts.
+is kept cleared, as integer numerators over one canonical denominator, and so
+are the breakpoints of a piecewise polynomial: the canonical form of a list of
+rationals is its numerators over their least common denominator, which is
+positive and shares no factor with all of them, so two lists are equal exactly
+when their forms are, and the Fractions are derived on each read.  Polynomial
+and piecewise evaluation, the integral of a piecewise polynomial, the polygon
+kernels and the 3x3 solve clear denominators and work over Python ``int``;
+each value they return is one reduced Fraction.  The kernels keep only the
+input checks a command can reach; the tests' Fraction references keep the
+other contracts.
 """
 
 from __future__ import annotations
@@ -198,41 +203,63 @@ def poly(*coeffs) -> Poly:
 class PiecewiseQuadratic:
     """Piecewise polynomial on [t0, oo), identically zero beyond the last breakpoint.
 
-    ``breakpoints`` is a strictly increasing list t0 < t1 < ... < tk and
-    ``pieces[i]`` is the polynomial on the closed-left interval [t_i, t_{i+1}).
-    Adjacent pieces agree at interior breakpoints.  The constructor takes both
-    lists as given: both volume engines build them so, and the tests check the
-    shape with ``oracles._check_profile``.  The name reflects the
-    dominant use (volume profiles are quadratic per piece); higher degrees are
-    accepted.
+    The breakpoints are a strictly increasing list t0 < t1 < ... < tk, kept
+    cleared as ``Poly`` keeps its coefficients: t_i = ``_nums[i] / _den`` in one
+    canonical form, ``_den > 0`` and gcd(_nums, _den) = 1, so two profiles are
+    equal exactly when their forms and pieces are.  ``breakpoints`` derives the
+    Fractions on each read.  ``pieces[i]`` is the polynomial on the closed-left
+    interval [t_i, t_{i+1}), and adjacent pieces agree at interior breakpoints.
+    Both constructors take the lists as given: both volume engines build them
+    so, and hand over their breakpoints as integers over a common denominator
+    through ``from_cleared``; the tests check the shape with
+    ``oracles._check_profile``.  The name reflects the dominant use (volume
+    profiles are quadratic per piece); higher degrees are accepted.
     """
 
-    __slots__ = ("breakpoints", "pieces")
+    __slots__ = ("_nums", "_den", "pieces")
 
-    def __init__(self, breakpoints: Sequence, pieces: Sequence[Poly]):
-        self.breakpoints = tuple(rat(b) for b in breakpoints)
-        self.pieces = tuple(pieces)
+    def __new__(cls, breakpoints: Sequence, pieces: Sequence[Poly]):
+        return cls.from_cleared(*_cleared([rat(b) for b in breakpoints]), pieces)
+
+    @classmethod
+    def from_cleared(cls, nums: Iterable[int], den: int, pieces: Sequence[Poly]) -> PiecewiseQuadratic:
+        """The profile with breakpoints nums[i] / den, for integers nums and den != 0, and the given pieces."""
+        ns = tuple(nums)
+        g = math.gcd(den, *ns)
+        if den < 0:
+            g = -g
+        f = object.__new__(cls)
+        f._nums = tuple(n // g for n in ns) if g != 1 else ns
+        f._den = den // g
+        f.pieces = tuple(pieces)
+        return f
+
+    @property
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        """The breakpoints as reduced Fractions, derived on each read."""
+        return _fractions(self._nums, self._den)
 
     def __call__(self, t) -> Fraction:
         """The value at t >= t0, where every caller evaluates."""
         t = rat(t)
-        for b, p in zip(self.breakpoints[1:], self.pieces):
-            if t < b:
-                return p(t)
+        # t < b / den exactly when t.numerator den < b t.denominator, both denominators positive
+        p, q = t.numerator * self._den, t.denominator
+        for b, piece in zip(self._nums[1:], self.pieces):
+            if p < b * q:
+                return piece(t)
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PiecewiseQuadratic)
-            and self.breakpoints == other.breakpoints
+            and self._nums == other._nums
+            and self._den == other._den
             and self.pieces == other.pieces
         )
 
     def __repr__(self):
-        parts = [
-            f"[{fmt(a)},{fmt(b)}]: {p!r}"
-            for a, b, p in zip(self.breakpoints, self.breakpoints[1:], self.pieces)
-        ]
+        bps = self.breakpoints
+        parts = [f"[{fmt(a)},{fmt(b)}]: {p!r}" for a, b, p in zip(bps, bps[1:], self.pieces)]
         return "PiecewiseQuadratic{" + ", ".join(parts) + "}"
 
 
@@ -243,7 +270,7 @@ def integrate(f: PiecewiseQuadratic) -> Fraction:
     sum_i n_i (B_(j+1)^(i+1) - B_j^(i+1)) / ((i + 1) d_j D^(i+1)): every term over the one common
     denominator k s D^m, where m is the most coefficients of a piece, k = lcm(1..m) and
     s = lcm of the d_j."""
-    bs, D = _cleared(f.breakpoints)
+    bs, D = f._nums, f._den
     m = max((len(p._nums) for p in f.pieces), default=0)
     k = math.lcm(*range(1, m + 1))
     s = math.lcm(*(p._den for p in f.pieces))

@@ -58,24 +58,24 @@ F = Fraction
 
 class Surface(namedtuple("Surface", "h2 alpha k triangle", defaults=(None,))):
     """A degeneration of the plane with H = O(1): -(K + cD) = (alpha - k d c) H for
-    degree-d curves D, so anti_k(d) = (alpha, k d); a toric one keeps the moment triangle of H
-    (a Polygon2), a non-toric one None."""
+    degree-d curves D and an integer k, so anti_k(d) = (alpha, k d); a toric one keeps the moment
+    triangle of H (a Polygon2), a non-toric one None."""
 
     __slots__ = ()
 
     def anti_k(self, d: int) -> tuple[Fraction, Fraction]:
-        return self.alpha, self.k * d
+        return self.alpha, F(self.k * d)
 
 
 def _manetti(b: int, c: int) -> Surface:
     """P(1, b^2, c^2), with 1 + b^2 + c^2 = 3bc: (H^2) = 1/(bc)^2, -K = 3bc H, D = bc d H,
     and the moment triangle (0,0), (1/b^2, 0), (0, 1/c^2)."""
-    return Surface(F(1, (b * c) ** 2), F(3 * b * c), F(b * c),
+    return Surface(F(1, (b * c) ** 2), F(3 * b * c), b * c,
                    polygon([(F(0), F(0)), (F(1, b * b), F(0)), (F(0), F(1, c * c))]))
 
 
 _P2, _P114, _P1425 = _manetti(1, 1), _manetti(1, 2), _manetti(2, 5)
-_X26 = Surface(F(1, 25), F(15), F(5))
+_X26 = Surface(F(1, 25), F(15), 5)
 
 
 class VolumeFixture(namedtuple("VolumeFixture", "name model L moment surface provenance expected valuation",
@@ -576,6 +576,9 @@ BINARY_FIXTURES: dict[str, BinaryFixture] = {
     "quartic-binary-ss": BinaryFixture(
         BinaryFormSystem("even", 4, {2: frozenset({(4, 4)})}),
         "octic x^4 y^4: torus-fixed with weight hull {0}"),
+    "quartic-binary-ss-x8": BinaryFixture(
+        BinaryFormSystem("even", 4, {2: frozenset({(4, 4), (8, 0)})}),
+        "octic x^4 y^4 + x^8: weights {0, 8} at x=0, so not torus-fixed"),
     "quintic-binary-f6": BinaryFixture(
         BinaryFormSystem("odd", 5, {1: frozenset({(6, 0), (0, 6)})}),
         "restricted degree-6 block x^6 + y^6: weights {6, -6}"),

@@ -41,16 +41,21 @@ class ConeError(KwallError):
 
 
 class CentroidCase(namedtuple("CentroidCase", "name generators xi0 eta0star u1")):
-    """One simplicial-cone scenario of the centroid test."""
+    """One simplicial-cone scenario of the centroid test.
 
-    # no __slots__: the instance dict holds _form, outside equality, hashing and repr
+    ``_cone`` keeps its generators, xi0, eta0* and u1 cleared, each as integer numerators over a
+    positive denominator in lowest terms, and ``_form`` the checked form _cone_form derives from them.
+    """
+
+    # no __slots__: the instance dict holds _cone and _form, outside equality, hashing and repr
 
     def __new__(cls, name: str, generators: tuple[Vec3, Vec3, Vec3], xi0: Vec3, eta0star: Vec3, u1: Vec3):
         generators = tuple(vec3(*g) for g in generators)
         xi0, eta0star, u1 = vec3(*xi0), vec3(*eta0star), vec3(*u1)
-        form = _cone_form(*map(_cleared, (*generators, xi0, eta0star, u1)))
+        cone = tuple(map(_cleared, (*generators, xi0, eta0star, u1)))
+        form = _cone_form(*cone)
         self = super().__new__(cls, name, generators, xi0, eta0star, u1)
-        self._form = form
+        self._cone, self._form = cone, form
         return self
 
 

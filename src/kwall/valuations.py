@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .exact import KwallError, rat
+from .exact import KwallError, _cleared, rat
 
 
 class DomainError(KwallError):
@@ -43,6 +43,10 @@ class MonomialVal(namedtuple("MonomialVal", "point weights scale")):
     divisorial valuation ord_E with A = (w1 + w2)/n, while scale = n gives the
     pushforward of the chart valuation without dividing.  All downstream
     quantities (A, orders, S) are linear in scale.
+
+    ``cleared`` reads the valuation on integers: (w1, w2, scale) = (a, b, s)/c
+    over their least common denominator c, and m = c^2 n, so that every value
+    it takes is an integer over m.
     """
 
     __slots__ = ()
@@ -50,6 +54,12 @@ class MonomialVal(namedtuple("MonomialVal", "point weights scale")):
     def __new__(cls, point: CyclicQuot, weights: tuple[Fraction, Fraction], scale: Fraction = Fraction(1)):
         w1, w2 = rat(weights[0]), rat(weights[1])
         return super().__new__(cls, point, (w1, w2), rat(scale))
+
+    @property
+    def cleared(self) -> tuple[int, int, int, int]:
+        """(a, b, s, m): v(x^i y^j) = s (i a + j b) / m and A = s (a + b) / m, cleared on each read."""
+        (a, b, s), c = _cleared((*self.weights, self.scale))
+        return a, b, s, c * c * self.point.n
 
 
 class GermSupport(namedtuple("GermSupport", "monomials")):
@@ -102,13 +112,17 @@ class QuasiHomogGerm(namedtuple("QuasiHomogGerm", "monomials w1 w2 degree")):
 
 
 def log_discrepancy(v: MonomialVal) -> Fraction:
-    """A_X(v) = scale (w1 + w2)/n for the weighted blow-up valuation over the quotient."""
-    return v.scale * (v.weights[0] + v.weights[1]) / v.point.n
+    """A_X(v) = scale (w1 + w2)/n for the weighted blow-up valuation over the quotient: s (a + b) / m
+    on the valuation's cleared form, one Fraction."""
+    a, b, s, m = v.cleared
+    return Fraction(s * (a + b), m)
 
 
 def ord_on_germ(v: MonomialVal, g: GermSupport) -> Fraction:
-    """v(f) = scale min_{(i,j) in supp f} (i w1 + j w2)/n, assuming generic coefficients."""
-    return v.scale * min(i * v.weights[0] + j * v.weights[1] for i, j in g.monomials) / v.point.n
+    """v(f) = scale min_{(i,j) in supp f} (i w1 + j w2)/n, assuming generic coefficients: on the valuation's
+    cleared form, s min (i a + j b) / m, a minimum over integers (c^2 > 0 keeps it) and one Fraction."""
+    a, b, s, m = v.cleared
+    return Fraction(s * min(i * a + j * b for i, j in g.monomials), m)
 
 
 def lct_newton(g: GermSupport | QuasiHomogGerm) -> Fraction:

@@ -160,18 +160,19 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
     # (L - tE) = (cH, cE - t) with cH = lh / l, cE = le / l: B(L-tE, L-tE) = n0 / (k l^2) + n1 / (k l) t - e / k t^2
     n0 = lh * lh * h + 2 * lh * le * x - le * le * e
     n1 = 2 * (le * e - lh * x)
-    breaks, pieces = [Fraction(0)], []
-    if n1 > 0:
-        # L.E < 0: the slope -2 (L - tE).E vanishes at t_E = n1 / (2 l e)
-        breaks.append(Fraction(n1, 2 * l * e))
-        pieces.append(Poly.from_cleared([4 * e * n0 + n1 * n1], 4 * e * k * l * l))
     # with Cbar = (a, -b) / m: B(L - tE, Cbar) = (q0 + q1 l t) / (k l m), (Cbar^2) = c2 / (k m^2),
     # and q1 = -k m E.Cbar < 0
     q0 = lh * a * h + (le * a - lh * b) * x + le * b * e
     q1 = -(a * x + b * e)
-    t_nef = Fraction(-q0, l * q1)
-    if t_nef > 0:
-        breaks.append(t_nef)
+    # the breakpoints 0, t_E = n1 / (2 l e), t_nef = -q0 / (l q1) and lambda = (lh b + le a) / (a l), each
+    # over the one denominator 2 e a q1 l
+    breaks, pieces = [0], []
+    if n1 > 0:
+        # L.E < 0: the slope -2 (L - tE).E vanishes at t_E
+        breaks.append(n1 * a * q1)
+        pieces.append(Poly.from_cleared([4 * e * n0 + n1 * n1], 4 * e * k * l * l))
+    if q0 > 0:  # t_nef > 0, as l > 0 > q1
+        breaks.append(-2 * e * a * q0)
         pieces.append(Poly.from_cleared([n0, n1 * l, -e * l * l], k * l * l))
     c2 = a * a * h - 2 * a * b * x - b * b * e
     if c2 != 0:
@@ -179,9 +180,9 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
         p0 = n0 * c2 - q0 * q0
         p1 = n1 * c2 - 2 * q0 * q1
         p2 = -(e * c2 + q1 * q1)
-        breaks.append(Fraction(lh * b + le * a, a * l))
+        breaks.append(2 * e * q1 * (lh * b + le * a))
         pieces.append(Poly.from_cleared([p0, p1 * l, p2 * l * l], k * c2 * l * l))
-    return PiecewiseQuadratic(breaks, pieces)
+    return PiecewiseQuadratic.from_cleared(breaks, 2 * e * a * q1 * l, pieces)
 
 
 def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
@@ -235,10 +236,10 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
             -dg * rd * u * u,
         ], rd * den * u))
         rn, rd = _reduced(rn * b0 * b1 * u + (a0 * b1 + a1 * b0) * dt * rd, rd * b0 * b1 * u)
-    breaks = [Fraction(t, u) for t in ts]
     # vol' = -2 (slice width) <= 0 and the top piece is 2 rest = 0 at its end: the profile needs no
-    # check; its nef threshold is the first breakpoint past 0, where the cut is a corner
-    return PiecewiseQuadratic(breaks, pieces[::-1])
+    # check; its nef threshold is the first breakpoint past 0, where the cut is a corner; its breakpoints
+    # are the levels ts over u
+    return PiecewiseQuadratic.from_cleared(ts, u, pieces[::-1])
 
 
 def s_invariant(profile: PiecewiseQuadratic) -> Fraction:

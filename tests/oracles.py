@@ -22,6 +22,11 @@ and, with no curve, takes its second ray through the larger root of
 of L - tE as a whole; ``zariski_volume`` is the pointwise reference, Zariski's
 algorithm at one class.
 
+The library reads a monomial valuation on integers, its weights and scale
+cleared over one denominator, and builds one Fraction per value;
+``log_discrepancy`` and ``ord_on_germ`` here are the ``Fraction``-arithmetic
+formulas, and ``wall_case`` derives a wall fixture's case from them.
+
 The library's Newton-polygon lct walks the lower hull of the undominated
 monomials; ``lct_newton_pairs`` is the all-pairs route to the same diagonal
 entry point.  A quasi-homogeneous germ keeps the two ends of its segment of
@@ -31,11 +36,12 @@ library generates the germ of a generic curve at the order-c^2 point of
 P(1, b^2, c^2) from a congruence; ``line_support`` lists the level sets of
 the degree-10d curves on P(1,4,25) by hand, as the fixtures once typed them.
 
-The library's polynomial evaluation (and so each piece of a piecewise
-evaluation), integral of a piecewise polynomial, 3x3 solve, polygon
-construction, shoelace area and centroid, both volume engines, the centroid
-condition, the two-ray model's checks of a declared curve and interval
-membership clear denominators and work over integers.  The kernels and engines
+The library's polynomial evaluation, piecewise evaluation (on the cleared
+breakpoints, each piece through its polynomial), integral of a piecewise
+polynomial, 3x3 solve, polygon construction, shoelace area and centroid, both
+volume engines, the centroid condition, the two-ray model's checks of a
+declared curve and interval membership clear denominators and work over
+integers.  The kernels and engines
 below are their ``Fraction``-arithmetic references (``integrate`` and
 ``s_invariant`` go through ``poly_antiderivative`` and ``poly_integral``, the
 route the library's ``Poly`` no longer keeps; ``solve_centroid_condition``,
@@ -102,7 +108,7 @@ from kwall.exact import (
 )
 from kwall.git import BinaryFormSystem, StabilityCertificate, StabilityVerdict
 from kwall.toric_kps import CentroidCase, ConeError
-from kwall.valuations import DomainError, GermSupport
+from kwall.valuations import DomainError, GermSupport, MonomialVal
 from kwall.walls import Interval, WallCase, WallError, WallReport
 from kwall.volumes import (
     InvalidValuationError,
@@ -575,6 +581,34 @@ def solve_wall(case: WallCase) -> WallReport:
         return WallReport(case, cstar, unstable_below=slope > 0, unstable_above=slope < 0)
     unstable = margin(case, (case.valid_range.lo + case.valid_range.hi) / 2) < 0
     return WallReport(case, None, unstable, unstable)
+
+
+def log_discrepancy(v: MonomialVal) -> Fraction:
+    """scale (w1 + w2) / n in Fraction arithmetic."""
+    return v.scale * (v.weights[0] + v.weights[1]) / v.point.n
+
+
+def ord_on_germ(v: MonomialVal, g: GermSupport) -> Fraction:
+    """scale min (i w1 + j w2) / n over the germ's monomials, in Fraction arithmetic."""
+    return v.scale * min(i * v.weights[0] + j * v.weights[1] for i, j in g.monomials) / v.point.n
+
+
+def wall_case(fx) -> WallCase:
+    """A wall fixture's case in Fraction arithmetic: A0 and ord(D) by the two references above, S0 by
+    ``s_invariant`` of its volume fixture's profile, alpha and beta = k d from its surface."""
+    from kwall import fixtures
+
+    vf = fixtures.VOLUME_FIXTURES[fx.volume]
+    v, surface = vf.valuation, vf.surface
+    return WallCase(
+        fx.name,
+        log_discrepancy(v),
+        ord_on_germ(v, fx.curve_germ) if fx.curve_germ else Fraction(0),
+        s_invariant(vf.profile),
+        surface.alpha,
+        Fraction(surface.k) * fx.degree,
+        Interval(Fraction(0), Fraction(3) / fx.degree),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,32 @@ def test_criterion_10_fails_on_a_weight_table_that_drops_the_scaling_weight(monk
         acceptance.criterion_10()
 
 
+def test_criterion_10_fails_on_semistable_weights_printed_doubled(monkeypatch):
+    # x^4 y^4 has only the weight 0, which doubling keeps: the fixture of weights 0 and 8 sees it
+    real = acceptance.binary_system_stability
+
+    def doubled(system):
+        verdict = real(system)
+        if verdict.verdict != "strictly-semistable":
+            return verdict
+        cert = verdict.certificate
+        return verdict._replace(certificate=cert._replace(weights=tuple(2 * w for w in cert.weights)))
+
+    monkeypatch.setattr(acceptance, "binary_system_stability", doubled)
+    with pytest.raises(acceptance.CheckFailed,
+                       match=r"^quartic-binary-ss-x8: certificate replays to \[0, 8\], but prints weights 0, 16$"):
+        acceptance.criterion_10()
+
+
+def test_criterion_10_fails_on_a_semistable_certificate_that_replays_positive(monkeypatch):
+    # a semistable certificate whose direction destabilizes: the replay has no zero weight
+    real = acceptance.replay_certificate
+    monkeypatch.setattr(acceptance, "replay_certificate",
+                        lambda system, cert: [w + 1 for w in real(system, cert)] if cert.r == 0 else real(system, cert))
+    with pytest.raises(acceptance.CheckFailed, match=r"^quartic-binary-ss: certificate replays to \[1\]$"):
+        acceptance.criterion_10()
+
+
 # the cleared forms of criterion 11's base cases: its solvers' mutants below tell the base cases from the
 # rescaled and moved ones by them (a rescaling by 1 gives the base form back)
 _BASE_WALL_FORMS = [fixtures.wall_case(name)._form for name in acceptance._BASE_WALLS]
@@ -252,12 +278,24 @@ _CORRUPTED_CONES = {
 }
 
 
+def test_each_centroid_case_keeps_its_cleared_cone():
+    # each vector's numerators over the least common denominator of its entries, from the Fraction fields
+    for name, cf in fixtures.CENTROID_FIXTURES.items():
+        case = cf.case
+        want = []
+        for v in (*case.generators, case.xi0, case.eta0star, case.u1):
+            s = math.lcm(*(x.denominator for x in v))
+            want.append(([(x * s).numerator for x in v], s))
+        assert case._cone == tuple(want), name
+
+
 @pytest.mark.parametrize("corrupt, message", _CORRUPTED_CONES.values(), ids=_CORRUPTED_CONES)
 def test_criterion_11_checks_every_cone_it_moves(monkeypatch, corrupt, message):
-    # the base cones stay valid and only the cleared copies the moves start from are corrupted: each moved
-    # cone is refused only if the record it becomes runs every check of a CentroidCase
-    real = acceptance._cleared_cone
-    monkeypatch.setattr(acceptance, "_cleared_cone", lambda case: corrupt(*real(case)))
+    # the base cones' forms stay valid and only the cleared cones the moves start from, each fixture case's
+    # _cone, are corrupted: each moved cone is refused only if the record it becomes runs every check of a
+    # CentroidCase
+    for cf in fixtures.CENTROID_FIXTURES.values():
+        monkeypatch.setattr(cf.case, "_cone", corrupt(*cf.case._cone))
     with pytest.raises(ConeError, match=message):
         acceptance.criterion_11()
 
@@ -426,7 +464,7 @@ def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_cons
         assert model == want and (model is None or model._form == want._form), (tri, w)
     bases = {name: cf.case for name, cf in fixtures.CENTROID_FIXTURES.items()}
     for cone, g, form in moves:
-        base = next(case for case in bases.values() if acceptance._cleared_cone(case) == cone)
+        base = next(case for case in bases.values() if case._cone == cone)
         assert form == _moved_by_fractions(base, g)._form, base.name
 
 
@@ -518,7 +556,7 @@ def test_moved_cones_are_the_ones_the_fraction_composition_builds():
         ginv_t = oracles.mat3_transpose(oracles.mat3_inverse(gf))
         assert all(x.denominator == 1 for row in (*gf, *ginv_t) for x in row)  # g is unimodular
         g, h = (tuple(tuple(x.numerator for x in row) for row in m) for m in (gf, ginv_t))
-        got = acceptance._moved_form(acceptance._cleared_cone(base), g, h)
+        got = acceptance._moved_form(base._cone, g, h)
         want = _moved_by_fractions(base, gf)
         assert got == want._form, code
         u0, u2, solution, verdict, detail = solve_centroid_condition(want)
@@ -581,7 +619,7 @@ def test_one_pass_at_the_seed_uses_every_value_of_every_digit(monkeypatch):
         elif name == "_two_ray_twin":
             assert args[1] == (d[12] - 5, d[13] - 5)
         elif name == "_moved_form":
-            assert args[0] == acceptance._cleared_cone(fixtures.CENTROID_FIXTURES[names[d[0]]].case)
+            assert args[0] == fixtures.CENTROID_FIXTURES[names[d[0]]].case._cone
         else:
             assert list(args[0]) == d[1:]
     rescalings, triangles, moves = suites.values()

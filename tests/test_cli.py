@@ -62,8 +62,8 @@ def test_a_fixture_of_another_command_is_not_listed_as_available(capsys):
     code = cli.main(["git", "binary", "--fixture", "a12"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == ("error: unknown fixture 'a12'; available fixtures: "
-                            "quartic-binary, quartic-binary-ss, quartic-binary-unstable, quintic-binary-f6\n")
+    assert captured.err == ("error: unknown fixture 'a12'; available fixtures: quartic-binary, quartic-binary-ss, "
+                            "quartic-binary-ss-x8, quartic-binary-unstable, quintic-binary-f6\n")
 
 
 def test_json_output_is_exact_rationals():

@@ -183,13 +183,62 @@ def piecewise_and_points(draw):
     return PiecewiseQuadratic(bps, pieces), t
 
 
+def _from_cleared(f, k):
+    """f rebuilt through from_cleared, its breakpoints over -k times their least common denominator."""
+    den = -k * math.lcm(*(b.denominator for b in f.breakpoints))
+    return PiecewiseQuadratic.from_cleared([(b * den).numerator for b in f.breakpoints], den, f.pieces)
+
+
 @_PROPERTY
-@given(case=piecewise_and_points())
-def test_piecewise_call_equals_its_reference(case):
+@given(case=piecewise_and_points(), k=factors)
+def test_piecewise_call_equals_its_reference(case, k):
     f, t = case
     if t < f.breakpoints[0]:
         return  # below the domain, where no caller evaluates: only the reference refuses
     _same(f(t), oracles.piecewise_eval(f, t))
+    _same(_from_cleared(f, k)(t), oracles.piecewise_eval(f, t))
+
+
+@_PROPERTY
+@given(nums=st.lists(st.integers(-_BIG, _BIG), min_size=1, max_size=6), den=denominators, k=factors)
+@example(nums=[0], den=-1, k=1)  # one breakpoint, no piece
+@example(nums=[0, 3, 6], den=-6, k=4)  # content and sign gone: 0, -1/2, -1
+@example(nums=[2, 3, 5], den=1, k=1)  # integer breakpoints, denominator 1
+def test_piecewise_from_cleared_is_the_form_of_its_fractions(nums, den, k):
+    # a common factor k and the sign of den change nothing: the form is that of the Fractions nums[i] / den,
+    # and breakpoints reads those Fractions back
+    pieces = [Poly([i]) for i in range(len(nums) - 1)]
+    f = PiecewiseQuadratic.from_cleared([n * k for n in nums], den * k, pieces)
+    ref = PiecewiseQuadratic([F(n, den) for n in nums], pieces)
+    assert (f._nums, f._den) == (ref._nums, ref._den) and f == ref
+    assert f._den > 0 and math.gcd(f._den, *f._nums) == 1
+    _same(f.breakpoints, tuple(F(n, den) for n in nums))
+    _same(ref.breakpoints, tuple(F(n, den) for n in nums))
+    assert f.pieces == ref.pieces == tuple(pieces)
+
+
+@st.composite
+def small_profiles(draw):
+    """Profiles on at most three of five breakpoints, pieces of at most two coefficients in -1..1: a space
+    small enough that two draws are often equal, or equal in breakpoints or pieces alone."""
+    bps = sorted(draw(st.sets(st.sampled_from([F(0), F(1, 3), F(1, 2), 1, F(2)]), min_size=1, max_size=3)))
+    return PiecewiseQuadratic(bps, [Poly(draw(st.lists(st.integers(-1, 1), max_size=2))) for _ in bps[1:]])
+
+
+_HALVES = [Poly([1, -1]), Poly([F(1, 2)])]
+
+
+@_PROPERTY
+@given(f=small_profiles(), g=small_profiles())
+@example(f=PiecewiseQuadratic([0, F(1, 2), 1], _HALVES),
+         g=PiecewiseQuadratic.from_cleared([0, -3, -6], -6, _HALVES))  # equal: one form
+@example(f=PiecewiseQuadratic([0, F(1, 2), 1], _HALVES),
+         g=PiecewiseQuadratic([0, F(1, 3), 1], _HALVES))  # the same pieces on other breakpoints
+@example(f=PiecewiseQuadratic([0, F(1, 2), 1], _HALVES),
+         g=PiecewiseQuadratic([0, F(1, 2), 1], _HALVES[::-1]))  # other pieces on the same breakpoints
+def test_profiles_are_equal_exactly_when_their_breakpoints_and_pieces_are(f, g):
+    assert (f == g) == (f.breakpoints == g.breakpoints and f.pieces == g.pieces)
+    assert (f == g) == ((f._nums, f._den, f.pieces) == (g._nums, g._den, g.pieces))
 
 
 @st.composite
@@ -210,6 +259,7 @@ def profiles(draw, start=None):
 @example(f=PiecewiseQuadratic([F(1, 2), F(3, 4)], [Poly([F(-5, 999983), 7, F(1, 3), -2])]))  # a cubic
 def test_integrate_equals_its_reference(f):
     _same(integrate(f), oracles.integrate(f))
+    _same(integrate(_from_cleared(f, 3)), oracles.integrate(f))
 
 
 @_PROPERTY

@@ -77,6 +77,18 @@ def test_octic_x4y4_plus_x8_semistable_open_orbit():
     assert verdict.polystable is None  # degenerates to x^4 y^4, not fixed itself
 
 
+def test_the_x8_fixture_prints_nonzero_semistable_weights_that_replay():
+    # the reference classifies the fixture the same way, and its certificate is the x=0 one of weights
+    # 2 ord - 8 for x^4 y^4 and x^8, which replays to them
+    system = fixtures.BINARY_FIXTURES["quartic-binary-ss-x8"].system
+    assert system == BinaryFormSystem("even", 4, {2: frozenset({(4, 4), (8, 0)})})
+    verdict = binary_system_stability(system)
+    assert verdict == oracles.binary_system_stability(system)
+    assert (verdict.verdict, verdict.polystable) == ("strictly-semistable", None)
+    assert verdict.certificate[:3] == ("x=0", 1, 0) and verdict.certificate.weights == (0, 8)
+    assert replay_certificate(system, verdict.certificate) == [0, 8]
+
+
 def test_octic_generic_stable():
     system = BinaryFormSystem("even", 4, {2: frozenset({(4, 4), (8, 0), (0, 8), (5, 3)})})
     assert binary_system_stability(system).verdict == "stable"

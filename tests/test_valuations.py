@@ -34,6 +34,21 @@ def test_log_discrepancy_examples():
     assert log_discrepancy(MonomialVal(CyclicQuot(4, 1, 1), (1, 1), scale=2)) == 1
 
 
+_RATIONALS = st.one_of(st.fractions(min_value=-50, max_value=50, max_denominator=60), st.integers(-50, 50))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(w1=_RATIONALS, w2=_RATIONALS, scale=_RATIONALS, n=st.sampled_from([1, 2, 3, 4, 25]),
+       monomials=st.sets(st.tuples(st.integers(0, 30), st.integers(0, 30)), min_size=1, max_size=8))
+@example(w1=F(13), w2=F(2), scale=F(1), n=1, monomials={(2, 0), (0, 13)})  # integers already
+@example(w1=F(1, 2), w2=F(-3), scale=F(4, 9), n=4, monomials={(1, 1)})
+def test_valuation_arithmetic_equals_its_fraction_reference(w1, w2, scale, n, monomials):
+    # the library clears (w1, w2, scale) and works on integers; the reference multiplies Fractions
+    v, g = MonomialVal(CyclicQuot(n), (w1, w2), scale), GermSupport(frozenset(monomials))
+    for got, want in ((log_discrepancy(v), oracles.log_discrepancy(v)), (ord_on_germ(v, g), oracles.ord_on_germ(v, g))):
+        assert type(got) is F and got == want
+
+
 def test_ord_on_germ_examples():
     v = MonomialVal(SMOOTH_POINT, (13, 2))
     assert ord_on_germ(v, germ((2, 0), (0, 13))) == 26

@@ -371,3 +371,24 @@ def test_wall_invariant_under_valuation_normalization():
     )
     assert (case.A0, case.ordD, case.S0) == (F(1), F(3, 2), F(1, 3))
     assert solve_wall(case).wall == base.wall == F(6, 11)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.WALL_FIXTURES))
+def test_each_wall_fixture_case_is_its_fraction_derivation(name):
+    got, want = fixtures.wall_case(name), oracles.wall_case(fixtures.WALL_FIXTURES[name])
+    assert got == want and got._form == want._form
+    assert all(type(x) is F for x in got[1:6])
+
+
+def test_each_first_wall_case_is_its_fraction_derivation():
+    from kwall.valuations import germ
+
+    for d in range(4, 41):
+        parity = ("even", "odd")[d % 2]
+        fx = fixtures.WallFixture(f"firstwall-{parity}-d{d}", None if d % 2 == 0 else germ((1, 1)),
+                                  "p114-quot", "", {}, d)
+        got, want = fixtures.first_wall_case(d), oracles.wall_case(fx)
+        assert got == want and got._form == want._form, d
+        # first_wall's closed form: A0 = 1/2, ord(D) = 0 or 1/2, S(c) = (6 - 2dc)/6
+        assert (got.A0, got.ordD, got.S0, got.alpha, got.beta) == (F(1, 2), F(d % 2, 2), F(1, 6), 6, 2 * d)
+        assert all(type(x) is F for x in got[1:6])

@@ -18,12 +18,12 @@ from typing import Callable
 from . import fixtures
 from .exact import (
     PiecewiseQuadratic,
-    Polygon2,
     _adjugate_columns,
+    _fractions,
     _idot3,
+    _polygon_cycle,
     area_centroid,
     poly,
-    polygon,
     v2_dot,
 )
 from .git import (
@@ -35,7 +35,7 @@ from .git import (
 )
 from .toric_kps import _cone_form, _solve_cone_form, solve_centroid_condition
 from .valuations import index_bound, lct_newton
-from .volumes import MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
+from .volumes import _toric_profile, _two_ray_form, _two_ray_profile, s_invariant, volume_toric, volume_two_ray
 from .walls import (
     _QUINTIC_STRATA,
     WallCase,
@@ -250,9 +250,9 @@ def criterion_8() -> str:
 def criterion_9() -> str:
     """CM degree as a polynomial identity plus its positivity window."""
     for d in range(3, 10):
-        # cm_degree is a cubic in c, so four values fix it
-        got = [cm_degree(2, d, c) for c in map(F, range(4))]
-        want = [27 * c - 18 * d * c**2 + 3 * d * d * c**3 for c in map(F, range(4))]
+        # cm_degree is a cubic in c, so four values fix it: at integer c, in integers
+        got = [cm_degree(2, d, c) for c in range(4)]
+        want = [27 * c - 18 * d * c**2 + 3 * d * d * c**3 for c in range(4)]
         win = cm_positivity_window(2, d)
         if got != want or (win.lo, win.hi) != (F(0), F(3, d)):
             raise CheckFailed(f"d={d}: {got} at c = 0, 1, 2, 3, expected {want}; window ({win.lo}, {win.hi})")
@@ -347,15 +347,22 @@ def _rescaled_form(case: WallCase, p: int, q: int) -> tuple[int, ...]:
     return _wall_form((a0 * p, od * p, s0 * p, al * q, be * q), s * q, case.valid_range)
 
 
-def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
-    """The two-ray model whose profile along E is that of the moment triangle tri along w,
-    or None when two vertices tie for the lowest level of w.
+def _triangle(digits: list[int]) -> tuple[list[tuple[int, int]], int]:
+    """Part (b)'s three points, with coordinates p / (q + 1) from the digits of _TRIANGLE_RADICES, as
+    integers over D = lcm(q + 1): the coordinate p / (q + 1) is p (D / (q + 1)) over D."""
+    qs = [q + 1 for q in digits[1:12:2]]
+    den = math.lcm(*qs)
+    xs = [p * (den // q) for p, q in zip(digits[0:12:2], qs)]
+    return list(zip(xs[0::2], xs[1::2])), den
+
+
+def _two_ray_twin(vs: list[tuple[int, int]], den: int, w: tuple[int, int]) -> tuple[int, ...] | None:
+    """The checked form of the two-ray model whose profile along E is that of the moment triangle with
+    CCW vertices vs / den along w, or None when two vertices tie for the lowest level of w.
 
     The twin comes from the triangle, not from the toric profile it is checked against:
     h2 = 2 area, e from the edges at the lowest vertex, t1 = the second vertex level.
     """
-    nums, den = tri.cleared
-    vs = list(zip(nums[::2], nums[1::2]))  # den times the vertices
     levels = [x * w[0] + y * w[1] for x, y in vs]  # den times their levels
     lo, mid, _ = sorted(levels)
     if lo == mid:
@@ -367,8 +374,8 @@ def _two_ray_twin(tri: Polygon2, w: tuple[int, int]) -> TwoRayModel | None:
     cross = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
     pairs = (levels[k - 2] - lo) * (levels[k - 1] - lo)
     # over den^2 pairs: h2 = cross / den^2 (twice the area), e2 = e and Cbar = t1 e H - h2 E
-    return TwoRayModel.from_cleared(([cross * pairs, 0, cross * den * den], den * den * pairs),
-                                    ([(mid - lo) * cross * den, cross * pairs], den * den * pairs))
+    return _two_ray_form(([cross * pairs, 0, cross * den * den], den * den * pairs),
+                         ([(mid - lo) * cross * den, cross * pairs], den * den * pairs))
 
 
 def _moved_form(cone: tuple[tuple[list[int], int], ...], g, ginv_t):
@@ -401,31 +408,27 @@ def criterion_11() -> str:
             what = "wall moves" if got[0] != base_reports[name][0] else "unstable sides change"
             raise CheckFailed(f"{case.name}: {what} under rescaling by {F(p + 1, q + 1)}")
 
-    # (b) engine agreement on random triangle fixtures with random directions, each twin along L = H
+    # (b) engine agreement on random triangle fixtures with random directions, each twin along L = H: each triangle
+    # decoded, checked, twinned and profiled on integers, by the cores of polygon and of both engines
     size = math.prod(_TRIANGLE_RADICES)
-    L = (F(1), F(0))
     done = 0
     for _ in range(_TRIANGLE_ATTEMPTS):
         d = _digits(rng.randrange(size), _TRIANGLE_RADICES)
-        coords = [F(p, q + 1) for p, q in zip(d[0:12:2], d[1:12:2])]
-        verts = list(zip(coords[0::2], coords[1::2]))
+        pts, den = _triangle(d)
         try:
-            tri = polygon(verts)
+            kind, kept = _polygon_cycle(pts)
         except ValueError:
             continue
-        if tri.kind != "polygon":
-            continue
         w = (d[12] - 5, d[13] - 5)
-        if w == (0, 0):
+        if kind != "polygon" or w == (0, 0):
             continue
-        model = _two_ray_twin(tri, w)
-        if model is None:
+        vs = [q for q, _ in kept]
+        form = _two_ray_twin(vs, den, w)
+        if form is None:
             continue
-        toric = volume_toric(MomentPolygon(tri, w))
-        two = volume_two_ray(model, L)
         # equal breakpoints and pieces: two equal profiles cannot differ at any t
-        if two != toric:
-            raise CheckFailed(f"twin mismatch for {verts} {w}")
+        if _two_ray_profile(form, (1, 0), 1) != _toric_profile([c for v in vs for c in v], den, w):
+            raise CheckFailed(f"twin mismatch for {[(F(x, den), F(y, den)) for x, y in pts]} {w}")
         done += 1
         if done == 60:
             break
@@ -433,7 +436,7 @@ def criterion_11() -> str:
         raise CheckFailed(f"only {done} of 60 triangles in {_TRIANGLE_ATTEMPTS} attempts")
 
     # (c) unimodular equivariance of the centroid test: 100 trials, each moved cone checked and solved on its
-    # form alone, as the CentroidCase constructor and solve_centroid_condition do
+    # form alone, as the CentroidCase constructor and solve_centroid_condition do, its solution compared cleared
     names = sorted(fixtures.CENTROID_FIXTURES)
     cases = {name: fixtures.CENTROID_FIXTURES[name].case for name in names}
     base_solutions = {name: _solve_cone_form(case._form)[1] for name, case in cases.items()}
@@ -451,7 +454,8 @@ def criterion_11() -> str:
         ginv_t = tuple(tuple(det * x for x in row) for row in cof)
         verdict, solution, _ = _solve_cone_form(_moved_form(cases[name]._cone, g, ginv_t))
         if (verdict, solution) != ("unique-c", base_solutions[name]):
-            raise CheckFailed(f"{cases[name].name}-moved: {verdict} {solution} != unique-c {base_solutions[name]}")
+            got, want = (s and _fractions(*s) for s in (solution, base_solutions[name]))
+            raise CheckFailed(f"{cases[name].name}-moved: {verdict} {got} != unique-c {want}")
     return "200 wall rescalings, 60 random engine-agreement fixtures, 100 lattice moves: all exact"
 
 

@@ -109,6 +109,16 @@ def _cleared(v: Sequence) -> tuple[list[int], int]:
     return [x.numerator * (s // d) for x, d in zip(v, dens)], s
 
 
+def _lowest(nums: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The integers nums over den != 0 in one canonical form: over a positive denominator that shares no
+    factor with all of them, so that two rational vectors are equal exactly when their forms are."""
+    ns = tuple(nums)
+    g = math.gcd(den, *ns)
+    if den < 0:
+        g = -g
+    return (tuple([n // g for n in ns]) if g != 1 else ns), den // g
+
+
 def _fractions(nums: Sequence[int], s: int) -> tuple[Fraction, ...]:
     """The rationals nums[i] / s: a cleared vector as Fractions."""
     return tuple(map(Fraction, nums)) if s == 1 else tuple(Fraction(x, s) for x in nums)
@@ -151,12 +161,8 @@ class Poly:
         ns = list(nums)
         while ns and ns[-1] == 0:
             ns.pop()
-        g = math.gcd(den, *ns)
-        if den < 0:
-            g = -g
         p = object.__new__(cls)
-        p._nums = tuple([n // g for n in ns] if g != 1 else ns)
-        p._den = den // g
+        p._nums, p._den = _lowest(ns, den)
         return p
 
     @property
@@ -224,13 +230,8 @@ class PiecewiseQuadratic:
     @classmethod
     def from_cleared(cls, nums: Iterable[int], den: int, pieces: Sequence[Poly]) -> PiecewiseQuadratic:
         """The profile with breakpoints nums[i] / den, for integers nums and den != 0, and the given pieces."""
-        ns = tuple(nums)
-        g = math.gcd(den, *ns)
-        if den < 0:
-            g = -g
         f = object.__new__(cls)
-        f._nums = tuple(n // g for n in ns) if g != 1 else ns
-        f._den = den // g
+        f._nums, f._den = _lowest(nums, den)
         f.pieces = tuple(pieces)
         return f
 
@@ -315,25 +316,35 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
 
     Repeated consecutive points and collinear middle vertices are dropped.  A
     cycle that spans the plane must be simple: a 180-degree turn, or edges that
-    wind around more than once (a pentagram), raise StructuralError.
+    wind around more than once (a pentagram), raise StructuralError.  The cleared
+    points are checked by ``_polygon_cycle``, the one path that checks a cycle.
     """
     pts = [(rat(p[0]), rat(p[1])) for p in points]
     # every test reads the points cleared over one positive denominator, which keeps each sign and each zero
     nums, den = _cleared([c for p in pts for c in p])
-    cycle: list[tuple[tuple[int, int], Vec2]] = []  # (cleared point, the caller's point)
-    for q, p in zip(zip(nums[::2], nums[1::2]), pts):
+    kind, kept = _polygon_cycle(list(zip(nums[::2], nums[1::2])))
+    out = Polygon2(tuple(pts[i] for _, i in kept), kind)
+    if kind == "polygon":
+        out._form = [c for q, _ in kept for c in q], den  # den times the kept vertices
+    return out
+
+
+def _polygon_cycle(qs: Sequence[tuple[int, int]]) -> tuple[str, list[tuple[tuple[int, int], int]]]:
+    """The kind of the region that the cycle of integer points qs spans, and its kept points, each with its
+    index in qs: counterclockwise for a "polygon", the two ends of a "segment"; the one path that dedups,
+    drops collinear vertices, orients, and checks strict convexity and winding, as ``polygon`` describes."""
+    cycle: list[tuple[tuple[int, int], int]] = []  # (point, its index)
+    for i, q in enumerate(qs):
         if not cycle or q != cycle[-1][0]:
-            cycle.append((q, p))
+            cycle.append((q, i))
     if len(cycle) > 1 and cycle[0][0] == cycle[-1][0]:
         cycle.pop()
-    if not cycle:
-        return Polygon2((), "empty")
-    if len(cycle) == 1:
-        return Polygon2((cycle[0][1],), "point")
+    if len(cycle) < 2:
+        return ("empty", "point")[len(cycle)], cycle
     (x0, y0), (x1, y1) = cycle[0][0], cycle[1][0]
     if all((x1 - x0) * (y - y0) == (y1 - y0) * (x - x0) for (x, y), _ in cycle):
         # a cycle on one line: the segment between its two extreme points
-        return Polygon2((min(cycle)[1], max(cycle)[1]), "segment")
+        return "segment", [min(cycle), max(cycle)]
     # Drop the collinear middle vertices in one pass.  Dropping a vertex that goes straight on leaves
     # the direction of every other edge, so every other turn, unchanged; a vertex that turns back
     # stays one until it is dropped, so the cycle is not simple exactly when one turns back here.
@@ -357,9 +368,7 @@ def polygon(points: Sequence[Vec2]) -> Polygon2:
     upper = [dy > 0 or (dy == 0 and dx > 0) for dx, dy in edges]
     if sum(x != y for x, y in zip(upper, upper[1:] + upper[:1])) != 2:
         raise StructuralError("vertex cycle is not simple: its edges wind around more than once")
-    out = Polygon2(tuple(p for _, p in kept), "polygon")
-    out._form = [c for q in qs for c in q], den  # den times the kept vertices
-    return out
+    return "polygon", kept
 
 
 def clip(p: Polygon2, normal: Vec2, offset) -> Polygon2:

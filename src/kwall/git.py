@@ -200,9 +200,9 @@ def cm_degree(n: int, d: int, c: Fraction) -> Fraction:
     power is taken, from bit lengths alone.  With c = a/b and the base
     n+1 - cd = p/q in lowest terms, the value's numerator is at least |p|^n / b
     and its denominator at least q^n / ((n+1)|a|) when a != 0, and
-    2^(10k/3) > 10^k.
+    2^(10k/3) > 10^k.  An int c gives an int.
     """
-    c = rat(c)
+    c = c if type(c) is int else rat(c)
     if c == 0:
         return c
     base = n + 1 - c * d

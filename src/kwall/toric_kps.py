@@ -31,6 +31,7 @@ from .exact import (
     _cramer3,
     _fractions,
     _idot3,
+    _lowest,
     fmt,
     vec3,
 )
@@ -91,11 +92,9 @@ def _cone_form(*cleared: tuple[list[int], int]):
     # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2, reduced
     weights = (p1 * p2, p0 * p2, p0 * p1)
     total = [xs * sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
-    den = 3 * p0 * p1 * p2
-    g = math.gcd(den, *total) if den > 0 else -math.gcd(den, *total)
     # (n, det, u2, u1, eta0*) with n = det G u0, det = det G and u2, u1 and eta0* cleared: what the
     # centroid condition reads
-    return [sum(r[i] for r in rays) for i in range(3)], det, ([x // g for x in total], den // g), u1, eta
+    return [sum(r[i] for r in rays) for i in range(3)], det, _lowest(total, 3 * p0 * p1 * p2), u1, eta
 
 
 class CentroidVerdict(namedtuple("CentroidVerdict", "u0 u2 solution verdict detail", defaults=("",))):
@@ -113,14 +112,16 @@ def reeb_cross_section_centroid(case: CentroidCase) -> Vec3:
 
 def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     """Decide whether the centroid decomposes as a(u0 - c u1) + b eta0* with a, b > 0:
-    _solve_cone_form, then u0 and u2 as Fractions."""
+    _solve_cone_form, then u0, u2 and the solution as Fractions."""
     n, det, u2 = case._form[:3]
     verdict, solution, detail = _solve_cone_form(case._form)
-    return CentroidVerdict(tuple(Fraction(x, det) for x in n), _fractions(*u2), solution, verdict, detail)
+    return CentroidVerdict(tuple(Fraction(x, det) for x in n), _fractions(*u2), solution and _fractions(*solution),
+                           verdict, detail)
 
 
-def _solve_cone_form(form) -> tuple[str, Optional[tuple[Fraction, Fraction, Fraction]], str]:
-    """(verdict, solution, detail) of the centroid condition on a cone form; the one path that solves it.
+def _solve_cone_form(form) -> tuple[str, Optional[tuple[tuple[int, int, int], int]], str]:
+    """(verdict, solution, detail) of the centroid condition on a cone form, the solution (a, c, b) in the
+    canonical form of ``exact._lowest``; the one path that solves it.
 
     Substituting p = a and q = ac makes the condition the linear system
     u2 = p u0 - q u1 + b eta0*; c = q/p is recovered afterwards.
@@ -136,8 +137,8 @@ def _solve_cone_form(form) -> tuple[str, Optional[tuple[Fraction, Fraction, Frac
             return "indeterminate", None, "u1 = 0: the coefficient never enters the condition"
         return "indeterminate", None, f"dependent system (rank {exc.rank}): coefficient not determined"
     # z = (z0, z1, z2) / d, so a = p = det z0 / (d s) and b = es z2 / (d s), with s, es > 0
-    a, b = Fraction(det * z0, d * s), Fraction(es * z2, d * s)
     if det * z0 * d <= 0 or z2 * d <= 0:
+        a, b = Fraction(det * z0, d * s), Fraction(es * z2, d * s)
         return "no-solution", None, f"sign conditions fail: a = {a}, b = {b}"
-    # Cramer's rule is exact: rows (p, q, b) = u2 needs no re-check, and c = q / p = us z1 / (det z0)
-    return "unique-c", (a, Fraction(us * z1, det * z0), b), ""
+    # Cramer's rule is exact: rows (p, q, b) = u2 needs no re-check; c = q / p = us z1 / (det z0), all over d s det z0
+    return "unique-c", _lowest((det * z0 * det * z0, us * z1 * d * s, es * z2 * det * z0), d * s * det * z0), ""

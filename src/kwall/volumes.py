@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .exact import (
     KwallError,
@@ -67,39 +67,11 @@ class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
     @classmethod
     def from_cleared(cls, hxe: tuple[list[int], int], curve: Optional[tuple[list[int], int]] = None) -> TwoRayModel:
         """The model whose (h2, cross, e2) and declared curve (a, b) are given cleared, each as integer
-        numerators over a positive denominator in any common scale; the one path that checks a model."""
-        (h, x, e), k = hxe
-        g = math.gcd(h, x, e, k)
-        h, x, e, k = h // g, x // g, e // g, k // g
-        if h <= 0:
-            raise ModelError("field 'h2': (H^2) must be positive")
-        if e <= 0:
-            raise ModelError("field 'e2': -(E^2) must be positive")
-        if curve is None:
-            r = math.isqrt(x * x + h * e)
-            if r * r != x * x + h * e:
-                raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
-            a, b, m = e, r - x, 1
-        else:
-            # with (a, b) cleared to (a, b) / m, (Cbar^2), H.Cbar and E.Cbar are k m^2 and k m (k, m > 0)
-            # times the integers below
-            (a, b), m = curve
-            g = math.gcd(a, b, m)
-            a, b, m = a // g, b // g, m // g
-            if a * a * h - 2 * a * b * x - b * b * e > 0:
-                raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
-            # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
-            # polarization H nonnegatively and E positively, and is no multiple of E
-            if a * h - b * x < 0:
-                raise ModelError("field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective")
-            if a * x + b * e <= 0:
-                raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
-            if a == 0:
-                raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")
+        numerators over a positive denominator in any common scale: ``_two_ray_form``, the one path that
+        checks a model, then its Fractions."""
+        h, x, e, k, a, b, m = form = _two_ray_form(hxe, curve)
         self = super().__new__(cls, Fraction(h, k), Fraction(e, k), Fraction(x, k), (Fraction(a, m), Fraction(b, m)))
-        # (h2, cross, e2) over their least common denominator k and Cbar = (a H - b E) / m, as
-        # (h, x, e, k, a, b, m): what pair and volume_two_ray read
-        self._form = (h, x, e, k, a, b, m)
+        self._form = form  # what pair and volume_two_ray read
         return self
 
     def pair(self, v: tuple[Fraction, Fraction], w: tuple[Fraction, Fraction]) -> Fraction:
@@ -108,6 +80,41 @@ class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
         (v0, v1), s = _cleared(v)
         (w0, w1), t = _cleared(w)
         return Fraction(v0 * w0 * h + (v0 * w1 + v1 * w0) * x - v1 * w1 * e, k * s * t)
+
+
+def _two_ray_form(hxe: tuple[list[int], int], curve: Optional[tuple[list[int], int]] = None) -> tuple[int, ...]:
+    """The checked form of the model that ``TwoRayModel.from_cleared`` builds from the same arguments:
+    (h2, cross, e2) over their least common denominator k and Cbar = (a H - b E) / m, as (h, x, e, k, a, b, m);
+    the one path that checks a model."""
+    (h, x, e), k = hxe
+    g = math.gcd(h, x, e, k)
+    h, x, e, k = h // g, x // g, e // g, k // g
+    if h <= 0:
+        raise ModelError("field 'h2': (H^2) must be positive")
+    if e <= 0:
+        raise ModelError("field 'e2': -(E^2) must be positive")
+    if curve is None:
+        r = math.isqrt(x * x + h * e)
+        if r * r != x * x + h * e:
+            raise ModelError("field 'neg_curve': pseudoeffective threshold is irrational; supply the negative curve")
+        a, b, m = e, r - x, 1
+    else:
+        # with (a, b) cleared to (a, b) / m, (Cbar^2), H.Cbar and E.Cbar are k m^2 and k m (k, m > 0)
+        # times the integers below
+        (a, b), m = curve
+        g = math.gcd(a, b, m)
+        a, b, m = a // g, b // g, m // g
+        if a * a * h - 2 * a * b * x - b * b * e > 0:
+            raise ModelError("field 'neg_curve': declared negative curve has (Cbar^2) > 0")
+        # Cbar spans the second ray as an irreducible curve other than E: such a curve meets the
+        # polarization H nonnegatively and E positively, and is no multiple of E
+        if a * h - b * x < 0:
+            raise ModelError("field 'neg_curve': H.Cbar < 0, so Cbar = aH - bE is not effective")
+        if a * x + b * e <= 0:
+            raise ModelError("field 'neg_curve': E.Cbar <= 0, so Cbar = aH - bE is not a curve other than E")
+        if a == 0:
+            raise ModelError("field 'neg_curve': a = 0, so Cbar = -bE is not a curve other than E")
+    return h, x, e, k, a, b, m
 
 
 class MomentPolygon(namedtuple("MomentPolygon", "polygon valuation_direction")):
@@ -150,9 +157,16 @@ def volume_two_ray(model: TwoRayModel, L: tuple[Fraction, Fraction]) -> Piecewis
       Cbar is orthogonal only to its own multiples, so then t_nef = lambda.
     The pairing has signature (1, 1), so no big D meets both E and Cbar
     negatively (the Gram determinant of E and Cbar would be positive): t_E < t_nef.
+    ``_two_ray_profile``, on the model's form and L cleared, is the one path.
     """
-    (lh, le), l = _cleared((rat(L[0]), rat(L[1])))
-    h, x, e, k, a, b, _ = model._form
+    return _two_ray_profile(model._form, *_cleared((rat(L[0]), rat(L[1]))))
+
+
+def _two_ray_profile(form: tuple[int, ...], L: Sequence[int], l: int) -> PiecewiseQuadratic:
+    """The profile of ``volume_two_ray`` on a model form, along L = (lh, le) / l for integers lh, le and l > 0;
+    the one path that computes it."""
+    lh, le = L
+    h, x, e, k, a, b, _ = form
     # L = lambda E + mu Cbar by Cramer's rule over det(E, Cbar) = -a / m: mu = lh m / (a l) and
     # lambda = (lh b + le a) / (a l)
     if lh * a <= 0 or (lh * b + le * a) * a <= 0:
@@ -191,9 +205,15 @@ def volume_toric(mp: MomentPolygon) -> PiecewiseQuadratic:
     In the coordinates h = <u, w>, s = w x u the area is ∫ g(h) dh with slice
     width g = (s_upper - s_lower) / |w|^2, which is linear between vertex
     levels: one exact slice per level fixes a closed-form quadratic per piece.
+    ``_toric_profile``, on the cleared vertices and direction, is the one path.
     """
-    nums, d = mp.polygon.cleared
-    (w0, w1), e = _cleared(mp.valuation_direction)
+    return _toric_profile(*mp.polygon.cleared, *_cleared(mp.valuation_direction))
+
+
+def _toric_profile(nums: Sequence[int], d: int, w: Sequence[int], e: int = 1) -> PiecewiseQuadratic:
+    """The profile of ``volume_toric`` for the CCW polygon with vertices x0, y0, x1, y1, ... = nums / d and the
+    nonzero direction w / e (d, e > 0); the one path that computes it."""
+    w0, w1 = w
     # h and s of the cleared vertices and direction: d e times the true values
     hs = [x * w0 + y * w1 for x, y in zip(nums[::2], nums[1::2])]
     ss = [w0 * y - w1 * x for x, y in zip(nums[::2], nums[1::2])]

@@ -98,9 +98,11 @@ def _solve_wall_form(form: tuple[int, ...], valid_range: Interval) -> tuple[Opti
         return None, False, False, True
     if slope != 0 and (cstar := Fraction(-const, slope)) in valid_range:
         return cstar, slope > 0, slope < 0, False
-    # no root in the range: the margin keeps the sign it has at the midpoint p / q, (const q + slope p) / (q s^2)
-    mid = (valid_range.lo + valid_range.hi) / 2
-    unstable = const * mid.denominator + slope * mid.numerator < 0
+    # no root in the range: the margin keeps the sign it has at the midpoint p / q, (const q + slope p) / (q s^2),
+    # with p = lo.num hi.den + hi.num lo.den and q = 2 lo.den hi.den > 0
+    lo, hi = valid_range.lo, valid_range.hi
+    p = lo.numerator * hi.denominator + hi.numerator * lo.denominator
+    unstable = 2 * const * lo.denominator * hi.denominator + slope * p < 0
     return None, unstable, unstable, False
 
 

@@ -9,8 +9,10 @@ three times per piece and fitting the quadratic through the samples.
 
 The library's wall solver reads the sign and the root of A - S off a
 ``WallCase`` cleared over one denominator; ``solve_wall`` and
-``check_wall_range`` here are its ``Fraction`` references, and ``margin`` is
-A - S at one coefficient, which the wall tests read.  ``check_cone`` is the
+``check_wall_range`` here are its ``Fraction`` references, ``margin`` is
+A - S at one coefficient, which the wall tests read, and ``range_midpoint``
+is the Fraction midpoint at which ``solve_wall`` reads the sign of a margin
+without a root in range.  ``check_cone`` is the
 ``Fraction`` reference for the checks a ``CentroidCase`` runs on integers: the
 coordinates of xi0 in the generators by a Fraction solve, not the pairings of
 the cleared dual rays.
@@ -55,10 +57,14 @@ the centroid test reads its dual rays, det G and u0 off the cleared cone of a
 ``CentroidCase``, criterion 11 inverts its unimodular moves by integer
 cofactors, and a centroid fixture sums the products of its integer basis rows.
 The tests build their moved and drawn cones with them and check the library's
-u0 against ``anticanonical_vector``.  Nor have the planar sum, difference,
+u0 against ``anticanonical_vector``; ``solution_fractions`` reads the cleared
+solution of the library's form-level solve as Fractions.  Nor have the planar sum, difference,
 scaling and cross product: criterion 11 builds its two-ray twins from the
 cleared integer vertices of each triangle, and ``clip`` writes its crossing
-points out.  Nor have the polynomial sum, difference and product
+points out.  Criterion 11(b) decodes each random triangle straight to
+integers over the least common multiple of its coordinates' denominators;
+``triangle`` is the Fraction decoder it replaced, coordinates first, then
+the polygon.  Nor have the polynomial sum, difference and product
 (``poly_add``, ``poly_sub``, ``poly_mul``), which no command calls: the tests
 and the engines here build polynomials with them.  ``cleared_over`` writes
 rationals as integers over a common denominator of any scale, which
@@ -380,6 +386,15 @@ def pair(form: tuple[Fraction, Fraction, Fraction], v: tuple[Fraction, Fraction]
     return v[0] * w[0] * h2 + (v[0] * w[1] + v[1] * w[0]) * cross - v[1] * w[1] * e2
 
 
+def triangle(digits: Sequence[int]) -> tuple[list[Vec2], Polygon2]:
+    """Criterion 11(b)'s draw as its Fraction decoder read it: the three vertices with coordinates
+    Fraction(p, q + 1) from the digits of ``acceptance._TRIANGLE_RADICES``, and their polygon (the
+    reference here, which refuses a cycle as the library's does)."""
+    coords = [Fraction(p, q + 1) for p, q in zip(digits[0:12:2], digits[1:12:2])]
+    verts = list(zip(coords[0::2], coords[1::2]))
+    return verts, polygon(verts)
+
+
 def cleared_over(values: Sequence[Fraction], k: int) -> tuple[list[int], int]:
     """The values as integer numerators over k times their least common denominator: in lowest terms
     exactly when k = 1."""
@@ -579,8 +594,14 @@ def solve_wall(case: WallCase) -> WallReport:
         return WallReport(case, None, False, False, degenerate=True)
     if slope != 0 and interval_contains(case.valid_range, cstar := -const / slope):
         return WallReport(case, cstar, unstable_below=slope > 0, unstable_above=slope < 0)
-    unstable = margin(case, (case.valid_range.lo + case.valid_range.hi) / 2) < 0
+    unstable = margin(case, range_midpoint(case.valid_range)) < 0
     return WallReport(case, None, unstable, unstable)
+
+
+def range_midpoint(valid_range: Interval) -> Fraction:
+    """(lo + hi) / 2 in Fraction arithmetic; the library reads the sign of the margin there off the
+    numerators and denominators of the two ends."""
+    return (valid_range.lo + valid_range.hi) / 2
 
 
 def log_discrepancy(v: MonomialVal) -> Fraction:
@@ -727,6 +748,18 @@ def check_cone(generators: tuple[Vec3, Vec3, Vec3], xi0: Vec3, eta0star: Vec3) -
 def anticanonical_vector(generators: tuple[Vec3, Vec3, Vec3]) -> Vec3:
     """The u0 with <u0, n_i> = 1 for each generator n_i, by a Fraction solve."""
     return solve_linear3(generators, (Fraction(1), Fraction(1), Fraction(1)))
+
+
+def solution_fractions(solved: tuple) -> tuple:
+    """A form-level centroid solve's (verdict, solution, detail), with the solution that the library keeps in
+    canonical cleared form (integers over a positive denominator sharing no factor with all of them) checked
+    for that form and read as Fractions."""
+    verdict, solution, detail = solved
+    if solution is not None:
+        nums, den = solution
+        assert all(type(x) is int for x in (*nums, den)) and den > 0 and math.gcd(den, *nums) == 1, solution
+        solution = tuple(Fraction(n, den) for n in nums)
+    return verdict, solution, detail
 
 
 def solve_centroid_condition(case: CentroidCase) -> tuple:

@@ -17,14 +17,24 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kwall
 import oracles
 from kwall import acceptance, fixtures, git
 from kwall.acceptance import CRITERIA
-from kwall.exact import PiecewiseQuadratic, Poly, polygon
+from kwall.exact import PiecewiseQuadratic, Poly, StructuralError, _polygon_cycle, polygon
 from kwall.toric_kps import CentroidCase, ConeError, solve_centroid_condition
-from kwall.volumes import TwoRayModel, volume_toric, volume_two_ray
+from kwall.volumes import (
+    ModelError,
+    MomentPolygon,
+    TwoRayModel,
+    _toric_profile,
+    _two_ray_profile,
+    volume_toric,
+    volume_two_ray,
+)
 from kwall.walls import WallCase
 
 
@@ -230,8 +240,8 @@ def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypat
         verdict, solution, detail = real(form)
         if form in _BASE_CONE_FORMS:
             return verdict, solution, detail
-        a, c, b = solution
-        return verdict, (a, c + 1, b), detail
+        (a, c, b), den = solution  # cleared: c + 1 is c + den over den
+        return verdict, ((a, c + den, b), den), detail
 
     monkeypatch.setattr(acceptance, "_solve_cone_form", shifted)
     with pytest.raises(acceptance.CheckFailed, match="-moved: unique-c"):
@@ -239,10 +249,9 @@ def test_criterion_11_fails_when_a_lattice_move_shifts_the_coefficient(monkeypat
 
 
 def test_criterion_11_skips_ties_among_its_random_directions(monkeypatch):
-    # every drawn triangle becomes the unit triangle; directions such as (1, 0), (0, 1) and
+    # every drawn triangle decodes to the unit triangle; directions such as (1, 0), (0, 1) and
     # (-1, -1) put two of its vertices on the lowest level, and they must be skipped
-    unit = polygon([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
-    monkeypatch.setattr(acceptance, "polygon", lambda verts: unit)
+    monkeypatch.setattr(acceptance, "_triangle", lambda digits: ([(0, 0), (1, 0), (0, 1)], 1))
     assert acceptance.criterion_11().startswith("200 wall rescalings, 60 random engine-agreement fixtures")
 
 
@@ -250,14 +259,14 @@ def test_criterion_11_fails_within_its_attempt_cap_when_every_triangle_is_degene
     # a decoder that forgets to divide gives every coordinate of a triangle the same value, so part (b)
     # refuses every draw: the criterion must fail after its cap, not loop forever
     attempts = Counter()
-    real_polygon = acceptance.polygon
+    real_cycle = acceptance._polygon_cycle
 
-    def polygon(verts):
+    def polygon_cycle(points):
         attempts["triangle"] += 1
-        return real_polygon(verts)
+        return real_cycle(points)
 
     monkeypatch.setattr(acceptance, "_digits", lambda code, radices: [code % r for r in radices])
-    monkeypatch.setattr(acceptance, "polygon", polygon)
+    monkeypatch.setattr(acceptance, "_polygon_cycle", polygon_cycle)
     with pytest.raises(acceptance.CheckFailed, match=r"^only 0 of 60 triangles in 300 attempts$"):
         acceptance.criterion_11()
     assert attempts["triangle"] == acceptance._TRIANGLE_ATTEMPTS == 300
@@ -426,6 +435,116 @@ def _twin_by_fractions(tri, w):
     return TwoRayModel(h2, e, F(0), ((levels[1] - levels[0]) * e, h2))
 
 
+def _fraction_triangles(seed):
+    """Part (b) at seed as it ran on the Fraction decoder, ``oracles.triangle``, and the engines' public entry
+    points: the attempt, vertices, direction and both profiles of each triangle it accepts, up to 60."""
+    rng = random.Random(seed)
+    size = math.prod(acceptance._RESCALE_RADICES)
+    for _ in range(200):  # part (a) draws first
+        rng.randrange(size)
+    size = math.prod(acceptance._TRIANGLE_RADICES)
+    accepted = []
+    for attempt in range(acceptance._TRIANGLE_ATTEMPTS):
+        d = acceptance._digits(rng.randrange(size), acceptance._TRIANGLE_RADICES)
+        try:
+            _, tri = oracles.triangle(d)
+        except ValueError:
+            continue
+        w = (d[12] - 5, d[13] - 5)
+        if tri.kind != "polygon" or w == (0, 0) or (model := _twin_by_fractions(tri, w)) is None:
+            continue
+        toric, two = volume_toric(MomentPolygon(tri, w)), volume_two_ray(model, (F(1), F(0)))
+        accepted.append((attempt, tri.vertices, w, toric, two))
+        if len(accepted) == 60:
+            return accepted
+    raise AssertionError(f"only {len(accepted)} triangles")
+
+
+@pytest.mark.parametrize("seed", [acceptance._SEED, 1, 42])
+def test_criterion_11_draws_and_profiles_the_triangles_of_the_fraction_decoder(monkeypatch, seed):
+    # the integer draw accepts the same attempts, with the same triangles and directions, and its cores give
+    # the same two profiles as the Fraction decoder and the public engines
+    attempts, accepted, profiles = [], [], {"_toric_profile": [], "_two_ray_profile": []}
+    real_triangle, real_twin = acceptance._triangle, acceptance._two_ray_twin
+
+    def triangle(digits):
+        attempts.append(digits)
+        return real_triangle(digits)
+
+    def twin(vs, den, w):
+        form = real_twin(vs, den, w)
+        if form is not None:
+            accepted.append((len(attempts) - 1, tuple((F(x, den), F(y, den)) for x, y in vs), w))
+        return form
+
+    for core, found in profiles.items():
+        monkeypatch.setattr(acceptance, core, lambda *args, real=getattr(acceptance, core), found=found:
+                            found.append(real(*args)) or found[-1])
+    monkeypatch.setattr(acceptance, "_SEED", seed)
+    monkeypatch.setattr(acceptance, "_triangle", triangle)
+    monkeypatch.setattr(acceptance, "_two_ray_twin", twin)
+    acceptance.criterion_11()
+    assert list(zip(*zip(*accepted), *profiles.values())) == _fraction_triangles(seed)
+    for (attempt, vertices, w), toric in zip(accepted, profiles["_toric_profile"]):
+        assert toric == oracles.toric_profile(MomentPolygon(polygon(vertices), w)), attempt
+
+
+_COORDINATE = st.tuples(st.integers(0, 8), st.integers(0, 11))  # p and q of p / (q + 1), as part (b) draws them
+
+
+def _points(*xy):
+    """Integer points as coordinate digits (p, q) with q = 0."""
+    return [((x, 0), (y, 0)) for x, y in xy]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(_COORDINATE, _COORDINATE), min_size=3, max_size=6),
+       w=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+       L=st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3)))
+@example(points=_points((4, 0), (6, 8), (0, 3), (8, 3), (2, 8)), w=(1, 2), L=(1, 0, 1))  # a pentagram
+@example(points=_points((0, 0), (8, 0), (2, 2), (0, 8)), w=(1, 2), L=(1, 0, 1))  # a reflex vertex
+@example(points=_points((0, 0), (4, 0), (2, 0), (4, 4)), w=(1, 2), L=(1, 0, 1))  # a turn back
+@example(points=_points((0, 0), (4, 0), (0, 4)), w=(1, 2), L=(0, 1, 1))  # L = E is not big
+def test_each_engine_core_is_its_public_wrapper_on_random_triangles_and_directions(points, w, L):
+    # part (b)'s cores on the points cleared over the lcm of their denominators, the public entry points on
+    # the Fractions: the same polygon, profiles and twin, or the same refusal
+    digits = [v for point in points for coordinate in point for v in coordinate]
+    verts = [(F(px, qx + 1), F(py, qy + 1)) for (px, qx), (py, qy) in points]
+    den = math.lcm(*(q + 1 for q in digits[1::2]))
+    pts = [(px * (den // (qx + 1)), py * (den // (qy + 1))) for (px, qx), (py, qy) in points]
+    if len(points) == 3:
+        assert acceptance._triangle(digits) == (pts, den) and oracles.triangle(digits)[0] == verts
+    try:
+        tri = polygon(verts)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError) as got:
+            _polygon_cycle(pts)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    kind, kept = _polygon_cycle(pts)
+    assert kind == tri.kind and tuple(verts[i] for _, i in kept) == tri.vertices
+    assert tuple((F(x, den), F(y, den)) for (x, y), _ in kept) == tri.vertices
+    if kind != "polygon" or w == (0, 0):
+        return
+    vs = [q for q, _ in kept]
+    assert _toric_profile([c for v in vs for c in v], den, w) == volume_toric(MomentPolygon(tri, w))
+    if len(vs) != 3:
+        return
+    form, model = acceptance._two_ray_twin(vs, den, w), _twin_by_fractions(tri, w)
+    assert form == (model and model._form)
+    if model is None:
+        return
+    lh, le, l = L
+    try:
+        want = volume_two_ray(model, (F(lh, l), F(le, l)))
+    except ModelError as exc:
+        with pytest.raises(ModelError) as got:
+            _two_ray_profile(form, (lh, le), l)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    assert _two_ray_profile(form, (lh, le), l) == want
+
+
 def _moved_by_fractions(case, g):
     """A cone moved by g through the Fraction matrix-vector product and the Fraction inverse."""
     gf = oracles.mat3(g)
@@ -446,9 +565,9 @@ def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_cons
     twins, moves = [], []
     real_twin, real_moved = acceptance._two_ray_twin, acceptance._moved_form
 
-    def twin(tri, w):
-        twins.append((tri, w, real_twin(tri, w)))
-        return twins[-1][2]
+    def twin(vs, den, w):
+        twins.append((vs, den, w, real_twin(vs, den, w)))
+        return twins[-1][3]
 
     def moved(cone, g, ginv_t):
         moves.append((cone, g, real_moved(cone, g, ginv_t)))
@@ -458,10 +577,10 @@ def test_criterion_11_builds_the_same_twins_and_moved_cones_as_the_fraction_cons
     monkeypatch.setattr(acceptance, "_two_ray_twin", twin)
     monkeypatch.setattr(acceptance, "_moved_form", moved)
     acceptance.criterion_11()
-    assert sum(model is not None for _, _, model in twins) == 60 and len(moves) == 100
-    for tri, w, model in twins:
-        want = _twin_by_fractions(tri, w)
-        assert model == want and (model is None or model._form == want._form), (tri, w)
+    assert sum(form is not None for *_, form in twins) == 60 and len(moves) == 100
+    for vs, den, w, form in twins:
+        want = _twin_by_fractions(oracles.polygon([(F(x, den), F(y, den)) for x, y in vs]), w)
+        assert form == (want and want._form), (vs, den, w)
     bases = {name: cf.case for name, cf in fixtures.CENTROID_FIXTURES.items()}
     for cone, g, form in moves:
         base = next(case for case in bases.values() if case._cone == cone)
@@ -509,10 +628,23 @@ def _doubled(prof):
     return PiecewiseQuadratic(prof.breakpoints, pieces)
 
 
+def _doubled_core(monkeypatch, core):
+    """Double every piece of each profile that part (b) gets from the engine core it calls on the cleared
+    triangle."""
+    real = getattr(acceptance, core)
+    monkeypatch.setattr(acceptance, core, lambda *args: _doubled(real(*args)))
+
+
 def test_criterion_11_fails_on_a_two_ray_twin_with_doubled_pieces(monkeypatch):
     # the equality of the two profiles alone guards the engine agreement of part (b)
-    monkeypatch.setattr(acceptance, "volume_two_ray", lambda model, L: _doubled(volume_two_ray(model, L)))
-    with pytest.raises(acceptance.CheckFailed, match="twin mismatch"):
+    _doubled_core(monkeypatch, "_two_ray_profile")
+    with pytest.raises(acceptance.CheckFailed, match=r"^twin mismatch for \[\(Fraction"):
+        acceptance.criterion_11()
+
+
+def test_criterion_11_fails_on_a_toric_profile_with_doubled_pieces(monkeypatch):
+    _doubled_core(monkeypatch, "_toric_profile")
+    with pytest.raises(acceptance.CheckFailed, match=r"^twin mismatch for \[\(Fraction"):
         acceptance.criterion_11()
 
 
@@ -560,7 +692,7 @@ def test_moved_cones_are_the_ones_the_fraction_composition_builds():
         want = _moved_by_fractions(base, gf)
         assert got == want._form, code
         u0, u2, solution, verdict, detail = solve_centroid_condition(want)
-        assert acceptance._solve_cone_form(got) == (verdict, solution, detail), code
+        assert oracles.solution_fractions(acceptance._solve_cone_form(got)) == (verdict, solution, detail), code
         assert oracles.solve_centroid_condition(want) == (u0, u2, solution, verdict, detail), code
 
 
@@ -589,7 +721,7 @@ def test_each_suite_draws_over_the_ranges_of_the_draws_it_replaced():
 def test_one_pass_at_the_seed_uses_every_value_of_every_digit(monkeypatch):
     # every call that decodes a trial or reads one of its values, in order
     events = []
-    for name in ("_digits", "_solve_wall_form", "polygon", "_two_ray_twin", "_moved_form", "_random_unimodular"):
+    for name in ("_digits", "_solve_wall_form", "_polygon_cycle", "_two_ray_twin", "_moved_form", "_random_unimodular"):
         def spy(*args, real=getattr(acceptance, name), name=name):
             result = real(*args)
             events.append((name, args, result))
@@ -613,11 +745,12 @@ def test_one_pass_at_the_seed_uses_every_value_of_every_digit(monkeypatch):
             *nums, s = args[0]
             assert [F(n, s) for n in nums] == [base.A0 * lam, base.ordD * lam, base.S0 * lam, base.alpha, base.beta]
             assert args[1] == base.valid_range
-        elif name == "polygon":
+        elif name == "_polygon_cycle":  # the points over the lcm of the coordinates' denominators q + 1
             x0, y0, x1, y1, x2, y2 = (F(p, q + 1) for p, q in zip(d[0:12:2], d[1:12:2]))
-            assert args[0] == [(x0, y0), (x1, y1), (x2, y2)]
+            den = math.lcm(*(q + 1 for q in d[1:12:2]))
+            assert [(F(x, den), F(y, den)) for x, y in args[0]] == [(x0, y0), (x1, y1), (x2, y2)]
         elif name == "_two_ray_twin":
-            assert args[1] == (d[12] - 5, d[13] - 5)
+            assert args[2] == (d[12] - 5, d[13] - 5)
         elif name == "_moved_form":
             assert args[0] == fixtures.CENTROID_FIXTURES[names[d[0]]].case._cone
         else:
@@ -659,18 +792,18 @@ class _CountingRandom(random.Random):
 
 def test_criterion_11_draws_one_randrange_per_trial_attempt(monkeypatch):
     rngs, attempts = [], Counter()
-    real_polygon = acceptance.polygon
+    real_cycle = acceptance._polygon_cycle
 
     def counting(seed):
         rngs.append(_CountingRandom(seed))
         return rngs[-1]
 
-    def polygon(verts):  # called once per attempt of part (b), before any of its rejections
+    def polygon_cycle(points):  # called once per attempt of part (b), before any of its rejections
         attempts["triangle"] += 1
-        return real_polygon(verts)
+        return real_cycle(points)
 
     monkeypatch.setattr(acceptance, "random", SimpleNamespace(Random=counting))
-    monkeypatch.setattr(acceptance, "polygon", polygon)
+    monkeypatch.setattr(acceptance, "_polygon_cycle", polygon_cycle)
     assert acceptance.criterion_11() == _CRITERION_11_DETAIL
     assert len(rngs) == 1 and attempts["triangle"] >= 60
     assert rngs[0].randranges == 200 + attempts["triangle"] + 100

@@ -18,7 +18,15 @@ from test_volumes import toric_valuations
 from kwall import fixtures
 from kwall.exact import Polygon2, area_centroid, polygon, v2_dot
 from kwall.toric_kps import CentroidCase, solve_centroid_condition
-from kwall.volumes import ModelError, MomentPolygon, TwoRayModel, s_invariant, volume_toric, volume_two_ray
+from kwall.volumes import (
+    ModelError,
+    MomentPolygon,
+    TwoRayModel,
+    _two_ray_form,
+    s_invariant,
+    volume_toric,
+    volume_two_ray,
+)
 
 _PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
@@ -278,11 +286,13 @@ def test_the_model_refuses_a_declared_curve_as_its_fraction_checks_do(args):
 @example(args=(F(1), F(3, 4), F(0), None), k=8, j=1)  # irrational isotropic ray
 def test_from_cleared_builds_the_model_its_constructor_builds(args, k, j):
     # (h2, cross, e2) over k times their least common denominator and the curve over j times its own: the
-    # same record with the same cleared form, in lowest terms, or the same refusal
+    # same record with the same cleared form, in lowest terms, which its core _two_ray_form gives alone, or the
+    # same refusal from all three
     h2, e2, cross, neg = args
     hxe = oracles.cleared_over((h2, cross, e2), k)
     curve = None if neg is None else oracles.cleared_over(neg, j)
-    builds = (lambda: TwoRayModel(h2, e2, cross, neg), lambda: TwoRayModel.from_cleared(hxe, curve))
+    builds = (lambda: TwoRayModel(h2, e2, cross, neg), lambda: TwoRayModel.from_cleared(hxe, curve),
+              lambda: _two_ray_form(hxe, curve))
     try:
         oracles.check_two_ray_model(h2, e2, cross, neg)
     except ModelError as exc:
@@ -291,8 +301,8 @@ def test_from_cleared_builds_the_model_its_constructor_builds(args, k, j):
                 build()
             assert type(got.value) is ModelError and str(got.value) == str(exc)
         return
-    want, got = (build() for build in builds)
-    assert got == want and got._form == want._form
+    want, got, form = (build() for build in builds)
+    assert got == want and got._form == want._form == form
     (h, x, e), lcd = oracles.cleared_over((h2, cross, e2), 1)
     assert got._form[:4] == (h, x, e, lcd)
     if neg is not None:

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 
 import oracles
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kwall import cli, fixtures
@@ -205,6 +205,23 @@ def interval_points(draw):
 def test_interval_membership_equals_its_reference(case):
     interval, c = case
     assert (c in interval) == oracles.interval_contains(interval, c)
+
+
+@_PROPERTY
+@given(const=st.integers(-_BIG, _BIG), slope=st.integers(-_BIG, _BIG), ends=st.tuples(_ends, _ends),
+       closed=st.tuples(st.booleans(), st.booleans()))
+@example(const=-1, slope=0, ends=(F(-2, 999983), F(5, 7)), closed=(False, False))  # flat, unstable
+@example(const=1, slope=-999983, ends=(F(-2, 999983), F(1, 999983)), closed=(True, False))  # root at hi, open
+@example(const=-2, slope=999983, ends=(F(-5, 3), F(-1, 3)), closed=(True, True))  # unstable below a root past hi
+@example(const=0, slope=7, ends=(F(1, 3), F(2, 3)), closed=(False, False))  # root at 0, range above it
+def test_a_margin_without_a_root_in_range_takes_its_sign_at_the_fraction_midpoint(const, slope, ends, closed):
+    # the form (const, -slope, 0, 1, 0, 1) has margin const + slope c; with no root in the range the solver
+    # reads its sign at the midpoint from the ends' numerators and denominators, the reference at the
+    # Fraction (lo + hi) / 2
+    valid_range = Interval(*sorted(ends), *closed)
+    assume((const, slope) != (0, 0) and (slope == 0 or F(-const, slope) not in valid_range))
+    unstable = const + slope * oracles.range_midpoint(valid_range) < 0
+    assert _solve_wall_form((const, -slope, 0, 1, 0, 1), valid_range) == (None, unstable, unstable, False)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.WALL_FIXTURES))

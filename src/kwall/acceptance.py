@@ -307,8 +307,8 @@ def _digits(code: int, radices: tuple[int, ...]) -> list[int]:
     one-to-one onto the product of the range(r), so a uniform code has independent uniform digits."""
     digits = []
     for r in radices:
-        code, d = divmod(code, r)
-        digits.append(d)
+        digits.append(code % r)
+        code //= r
     return digits
 
 
@@ -322,23 +322,26 @@ _TRIANGLE_RADICES = (9, 12) * 6 + (11, 11)
 _TRIANGLE_ATTEMPTS = 300  # part (b) accepts about 97 draws in 100, and at _SEED the first 60
 _PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))  # the ordered pairs i != j
 _PERMS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+_SOURCES = tuple(tuple(perm.index(c) for c in range(3)) for perm in _PERMS)  # the column each column c comes from
 _MOVE_RADICES = (len(_PAIRS), 5) * 6 + (len(_PERMS), 2, 2, 2)
 
 
 def _random_unimodular(digits: list[int]):
     """Six shears times a signed permutation, as integer column operations, from the digits
     of _MOVE_RADICES: each shear's ordered pair and k + 2, the permutation, the sign bits."""
-    m = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     for t in range(0, 12, 2):
-        i, j = _PAIRS[digits[t]]
-        k = digits[t + 1] - 2
-        for row in m:  # times the shear I + k E_ij: column j += k column i
-            row[j] += k * row[i]
-    perm = _PERMS[digits[12]]
-    signs = [(1, -1)[b] for b in digits[13:]]
-    # times the signed permutation with entry signs[s] at (s, perm[s]): column s moves to perm[s]
-    source = [perm.index(c) for c in range(3)]
-    return tuple(tuple(signs[s] * row[s] for s in source) for row in m)
+        if k := digits[t + 1] - 2:  # times the shear I + k E_ij: column j += k column i
+            i, j = _PAIRS[digits[t]]
+            (a, b, c), (x, y, z) = cols[i], cols[j]
+            cols[j] = (x + k * a, y + k * b, z + k * c)
+    # times the signed permutation with entry sign s at (s, perm[s]), which moves column s to perm[s]: column c
+    # is its source column, negated where that column's sign bit is set
+    moved = []
+    for s in _SOURCES[digits[12]]:
+        a, b, c = cols[s]
+        moved.append((-a, -b, -c) if digits[13 + s] else (a, b, c))
+    return tuple(zip(*moved))
 
 
 def _rescaled_form(case: WallCase, p: int, q: int) -> tuple[int, ...]:
@@ -382,8 +385,11 @@ def _moved_form(cone: tuple[tuple[list[int], int], ...], g, ginv_t):
     """The checked form of a case's cleared cone (its _cone) moved by the lattice automorphism g: its generators
     and xi0 by g, eta0* and u1 by (g^-1)^T, each an integer row times the numerators over the same denominator.
     A unimodular map keeps the gcd of a vector's entries, so each moved vector is still cleared."""
-    return _cone_form(*(([_idot3(row, nums) for row in m], s)
-                        for m, (nums, s) in zip((g, g, g, g, ginv_t, ginv_t), cone)))
+    moved = []
+    for m, ((x, y, z), s) in zip((g, g, g, g, ginv_t, ginv_t), cone):
+        (a, b, c), (d, e, f), (p, q, r) = m
+        moved.append(([a * x + b * y + c * z, d * x + e * y + f * z, p * x + q * y + r * z], s))
+    return _cone_form(*moved)
 
 
 def criterion_11() -> str:
@@ -451,7 +457,7 @@ def criterion_11() -> str:
         det = _idot3(g[0], cof[0])
         if det not in (1, -1):
             raise CheckFailed("random lattice move is not unimodular")
-        ginv_t = tuple(tuple(det * x for x in row) for row in cof)
+        ginv_t = cof if det == 1 else [[-x for x in row] for row in cof]
         verdict, solution, _ = _solve_cone_form(_moved_form(cases[name]._cone, g, ginv_t))
         if (verdict, solution) != ("unique-c", base_solutions[name]):
             got, want = (s and _fractions(*s) for s in (solution, base_solutions[name]))

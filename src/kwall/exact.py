@@ -128,14 +128,6 @@ def _idot3(a: Sequence[int], b: Sequence[int]) -> int:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _icross(a: Sequence[int], b: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials, lowest degree first
 # ---------------------------------------------------------------------------
@@ -433,7 +425,10 @@ Mat3 = tuple[Vec3, Vec3, Vec3]  # rows
 
 def _adjugate_columns(a: Sequence[Sequence[int]]) -> tuple[tuple[int, int, int], ...]:
     """Columns of adj(a) = det(a) a^-1 for integer rows a: each a cross product of two rows."""
-    return _icross(a[1], a[2]), _icross(a[2], a[0]), _icross(a[0], a[1])
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = a
+    return ((y1 * z2 - y2 * z1, y2 * z0 - y0 * z2, y0 * z1 - y1 * z0),  # row 1 x row 2
+            (z1 * x2 - z2 * x1, z2 * x0 - z0 * x2, z0 * x1 - z1 * x0),  # row 2 x row 0
+            (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0))  # row 0 x row 1
 
 
 def _cramer3(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int]:
@@ -444,8 +439,10 @@ def _cramer3(a: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], i
     if d == 0:
         # adj(a) holds every 2x2 minor of a
         raise SingularSystemError(2 if any(any(c) for c in adj) else 1 if any(any(r) for r in a) else 0)
-    # Cramer's rule: x = adj(a) b / det(a)
-    return [_idot3(row, b) for row in zip(*adj)], d
+    # Cramer's rule: x = adj(a) b / det(a), x_i = sum_k adj(a)_ik b_k
+    (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = adj
+    x, y, z = b
+    return [p0 * x + q0 * y + r0 * z, p1 * x + q1 * y + r1 * z, p2 * x + q2 * y + r2 * z], d
 
 
 def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:

@@ -79,22 +79,24 @@ def _cone_form(*cleared: tuple[list[int], int]):
         if s != 1 or math.gcd(*row) != 1:
             n = ", ".join(fmt(x) for x in _fractions(row, s))
             raise ConeError(f"field 'generators[{i}]': ({n}) is not a primitive integer vector")
-    rays = _adjugate_columns((g0[0], g1[0], g2[0]))
-    det = _idot3(g0[0], rays[0])
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = _adjugate_columns((g0[0], g1[0], g2[0]))
+    det = _idot3(g0[0], (a0, a1, a2))
     if det == 0:
         raise ConeError("field 'generators': cone generators are linearly dependent")
     # xi0 = sum lambda_k n_k has lambda_k = <r_k, xi0> / det G = p_k / (xs det G), and xs > 0
-    p0, p1, p2 = p = tuple(_idot3(r, xi) for r in rays)
-    if any(pk * det <= 0 for pk in p):
+    x0, x1, x2 = xi
+    p0, p1, p2 = a0 * x0 + a1 * x1 + a2 * x2, b0 * x0 + b1 * x1 + b2 * x2, c0 * x0 + c1 * x1 + c2 * x2
+    if p0 * det <= 0 or p1 * det <= 0 or p2 * det <= 0:
         raise ConeError("field 'xi0': Reeb vector must lie in the interior of the cone")
     if _idot3(eta[0], xi) != 0:
         raise ConeError("field 'eta0star': eta0* must pair to zero with the Reeb vector")
-    # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2, reduced
-    weights = (p1 * p2, p0 * p2, p0 * p1)
-    total = [xs * sum(w * r[i] for w, r in zip(weights, rays)) for i in range(3)]
-    # (n, det, u2, u1, eta0*) with n = det G u0, det = det G and u2, u1 and eta0* cleared: what the
-    # centroid condition reads
-    return [sum(r[i] for r in rays) for i in range(3)], det, _lowest(total, 3 * p0 * p1 * p2), u1, eta
+    # vertex k is xs r_k / p_k; their average over the common denominator 3 p0 p1 p2, reduced, with the
+    # weights w_k = p0 p1 p2 / p_k
+    w0, w1, w2 = p1 * p2, p0 * p2, p0 * p1
+    total = [xs * (w0 * a0 + w1 * b0 + w2 * c0), xs * (w0 * a1 + w1 * b1 + w2 * c1), xs * (w0 * a2 + w1 * b2 + w2 * c2)]
+    # (n, det, u2, u1, eta0*) with n = det G u0 = r_0 + r_1 + r_2, det = det G and u2, u1 and eta0* cleared:
+    # what the centroid condition reads
+    return [a0 + b0 + c0, a1 + b1 + c1, a2 + b2 + c2], det, _lowest(total, 3 * p0 * p1 * p2), u1, eta
 
 
 class CentroidVerdict(namedtuple("CentroidVerdict", "u0 u2 solution verdict detail", defaults=("",))):
@@ -131,7 +133,7 @@ def _solve_cone_form(form) -> tuple[str, Optional[tuple[tuple[int, int, int], in
     # (n, -v, eta) z = w is the condition in z = s (p / det, q / us, b / es): its columns are those of
     # the condition scaled by nonzero numbers, so it has the same rank
     try:
-        (z0, z1, z2), d = _cramer3([(n[i], -v[i], eta[i]) for i in range(3)], w)
+        (z0, z1, z2), d = _cramer3(((n[0], -v[0], eta[0]), (n[1], -v[1], eta[1]), (n[2], -v[2], eta[2])), w)
     except SingularSystemError as exc:
         if not any(v):
             return "indeterminate", None, "u1 = 0: the coefficient never enters the condition"

@@ -29,13 +29,6 @@ class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
             raise WallError(f"field 'range': range {self} is inverted: its low end exceeds its high end")
         return self
 
-    def __contains__(self, c) -> bool:
-        c = rat(c)
-        # c - lo and hi - c times the positive product of their denominators
-        above = c.numerator * self.lo.denominator - self.lo.numerator * c.denominator
-        below = self.hi.numerator * c.denominator - c.numerator * self.hi.denominator
-        return (above > 0 or (above == 0 and self.lo_closed)) and (below > 0 or (below == 0 and self.hi_closed))
-
     def __str__(self) -> str:
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"
@@ -59,8 +52,10 @@ class WallCase(namedtuple("WallCase", "name A0 ordD S0 alpha beta valid_range"))
 def _wall_form(nums: tuple[int, ...], s: int, valid_range: Interval) -> tuple[int, ...]:
     """The cleared form of (A0, ordD, S0, alpha, beta) = nums / s, for a positive s in any common scale, on
     valid_range; the one path that checks a wall case."""
-    g = math.gcd(s, *nums)
-    a0, od, s0, al, be, s = (n // g for n in (*nums, s))
+    a0, od, s0, al, be = nums
+    g = math.gcd(s, a0, od, s0, al, be)
+    if g != 1:
+        a0, od, s0, al, be, s = a0 // g, od // g, s0 // g, al // g, be // g, s // g
     # alpha - beta c = (al q - be p) / (s q) at c = p / q, with s, q > 0: the sign is that of al q - be p
     lo, hi = valid_range.lo, valid_range.hi
     if al * lo.denominator - be * lo.numerator <= 0:
@@ -85,6 +80,16 @@ def solve_wall(case: WallCase) -> WallReport:
     return WallReport(case, *_solve_wall_form(case._form, case.valid_range))
 
 
+def _in_range(num: int, den: int, valid_range: Interval) -> bool:
+    """Whether num / den (integers, den != 0) lies in valid_range, each end open or closed: the one membership rule."""
+    lo, hi = valid_range.lo, valid_range.hi
+    # num / den - lo and hi - num / den times the positive den^2 lo.den and den^2 hi.den
+    above = den * (num * lo.denominator - lo.numerator * den)
+    below = den * (hi.numerator * den - num * hi.denominator)
+    return ((above > 0 or (above == 0 and valid_range.lo_closed))
+            and (below > 0 or (below == 0 and valid_range.hi_closed)))
+
+
 def _solve_wall_form(form: tuple[int, ...], valid_range: Interval) -> tuple[Optional[Fraction], bool, bool, bool]:
     """(wall, unstable_below, unstable_above, degenerate) of a wall form on its range; the one path that solves it.
 
@@ -96,8 +101,8 @@ def _solve_wall_form(form: tuple[int, ...], valid_range: Interval) -> tuple[Opti
     slope = be * s0 - od * s  # s^2 times d(margin)/dc
     if slope == 0 and const == 0:
         return None, False, False, True
-    if slope != 0 and (cstar := Fraction(-const, slope)) in valid_range:
-        return cstar, slope > 0, slope < 0, False
+    if slope != 0 and _in_range(-const, slope, valid_range):
+        return Fraction(-const, slope), slope > 0, slope < 0, False
     # no root in the range: the margin keeps the sign it has at the midpoint p / q, (const q + slope p) / (q s^2),
     # with p = lo.num hi.den + hi.num lo.den and q = 2 lo.den hi.den > 0
     lo, hi = valid_range.lo, valid_range.hi

@@ -42,9 +42,9 @@ The library's polynomial evaluation, piecewise evaluation (on the cleared
 breakpoints, each piece through its polynomial), integral of a piecewise
 polynomial, 3x3 solve, polygon construction, shoelace area and centroid, both
 volume engines, the centroid condition, the two-ray model's checks of a
-declared curve and interval membership clear denominators and work over
-integers.  The kernels and engines
-below are their ``Fraction``-arithmetic references (``integrate`` and
+declared curve and the wall solver's range membership (``walls._in_range``)
+clear denominators and work over integers.  The kernels and engines below
+are their ``Fraction``-arithmetic references (``integrate`` and
 ``s_invariant`` go through ``poly_antiderivative`` and ``poly_integral``, the
 route the library's ``Poly`` no longer keeps; ``solve_centroid_condition``,
 ``check_two_ray_model`` and ``interval_contains``, which ``solve_wall`` here

@@ -17,6 +17,7 @@ from kwall.walls import (
     QuinticStratumPoint,
     WallCase,
     WallError,
+    _in_range,
     _solve_wall_form,
     _wall_form,
     admissibility_window,
@@ -203,8 +204,10 @@ def interval_points(draw):
 @example(case=(Interval(F(-2, 999983), F(5, 7), True, False), F(-2, 999983)))  # on the closed low end
 @example(case=(Interval(F(-2, 999983), F(5, 7), False, True), F(5, 7)))  # on the closed high end
 def test_interval_membership_equals_its_reference(case):
+    # the solver's one rule of membership, on c written over its own denominator and over its negation
     interval, c = case
-    assert (c in interval) == oracles.interval_contains(interval, c)
+    got = _in_range(c.numerator, c.denominator, interval)
+    assert got == _in_range(-c.numerator, -c.denominator, interval) == oracles.interval_contains(interval, c)
 
 
 @_PROPERTY
@@ -219,9 +222,32 @@ def test_a_margin_without_a_root_in_range_takes_its_sign_at_the_fraction_midpoin
     # reads its sign at the midpoint from the ends' numerators and denominators, the reference at the
     # Fraction (lo + hi) / 2
     valid_range = Interval(*sorted(ends), *closed)
-    assume((const, slope) != (0, 0) and (slope == 0 or F(-const, slope) not in valid_range))
+    assume((const, slope) != (0, 0) and (slope == 0 or not oracles.interval_contains(valid_range, F(-const, slope))))
     unstable = const + slope * oracles.range_midpoint(valid_range) < 0
     assert _solve_wall_form((const, -slope, 0, 1, 0, 1), valid_range) == (None, unstable, unstable, False)
+
+
+@_PROPERTY
+@given(ends=st.tuples(_ends, _ends), closed=st.tuples(st.booleans(), st.booleans()), at_hi=st.booleans(),
+       k=st.integers(-_BIG, _BIG).filter(bool))
+@example(ends=(F(-2, 7), F(5, 3)), closed=(False, False), at_hi=False, k=3)  # open ends, rising through lo
+@example(ends=(F(-2, 7), F(5, 3)), closed=(False, False), at_hi=True, k=-3)  # open ends, falling through hi
+@example(ends=(F(-2, 7), F(5, 3)), closed=(True, False), at_hi=False, k=-1)  # closed lo, falling through it
+@example(ends=(F(-2, 7), F(5, 3)), closed=(True, False), at_hi=True, k=1)  # open hi, rising through it
+@example(ends=(F(0), F(3, 5)), closed=(False, True), at_hi=False, k=-5)  # open lo at 0, falling through it
+@example(ends=(F(0), F(3, 5)), closed=(False, True), at_hi=True, k=5)  # closed hi, rising through it
+@example(ends=(F(1, 999983), F(2, 3)), closed=(True, True), at_hi=False, k=2)  # closed ends, rising through lo
+@example(ends=(F(1, 999983), F(2, 3)), closed=(True, True), at_hi=True, k=-2)  # closed ends, falling through hi
+def test_a_root_on_an_end_of_the_range_is_a_wall_exactly_when_that_end_is_closed(ends, closed, at_hi, k):
+    # the margin k (end.den c - end.num) vanishes at the end: the integer end tests of the solver against the
+    # Fraction membership of the reference, for either sign of the slope k end.den
+    valid_range = Interval(*sorted(ends), *closed)
+    end = valid_range.hi if at_hi else valid_range.lo
+    case = WallCase("drawn", -k * end.numerator, -k * end.denominator, 0, 1, 0, valid_range)
+    want = oracles.solve_wall(case)
+    assert _solve_wall_form(case._form, valid_range) == want[1:]
+    if valid_range.lo < valid_range.hi:
+        assert want.wall == (end if closed[at_hi] else None)
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.WALL_FIXTURES))
@@ -363,7 +389,7 @@ def test_first_wall_range_check():
     # engine-derived first wall must sit inside the coefficient range
     for d in range(4, 16):
         wall, _, rep = first_wall(d)
-        assert wall in rep.case.valid_range
+        assert oracles.interval_contains(rep.case.valid_range, wall)
 
 
 def test_wall_invariant_under_valuation_normalization():

@@ -200,7 +200,7 @@ def criterion_5() -> str:
 
 def criterion_6() -> str:
     """Stability-threshold bounds and the admissibility window."""
-    bounds = x26, p1425 = fixtures.delta_upper_bound("x26-delta"), fixtures.delta_upper_bound("p1425-delta")
+    bounds = x26, p1425 = tuple(map(fixtures.delta_upper_bound, fixtures.DELTA_SURFACES))
     if bounds != (F(1, 9), F(1, 10)):
         raise CheckFailed(f"delta bounds {bounds}")
     for d in (4, 5, 7, 10, 13):

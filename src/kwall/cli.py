@@ -360,17 +360,13 @@ def _unknown_fixture(command: str, name: str) -> SchemaError:
     return SchemaError(f"unknown fixture {name!r}; available fixtures: {listing}")
 
 
-def _delta_report(name: str, case_name: str | None) -> dict:
-    """A surface's delta bound, on the report of the wall case it extends or by the ratio of each valuation."""
+def _delta_report(name: str, surface: tuple) -> dict:
+    """A surface's delta bound, the least of its valuations' ratios, after its wall case's report or each ratio."""
+    case_name, ratios = surface[0], fixtures.delta_ratios(name)
+    bound = {"delta upper bound (c = 0)": fmt(min(ratios.values()))}
     if case_name is not None:
-        bound = fmt(fixtures.delta_upper_bound(name))
-        return {**_wall_report(solve_wall(fixtures.wall_case(case_name))), "delta upper bound (c = 0)": bound}
-    ratios = fixtures.delta_ratios(name)
-    return {
-        "case": name,
-        "ray ratios A/S": ", ".join(f"{ray}: {fmt(v)}" for ray, v in sorted(ratios.items())),
-        "delta upper bound (c = 0)": fmt(min(ratios.values())),
-    }
+        return {**_wall_report(solve_wall(fixtures.wall_case(case_name))), **bound}
+    return {"case": name, "ray ratios A/S": ", ".join(f"{ray}: {fmt(v)}" for ray, v in sorted(ratios.items())), **bound}
 
 
 def _binary_listing(name: str, members: tuple[str, ...]) -> dict:

@@ -160,7 +160,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as reduced Fractions, derived on each read."""
-        return tuple(Fraction(n, self._den) for n in self._nums)
+        return _fractions(self._nums, self._den)
 
     def coeff(self, k: int) -> Fraction:
         cs = self.coeffs
@@ -451,4 +451,4 @@ def solve_linear3(m: Mat3, rhs: Vec3) -> Vec3:
     # same rank, since scaling a row keeps it
     rows = [_cleared((*r, b))[0] for r, b in zip(m, rhs)]
     nums, d = _cramer3([r[:3] for r in rows], [r[3] for r in rows])
-    return tuple(Fraction(x, d) for x in nums)  # type: ignore[return-value]
+    return _fractions(nums, d)  # type: ignore[return-value]

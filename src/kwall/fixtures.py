@@ -19,6 +19,8 @@ and one curve C of degree deg(C) by its germ.  Then -(E^2) = n/(w1 w2 s^2),
 and the strict transform Cbar = deg(C) H - v(C) E spans the second ray; a
 blow-up without a curve takes its isotropic ray.  Wall fixtures read A0 and
 ord(D) from their volume fixture's valuation, alpha and beta from its surface.
+A delta surface declares its valuations by their volume fixtures; a toric ray
+D = {x = 0} carries ord_D, of weights (1, 0) at a general point of D: A = 1.
 
 A volume fixture derives its profile and S0 once, on first use, and keeps
 them in its instance dict, outside equality, hashing and repr; ``_replace``
@@ -32,7 +34,7 @@ from collections import namedtuple
 from functools import cached_property
 from fractions import Fraction
 
-from .exact import PiecewiseQuadratic, Vec3, _cleared, _idot3, polygon
+from .exact import PiecewiseQuadratic, Vec3, _cleared, _fractions, _idot3, polygon
 from .git import BinaryFormSystem, OnePS, PlaneCurveSupport
 from .toric_kps import CentroidCase
 from .valuations import (
@@ -41,7 +43,6 @@ from .valuations import (
     MonomialVal,
     QuasiHomogGerm,
     SMOOTH_POINT,
-    delta_upper,
     germ,
     log_discrepancy,
     ord_on_germ,
@@ -184,6 +185,7 @@ for _ray, _w, _s0 in (
         surface=_P1425,
         provenance=f"toric boundary ray ({_ray}-divisor) of P(1,4,25)",
         expected={"S0": _s0},
+        valuation=MonomialVal(SMOOTH_POINT, (F(1), F(0))),  # ord_D; no two-ray model reads its zero weight
     ))
 
 
@@ -344,15 +346,16 @@ def wall_case(name: str) -> WallCase:
 # stability-threshold (delta) fixtures
 # ---------------------------------------------------------------------------
 
+# each delta surface: the wall case its report extends (or None), and its valuations' volume fixtures by label
+DELTA_SURFACES = {"x26-delta": ("x26", {"x26": "x26"}),
+                  "p1425-delta": (None, {ray: f"p1425-ray-{ray}" for ray in "xyz"})}
+
+
 def delta_ratios(name: str) -> dict[str, Fraction]:
     """The ratio A/(alpha S0) of each valuation in a named surface's declared
-    list, keyed by the valuation's label."""
-    if name == "x26-delta":
-        vf = VOLUME_FIXTURES["x26"]
-        return {"x26": delta_upper(log_discrepancy(vf.valuation), vf.s0, vf.surface.alpha)}
-    # name == "p1425-delta", the other surface: its toric boundary rays, with A = 1
-    rays = {ray: VOLUME_FIXTURES[f"p1425-ray-{ray}"] for ray in ("x", "y", "z")}
-    return {ray: delta_upper(F(1), vf.s0, vf.surface.alpha) for ray, vf in rays.items()}
+    list, keyed by the valuation's label: each is an upper bound for delta."""
+    vfs = {label: VOLUME_FIXTURES[volume] for label, volume in DELTA_SURFACES[name][1].items()}
+    return {label: log_discrepancy(vf.valuation) / (vf.surface.alpha * vf.s0) for label, vf in vfs.items()}
 
 
 def delta_upper_bound(name: str) -> Fraction:
@@ -375,7 +378,7 @@ class CentroidFixture(namedtuple("CentroidFixture", "case printed_basis twin pro
 
     def to_printed(self, u: Vec3) -> Vec3:
         nums, d = _cleared(u)  # integer rows: each printed coordinate is one integer over d
-        return tuple(Fraction(_idot3(row, nums), d) for row in self.printed_basis)  # type: ignore[return-value]
+        return _fractions([_idot3(row, nums) for row in self.printed_basis], d)  # type: ignore[return-value]
 
 
 CENTROID_FIXTURES: dict[str, CentroidFixture] = {}
@@ -625,9 +628,9 @@ STRATUM_REPRESENTATIVES: dict[str, tuple[Fraction, ...]] = {
 
 # what each command's --fixture reads, keyed as cli.fixture_report names the commands, and so what it lists: its
 # registry (wall's names resolve through wall_case, which also reads the unlisted 'firstwall-{even,odd}-dN'), and
-# its composite names with their members: the wall case a delta bound extends, the fixtures or representatives it lists
+# its composite names with their members: wall's DELTA_SURFACES, the fixtures or representatives the others list
 FIXTURE_REGISTRIES = {
-    "wall": ({*WALL_FIXTURES, *_FIRST_WALL_ALIASES}, {"x26-delta": "x26", "p1425-delta": None}),
+    "wall": ({*WALL_FIXTURES, *_FIRST_WALL_ALIASES}, DELTA_SURFACES),
     "volume": (VOLUME_FIXTURES, {}),
     "centroid": (CENTROID_FIXTURES, {}),
     "lct": (LCT_FIXTURES, {}),

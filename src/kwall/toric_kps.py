@@ -117,7 +117,7 @@ def solve_centroid_condition(case: CentroidCase) -> CentroidVerdict:
     _solve_cone_form, then u0, u2 and the solution as Fractions."""
     n, det, u2 = case._form[:3]
     verdict, solution, detail = _solve_cone_form(case._form)
-    return CentroidVerdict(tuple(Fraction(x, det) for x in n), _fractions(*u2), solution and _fractions(*solution),
+    return CentroidVerdict(_fractions(n, det), _fractions(*u2), solution and _fractions(*solution),
                            verdict, detail)
 
 

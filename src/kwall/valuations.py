@@ -1,8 +1,9 @@
 """Monomial valuations over smooth and cyclic-quotient surface points.
 
 Log discrepancies, orders of vanishing on curve germs, Newton-polygon log
-canonical thresholds, Gorenstein index bounds, and stability-threshold upper
-bounds.  Germ data is a monomial support with generic coefficients; a
+canonical thresholds and Gorenstein index bounds; ``fixtures.delta_ratios``
+reads A by ``log_discrepancy`` for each valuation that a delta surface
+declares.  Germ data is a monomial support with generic coefficients; a
 quasi-homogeneous germ is given by its weights and degree and is the generic
 germ on the monomials of that weighted degree, so ``lct_newton`` is the one
 lct engine for both.
@@ -178,12 +179,3 @@ def index_bound(d: int, c: Fraction) -> int:
     cap = Fraction(2 * d, 3) if d % 3 == 0 else Fraction(d)
     return int(min(Fraction(3) / (3 - c * d), cap).__floor__())
 
-
-def delta_upper(A: Fraction, S0: Fraction, alpha: Fraction) -> Fraction:
-    """Upper bound A/(alpha S0) for the stability threshold at c = 0.
-
-    Only an upper bound: it uses one valuation (or, at fixture level, a
-    declared finite list of them).
-    """
-    A, S0, alpha = rat(A), rat(S0), rat(alpha)
-    return A / (alpha * S0)

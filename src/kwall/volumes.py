@@ -30,6 +30,7 @@ from .exact import (
     Poly,
     Vec2,
     _cleared,
+    _fractions,
     integrate,
     rat,
 )
@@ -62,15 +63,8 @@ class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
     def __new__(cls, h2: Fraction, e2: Fraction, cross: Fraction = Fraction(0),
                 neg_curve: Optional[tuple[Fraction, Fraction]] = None):
         curve = None if neg_curve is None else _cleared((rat(neg_curve[0]), rat(neg_curve[1])))
-        return cls.from_cleared(_cleared((rat(h2), rat(cross), rat(e2))), curve)
-
-    @classmethod
-    def from_cleared(cls, hxe: tuple[list[int], int], curve: Optional[tuple[list[int], int]] = None) -> TwoRayModel:
-        """The model whose (h2, cross, e2) and declared curve (a, b) are given cleared, each as integer
-        numerators over a positive denominator in any common scale: ``_two_ray_form``, the one path that
-        checks a model, then its Fractions."""
-        h, x, e, k, a, b, m = form = _two_ray_form(hxe, curve)
-        self = super().__new__(cls, Fraction(h, k), Fraction(e, k), Fraction(x, k), (Fraction(a, m), Fraction(b, m)))
+        h, x, e, k, a, b, m = form = _two_ray_form(_cleared((rat(h2), rat(cross), rat(e2))), curve)
+        self = super().__new__(cls, *_fractions((h, e, x), k), _fractions((a, b), m))
         self._form = form  # what pair and volume_two_ray read
         return self
 
@@ -83,9 +77,9 @@ class TwoRayModel(namedtuple("TwoRayModel", "h2 e2 cross neg_curve")):
 
 
 def _two_ray_form(hxe: tuple[list[int], int], curve: Optional[tuple[list[int], int]] = None) -> tuple[int, ...]:
-    """The checked form of the model that ``TwoRayModel.from_cleared`` builds from the same arguments:
-    (h2, cross, e2) over their least common denominator k and Cbar = (a H - b E) / m, as (h, x, e, k, a, b, m);
-    the one path that checks a model."""
+    """The checked form of a model whose (h2, cross, e2) and declared curve (a, b) are given cleared, each as
+    integer numerators over a positive denominator in any common scale: (h2, cross, e2) over their least common
+    denominator k and Cbar = (a H - b E) / m, as (h, x, e, k, a, b, m); the one path that checks a model."""
     (h, x, e), k = hxe
     g = math.gcd(h, x, e, k)
     h, x, e, k = h // g, x // g, e // g, k // g

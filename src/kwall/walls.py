@@ -22,6 +22,7 @@ class WallError(KwallError):
 
 class Interval(namedtuple("Interval", "lo hi lo_closed hi_closed")):
     __slots__ = ()
+    __contains__ = None  # a tuple's `in` would test c == lo or c == hi: _in_range is the one membership rule
 
     def __new__(cls, lo: Fraction, hi: Fraction, lo_closed: bool = False, hi_closed: bool = False):
         self = super().__new__(cls, lo, hi, lo_closed, hi_closed)

@@ -68,7 +68,7 @@ the polygon.  Nor have the polynomial sum, difference and product
 (``poly_add``, ``poly_sub``, ``poly_mul``), which no command calls: the tests
 and the engines here build polynomials with them.  ``cleared_over`` writes
 rationals as integers over a common denominator of any scale, which
-``walls._wall_form`` and ``TwoRayModel.from_cleared`` take.  ``mat3_rank`` is
+``walls._wall_form`` and ``volumes._two_ray_form`` take.  ``mat3_rank`` is
 the Fraction elimination that the library's solve replaced by reading the rank
 of a singular system off the 2x2 minors it already has; it is the reference
 for that rank.  ``sample_points`` are interior points at which the tests

@@ -159,6 +159,36 @@ def test_scenario_wall_case(tmp_path):
     assert json.loads(out)["wall"] == "63/115"
 
 
+_DEGENERATE = """case : scenario
+A(c) : 3 - 5 c
+S(c) : (1) (3 - 5 c)
+range: (0, 3/5)
+wall : degenerate (A and S identical; no information)
+"""
+_PASSES = """case   : scenario
+A(c)   : 10
+S(c)   : (1) (3 - 5 c)
+range  : (0, 3/5)
+wall   : none in range
+verdict: necessary condition passes on the whole range
+"""
+
+
+@pytest.mark.parametrize("A0,ordD,text,report", [
+    ("3", "5", _DEGENERATE, {"A(c)": "3 - 5 c", "S(c)": "(1) (3 - 5 c)", "case": "scenario", "range": "(0, 3/5)",
+                             "wall": "degenerate (A and S identical; no information)"}),
+    ("10", "0", _PASSES, {"A(c)": "10", "S(c)": "(1) (3 - 5 c)", "case": "scenario", "range": "(0, 3/5)",
+                          "verdict": "necessary condition passes on the whole range", "wall": "none in range"}),
+], ids=["degenerate", "passes-on-the-whole-range"])
+def test_scenario_wall_verdicts_without_a_wall(tmp_path, A0, ordD, text, report):
+    # the two wall verdicts that neither a fixture nor the snapshot prints, byte for byte in text and in JSON
+    path = tmp_path / "wall.json"
+    payload = {"A0": A0, "ordD": ordD, "S0": "1", "alpha": "3", "beta": "5"}
+    path.write_text(scenario_json("wall-case", payload), encoding="utf-8")
+    assert run_cli("wall", "--file", str(path)) == (0, text)
+    assert run_cli("--json", "wall", "--file", str(path)) == (0, json.dumps(report, indent=2, sort_keys=True) + "\n")
+
+
 def test_scenario_centroid(tmp_path):
     payload = {
         "name": "a11red-scenario",

@@ -92,7 +92,7 @@ def test_readme_commands_are_the_ones_the_snapshot_and_ci_run():
     readme = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert all(argv[0] == "kwall" for argv in readme)
     assert [tuple(argv[1:]) for argv in readme] == list(README_COMMANDS)
-    # the verify-all job runs the checklist in steps of its own and each other README command in one
+    # the CI job runs the checklist in steps of its own and each other README command in one
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     ci = [shlex.split(line)[3:] for line in workflow.splitlines() if line.strip().startswith("python -m kwall ")]
     assert ci == [argv[1:] for argv in readme if argv[1:] != ["verify-all"]]

@@ -17,7 +17,6 @@ from kwall.valuations import (
     MonomialVal,
     QuasiHomogGerm,
     SMOOTH_POINT,
-    delta_upper,
     germ,
     index_bound,
     lct_newton,
@@ -210,10 +209,22 @@ def test_index_bound_domain():
 
 
 def test_delta_upper_examples():
-    assert delta_upper(F(3, 5), F(9, 25), F(15)) == F(1, 9)
-    assert delta_upper(F(2), F(2), F(1)) == 1
     assert fixtures.delta_upper_bound("x26-delta") == F(1, 9)
     assert fixtures.delta_upper_bound("p1425-delta") == F(1, 10)
+
+
+def test_delta_ratios_read_A_from_each_declared_valuation():
+    # A is the log discrepancy of the valuation on each declared volume fixture, never typed: ord_D of a toric
+    # ray of P(1,4,25) has A = 1, the order-25 quotient valuation of X_26 has A = 3/5
+    got = {name: {label: log_discrepancy(fixtures.VOLUME_FIXTURES[volume].valuation)
+                  for label, volume in volumes.items()} for name, (_, volumes) in fixtures.DELTA_SURFACES.items()}
+    assert got == {"x26-delta": {"x26": F(3, 5)}, "p1425-delta": {"x": 1, "y": 1, "z": 1}}
+    for name, (_, volumes) in fixtures.DELTA_SURFACES.items():
+        # each ratio is A / (alpha S0) in Fraction arithmetic, on the oracle's A and the fixture's annotated S0
+        vfs = {label: fixtures.VOLUME_FIXTURES[volume] for label, volume in volumes.items()}
+        want = {label: oracles.log_discrepancy(vf.valuation) / (vf.surface.alpha * vf.expected["S0"])
+                for label, vf in vfs.items()}
+        assert fixtures.delta_ratios(name) == want, name
 
 
 def test_ordd_derivations_match_annotations():

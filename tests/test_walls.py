@@ -392,6 +392,12 @@ def test_first_wall_range_check():
         assert oracles.interval_contains(rep.case.valid_range, wall)
 
 
+def test_interval_membership_by_in_is_refused():
+    # a tuple's `in` would compare c with each field, true only at an end: an Interval is not a container
+    with pytest.raises(TypeError, match="'Interval' object is not a container"):
+        F(3, 8) in first_wall(4)[2].case.valid_range
+
+
 def test_wall_invariant_under_valuation_normalization():
     # the same scenario in the divisorial normalization (scale 1, weights and
     # direction divided by the quotient order) must produce the same wall
